@@ -3,8 +3,9 @@
 Two interchangeable backends behind one interface:
 
 * :class:`PrimeOps` -- rows and matrices as numpy int64 arrays of canonical
-  residues, reduced mod p after every product.  Safe for p < 2^15 and up to
-  256 columns (dot products stay far below int64 overflow).
+  residues, reduced mod p after every product.  A dot product of length m
+  sums m products below (p-1)^2 before its reduction, so it is exact while
+  m * (p-1)^2 < 2^63; with p < 2^15 that holds for every m < 2^33.
 * :class:`GenericOps` -- plain Python lists of raw field values, driving the
   field kernels directly.  Used for extension fields.
 
@@ -20,7 +21,6 @@ import numpy as np
 from .ffield import Field
 
 _NUMPY_SAFE_P = 2**15
-_NUMPY_SAFE_COLS = 256
 
 
 def make_ops(field: Field):

@@ -36,6 +36,7 @@ from .polyring import (
     delta,
     format_poly,
     mul_bounded,
+    mul_residues,
     poly_pow,
     prune,
 )
@@ -115,6 +116,20 @@ def _basis_index(ring: RingConfig) -> dict:
     return {mono: i for i, mono in enumerate(basis(ring).monomials)}
 
 
+@lru_cache(maxsize=None)
+def _residue_columns(ring: RingConfig) -> dict:
+    """Residue class mod p -> [(j, M_j)]: the columns a kernel term of that class feeds.
+
+    Column j reads the kernel terms x^e with e + M_j = (p-1, ..., p-1) mod p,
+    i.e. the class (p-1-M_j) mod p; distinct monomials may share a class.
+    """
+    p = ring.field.p
+    out: dict = {}
+    for j, mono in enumerate(basis(ring).monomials):
+        out.setdefault(tuple((p - 1 - e) % p for e in mono), []).append((j, mono))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # bundle construction
 # ---------------------------------------------------------------------------
@@ -181,29 +196,29 @@ class FrobeniusBundle:
 
 
 def columns_from_kernel(bas: MonomialBasis, kernel: Polynomial) -> list:
-    """Matrix of h -> u_op(kernel * h) on the basis, built column by column.
+    """Matrix of h -> u_op(kernel * h) on the basis, built term by term.
 
-    The kernel is multiplied by each basis monomial (an exponent shift) and
-    pushed through the corner projection; this is O(m) passes over the
-    kernel's term list rather than O(m^2) polynomial products.
+    u_op reads x^(e + M_j) only when every coordinate is p-1 (mod p), so a
+    kernel term x^e feeds exactly the columns j listed under its residue
+    class in :func:`_residue_columns`; it lands in row index((e + M_j -
+    (p-1)) / p).  Each term is looked up once: O(|kernel| + nnz(T)) work.
     """
     ring = bas.ring
     f = ring.field
     p = f.p
     index = _basis_index(ring)
+    columns = _residue_columns(ring)
     m = bas.m
     T = [[f.zero] * m for _ in range(m)]
-    ifrob = f.inverse_frobenius
-    kernel_terms = list(kernel.term_dict().items())
-    for j, mono in enumerate(bas.monomials):
-        for exps, coeff in kernel_terms:
-            shifted = tuple(a + b for a, b in zip(exps, mono))
-            if any(e % p != p - 1 for e in shifted):
-                continue
-            target = tuple((e - (p - 1)) // p for e in shifted)
-            i = index[target]
-            row = T[i]
-            row[j] = f.add(row[j], ifrob(coeff))
+    ifrob, fadd = f.inverse_frobenius, f.add
+    for exps, coeff in kernel.term_dict().items():
+        hits = columns.get(tuple(e % p for e in exps))
+        if hits is None:
+            continue
+        value = ifrob(coeff)
+        for j, mono in hits:
+            row = T[index[tuple((a + b - (p - 1)) // p for a, b in zip(exps, mono))]]
+            row[j] = fadd(row[j], value)
     return T
 
 
@@ -231,7 +246,11 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
         else:
             lam.append(fld.inverse_frobenius(fp2.coefficient(rest)))
 
-    kernel = delta(f) * fp2
+    # T reads a kernel term only through u_op, i.e. only when its residue
+    # class mod p is (p-1-M_j) mod p for some basis monomial M_j.  A product
+    # term's class is the sum of its factors' classes, so multiplying just the
+    # class-compatible term pairs yields exactly the terms T reads.
+    kernel = mul_residues(delta(f), fp2, _residue_columns(ring))
     T = columns_from_kernel(bas, kernel)
     return FrobeniusBundle(bas, f, v_f, lam, T)
 

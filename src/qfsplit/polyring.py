@@ -1,9 +1,16 @@
 """Sparse weighted-graded multivariate polynomials over finite fields.
 
 This module is the computational kernel of the package: exact polynomial
-arithmetic, the Frobenius-defect operator ``delta`` (two independent
-constructions), the semilinear corner projection ``u_op``, and membership
-tests in Frobenius power ideals m^[p^n] = (x_0^{p^n}, ..., x_N^{p^n}).
+arithmetic (including ``mul_residues``, a product restricted to exponent
+residue classes mod p), the Frobenius-defect operator ``delta`` (computed
+by the first Witt sum polynomial; ``delta_lift_oracle``, a Teichmuller lift
+to Z/p^2, is kept as its independent oracle), the semilinear corner
+projection ``u_op``, and membership tests in Frobenius power ideals
+m^[p^n] = (x_0^{p^n}, ..., x_N^{p^n}).
+
+Products pack each exponent vector into one int (fixed-width bit fields,
+wide enough that no sum overflows a field), so the inner loops add ints
+instead of building tuples.
 
 Representation: a polynomial is a map from exponent tuples to raw field
 values (see ffield), with zero coefficients never stored.  The canonical
@@ -17,7 +24,6 @@ inherits it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ParseError, ResourceError, UsageError
@@ -171,19 +177,7 @@ class Polynomial:
         self._check_ring(other)
         if self._max_exp + other._max_exp >= MAX_EXPONENT:
             raise ResourceError("product exponent would exceed the 2^32 headroom")
-        f = self.ring.field
-        fmul, fadd = f.mul, f.add
-        out: dict = {}
-        small, large = (self._terms, other._terms)
-        if len(small) > len(large):
-            small, large = large, small
-        for e1, c1 in small.items():
-            for e2, c2 in large.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                val = fmul(c1, c2)
-                cur = out.get(exps)
-                out[exps] = val if cur is None else fadd(cur, val)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _product(self._terms, other._terms, self.ring.field))
 
     def __pow__(self, n: int) -> "Polynomial":
         return poly_pow(self, n)
@@ -276,6 +270,89 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# term-dict kernels
+# ---------------------------------------------------------------------------
+
+def _pack(terms: dict, width: int) -> dict:
+    """Terms keyed by one int holding the exponents in width-bit fields, x_0 highest.
+
+    While no exponent sum reaches 2^width, exponent vectors add as ints,
+    which keeps tuple building out of the product loops.
+    """
+    out = {}
+    for exps, c in terms.items():
+        key = 0
+        for e in exps:
+            key = (key << width) | e
+        out[key] = c
+    return out
+
+
+def _accumulate(out: dict, a: dict, b: dict, field: Field) -> None:
+    """Add every termwise product of two packed term dicts into out.
+
+    Over a prime field the sums are left as unreduced ints (exact; see
+    :func:`_unpack`), which saves a field call per product.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    if field.e == 1:
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        return
+    fmul, fadd = field.mul, field.add
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = k1 + k2
+            val = fmul(c1, c2)
+            cur = get(key)
+            out[key] = val if cur is None else fadd(cur, val)
+
+
+def _unpack(packed: dict, width: int, num_vars: int, field: Field) -> dict:
+    """Tuple-keyed terms with canonical coefficients and zeros dropped."""
+    mask = (1 << width) - 1
+    shifts = range(width * (num_vars - 1), -1, -width)
+    if field.e == 1:
+        p = field.p
+        packed = {key: r for key, c in packed.items() if (r := c % p)}
+    else:
+        is_zero = field.is_zero
+        packed = {key: c for key, c in packed.items() if not is_zero(c)}
+    return {tuple((key >> s) & mask for s in shifts): c for key, c in packed.items()}
+
+
+def _product_width(a: dict, b: dict) -> int:
+    """Field width that no exponent of a product of a and b can overflow."""
+    return max(1, (max(map(max, a)) + max(map(max, b))).bit_length())
+
+
+def _product(a: dict, b: dict, field: Field) -> dict:
+    """a * b on tuple-keyed term dicts: canonical coefficients, no zeros."""
+    if not a or not b:
+        return {}
+    width = _product_width(a, b)
+    out: dict = {}
+    _accumulate(out, _pack(a, width), _pack(b, width), field)
+    return _unpack(out, width, len(next(iter(a))), field)
+
+
+def _residue(exps: ExponentVector, p: int) -> tuple:
+    return tuple(e % p for e in exps)
+
+
+def _residue_buckets(terms: dict, p: int, width: int) -> dict:
+    """Residue vector mod p -> the packed terms of that class."""
+    out: dict = {}
+    for exps, c in terms.items():
+        out.setdefault(_residue(exps, p), {})[exps] = c
+    return {r: _pack(bucket, width) for r, bucket in out.items()}
+
+
+# ---------------------------------------------------------------------------
 # powers
 # ---------------------------------------------------------------------------
 
@@ -331,87 +408,87 @@ def mul_bounded(a: Polynomial, b: Polynomial, exp_bound: int) -> Polynomial:
     return Polynomial(a.ring, out)
 
 
+def mul_residues(a: Polynomial, b: Polynomial, keep) -> Polynomial:
+    """The terms of a*b whose exponent residue vector mod p lies in ``keep``.
+
+    ``keep`` is a collection of residue vectors; any representatives may be
+    given, and a class listed twice counts once.
+
+    Exact, not approximate: a product term's residue vector is the sum mod p
+    of its factors' residue vectors.  Both factors are bucketed by residue
+    and only bucket pairs summing into ``keep`` are multiplied, so the work
+    is the number of surviving term pairs plus one lookup per (bucket of a,
+    kept class).
+    """
+    a._check_ring(b)
+    if a._max_exp + b._max_exp >= MAX_EXPONENT:
+        raise ResourceError("product exponent would exceed the 2^32 headroom")
+    field = a.ring.field
+    p = field.p
+    if a.is_zero() or b.is_zero():
+        return Polynomial.zero(a.ring)
+    width = _product_width(a._terms, b._terms)
+    buckets_a = _residue_buckets(a._terms, p, width)
+    buckets_b = _residue_buckets(b._terms, p, width)
+    keep = {_residue(r, p) for r in keep}
+    out: dict = {}
+    for res_a, terms_a in buckets_a.items():
+        for target in keep:
+            terms_b = buckets_b.get(tuple((t - r) % p for t, r in zip(target, res_a)))
+            if terms_b:
+                _accumulate(out, terms_a, terms_b, field)
+    return Polynomial(a.ring, _unpack(out, width, a.ring.num_vars, field))
+
+
 def prune(a: Polynomial, exp_bound: int) -> Polynomial:
     """Drop terms with any exponent >= exp_bound (reduction mod m^[exp_bound])."""
     return Polynomial(a.ring, {e: c for e, c in a._terms.items() if max(e) < exp_bound})
 
 
 # ---------------------------------------------------------------------------
-# the Frobenius-defect operator, two ways
+# the Frobenius-defect operator: Witt-sum route and lift oracle
 # ---------------------------------------------------------------------------
 
-def _sparse_compositions(total: int, parts: int, part_cap: int) -> Iterator[tuple]:
-    """Compositions of `total` into `parts` slots with entries in [0, part_cap].
-
-    Yielded sparsely as tuples of (slot index, positive part); at most
-    `total` slots are ever nonzero, so enumeration cost does not scale with
-    the number of slots.
-    """
-    acc: list = []
-
-    def rec(start: int, remaining: int):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for idx in range(start, parts):
-            if (parts - idx) * part_cap < remaining:
-                break
-            for part in range(1, min(part_cap, remaining) + 1):
-                acc.append((idx, part))
-                yield from rec(idx + 1, remaining - part)
-                acc.pop()
-
-    yield from rec(0, total)
-
-
-@lru_cache(maxsize=None)
-def _multinomial_over_p(p: int, alpha: tuple) -> int:
-    """binom(p; alpha) / p as an exact integer, for compositions with parts < p."""
-    m = math.factorial(p)
-    for a in alpha:
-        m //= math.factorial(a)
-    q, r = divmod(m, p)
-    if r:
-        raise AssertionError(f"multinomial({p}; {alpha}) not divisible by {p}")
-    return q
-
-
 def delta(f: Polynomial) -> Polynomial:
-    """Frobenius defect of f via the multinomial expansion.
+    """Frobenius defect of f via the first Witt sum polynomial.
 
-    For f = sum c_i M_i (distinct monomials M_i), returns
+    For f = sum c_i M_i (distinct monomials M_i) the defect is the reduction
+    mod p of ((sum y_i)^p - sum y_i^p) / p at y_i = c_i M_i.  Splitting the
+    terms as f = A + B gives the integer identity
 
-        sum over (a_1..a_m), 0 <= a_i <= p-1, sum a_i = p
-            of  [binom(p; a) / p]  *  prod (c_i M_i)^(a_i).
+        delta(A + B) = delta(A) + delta(B)
+                       + sum_{i=1}^{p-1} [binom(p, i) / p] * A^i * B^(p-i),
+
+    and delta(c * M) = 0, so the term list is halved recursively.  The carry
+    sum is evaluated by Horner's rule in A from the powers B, ..., B^(p-1):
+    2p - 3 polynomial products per split, each bounded by the number of
+    monomials of its degree, instead of one product per composition of p
+    into the terms (about C(#terms + p - 1, p) of them).
 
     Vanishes on monomials; takes a homogeneous polynomial of weighted
-    degree D to one of weighted degree p*D.  The integer multinomial / p is
-    computed exactly before reduction mod p.  Cost grows with the number of
-    compositions, roughly C(#terms + p - 1, p).
+    degree D to one of weighted degree p*D.  Works over every field;
+    :func:`delta_lift_oracle` is the independent prime-field check.
     """
     ring = f.ring
     field = ring.field
     p = field.p
-    terms = list(f._terms.items())
-    m = len(terms)
-    if m * (p - 1) < p:
-        return Polynomial.zero(ring)  # too few terms to reach exponent sum p
-    out: dict = {}
-    fmul, fadd, fpow = field.mul, field.add, field.pow
-    for alpha in _sparse_compositions(p, m, p - 1):
-        parts = tuple(sorted(a for _, a in alpha))
-        scalar = field.from_int(_multinomial_over_p(p, parts) % p)
-        if field.is_zero(scalar):
-            continue
-        exps = (0,) * ring.num_vars
-        coeff = scalar
-        for idx, a in alpha:
-            mono, c = terms[idx]
-            coeff = fmul(coeff, fpow(c, a))
-            exps = tuple(x + a * y for x, y in zip(exps, mono))
-        cur = out.get(exps)
-        out[exps] = coeff if cur is None else fadd(cur, coeff)
-    return Polynomial(ring, out)
+    carries = [field.from_int(math.comb(p, i) // p) for i in range(1, p)]  # k_1 .. k_(p-1)
+
+    def rec(terms: list) -> Polynomial:
+        if len(terms) < 2:
+            return Polynomial.zero(ring)
+        half = len(terms) // 2
+        a, b = Polynomial(ring, dict(terms[:half])), Polynomial(ring, dict(terms[half:]))
+        b_pows = [b]
+        for _ in carries[1:]:
+            b_pows.append(b_pows[-1] * b)
+        # Horner in A: acc_i = k_i B^(p-i) + A * acc_(i+1), carry sum = A * acc_1
+        acc = b.scaled(carries[-1])
+        for k, b_pow in zip(reversed(carries[:-1]), b_pows[1:]):
+            acc = a * acc + b_pow.scaled(k)
+        return a * acc + rec(terms[:half]) + rec(terms[half:])
+
+    return rec(list(f._terms.items()))
 
 
 def delta_lift_oracle(f: Polynomial) -> Polynomial:
@@ -419,8 +496,8 @@ def delta_lift_oracle(f: Polynomial) -> Polynomial:
 
     Lifts each coefficient c to the Teichmuller representative c^p mod p^2,
     forms (fhat^p - phi(fhat)) / p with phi the termwise (coeff, p*exps) map,
-    and reduces mod p.  Agrees identically with :func:`delta`; kept as an
-    independent cross-check of the multinomial path.
+    and reduces mod p.  Agrees identically with :func:`delta`; kept as the
+    oracle for the Witt-sum route, not used in production.
     """
     field = f.ring.field
     if field.e != 1:

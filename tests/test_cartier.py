@@ -17,6 +17,7 @@ from qfsplit.cartier import (
     basis,
     bundle,
     bundle_to_json,
+    columns_from_kernel,
     default_height_cap,
     descent_product,
     fedder_height_oracle,
@@ -28,6 +29,7 @@ from qfsplit.cartier import (
 )
 from qfsplit.errors import ResourceError, UsageError
 from qfsplit.ffield import field
+from qfsplit.lifts import shifted_matrix_direct
 from qfsplit.polyring import Polynomial, RingConfig, delta, parse_poly, poly_pow, u_op
 from qfsplit.values import is_infinite
 
@@ -128,6 +130,69 @@ def test_T_columns_expand_u_images():
         image = u_op(kernel * Polynomial.monomial(R3, b.basis.monomials[j]))
         expected = b.basis.coefficients(image)
         assert [b.T[i][j] for i in range(b.m)] == expected
+
+
+def _columns_reference(bas, kernel):
+    """Test-only reference: the m x |kernel| loop columns_from_kernel replaced."""
+    ring = bas.ring
+    f = ring.field
+    p = f.p
+    T = [[f.zero] * bas.m for _ in range(bas.m)]
+    kernel_terms = list(kernel.term_dict().items())
+    for j, mono in enumerate(bas.monomials):
+        for exps, coeff in kernel_terms:
+            shifted = tuple(a + b for a, b in zip(exps, mono))
+            if any(e % p != p - 1 for e in shifted):
+                continue
+            i = bas.index_of(tuple((e - (p - 1)) // p for e in shifted))
+            T[i][j] = f.add(T[i][j], f.inverse_frobenius(coeff))
+    return T
+
+
+@pytest.mark.parametrize("p,e,weights", [
+    (2, 1, (1, 1, 1, 1)), (3, 1, (1, 1, 1, 1)), (5, 1, (1, 1, 1, 1)), (3, 1, (1, 1, 1, 3)),
+    (2, 2, (1, 1, 1, 1)), (3, 2, (1, 1, 1, 1)), (2, 1, (1, 1, 1, 1, 1)),
+])
+def test_columns_from_kernel_matches_pairwise_reference(p, e, weights):
+    ring = RingConfig(field(p, e), weights)
+    bas = basis(ring)
+    monos = bas.monomials
+    elems = list(ring.field.elements())
+    rng = random.Random(p * 10 + e)
+    for _ in range(3):
+        terms = {}
+        # random monomials of the kernel degree (2p-2)d; most lie outside
+        # every residue class that T reads
+        for _ in range(60):
+            terms[tuple(map(sum, zip(*rng.choices(monos, k=2 * p - 2))))] = rng.choice(elems)
+        # and terms p*M_i + (p-1) - M_j, which land in T[i][j]
+        for _ in range(40):
+            a, b = rng.choice(monos), rng.choice(monos)
+            exps = tuple(p * x + p - 1 - y for x, y in zip(a, b))
+            if min(exps) >= 0:
+                terms[exps] = rng.choice(elems)
+        kernel = Polynomial(ring, terms)
+        read = [
+            all((x + y) % p == p - 1 for x, y in zip(exps, mono))
+            for exps in kernel.term_dict() for mono in monos
+        ]
+        assert any(read) and not all(read)
+        assert columns_from_kernel(bas, kernel) == _columns_reference(bas, kernel)
+
+
+@pytest.mark.parametrize("p,e,weights", [
+    (3, 1, (1, 1, 1, 1)), (5, 1, (1, 1, 1, 1)), (2, 2, (1, 1, 1, 1)), (3, 2, (1, 1, 1, 1)),
+    (5, 1, (1, 1, 1, 3)), (3, 1, (1, 1, 1, 1, 1)),
+])
+def test_filtered_kernel_matches_full_product(p, e, weights):
+    # bundle() multiplies only the residue classes T reads; the direct
+    # rebuild with a zero shift multiplies delta(f) * f^(p-2) in full
+    ring = RingConfig(field(p, e), weights)
+    elems = list(ring.field.elements())
+    rng = random.Random(p * 10 + e + sum(weights))
+    f = Polynomial(ring, {m: rng.choice(elems) for m in basis(ring).monomials})
+    b = bundle(f)
+    assert b.T == shifted_matrix_direct(b, [ring.field.zero] * b.m)
 
 
 # -- height and ns ------------------------------------------------------------

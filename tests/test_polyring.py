@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from qfsplit.polyring import (
     format_poly,
     in_frobenius_power,
     mul_bounded,
+    mul_residues,
     parse_poly,
     poly_pow,
     prune,
@@ -245,6 +247,141 @@ def test_delta_over_extension_field():
     f = parse_poly("(t)*x + (t+1)*y", ring)
     # delta = t(t+1) xy = 1*xy over F_4
     assert delta(f) == parse_poly("x*y", ring)
+
+
+# -- delta against the multinomial oracle -------------------------------------
+# Test-only oracle: the multinomial expansion that `delta` computed before
+# the Witt-sum recursion.  It costs one step per composition of p into the
+# terms, about C(#terms + p - 1, p), so it only runs on small forms.
+
+def _sparse_compositions(total, parts, part_cap):
+    """Compositions of `total` into `parts` slots with entries in [0, part_cap].
+
+    Yielded sparsely as tuples of (slot index, positive part).
+    """
+    acc = []
+
+    def rec(start, remaining):
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        for idx in range(start, parts):
+            if (parts - idx) * part_cap < remaining:
+                break
+            for part in range(1, min(part_cap, remaining) + 1):
+                acc.append((idx, part))
+                yield from rec(idx + 1, remaining - part)
+                acc.pop()
+
+    yield from rec(0, total)
+
+
+def _multinomial_over_p(p, alpha):
+    """binom(p; alpha) / p as an exact integer, for compositions with parts < p."""
+    m = math.factorial(p)
+    for a in alpha:
+        m //= math.factorial(a)
+    q, r = divmod(m, p)
+    assert r == 0, f"multinomial({p}; {alpha}) not divisible by {p}"
+    return q
+
+
+def delta_multinomial_oracle(f):
+    """Sum over compositions a of p into the terms c_i M_i, parts <= p-1, of
+    [binom(p; a) / p] * prod (c_i M_i)^(a_i)."""
+    ring = f.ring
+    fld = ring.field
+    p = fld.p
+    terms = list(f.term_dict().items())
+    out = {}
+    for alpha in _sparse_compositions(p, len(terms), p - 1):
+        coeff = fld.from_int(_multinomial_over_p(p, tuple(a for _, a in alpha)))
+        exps = (0,) * ring.num_vars
+        for idx, a in alpha:
+            mono, c = terms[idx]
+            coeff = fld.mul(coeff, fld.pow(c, a))
+            exps = tuple(x + a * y for x, y in zip(exps, mono))
+        out[exps] = fld.add(out.get(exps, fld.zero), coeff)
+    return Polynomial(ring, out)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
+def test_witt_delta_matches_multinomial_oracle(p, e):
+    fld = field(p, e)
+    rng = random.Random(100 * p + e)
+    units = [c for c in fld.elements() if not fld.is_zero(c)]
+    for nv in (3, 4, 5):
+        ring = RingConfig(fld, (1,) * nv)
+        forms = [
+            Polynomial.zero(ring),
+            Polynomial.monomial(ring, tuple(rng.randrange(4) for _ in range(nv)), rng.choice(units)),
+        ]
+        for _ in range(4):
+            size = rng.randrange(2, 13)
+            forms.append(Polynomial(ring, {
+                tuple(rng.randrange(4) for _ in range(nv)): rng.choice(units) for _ in range(size)
+            }))
+        for f in forms:
+            assert delta(f) == delta_multinomial_oracle(f), (p, e, str(f))
+
+
+def test_delta_matches_lift_oracle_on_dense_p7_quartic():
+    # the multinomial route would enumerate about 22 million compositions here
+    from qfsplit.cartier import basis
+
+    ring = RingConfig(field(7), (1, 1, 1, 1))
+    rng = random.Random(77)
+    f = Polynomial(ring, {m: rng.randrange(1, 7) for m in basis(ring).monomials})
+    assert len(f) == 35
+    assert delta(f) == delta_lift_oracle(f)
+
+
+# -- products ---------------------------------------------------------------
+
+def _naive_product(a, b):
+    fld = a.ring.field
+    out = {}
+    for e1, c1 in a.term_dict().items():
+        for e2, c2 in b.term_dict().items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            out[exps] = fld.add(out.get(exps, fld.zero), fld.mul(c1, c2))
+    return Polynomial(a.ring, out)
+
+
+def test_product_matches_termwise_reference():
+    # exponents up to 2^k - 1 put the packed exponent fields at their limit
+    rng = random.Random(13)
+    for fld in (F2, F3, field(7), field(2, 2), field(3, 2)):
+        ring = RingConfig(fld, (1, 1, 1))
+        elems = list(fld.elements())
+        for _ in range(15):
+            top_a, top_b = 2 ** rng.randrange(1, 20), 2 ** rng.randrange(1, 20)
+            a = Polynomial(ring, {tuple(rng.randrange(top_a) for _ in range(3)): rng.choice(elems)
+                                  for _ in range(rng.randrange(0, 9))})
+            b = Polynomial(ring, {tuple(rng.randrange(top_b) for _ in range(3)): rng.choice(elems)
+                                  for _ in range(rng.randrange(0, 9))})
+            assert a * b == _naive_product(a, b)
+
+
+def test_mul_residues_is_the_filtered_product():
+    rng = random.Random(14)
+    for fld in (F2, F3, field(5), field(2, 2), field(3, 2)):
+        p = fld.p
+        ring = RingConfig(fld, (1, 1, 1))
+        elems = list(fld.elements())
+        for _ in range(12):
+            a, b = (
+                Polynomial(ring, {tuple(rng.randrange(6) for _ in range(3)): rng.choice(elems)
+                                  for _ in range(rng.randrange(0, 15))})
+                for _ in range(2)
+            )
+            # classes may be given by any representative, and repeated
+            keep = [tuple(rng.randrange(-p, 2 * p) for _ in range(3)) for _ in range(rng.randrange(6))]
+            classes = {tuple(x % p for x in r) for r in keep}
+            expected = Polynomial(ring, {
+                e: c for e, c in (a * b).term_dict().items() if tuple(x % p for x in e) in classes
+            })
+            assert mul_residues(a, b, keep + keep) == expected
 
 
 # -- u operator -------------------------------------------------------------
