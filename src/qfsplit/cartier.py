@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from . import _linalg
 from .errors import ResourceError, UsageError
@@ -187,7 +188,7 @@ class FrobeniusBundle:
     @property
     def v_col(self):
         if self._v_col is None:
-            self._v_col = self.ops.row(self.v_f)
+            self._v_col = self.ops.column(self.v_f)
         return self._v_col
 
     def lam_is_zero(self) -> bool:
@@ -259,16 +260,50 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
 # height and non-splitting index
 # ---------------------------------------------------------------------------
 
-def default_height_cap(b: FrobeniusBundle) -> int:
-    """m for prime fields (provably exhaustive), m*e otherwise (heuristic).
+def krylov_rows(b: FrobeniusBundle, T=None) -> Iterator:
+    """The backend rows R_1 = F(lambda), R_{n+1} = F(R_n T), without end.
 
-    Over F_p the recursion R_{n+1} = R_n T is linear, so if lambda T^i v_f
-    vanishes for all i < m it vanishes on the whole Krylov span of v_f and
-    hence for every i.  Over proper extensions the recursion is only
-    semilinear and no such bound is in the contract; m*e is a documented
-    heuristic, flagged in reports.
+    ``T`` is a backend matrix (default the bundle's own).  Each row is
+    computed only when the consumer asks for it, so taking n rows costs n-1
+    products.
     """
-    return b.m if b.field.e == 1 else b.m * b.field.e
+    ops = b.ops
+    if T is None:
+        T = b.T_mat
+    R = ops.frobenius_row(b.lam_row)
+    while True:
+        yield R
+        R = ops.frobenius_row(ops.row_times_matrix(R, T))
+
+
+def shifted_matrix(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
+    """T - c * lambda (column c times row lambda) as raw rows."""
+    if len(c) != b.m:
+        raise UsageError(f"shift vector must have length {b.m}, got {len(c)}")
+    fld = b.field
+    lam = b.lam
+    out = []
+    for row, ci in zip(b.T, c):
+        if fld.is_zero(ci):
+            out.append(list(row))
+        else:
+            out.append([fld.sub(t, fld.mul(ci, l)) for t, l in zip(row, lam)])
+    return out
+
+
+def default_height_cap(b: FrobeniusBundle) -> int:
+    """m, which is exhaustive over every coefficient field F_q, q = p^e.
+
+    Let V_k be the F_q-span of R_1..R_k.  The map L(R) = F(R T) is
+    Frobenius-semilinear, L(aR + bR') = F(a) L(R) + F(b) L(R'), so if
+    R_{k+1} = sum a_i R_i lies in V_k then R_{k+2} = sum F(a_i) R_{i+1} lies
+    in V_{k+1} = V_k: once the chain V_1 <= V_2 <= ... stalls it is constant.
+    The dimensions grow strictly until the first stall and stay <= m, so
+    V_n = V_m for every n >= m.  R . v_f = 0 is F_q-linear in R, hence if
+    R_n . v_f vanishes for n <= m it vanishes on V_m and for every n.  (Over
+    F_p the twist is trivial and this is the Krylov span of lambda under T.)
+    """
+    return b.m
 
 
 def height(b: FrobeniusBundle, cap: int | None = None):
@@ -281,19 +316,14 @@ def height(b: FrobeniusBundle, cap: int | None = None):
     if cached is not None:
         return cached
     ops = b.ops
-    T = b.T_mat
     v = b.v_col
-    R = ops.frobenius_row(b.lam_row)
     result = None
-    for n in range(1, cap + 1):
+    for n, R in enumerate(islice(krylov_rows(b), cap), 1):
         if not ops.is_zero_scalar(ops.dot(R, v)):
             result = n
             break
-        if n < cap:
-            R = ops.frobenius_row(ops.row_times_matrix(R, T))
     if result is None:
-        exact = b.field.e == 1 and cap >= b.m
-        result = Infinite(cap=cap, exact=exact)
+        result = Infinite(cap=cap, exact=cap >= default_height_cap(b))
     b._height_cache[cap] = result
     return result
 
@@ -310,46 +340,26 @@ def ns_index(b: FrobeniusBundle, cap: int | None = None, height_cap: int | None 
         return Infinite(cap=None)
     if cap is None:
         cap = b.m + 1
-    ops = b.ops
-    T = b.T_mat
-    tracker = ops.rank_tracker()
-    R = ops.frobenius_row(b.lam_row)
-    for n in range(1, cap + 1):
+    tracker = b.ops.rank_tracker()
+    for n, R in enumerate(islice(krylov_rows(b), cap), 1):
         if not tracker.add_row(R):
             return n
-        R = ops.frobenius_row(ops.row_times_matrix(R, T))
     return Infinite(cap=cap)
 
 
 def krylov_matrix(b: FrobeniusBundle, n: int, c: Sequence[RawElement] | None = None) -> list:
     """The n rows R_{c,1}, ..., R_{c,n} of the (optionally shifted) recursion.
 
-    With a shift vector c the recursion runs against T - c*lambda, expanded
-    on the fly as F(R) T - (F(R) . c) lambda; c = None (or zero) reproduces
-    the plain rows whose rank profile encodes the non-splitting index.
+    With a shift vector c the recursion runs against T - c*lambda; this is
+    the same recursion as F(R T - (R . c) lambda).  c = None (or zero)
+    reproduces the plain rows whose rank profile encodes the non-splitting
+    index.
     """
     if n < 1:
         raise UsageError("need at least one row")
     ops = b.ops
-    T = b.T_mat
-    lam = b.lam_row
-    c_col = None
-    if c is not None:
-        if len(c) != b.m:
-            raise UsageError(f"shift vector must have length {b.m}")
-        c_col = ops.row(c)
-    rows = []
-    R = ops.frobenius_row(lam)
-    for i in range(1, n + 1):
-        rows.append(ops.row_to_raw(R))
-        if i < n:
-            W = ops.row_times_matrix(R, T)
-            if c_col is not None:
-                s = ops.dot(R, c_col)
-                if not ops.is_zero_scalar(s):
-                    W = ops.sub_rows(W, ops.scale_row(s, lam))
-            R = ops.frobenius_row(W)
-    return rows
+    T = None if c is None else ops.matrix(shifted_matrix(b, c))
+    return [ops.row_to_raw(R) for R in islice(krylov_rows(b, T), n)]
 
 
 def rank(rows: Sequence[Sequence[RawElement]], fld: Field) -> int:

@@ -20,9 +20,17 @@ the two routes is a mandatory self-test exercised by the suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
-from .cartier import FrobeniusBundle, columns_from_kernel, descent_product, height
+from .cartier import (
+    FrobeniusBundle,
+    columns_from_kernel,
+    descent_product,
+    height,
+    krylov_rows,
+    shifted_matrix,
+)
 from .errors import ResourceError, UsageError
 from .ffield import RawElement
 from .polyring import corner_coefficient, delta, mul_bounded, poly_pow, prune
@@ -44,18 +52,7 @@ class LiftShift:
 
 def t_shifted(b: FrobeniusBundle, c: Sequence[RawElement]) -> LiftShift:
     """T_c = T - c * lambda via the rank-one update."""
-    if len(c) != b.m:
-        raise UsageError(f"shift vector must have length {b.m}, got {len(c)}")
-    fld = b.field
-    c = list(c)
-    T_c = []
-    for i, row in enumerate(b.T):
-        ci = c[i]
-        if fld.is_zero(ci):
-            T_c.append(list(row))
-        else:
-            T_c.append([fld.sub(row[j], fld.mul(ci, b.lam[j])) for j in range(b.m)])
-    return LiftShift(b, c, T_c)
+    return LiftShift(b, list(c), shifted_matrix(b, c))
 
 
 def shifted_matrix_direct(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
@@ -86,12 +83,9 @@ def ns_lift(shift: LiftShift, cap: int | None = None):
     if cap is None:
         cap = b.m + 1
     ops = b.ops
-    T = ops.matrix(shift.T_c)
-    R = ops.frobenius_row(b.lam_row)
-    for n in range(1, cap + 1):
+    for n, R in enumerate(islice(krylov_rows(b, ops.matrix(shift.T_c)), cap), 1):
         if ops.is_zero_row(R):
             return n
-        R = ops.frobenius_row(ops.row_times_matrix(R, T))
     return Infinite(cap=cap)
 
 
@@ -116,20 +110,15 @@ def infinite_lift(b: FrobeniusBundle, verify_cap: int = 36) -> list | None:
         c.append(fld.mul(inv, entry))
 
     # exact fixed-column check: (T - c lambda) e_j = e_j
+    shift = t_shifted(b, c)
     for i in range(b.m):
-        expect = fld.one if i == j else fld.zero
-        got = fld.sub(b.T[i][j], fld.mul(c[i], b.lam[j]))
-        if got != expect:
+        if shift.T_c[i][j] != (fld.one if i == j else fld.zero):
             raise AssertionError("fixed-column identity T_c e_j = e_j failed")
 
-    shift = t_shifted(b, c)
     ops = b.ops
-    T = ops.matrix(shift.T_c)
-    R = ops.frobenius_row(b.lam_row)
-    for _ in range(verify_cap):
+    for R in islice(krylov_rows(b, ops.matrix(shift.T_c)), verify_cap):
         if fld.is_zero(ops.row_to_raw(R)[j]):
             raise AssertionError("R_{c,n} e_j vanished; construction invariant broken")
-        R = ops.frobenius_row(ops.row_times_matrix(R, T))
     return c
 
 

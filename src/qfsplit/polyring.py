@@ -23,7 +23,6 @@ inherits it.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ParseError, ResourceError, UsageError
@@ -472,7 +471,8 @@ def delta(f: Polynomial) -> Polynomial:
     ring = f.ring
     field = ring.field
     p = field.p
-    carries = [field.from_int(math.comb(p, i) // p) for i in range(1, p)]  # k_1 .. k_(p-1)
+    # k_i = binom(p, i) / p = (p-1)...(p-i+1) / i! = (-1)^(i-1) / i (mod p), i = 1 .. p-1
+    carries = [field.from_int((-1) ** (i - 1) * pow(i, -1, p)) for i in range(1, p)]
 
     def rec(terms: list) -> Polynomial:
         if len(terms) < 2:

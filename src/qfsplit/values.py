@@ -2,8 +2,9 @@
 
 An infinite height / index is always reported together with the cap the
 scan ran to, so "infinity" is auditable.  ``cap=None`` marks values that
-are infinite unconditionally (no scan was needed).  ``exact=False`` marks
-caps that are only heuristic (semilinear recursions over extension fields).
+are infinite unconditionally (no scan was needed).  ``exact=False`` marks a
+cap below the proven bound (``cartier.default_height_cap``, m over every
+field), so the scan did not exhaust the recursion.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ class Infinite:
     def __str__(self):
         if self.cap is None:
             return "infinity"
-        kind = "" if self.exact else ", heuristic"
+        kind = "" if self.exact else ", not exhaustive"
         return f"infinity (cap {self.cap}{kind})"
 
     def __repr__(self):

@@ -424,10 +424,10 @@ def test_bundle_over_extension_field():
     ring = RingConfig(F4, (1, 1, 1, 1))
     f = parse_poly("x^4 + (t)*x*y^3 + y*w^3 + z^3*w", ring)
     b = bundle(f)
-    assert default_height_cap(b) == 70  # m * e, heuristic
+    assert default_height_cap(b) == 35  # m, exhaustive over every field
     h = height(b)
     if is_infinite(h):
-        assert not h.exact
+        assert h.cap == 35 and h.exact
 
 
 def test_semilinear_rows_match_corner_coefficients_over_f4():

@@ -1,0 +1,159 @@
+"""The Weil-restricted numpy backend against the list-based reference backend.
+
+Every bundle here is computed twice: once through ``make_ops`` (PrimeOps over
+F_{p^e}) and once through a twin whose backend is forced to ``GenericOps``,
+which drives the field kernels entry by entry.  Results must agree exactly.
+"""
+
+import random
+
+import pytest
+
+from qfsplit import _linalg
+from qfsplit.cartier import (
+    FrobeniusBundle,
+    basis,
+    bundle,
+    height,
+    krylov_matrix,
+    krylov_rows,
+    ns_index,
+    rank,
+)
+from qfsplit.ffield import field
+from qfsplit.lifts import infinite_lift, ns_lift, t_shifted
+from qfsplit.polyring import Polynomial, RingConfig, parse_poly
+from qfsplit.values import Infinite, is_infinite
+
+EXTENSIONS = [field(2, 2), field(2, 3), field(3, 2), field(5, 2)]
+K3_WEIGHTS = [(1, 1, 1, 1), (1, 1, 1, 3)]
+
+
+def random_forms(fld, weights, count, seed):
+    """Seeded sparse degree-d forms: 4 to 9 random terms, nonzero coefficients."""
+    rng = random.Random(seed)
+    ring = RingConfig(fld, weights)
+    monos = basis(ring).monomials
+    elems = [x for x in fld.elements() if not fld.is_zero(x)]
+    return [
+        Polynomial(ring, {mono: rng.choice(elems) for mono in rng.sample(monos, rng.randint(4, 9))})
+        for _ in range(count)
+    ]
+
+
+def generic_twin(b):
+    """The same bundle with its backend forced to the reference GenericOps."""
+    twin = FrobeniusBundle(b.basis, b.f, b.v_f, b.lam, b.T)
+    twin._ops = _linalg.GenericOps(b.field)
+    return twin
+
+
+def generic_rank(rows, fld):
+    ops = _linalg.GenericOps(fld)
+    tracker = ops.rank_tracker()
+    for r in rows:
+        tracker.add_row(ops.row(r))
+    return tracker.rank
+
+
+def random_shift(b, rng):
+    elems = list(b.field.elements())
+    return [rng.choice(elems) if rng.random() < 0.3 else b.field.zero for _ in range(b.m)]
+
+
+@pytest.mark.parametrize("fld", EXTENSIONS, ids=repr)
+def test_make_ops_picks_numpy_for_extension_fields(fld):
+    ops = _linalg.make_ops(fld)
+    assert isinstance(ops, _linalg.PrimeOps)
+    assert ops is _linalg.make_ops(field(fld.p, fld.e))  # one instance per field
+
+
+@pytest.mark.parametrize("weights", K3_WEIGHTS)
+@pytest.mark.parametrize("fld", EXTENSIONS, ids=repr)
+def test_weil_backend_matches_generic(fld, weights):
+    seed = fld.order * 10 + weights[-1]
+    rng = random.Random(seed)
+    for f in random_forms(fld, weights, 6, seed=seed):
+        b = bundle(f)
+        g = generic_twin(b)
+        assert isinstance(b.ops, _linalg.PrimeOps)
+        for cap in (1, 3, 11, None):
+            assert repr(height(b, cap=cap)) == repr(height(g, cap=cap)), (str(f), cap)
+        # height_cap=1 runs the rank tracker whenever R_1 . v_f = 0
+        for hcap in (1, None):
+            assert repr(ns_index(b, height_cap=hcap)) == repr(ns_index(g, height_cap=hcap))
+        n = 12
+        rows = krylov_matrix(b, n)
+        assert rows == krylov_matrix(g, n)
+        c = random_shift(b, rng)
+        assert krylov_matrix(b, n, c) == krylov_matrix(g, n, c)
+        for k in (1, 2, 5, n):
+            assert rank(rows[:k], fld) == generic_rank(rows[:k], fld)
+
+
+@pytest.mark.parametrize("fld", EXTENSIONS, ids=repr)
+def test_weil_backend_matches_generic_on_lifts(fld):
+    rng = random.Random(fld.order)
+    checked = 0
+    for f in random_forms(fld, (1, 1, 1, 1), 10, seed=fld.order):
+        b = bundle(f)
+        if not is_infinite(height(b)):
+            continue
+        g = generic_twin(b)
+        c = infinite_lift(b)
+        assert c == infinite_lift(g)
+        if c is not None:
+            assert ns_lift(t_shifted(b, c)) == Infinite(cap=b.m + 1)
+        for _ in range(2):
+            shift = random_shift(b, rng)
+            assert repr(ns_lift(t_shifted(b, shift))) == repr(ns_lift(t_shifted(g, shift)))
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("fld", EXTENSIONS, ids=repr)
+def test_matrix_rank_matches_generic(fld):
+    rng = random.Random(fld.order + 1)
+    elems = list(fld.elements())
+    for _ in range(20):
+        rows_n, cols = rng.randint(1, 7), rng.randint(1, 7)
+        base = [[rng.choice(elems) for _ in range(cols)] for _ in range(rng.randint(1, rows_n))]
+        # F_q-combinations of a few base rows, so dependencies over F_q occur
+        rows = []
+        for _ in range(rows_n):
+            coeffs = [rng.choice(elems) for _ in base]
+            row = [fld.zero] * cols
+            for a, r in zip(coeffs, base):
+                row = [fld.add(x, fld.mul(a, y)) for x, y in zip(row, r)]
+            rows.append(row)
+        assert rank(rows, fld) == generic_rank(rows, fld)
+
+
+@pytest.mark.parametrize("fld", EXTENSIONS[:3], ids=repr)
+def test_krylov_span_never_grows_after_a_stall(fld):
+    # the argument in default_height_cap: once span(R_1..R_k) = span(R_1..R_k+1)
+    # over F_q it never grows again, so no finite height exceeds m
+    for weights in K3_WEIGHTS:
+        for f in random_forms(fld, weights, 8, seed=fld.order * 10 + weights[-1]):
+            b = bundle(f)
+            tracker = b.ops.rank_tracker()
+            ranks = []
+            for _, R in zip(range(b.m + 2), krylov_rows(b)):
+                tracker.add_row(R)
+                ranks.append(tracker.rank)
+            stall = next((k for k in range(1, len(ranks)) if ranks[k] == ranks[k - 1]), None)
+            assert stall is not None and stall <= b.m, str(f)
+            assert ranks[stall:] == [ranks[stall]] * (len(ranks) - stall), str(f)
+            h = height(b, cap=b.m + 2)
+            assert is_infinite(h) or h <= b.m
+
+
+def test_large_prime_uses_generic_backend():
+    fld = field(32771)
+    assert fld.p >= 2**15
+    b = bundle(parse_poly("x*y*z*w", RingConfig(fld, (1, 1, 1, 1))))
+    assert isinstance(b.ops, _linalg.GenericOps)
+    # f^(p-2) is one term, so lambda is supported on xyzw alone and R_1 . v_f = 1
+    assert height(b) == 1
+    assert is_infinite(ns_index(b))
+    assert isinstance(_linalg.make_ops(field(32749)), _linalg.PrimeOps)
