@@ -1,25 +1,31 @@
 """Exact linear algebra over the coefficient fields.
 
-One numpy backend, :class:`PrimeOps`, serves every field F_{p^e} with
-p < 2^15, whatever e is, through Weil restriction to F_p:
+One numpy backend, :class:`PrimeOps`, serves every field F_q, q = p^e with
+p < 2^15, through Weil restriction to F_p; F_p itself is the case e = 1:
 
 * an element is its e-vector over F_p in the basis 1, t, ..., t^(e-1); a row
   of length m is a flat int64 array of length m*e;
-* matrix entry T_ij becomes the e x e F_p-matrix of multiplication by T_ij,
-  whose row l is vec(t^l * T_ij), so a row-times-matrix product is one
-  ``row @ mat % p``; Frobenius is one fixed e x e matrix;
+* multiplication by t^k is a fixed e x e F_p-matrix, and so is Frobenius,
+  which is F_p-linear in these coordinates (both are 1 x 1 identities at
+  e = 1);
+* :meth:`PrimeOps.matrix` turns T into the step matrix of the Krylov map
+  R -> F(R T): block (i, j) is the multiplication matrix of T_ij times the
+  Frobenius matrix, so one Krylov step is one ``row @ mat % p``;
 * the F_q-span of rows R_1..R_n is the F_p-span of their multiples
   t^k R_i, so the F_q-rank is the F_p-rank divided by e.
 
-For e = 1 every object is the plain residue array and scalars stay ``int``.
-Entries are canonical residues and every product is reduced mod p: a dot
-product of length m*e sums products below (p-1)^2 before its reduction, so it
-is exact while m*e*(p-1)^2 < 2^63; with p < 2^15 that holds for every
-m*e < 2^33.
+Raw field values are ``int`` for e = 1 and e-tuples otherwise; they are told
+apart only where they enter (:meth:`PrimeOps.matrix`) or leave
+(:meth:`PrimeOps.row_to_raw`).  Entries are canonical residues and every
+product is reduced mod p: a dot product of length m*e sums products below
+(p-1)^2 before its reduction, so it is exact while m*e*(p-1)^2 < 2^63; with
+p < 2^15 that holds for every m*e < 2^33.
 
 :class:`GenericOps` -- plain Python lists of raw field values driving the
 field kernels directly -- is the route for p >= 2^15, where int64 products
 overflow, and the reference the tests compare :class:`PrimeOps` against.
+Over F_q Frobenius is only semilinear, so its Krylov step applies F after
+the product instead of folding it into the matrix.
 
 Rank is tracked incrementally by Gaussian elimination: pivot rows are kept
 normalized, each candidate row is reduced against them, and a row either
@@ -29,6 +35,7 @@ contributes a new pivot or is a detected linear dependence.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -52,89 +59,85 @@ class PrimeOps:
         self.field = field
         self.p = p = field.p
         self.e = e = field.e
-        if e > 1:
-            t = tuple(int(i == 1) for i in range(e))
-            powers = [field.one]
-            for _ in range(2 * e - 2):
-                powers.append(field.mul(powers[-1], t))
-            # units[k] is the matrix of multiplication by t^k: row l = vec(t^(k+l))
-            self.units = np.array(
-                [[powers[k + l] for l in range(e)] for k in range(e)], dtype=np.int64
-            )
-            # row l = vec(F(t^l)); vec(F(a)) = vec(a) @ frob
-            self.frob = np.array([field.frobenius(powers[l]) for l in range(e)], dtype=np.int64)
+        basis = self.row_to_raw(np.eye(e, dtype=np.int64).reshape(-1))  # 1, t, ..., t^(e-1)
+        # units[k] is the matrix of multiplication by t^k: row l = vec(t^k t^l)
+        self.units = self.row([field.mul(a, b) for a in basis for b in basis]).reshape(e, e, e)
+        # row l = vec(F(t^l)); vec(F(a)) = vec(a) @ frob
+        self.frob = self.row([field.frobenius(a) for a in basis]).reshape(e, e)
+        # steps[k]: multiplication by t^k followed by Frobenius
+        self.steps = (self.units @ self.frob) % p
 
-    def _mult_blocks(self, vecs: np.ndarray) -> np.ndarray:
-        """(n, e) element vectors -> (n, e, e) matrices of multiplication by them."""
-        return np.einsum("nk,klr->nlr", vecs, self.units) % self.p
+    def _blocks(self, vecs: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """(..., e) element vectors a -> (..., e, e) matrices sum_k a_k table[k]."""
+        e = self.e
+        return (vecs @ table.reshape(e, e * e)).reshape(vecs.shape[:-1] + (e, e)) % self.p
 
     def row(self, raws) -> np.ndarray:
         return np.asarray(raws, dtype=np.int64).reshape(-1) % self.p
 
     def column(self, raws) -> np.ndarray:
-        """The right-hand factor of :meth:`dot`: a row for e = 1, else (m*e, e)."""
-        if self.e == 1:
-            return self.row(raws)
-        return self._mult_blocks(np.asarray(raws, dtype=np.int64) % self.p).reshape(-1, self.e)
+        """The (m*e, e) right-hand factor of :meth:`dot_is_zero`: stacked multiplications."""
+        return self._blocks(self.row(raws).reshape(-1, self.e), self.units).reshape(-1, self.e)
 
     def matrix(self, rows) -> np.ndarray:
-        if self.e == 1:
-            return np.asarray(rows, dtype=np.int64) % self.p
-        e = self.e
-        zero = self.field.zero
-        ii, jj, vals = [], [], []
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                if v != zero:
-                    ii.append(i)
-                    jj.append(j)
-                    vals.append(v)
-        out = np.zeros((len(rows), e, len(rows[0]) if rows else 0, e), dtype=np.int64)
-        if vals:
-            out[ii, :, jj, :] = self._mult_blocks(np.asarray(vals, dtype=np.int64))
-        return out.reshape(out.shape[0] * e, -1)
+        """The step matrix of R -> F(R T) for the raw square matrix T."""
+        m, e = len(rows), self.e
+        if e == 1:
+            dense = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=m * m)
+            dense = dense.reshape(m, m)
+            ii, jj = np.nonzero(dense)
+            vals = dense[ii, jj]
+        else:
+            # sparse read: converting every nested e-tuple costs far more
+            zero = self.field.zero
+            ii, jj, vals = [], [], []
+            for i, r in enumerate(rows):
+                for j, v in enumerate(r):
+                    if v != zero:
+                        ii.append(i)
+                        jj.append(j)
+                        vals.append(v)
+        out = np.zeros((m, e, m, e), dtype=np.int64)
+        # block (i, j) is the multiplication matrix of T_ij times the Frobenius matrix
+        vecs = np.asarray(vals, dtype=np.int64).reshape(-1, e)
+        out[ii, :, jj, :] = self._blocks(vecs, self.steps)
+        return out.reshape(m * e, m * e)
 
     def row_to_raw(self, row) -> list:
         if self.e == 1:
-            return [int(v) for v in row]
+            return row.tolist()
         return [tuple(v) for v in row.reshape(-1, self.e).tolist()]
 
     def frobenius_row(self, row):
-        if self.e == 1:
-            return row  # F_p is Frobenius-fixed
         return ((row.reshape(-1, self.e) @ self.frob) % self.p).reshape(-1)
 
     def row_times_matrix(self, row, mat):
+        """One Krylov step F(R T), ``mat`` being the step matrix from :meth:`matrix`."""
         return (row @ mat) % self.p
 
-    def dot(self, a, b):
-        """a . b as a raw field value (``int`` for e = 1, else an e-tuple)."""
-        if self.e == 1:
-            return int(a @ b) % self.p
-        return tuple(((a @ b) % self.p).tolist())
+    def dot_is_zero(self, row, col) -> bool:
+        """Whether R . v = 0 in F_q, ``col`` coming from :meth:`column`."""
+        return not ((row @ col) % self.p).any()
 
     def is_zero_row(self, row) -> bool:
         return not row.any()
 
-    def is_zero_scalar(self, s) -> bool:
-        return self.field.is_zero(s)
-
     def rank_tracker(self) -> "PrimeRankTracker":
-        return PrimeRankTracker(self.p, self.units[1:] if self.e > 1 else ())
+        return PrimeRankTracker(self.p, self.units)
 
 
 class PrimeRankTracker:
     """F_q-rank of the rows inserted so far, from an F_p elimination.
 
-    ``units`` are the matrices of multiplication by t, ..., t^(e-1) (none
-    for e = 1).  A row independent over F_q enters together with its t^k
-    multiples, so the F_p-span of the pivots is the F_q-span of the rows.
+    ``units`` are the matrices of multiplication by 1, t, ..., t^(e-1).  A
+    row independent over F_q enters together with its t^k multiples, so the
+    F_p-span of the pivots is the F_q-span of the rows.
     """
 
-    def __init__(self, p: int, units=()):
+    def __init__(self, p: int, units: np.ndarray):
         self.p = p
         self.units = units
-        self.e = len(units) + 1
+        self.e = len(units)
         self.pivots: list[tuple[int, np.ndarray]] = []  # (pivot column, normalized row)
 
     @property
@@ -163,10 +166,9 @@ class PrimeRankTracker:
         """Insert a row; True if it enlarged the row space."""
         if not self._insert(row):
             return False
-        if self.e > 1:
-            blocks = row.reshape(-1, self.e)
-            for unit in self.units:
-                self._insert((blocks @ unit).reshape(-1))
+        blocks = row.reshape(-1, self.e)
+        for unit in self.units[1:]:
+            self._insert((blocks @ unit).reshape(-1))
         return True
 
 
@@ -193,6 +195,7 @@ class GenericOps:
         return [frob(v) for v in row]
 
     def row_times_matrix(self, row, mat) -> list:
+        """One Krylov step F(R T); F is applied after the product."""
         f = self.field
         width = len(mat[0]) if mat else 0
         out = [f.zero] * width
@@ -202,21 +205,18 @@ class GenericOps:
             mi = mat[i]
             for j in range(width):
                 out[j] = f.add(out[j], f.mul(ri, mi[j]))
-        return out
+        return self.frobenius_row(out)
 
-    def dot(self, a, b):
+    def dot_is_zero(self, row, col) -> bool:
         f = self.field
         total = f.zero
-        for x, y in zip(a, b):
+        for x, y in zip(row, col):
             total = f.add(total, f.mul(x, y))
-        return total
+        return f.is_zero(total)
 
     def is_zero_row(self, row) -> bool:
         f = self.field
         return all(f.is_zero(v) for v in row)
-
-    def is_zero_scalar(self, s) -> bool:
-        return self.field.is_zero(s)
 
     def rank_tracker(self) -> "GenericRankTracker":
         return GenericRankTracker(self.field)

@@ -138,21 +138,23 @@ def _residue_columns(ring: RingConfig) -> dict:
 class FrobeniusBundle:
     """The data (basis, f, v_f, lambda, T); construction via :func:`bundle`.
 
-    Semantically immutable; height results and backend matrices are memoized
-    lazily, so share an instance across threads only behind a lock (or keep
-    instances thread-local, as the scan workers do).
+    The backend forms of T (the Krylov step matrix), lambda and v_f are built
+    once, by ``ops`` (default the field's :func:`_linalg.make_ops` backend).
+    Semantically immutable; height results are memoized, so share an
+    instance across threads only behind a lock (or keep instances
+    thread-local, as the scan workers do).
     """
 
-    def __init__(self, bas: MonomialBasis, f: Polynomial, v_f: list, lam: list, T: list):
+    def __init__(self, bas: MonomialBasis, f: Polynomial, v_f: list, lam: list, T: list, ops=None):
         self.basis = bas
         self.f = f
         self.v_f = v_f
         self.lam = lam
         self.T = T
-        self._ops = None
-        self._T_mat = None
-        self._lam_row = None
-        self._v_col = None
+        self.ops = ops if ops is not None else _linalg.make_ops(bas.ring.field)
+        self.T_mat = self.ops.matrix(T)
+        self.lam_row = self.ops.row(lam)
+        self.v_col = self.ops.column(v_f)
         self._height_cache: dict = {}
 
     @property
@@ -166,30 +168,6 @@ class FrobeniusBundle:
     @property
     def m(self) -> int:
         return self.basis.m
-
-    @property
-    def ops(self):
-        if self._ops is None:
-            self._ops = _linalg.make_ops(self.field)
-        return self._ops
-
-    @property
-    def T_mat(self):
-        if self._T_mat is None:
-            self._T_mat = self.ops.matrix(self.T)
-        return self._T_mat
-
-    @property
-    def lam_row(self):
-        if self._lam_row is None:
-            self._lam_row = self.ops.row(self.lam)
-        return self._lam_row
-
-    @property
-    def v_col(self):
-        if self._v_col is None:
-            self._v_col = self.ops.column(self.v_f)
-        return self._v_col
 
     def lam_is_zero(self) -> bool:
         f = self.field
@@ -263,9 +241,10 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
 def krylov_rows(b: FrobeniusBundle, T=None) -> Iterator:
     """The backend rows R_1 = F(lambda), R_{n+1} = F(R_n T), without end.
 
-    ``T`` is a backend matrix (default the bundle's own).  Each row is
+    ``T`` is a step matrix from ``b.ops.matrix`` (default the bundle's
+    own), so each step is one ``row_times_matrix`` call.  Each row is
     computed only when the consumer asks for it, so taking n rows costs n-1
-    products.
+    steps.
     """
     ops = b.ops
     if T is None:
@@ -273,7 +252,7 @@ def krylov_rows(b: FrobeniusBundle, T=None) -> Iterator:
     R = ops.frobenius_row(b.lam_row)
     while True:
         yield R
-        R = ops.frobenius_row(ops.row_times_matrix(R, T))
+        R = ops.row_times_matrix(R, T)
 
 
 def shifted_matrix(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
@@ -306,6 +285,11 @@ def default_height_cap(b: FrobeniusBundle) -> int:
     return b.m
 
 
+def default_ns_cap(b: FrobeniusBundle) -> int:
+    """m + 1: the stacked rows R_1..R_n lie in F_q^m, so they drop rank by n = m + 1."""
+    return b.m + 1
+
+
 def height(b: FrobeniusBundle, cap: int | None = None):
     """Least n <= cap with R_n v_f != 0, else an audited infinity."""
     if cap is None:
@@ -319,7 +303,7 @@ def height(b: FrobeniusBundle, cap: int | None = None):
     v = b.v_col
     result = None
     for n, R in enumerate(islice(krylov_rows(b), cap), 1):
-        if not ops.is_zero_scalar(ops.dot(R, v)):
+        if not ops.dot_is_zero(R, v):
             result = n
             break
     if result is None:
@@ -339,7 +323,7 @@ def ns_index(b: FrobeniusBundle, cap: int | None = None, height_cap: int | None 
     if not is_infinite(h):
         return Infinite(cap=None)
     if cap is None:
-        cap = b.m + 1
+        cap = default_ns_cap(b)
     tracker = b.ops.rank_tracker()
     for n, R in enumerate(islice(krylov_rows(b), cap), 1):
         if not tracker.add_row(R):
@@ -507,6 +491,8 @@ def artin_report(
     b = bundle(f)
     if height_cap is None:
         height_cap = K3_MAX_HEIGHT + 1 if fam != FAMILY_GENERAL else default_height_cap(b)
+    if ns_cap is None:
+        ns_cap = default_ns_cap(b)
     h = height(b, cap=height_cap)
     ns = ns_index(b, cap=ns_cap, height_cap=height_cap)
     if (
@@ -533,7 +519,6 @@ def artin_report(
         else:
             note = SIGMA_EQUALS_TAU if line is not None else SIGMA_AMBIGUOUS
 
-    ns_cap_used = ns_cap if ns_cap is not None else b.m + 1
     provenance = {
         "height": {
             "method": "krylov-matrix",
@@ -541,7 +526,7 @@ def artin_report(
             "exact": (not is_infinite(h)) or h.exact,
         },
         "ns": (
-            {"method": "rank-profile", "cap": ns_cap_used}
+            {"method": "rank-profile", "cap": ns_cap}
             if is_infinite(h)
             else {"method": "finite-height", "cap": None}
         ),
@@ -561,7 +546,7 @@ def artin_report(
         ns=ns,
         tau=tau,
         sigma_note=note,
-        caps_used={"height": height_cap, "ns": ns_cap_used},
+        caps_used={"height": height_cap, "ns": ns_cap},
         provenance=provenance,
         line=line,
     )

@@ -77,10 +77,11 @@ def _cmd_ns(args) -> int:
     ring = _build_ring(args)
     f = parse_poly(args.equation, ring)
     b = cartier.bundle(f)
-    ns = cartier.ns_index(b, cap=args.cap or None)
+    cap = args.cap or cartier.default_ns_cap(b)
+    ns = cartier.ns_index(b, cap=cap)
     doc = _common_doc(args, f)
     doc.update({"invariant": "ns", "result": value_to_json(ns),
-                "method": "rank-profile", "cap": args.cap or b.m + 1})
+                "method": "rank-profile", "cap": cap})
     _emit(args, [f"ns = {ns}"], doc)
     return 0
 
@@ -295,14 +296,22 @@ def _cmd_check_smooth(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sub) -> None:
-    sub.add_argument("-p", type=int, default=2, help="field characteristic (prime)")
-    sub.add_argument("--ext-degree", type=int, default=1, help="extension degree e")
-    sub.add_argument("--modulus", help="extension modulus coefficients, constant first")
-    sub.add_argument("--weights", default="1,1,1,1", help="variable weights, e.g. 1,1,1,3")
-    sub.add_argument("--cap", type=int, default=0, help="override the iteration cap")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
+_SHARED_OPTIONS = {
+    "-p": dict(type=int, default=2, help="field characteristic (prime)"),
+    "--ext-degree": dict(type=int, default=1, help="extension degree e"),
+    "--modulus": dict(help="extension modulus coefficients, constant first"),
+    "--weights": dict(default="1,1,1,1", help="variable weights, e.g. 1,1,1,3"),
+    "--cap": dict(type=int, default=0, help="override the iteration cap"),
+    "--seed": dict(type=int, default=0, help="seed for randomized paths"),
+    "--format": dict(choices=("text", "json"), default="text"),
+}
+_RING_OPTIONS = ("-p", "--ext-degree", "--modulus", "--weights")
+
+
+def _add_shared(sub, *flags) -> None:
+    """Give a subcommand the shared options it reads, and no others."""
+    for flag in flags:
+        sub.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 def build_parser() -> _Parser:
@@ -311,17 +320,16 @@ def build_parser() -> _Parser:
                                  "Artin invariants of Calabi-Yau hypersurfaces")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, needs_eq in (
-        ("height", _cmd_height, True),
-        ("ns", _cmd_ns, True),
-        ("artin", _cmd_artin, True),
-        ("lift", _cmd_lift, True),
-        ("check-smooth", _cmd_check_smooth, True),
+    for name, fn, flags in (
+        ("height", _cmd_height, _RING_OPTIONS + ("--cap",)),
+        ("ns", _cmd_ns, _RING_OPTIONS + ("--cap",)),
+        ("artin", _cmd_artin, _RING_OPTIONS + ("--cap",)),
+        ("lift", _cmd_lift, _RING_OPTIONS + ("--cap", "--seed")),
+        ("check-smooth", _cmd_check_smooth, _RING_OPTIONS),
     ):
         sub = subs.add_parser(name)
-        _add_common(sub)
-        if needs_eq:
-            sub.add_argument("equation")
+        _add_shared(sub, *flags, "--format")
+        sub.add_argument("equation")
         sub.set_defaults(fn=fn)
 
     subs.choices["artin"].add_argument("--line", help="axis line certificate, e.g. 0,3")
@@ -334,13 +342,13 @@ def build_parser() -> _Parser:
     )
 
     dels = subs.add_parser("delsarte")
-    _add_common(dels)
+    _add_shared(dels, "-p", "--weights", "--format")
     dels.add_argument("--matrix", help="16 comma-separated exponent entries, row-major")
     dels.add_argument("--family", type=int, default=None, help="built-in family index 0..19")
     dels.set_defaults(fn=_cmd_delsarte)
 
     sc = subs.add_parser("scan")
-    _add_common(sc)
+    _add_shared(sc, *_RING_OPTIONS, "--seed", "--format")
     sc.add_argument("--mode", choices=("histogram", "hunt", "assert-bound"),
                     default="histogram")
     sc.add_argument("--count", type=int, default=100)
@@ -353,7 +361,7 @@ def build_parser() -> _Parser:
     sc.set_defaults(fn=_cmd_scan)
 
     tab = subs.add_parser("tables")
-    _add_common(tab)
+    _add_shared(tab, "--format")
     tab.add_argument("--which", choices=("f2", "f3", "quintic", "rdp", "delsarte", "all"),
                      default="all")
     tab.set_defaults(fn=_cmd_tables)

@@ -14,7 +14,6 @@ All integer arithmetic is exact (Python ints; |det| <= 432 here).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -29,21 +28,6 @@ from .values import is_infinite
 def _require_prime(p: int) -> None:
     if not _is_prime(p):
         raise UsageError(f"the characteristic must be prime, got {p}")
-
-
-def _det4(a: Sequence[Sequence[int]]) -> int:
-    total = 0
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        seen = list(perm)
-        # parity by counting inversions
-        inv = sum(1 for i in range(4) for j in range(i + 1, 4) if seen[i] > seen[j])
-        sign = -1 if inv % 2 else 1
-        prod = 1
-        for i in range(4):
-            prod *= a[i][perm[i]]
-        total += sign * prod
-    return total
 
 
 def _minor3(a, rows, cols) -> int:
@@ -106,10 +90,10 @@ class EInvariant:
 def e_invariant(A: DelsarteMatrix) -> EInvariant:
     """Exact (det, adjugate, alpha, g, e_A); |det| is used so e_A > 0."""
     rows = A.rows
-    det = _det4(rows)
+    adj = _adjugate4(rows)
+    det = sum(rows[0][j] * adj[j][0] for j in range(4))  # expansion along the first row
     if det == 0:
         raise DomainError("singular exponent matrix: the invariant is undefined")
-    adj = _adjugate4(rows)
     alpha = tuple(sum(adj[i][j] for i in range(4)) for j in range(4))
     d_abs = abs(det)
     g = gcd(d_abs, gcd(*(abs(a) for a in alpha)))

@@ -26,6 +26,7 @@ from typing import Sequence
 from .cartier import (
     FrobeniusBundle,
     columns_from_kernel,
+    default_ns_cap,
     descent_product,
     height,
     krylov_rows,
@@ -81,7 +82,7 @@ def ns_lift(shift: LiftShift, cap: int | None = None):
     if not is_infinite(height(b)):
         raise UsageError("lift indices are defined only over a non-quasi-F-split base")
     if cap is None:
-        cap = b.m + 1
+        cap = default_ns_cap(b)
     ops = b.ops
     for n, R in enumerate(islice(krylov_rows(b, ops.matrix(shift.T_c)), cap), 1):
         if ops.is_zero_row(R):

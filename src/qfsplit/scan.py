@@ -32,7 +32,7 @@ import numpy as np
 from . import cartier
 from .errors import ResourceError, UsageError
 from .ffield import field as make_field
-from .polyring import Polynomial, RingConfig, format_poly, parse_poly
+from .polyring import Polynomial, RingConfig, format_poly, parse_poly, parse_scalar
 from .values import is_infinite
 
 SMOOTHNESS_CAVEAT = (
@@ -448,16 +448,10 @@ def _reverify(ring: RingConfig, coeff_str: str) -> "int | None":
     """Recompute tau from a freshly parsed copy of the hit's equation."""
     fld = ring.field
     bas = cartier.basis(ring)
-    raws = [parse_scalar_str(fld, part) for part in coeff_str.split(";")]
+    raws = [parse_scalar(fld, part) for part in coeff_str.split(";")]
     f = bas.polynomial(raws)
     fresh = parse_poly(format_poly(f), ring)
     report = cartier.artin_report(fresh, height_cap=bas.m)
     if report.tau is None or is_infinite(report.tau):
         return None
     return report.tau
-
-
-def parse_scalar_str(fld, text: str):
-    from .polyring import parse_scalar
-
-    return parse_scalar(fld, text)

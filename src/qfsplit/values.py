@@ -36,7 +36,3 @@ def value_to_json(value) -> dict:
     if is_infinite(value):
         return {"value": "infinity", "cap": value.cap, "exact": value.exact}
     return {"value": value, "cap": None}
-
-
-def format_value(value) -> str:
-    return str(value)

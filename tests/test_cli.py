@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from qfsplit.cli import main
 
@@ -179,3 +180,15 @@ def test_tables_quintic_and_delsarte(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["failures"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "-p", "5"),
+    ("scan", "--cap", "3"),
+    ("height", "--seed", "1", "x^4"),
+    ("check-smooth", "--cap", "2", "x^4"),
+    ("delsarte", "--family", "0", "-p", "7", "--ext-degree", "2"),
+])
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and "unrecognized arguments" in err
