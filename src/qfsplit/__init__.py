@@ -7,7 +7,7 @@ closed-form cross-checks for Delsarte families.
 """
 
 from .errors import DomainError, ParseError, QfsplitError, ResourceError, UsageError
-from .ffield import ExtensionField, FieldElement, ModPSquare, PrimeField, field
+from .ffield import ExtensionField, ModPSquare, PrimeField, field
 from .polyring import Polynomial, RingConfig, format_poly, parse_poly
 from .values import Infinite, is_infinite
 
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "ExtensionField",
-    "FieldElement",
     "Infinite",
     "ModPSquare",
     "ParseError",

@@ -36,7 +36,6 @@ from .polyring import (
     corner_coefficient,
     delta,
     format_poly,
-    mul_bounded,
     mul_residues,
     poly_pow,
     prune,
@@ -319,11 +318,13 @@ def ns_index(b: FrobeniusBundle, cap: int | None = None, height_cap: int | None 
     height is finite the hypersurface is quasi-F-split and the index is
     unconditionally infinite.
     """
+    if cap is None:
+        cap = default_ns_cap(b)
+    if cap < 1:
+        raise UsageError("the ns cap must be positive")
     h = height(b, cap=height_cap)
     if not is_infinite(h):
         return Infinite(cap=None)
-    if cap is None:
-        cap = default_ns_cap(b)
     tracker = b.ops.rank_tracker()
     for n, R in enumerate(islice(krylov_rows(b), cap), 1):
         if not tracker.add_row(R):
@@ -380,10 +381,10 @@ def descent_product(
     if df is None:
         df = delta(f)
     base = fp2.frobenius_twist(1) * df
-    acc = base.frobenius_twist(n - 2, exp_bound=bound)
+    acc = prune(base.frobenius_twist(n - 2), bound)
     for i in range(n - 3, -1, -1):
-        acc = mul_bounded(acc, base.frobenius_twist(i, exp_bound=bound), bound)
-    return mul_bounded(acc, prune(fp2, bound), bound)
+        acc = prune(acc * prune(base.frobenius_twist(i), bound), bound)
+    return prune(acc * prune(fp2, bound), bound)
 
 
 def fedder_height_oracle(f: Polynomial, n_max: int = 3) -> int | None:
@@ -408,7 +409,7 @@ def fedder_height_oracle(f: Polynomial, n_max: int = 3) -> int | None:
     df = delta(f)
     for n in range(1, n_max + 1):
         bound = p**n
-        element = mul_bounded(descent_product(f, n, fp2=fp2, df=df), prune(f, bound), bound)
+        element = prune(descent_product(f, n, fp2=fp2, df=df) * prune(f, bound), bound)
         if element.is_zero():
             continue
         if not fld.is_zero(corner_coefficient(element, n)):
@@ -476,7 +477,6 @@ def artin_report(
     f: Polynomial,
     line: tuple | None = None,
     height_cap: int | None = None,
-    ns_cap: int | None = None,
 ) -> InvariantReport:
     """Full invariant report: height, ns, and for the two K3 families tau.
 
@@ -491,8 +491,7 @@ def artin_report(
     b = bundle(f)
     if height_cap is None:
         height_cap = K3_MAX_HEIGHT + 1 if fam != FAMILY_GENERAL else default_height_cap(b)
-    if ns_cap is None:
-        ns_cap = default_ns_cap(b)
+    ns_cap = default_ns_cap(b)
     h = height(b, cap=height_cap)
     ns = ns_index(b, cap=ns_cap, height_cap=height_cap)
     if (

@@ -133,12 +133,14 @@ def _cmd_lift(args) -> int:
         _emit(args, [f"ns_lift = {v}"], {**doc, "ns_lift": value_to_json(v)})
         return 0
 
-    n = int(args.random)
+    n = args.random
+    if n < 1:
+        raise UsageError("--random needs a positive number of draws")
     ns_f = cartier.ns_index(b)
     results = {}
     for i in range(n):
         c = scan.sample(args.seed, i, ring)
-        v = lifts.ns_lift(lifts.t_shifted(b, c))
+        v = lifts.ns_lift(lifts.t_shifted(b, c), cap=args.cap or None)
         key = "infinity" if is_infinite(v) else str(v)
         results[key] = results.get(key, 0) + 1
     lines = [f"ns(f) = {ns_f}"] + [f"ns_lift {k}: {v} draws" for k, v in sorted(results.items())]

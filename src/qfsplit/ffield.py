@@ -7,9 +7,8 @@ can run hot loops without object churn:
 * extension elements are ``tuple[int, ...]`` of length ``e`` holding the
   coefficients of the polynomial basis ``1, t, ..., t^(e-1)``.
 
-:class:`FieldElement` wraps a raw value with operator syntax for callers that
-want algebra rather than kernels.  All values are canonical (fully reduced),
-so ``==`` on raw representations is semantic equality.
+All values are canonical (fully reduced), so ``==`` on raw representations
+is semantic equality.
 
 The Z/p^2 ring exists only to support the lift-based construction of the
 Frobenius-defect operator; it is defined for prime fields only, where the
@@ -18,7 +17,6 @@ Teichmuller lift of ``c`` is ``c^p mod p^2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
@@ -200,9 +198,6 @@ class Field:
     def elements(self) -> Iterator[RawElement]:
         raise NotImplementedError
 
-    def element(self, raw) -> "FieldElement":
-        return FieldElement(self, raw)
-
     def __eq__(self, other):
         return (
             isinstance(other, Field)
@@ -365,66 +360,6 @@ def field(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# element wrapper
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Immutable field element; thin operator wrapper around a raw value."""
-
-    field: Field
-    raw: RawElement
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise UsageError("field elements belong to different field configurations")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.raw, other.raw))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.raw, other.raw))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.raw, other.raw))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.raw))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.raw))
-
-    def frobenius(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.frobenius(self.raw))
-
-    def inverse_frobenius(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inverse_frobenius(self.raw))
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.raw)
-
-    def __str__(self):
-        return self.field.format(self.raw)
-
-    def __repr__(self):
-        return f"FieldElement({self!s})"
-
-
-def parse_element(f: Field, text: str) -> RawElement:
-    """Parse a serialized field element: decimal for F_p, a t-polynomial otherwise.
-
-    Accepts e.g. ``7``, ``t+1``, ``2*t^3 + 2t + 1``.  Raises UsageError on
-    malformed input or when a t-expression is given for a prime field.
-    """
-    from . import polyring  # deferred; polyring owns the tokenizer
-
-    return polyring.parse_scalar(f, text)
-
-
-# ---------------------------------------------------------------------------
 # Z / p^2, host ring of the lift-based Frobenius-defect oracle
 # ---------------------------------------------------------------------------
 
@@ -436,23 +371,9 @@ class ModPSquare:
             raise UsageError(f"characteristic must be prime, got {p}")
         self.p = p
         self.psq = p * p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.psq
 
     def sub(self, a, b):
         return (a - b) % self.psq
-
-    def mul(self, a, b):
-        return (a * b) % self.psq
-
-    def neg(self, a):
-        return (-a) % self.psq
-
-    def is_zero(self, a) -> bool:
-        return a % self.psq == 0
 
     def teichmuller(self, c: int) -> int:
         """The unique lift of c in F_p with x^p = x in Z/p^2, namely c^p mod p^2."""

@@ -34,7 +34,7 @@ from .cartier import (
 )
 from .errors import ResourceError, UsageError
 from .ffield import RawElement
-from .polyring import corner_coefficient, delta, mul_bounded, poly_pow, prune
+from .polyring import corner_coefficient, delta, poly_pow, prune
 from .values import Infinite, is_infinite
 
 
@@ -79,10 +79,12 @@ def ns_lift(shift: LiftShift, cap: int | None = None):
     value-set property allows.
     """
     b = shift.bundle
-    if not is_infinite(height(b)):
-        raise UsageError("lift indices are defined only over a non-quasi-F-split base")
     if cap is None:
         cap = default_ns_cap(b)
+    if cap < 1:
+        raise UsageError("the lift ns cap must be positive")
+    if not is_infinite(height(b)):
+        raise UsageError("lift indices are defined only over a non-quasi-F-split base")
     ops = b.ops
     for n, R in enumerate(islice(krylov_rows(b, ops.matrix(shift.T_c)), cap), 1):
         if ops.is_zero_row(R):
@@ -98,6 +100,8 @@ def infinite_lift(b: FrobeniusBundle, verify_cap: int = 36) -> list | None:
     coordinate j forever.  Both facts are verified up to ``verify_cap`` before
     returning.  When lambda = 0 every lift has index 1 and None is returned.
     """
+    if verify_cap < 1:
+        raise UsageError("the verification cap must be positive")
     fld = b.field
     j = next((i for i, v in enumerate(b.lam) if not fld.is_zero(v)), None)
     if j is None:
@@ -150,7 +154,7 @@ def coupling_values(b: FrobeniusBundle, c: Sequence[RawElement], n: int) -> list
     for j in range(1, n + 1):
         bound = p**j
         stage = descent_product(f, j, fp2=fp2, df=df)
-        product = mul_bounded(stage, prune(g_c, bound), bound)
+        product = prune(stage * prune(g_c, bound), bound)
         if product.is_zero():
             out.append(fld.zero)
         else:

@@ -193,13 +193,8 @@ class Polynomial:
 
     # -- structural maps ----------------------------------------------------
 
-    def frobenius_twist(self, k: int = 1, exp_bound: int | None = None) -> "Polynomial":
-        """Termwise image under the k-fold Frobenius: coeff^(p^k), exps * p^k.
-
-        With exp_bound set, terms whose scaled exponents reach the bound are
-        dropped (sound inside a mod-m^[bound] computation, where exponents
-        only ever grow).
-        """
+    def frobenius_twist(self, k: int = 1) -> "Polynomial":
+        """Termwise image under the k-fold Frobenius: coeff^(p^k), exps * p^k."""
         q = self.ring.field.p**k
         if self._max_exp * q >= MAX_EXPONENT:
             raise ResourceError("Frobenius twist exponent would exceed the 2^32 headroom")
@@ -207,8 +202,6 @@ class Polynomial:
         out = {}
         for exps, coeff in self._terms.items():
             twisted = tuple(e * q for e in exps)
-            if exp_bound is not None and max(twisted) >= exp_bound:
-                continue
             c = coeff
             for _ in range(k):
                 c = frob(c)
@@ -381,30 +374,6 @@ def poly_pow(a: Polynomial, n: int) -> Polynomial:
         if n:
             power = power * power
     return result
-
-
-def mul_bounded(a: Polynomial, b: Polynomial, exp_bound: int) -> Polynomial:
-    """Product with every term having some exponent >= exp_bound discarded.
-
-    This is multiplication in k[x]/m^[exp_bound]; exponents never shrink, so
-    discarded terms can never contribute to surviving monomials later.
-    """
-    a._check_ring(b)
-    f = a.ring.field
-    fmul, fadd = f.mul, f.add
-    out: dict = {}
-    small, large = (a._terms, b._terms)
-    if len(small) > len(large):
-        small, large = large, small
-    for e1, c1 in small.items():
-        for e2, c2 in large.items():
-            exps = tuple(x + y for x, y in zip(e1, e2))
-            if max(exps) >= exp_bound:
-                continue
-            val = fmul(c1, c2)
-            cur = out.get(exps)
-            out[exps] = val if cur is None else fadd(cur, val)
-    return Polynomial(a.ring, out)
 
 
 def mul_residues(a: Polynomial, b: Polynomial, keep) -> Polynomial:

@@ -14,8 +14,10 @@ Sampling is counter-based: coefficient vectors are a pure function of
 is byte-identical regardless of worker count.  The smoothness filter is a
 heuristic witness search: it enumerates points of the weighted projective
 space over F_{p^k}, k <= K, looking for a common zero of f and all its
-partials.  A "no witness" outcome means no singular point over the searched
-small fields; it is NOT a smoothness proof.
+partials.  Per ring and k, the monomial and partial-monomial values at every
+point are tabulated once as F_p-vectors (Weil restriction), so testing one
+sample is one F_p matrix-vector product.  A "no witness" outcome means no
+singular point over the searched small fields; it is NOT a smoothness proof.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +42,7 @@ SMOOTHNESS_CAVEAT = (
     "no singular point over the searched small fields; this is NOT a smoothness proof"
 )
 
-_MAX_TABLE_CELLS = 5_000_000  # witness tables: points x basis monomials
+_MAX_TABLE_CELLS = 5_000_000  # witness tables: points x basis monomials, plus q x q products
 _MAX_EXHAUSTIVE = 200_000
 
 
@@ -73,121 +76,91 @@ def sample(seed: int, index: int, ring: RingConfig) -> list:
 # ---------------------------------------------------------------------------
 
 class _WitnessTables:
-    """Vectorized evaluation of f and its partials at all projective points.
+    """f and its partials at every projective point over F_{p^k}, as F_p-vectors.
 
-    Field elements of F_{p^k} are coded as base-p integers; addition and
-    multiplication become table lookups, so one sample costs a few hundred
-    numpy indexing operations.
+    ``table[0, :, P, j]`` is the Weil vector of M_j(P) -- its k coordinates
+    over F_p in the basis 1, t, ..., t^(k-1), the coordinates
+    :meth:`._linalg.PrimeOps.row` uses -- and ``table[i + 1, :, P, j]`` that
+    of the partial monomial (e mod p) M_j(P) / x_i, e the exponent of x_i in
+    M_j.  The base field is prime, so the coefficients c_j lie in F_p and
+    f(P) = sum_j c_j M_j(P) is an F_p-combination of these vectors: one
+    sample costs one ``(table @ c) % p``.  The monomial values are built once
+    from a q x q multiplication table of element codes, a code being an
+    element's index in ``fld.elements()``.
     """
 
     def __init__(self, ring: RingConfig, k: int):
-        base = ring.field
-        p = base.p
-        fld = base if k == 1 else make_field(p, k)
-        q = fld.order
-        self.ring = ring
-        self.fld = fld
-        self.k = k
-
-        elems = list(fld.elements())
-        code_of = {e: i for i, e in enumerate(elems)}
-        self.elems = elems
-
-        mul = np.zeros((q, q), dtype=np.int32)
-        add = np.zeros((q, q), dtype=np.int32)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                mul[i, j] = code_of[fld.mul(a, b)]
-                add[i, j] = code_of[fld.add(a, b)]
-        self.MUL, self.ADD = mul, add
-
-        bas = cartier.basis(ring)
-        self.basis = bas
+        p = ring.field.p
+        q = p**k
         nv = ring.num_vars
-        max_e = max((e for mono in bas.monomials for e in mono), default=1)
-        powtab = np.zeros((q, max_e + 1), dtype=np.int32)
-        for i, a in enumerate(elems):
-            acc = fld.one
-            powtab[i, 0] = code_of[fld.one]
-            for e in range(1, max_e + 1):
-                acc = fld.mul(acc, a)
-                powtab[i, e] = code_of[acc]
+        bas = cartier.basis(ring)
+        # every point has first nonzero coordinate 1: (q^nv - 1) / (q - 1) of them
+        npts = (q**nv - 1) // (q - 1)
+        cells = npts * bas.m + q * q
+        if cells > _MAX_TABLE_CELLS:
+            raise ResourceError(
+                f"witness tables would need {cells} cells; lower the extension bound"
+            )
+        fld = ring.field if k == 1 else make_field(p, k)
+        self.p = p
+        self.elems = elems = list(fld.elements())
+        code_of = {e: i for i, e in enumerate(elems)}
+        one = code_of[fld.one]
+        # mul[a * q + b] is the code of a * b; codes below q^2 fit int32 under the cap
+        mul = np.array([code_of[fld.mul(a, b)] for a in elems for b in elems], dtype=np.int32)
 
-        # canonical projective representatives: first nonzero coordinate = 1
-        pts = []
-        one_code = code_of[fld.one]
+        exps = np.array(bas.monomials)
+        powtab = np.empty((q, int(exps.max()) + 1), dtype=np.int32)
+        powtab[:, 0] = one
+        for e in range(1, powtab.shape[1]):
+            powtab[:, e] = mul[powtab[:, e - 1] * q + np.arange(q)]
+
+        # canonical projective representatives, in the order the first
+        # witness is reported: pivot-major, then the tail as base-q digits
+        # of a counter, least significant first
+        blocks = []
         for pivot in range(nv):
             tail = nv - pivot - 1
-            for idx in range(q**tail):
-                coords = [0] * pivot + [one_code]
-                rest = idx
-                for _ in range(tail):
-                    coords.append(rest % q)
-                    rest //= q
-                pts.append(coords)
-        P = np.array(pts, dtype=np.int32)
-        npts = len(pts)
-        if npts * bas.m > _MAX_TABLE_CELLS:
-            raise ResourceError(
-                f"witness tables would need {npts * bas.m} cells; lower the extension bound"
-            )
-        self.points = P
+            idx = np.arange(q**tail)
+            block = np.zeros((q**tail, nv), dtype=np.int32)
+            block[:, pivot] = one
+            for j in range(tail):
+                block[:, pivot + 1 + j] = idx // q**j % q
+            blocks.append(block)
+        self.points = points = np.concatenate(blocks)
 
-        def mono_values(exps) -> np.ndarray:
-            acc = np.full(npts, one_code, dtype=np.int32)
-            for i, e in enumerate(exps):
-                if e:
-                    acc = mul[acc, powtab[P[:, i], e]]
+        def values(ex: np.ndarray) -> np.ndarray:
+            """(npts, m) codes of prod_i x_i^ex[j, i] at every point."""
+            acc = powtab[:, ex[:, 0]][points[:, 0]]
+            for i in range(1, nv):
+                acc = mul[acc * q + powtab[:, ex[:, i]][points[:, i]]]
             return acc
 
-        self.VT = np.stack([mono_values(mono) for mono in bas.monomials], axis=1)
-        # partial tables: scalar (e_i mod p) * monomial / x_i
-        embed = {c: code_of[fld.from_int(c)] for c in range(p)}
-        self.embed = embed
-        self.DT = []
+        # the smallest dtype that holds a row sum of m products below p^2
+        dtype = np.min_scalar_type(bas.m * (p - 1) ** 2)
+        # weil[c] is the vector of code c's k coordinates over F_p
+        weil = np.array(elems, dtype=dtype).reshape(q, k).T
+        table = np.empty((nv + 1, k, npts, bas.m), dtype=dtype)
+        table[0] = weil.take(values(exps), axis=1)
         for i in range(nv):
-            cols = []
-            for mono in bas.monomials:
-                e = mono[i]
-                s = e % p
-                if e == 0 or s == 0:
-                    cols.append(np.zeros(npts, dtype=np.int32))
-                    continue
-                lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
-                cols.append(mul[mono_values(lowered), embed[s]])
-            self.DT.append(np.stack(cols, axis=1))
+            lowered = exps.copy()
+            lowered[:, i] = np.maximum(lowered[:, i] - 1, 0)
+            scale = (exps[:, i] % p).astype(dtype)
+            table[i + 1] = weil.take(values(lowered), axis=1) * scale % p
+        self.table = table
 
     def witness(self, coeffs) -> tuple | None:
         """First projective point where f and all partials vanish, else None."""
-        bcodes = [self.embed[c] for c in coeffs]
-        npts = self.points.shape[0]
-
-        def accumulate(table) -> np.ndarray:
-            acc = np.zeros(npts, dtype=np.int32)
-            for j, bc in enumerate(bcodes):
-                if bc:
-                    acc = self.ADD[acc, self.MUL[table[:, j], bc]]
-            return acc
-
-        mask = accumulate(self.VT) == 0
-        if not mask.any():
+        vals = (self.table @ np.asarray(coeffs, dtype=self.table.dtype)) % self.p
+        hits = np.flatnonzero(~vals.any(axis=(0, 1)))
+        if hits.size == 0:
             return None
-        for dt in self.DT:
-            mask &= accumulate(dt) == 0
-            if not mask.any():
-                return None
-        first = int(np.nonzero(mask)[0][0])
-        return tuple(self.elems[c] for c in self.points[first])
+        return tuple(self.elems[c] for c in self.points[hits[0]])
 
 
-_tables_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _tables(ring: RingConfig, k: int) -> _WitnessTables:
-    key = (ring, k)
-    if key not in _tables_cache:
-        _tables_cache[key] = _WitnessTables(ring, k)
-    return _tables_cache[key]
+    return _WitnessTables(ring, k)
 
 
 def singular_witness(f: Polynomial, extension_bound: int = 2):

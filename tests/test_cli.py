@@ -182,13 +182,26 @@ def test_tables_quintic_and_delsarte(capsys):
     assert doc["failures"] == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ("tables", "-p", "5"),
-    ("scan", "--cap", "3"),
-    ("height", "--seed", "1", "x^4"),
-    ("check-smooth", "--cap", "2", "x^4"),
-    ("delsarte", "--family", "0", "-p", "7", "--ext-degree", "2"),
-])
+SS_QUARTIC = "x^4 + xy^3 + yw^3 + z^3w"  # supersingular over F_2, ns 9
+
+# rejected command lines and the usage error each must print: options the
+# subcommand does not read, then option values out of range
+REJECTED = {
+    ("tables", "-p", "5"): "unrecognized arguments",
+    ("scan", "--cap", "3"): "unrecognized arguments",
+    ("height", "--seed", "1", "x^4"): "unrecognized arguments",
+    ("check-smooth", "--cap", "2", "x^4"): "unrecognized arguments",
+    ("delsarte", "--family", "0", "-p", "7", "--ext-degree", "2"): "unrecognized arguments",
+    ("ns", "--cap", "-1", SS_QUARTIC): "cap must be positive",
+    ("lift", "--cap", "-1", "--find-infinite", SS_QUARTIC): "cap must be positive",
+    ("lift", "--cap", "-1", "--c", ",".join(["0"] * 35), SS_QUARTIC): "cap must be positive",
+    ("lift", "--cap", "-1", "--random", "3", SS_QUARTIC): "cap must be positive",
+    ("lift", "--random", "-3", SS_QUARTIC): "positive number of draws",
+}
+
+
+@pytest.mark.parametrize("argv", list(REJECTED))
 def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
-    assert code == 1 and "unrecognized arguments" in err
+    assert code == 1 and REJECTED[argv] in err
+

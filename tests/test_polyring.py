@@ -16,7 +16,6 @@ from qfsplit.polyring import (
     delta_lift_oracle,
     format_poly,
     in_frobenius_power,
-    mul_bounded,
     mul_residues,
     parse_poly,
     poly_pow,
@@ -450,15 +449,6 @@ def test_corner_shortcut_matches_membership():
 def test_corner_degree_precondition():
     with pytest.raises(UsageError):
         corner_coefficient(parse_poly("x^4", R3), 1)  # degree 4 != (3-1)*4
-
-
-def test_mul_bounded_agrees_with_pruned_product():
-    rng = random.Random(8)
-    for _ in range(15):
-        a = random_quartic(rng, R3, max_terms=6)
-        b = random_quartic(rng, R3, max_terms=6)
-        bound = 5
-        assert mul_bounded(a, b, bound) == prune(a * b, bound)
 
 
 def test_permute_variables_requires_weight_preservation():

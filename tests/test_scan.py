@@ -1,9 +1,12 @@
+import random
+from itertools import product
+
 import pytest
 
 from qfsplit.cartier import basis
-from qfsplit.errors import UsageError
-from qfsplit.ffield import field
-from qfsplit.polyring import RingConfig, parse_poly
+from qfsplit.errors import ResourceError, UsageError
+from qfsplit.ffield import ExtensionField, PrimeField, field
+from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 from qfsplit.scan import (
     SMOOTHNESS_CAVEAT,
     ScanJob,
@@ -84,6 +87,68 @@ def test_witness_points_are_actual_singular_points():
     assert fld.is_zero(fk.evaluate(point))
     for i in range(4):
         assert fld.is_zero(fk.partial(i).evaluate(point))
+
+
+def reference_witness(f, extension_bound):
+    """The witness search by brute force: the first point, in the same
+    canonical order (first nonzero coordinate 1, the later coordinates as
+    base-q digits of a counter, least significant first), where f and every
+    partial vanish over F_{p^k}, k = 1 .. extension_bound."""
+    p = f.ring.field.p
+    nv = f.ring.num_vars
+    for k in range(1, extension_bound + 1):
+        fld = field(p, k)
+        fk = Polynomial(RingConfig(fld, f.ring.weights),
+                        {e: fld.from_int(c) for e, c in f.term_dict().items()})
+        polys = [fk] + [fk.partial(i) for i in range(nv)]
+        elems = list(fld.elements())
+        for pivot in range(nv):
+            for rest in product(elems, repeat=nv - pivot - 1):
+                point = (fld.zero,) * pivot + (fld.one,) + rest[::-1]
+                if all(fld.is_zero(g.evaluate(point)) for g in polys):
+                    return (k, point)
+    return None
+
+
+@pytest.mark.parametrize("p,weights,bound", [
+    (2, (1, 1, 1, 1), 3),
+    (3, (1, 1, 1, 1), 2),
+    (5, (1, 1, 1, 1), 1),
+    (2, (1, 1, 1, 3), 2),
+    (3, (1, 1, 1, 3), 2),
+    (2, (1, 1, 1, 1, 1), 2),
+])
+def test_witness_matches_brute_force_reference(p, weights, bound):
+    ring = RingConfig(field(p), weights)
+    bas = basis(ring)
+    rng = random.Random(2026)
+    # draw until two forms with a witness and two without have been compared;
+    # sparse forms are mostly singular, dense ones less often
+    seen = {True: 0, False: 0}
+    for i in range(300):
+        density = (0.15, 0.3, 1.0)[i % 3]
+        f = bas.polynomial([rng.randrange(p) if rng.random() < density else 0
+                            for _ in range(bas.m)])
+        want = reference_witness(f, bound)
+        assert singular_witness(f, bound) == want, str(f)
+        seen[want is None] += 1
+        if min(seen.values()) >= 2:
+            break
+    assert min(seen.values()) >= 2, seen
+
+
+def test_witness_cap_is_checked_before_any_table_is_built(monkeypatch):
+    def unreachable(self):
+        raise AssertionError("field elements enumerated before the cap check")
+
+    monkeypatch.setattr(PrimeField, "elements", unreachable)
+    monkeypatch.setattr(ExtensionField, "elements", unreachable)
+    with pytest.raises(ResourceError):
+        singular_witness(parse_poly("x^4+y^4+z^4+w^4", RingConfig(field(211), (1, 1, 1, 1))), 1)
+    # two variables: q + 1 points, so only the q x q table exceeds the cap
+    line = RingConfig(field(1_000_003), (1, 1))
+    with pytest.raises(ResourceError):
+        singular_witness(basis(line).polynomial([1, 0, 1]), 1)
 
 
 # -- jobs ---------------------------------------------------------------------
