@@ -1,10 +1,10 @@
 """Exact linear algebra over the coefficient fields.
 
-One numpy backend, :class:`PrimeOps`, serves every field F_q, q = p^e with
-p < 2^15, through Weil restriction to F_p; F_p itself is the case e = 1:
+One numpy backend, :class:`PrimeOps`, serves every field F_q, q = p^e,
+through Weil restriction to F_p; F_p itself is the case e = 1:
 
 * an element is its e-vector over F_p in the basis 1, t, ..., t^(e-1); a row
-  of length m is a flat int64 array of length m*e;
+  of length m is a flat array of length m*e;
 * multiplication by t^k is a fixed e x e F_p-matrix, and so is Frobenius,
   which is F_p-linear in these coordinates (both are 1 x 1 identities at
   e = 1);
@@ -18,18 +18,20 @@ Raw field values are ``int`` for e = 1 and e-tuples otherwise; they are told
 apart only where they enter (:meth:`PrimeOps.matrix`) or leave
 (:meth:`PrimeOps.row_to_raw`).  Entries are canonical residues and every
 product is reduced mod p: a dot product of length m*e sums products below
-(p-1)^2 before its reduction, so it is exact while m*e*(p-1)^2 < 2^63; with
-p < 2^15 that holds for every m*e < 2^33.
-
-:class:`GenericOps` -- plain Python lists of raw field values driving the
-field kernels directly -- is the route for p >= 2^15, where int64 products
-overflow, and the reference the tests compare :class:`PrimeOps` against.
-Over F_q Frobenius is only semilinear, so its Krylov step applies F after
-the product instead of folding it into the matrix.
+(p-1)^2 before its reduction, so int64 is exact while m*e*(p-1)^2 < 2^63.
+For p < 2^15 that holds for every m*e < 2^33, and arrays are int64; for
+larger p the arrays hold exact Python ints (numpy ``dtype=object``), which
+are slower but cannot overflow.
 
 Rank is tracked incrementally by Gaussian elimination: pivot rows are kept
 normalized, each candidate row is reduced against them, and a row either
 contributes a new pivot or is a detected linear dependence.
+
+:class:`GenericOps` and :class:`GenericRankTracker` are not a production
+route.  They are the reference the tests compare :class:`PrimeOps` against:
+plain Python lists of raw field values driving the field kernels entry by
+entry, with Frobenius applied after each product (over F_q it is only
+semilinear, so it cannot be folded into a list-based matrix).
 """
 
 from __future__ import annotations
@@ -41,25 +43,28 @@ import numpy as np
 
 from .ffield import Field
 
-_NUMPY_SAFE_P = 2**15
+_INT64_SAFE_P = 2**15  # below it, m*e*(p-1)^2 < 2^63 for every m*e < 2^33
 
 
 @lru_cache(maxsize=None)
-def make_ops(field: Field):
+def make_ops(field: Field) -> "PrimeOps":
     """The backend for ``field``; one shared, stateless instance per field."""
-    if field.p < _NUMPY_SAFE_P:
-        return PrimeOps(field)
-    return GenericOps(field)
+    return PrimeOps(field)
 
 
 class PrimeOps:
-    """numpy-backed exact arithmetic mod p, over F_{p^e} by Weil restriction."""
+    """numpy-backed exact arithmetic mod p, over F_{p^e} by Weil restriction.
+
+    Arrays are int64 for p < 2^15 and exact Python ints (``dtype=object``)
+    above, where int64 dot products could overflow.
+    """
 
     def __init__(self, field: Field):
         self.field = field
         self.p = p = field.p
         self.e = e = field.e
-        basis = self.row_to_raw(np.eye(e, dtype=np.int64).reshape(-1))  # 1, t, ..., t^(e-1)
+        self.dtype = np.int64 if p < _INT64_SAFE_P else object
+        basis = self.row_to_raw(np.eye(e, dtype=self.dtype).reshape(-1))  # 1, t, ..., t^(e-1)
         # units[k] is the matrix of multiplication by t^k: row l = vec(t^k t^l)
         self.units = self.row([field.mul(a, b) for a in basis for b in basis]).reshape(e, e, e)
         # row l = vec(F(t^l)); vec(F(a)) = vec(a) @ frob
@@ -73,7 +78,7 @@ class PrimeOps:
         return (vecs @ table.reshape(e, e * e)).reshape(vecs.shape[:-1] + (e, e)) % self.p
 
     def row(self, raws) -> np.ndarray:
-        return np.asarray(raws, dtype=np.int64).reshape(-1) % self.p
+        return np.asarray(raws, dtype=self.dtype).reshape(-1) % self.p
 
     def column(self, raws) -> np.ndarray:
         """The (m*e, e) right-hand factor of :meth:`dot_is_zero`: stacked multiplications."""
@@ -83,7 +88,7 @@ class PrimeOps:
         """The step matrix of R -> F(R T) for the raw square matrix T."""
         m, e = len(rows), self.e
         if e == 1:
-            dense = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=m * m)
+            dense = np.fromiter(chain.from_iterable(rows), dtype=self.dtype, count=m * m)
             dense = dense.reshape(m, m)
             ii, jj = np.nonzero(dense)
             vals = dense[ii, jj]
@@ -97,9 +102,9 @@ class PrimeOps:
                         ii.append(i)
                         jj.append(j)
                         vals.append(v)
-        out = np.zeros((m, e, m, e), dtype=np.int64)
+        out = np.zeros((m, e, m, e), dtype=self.dtype)
         # block (i, j) is the multiplication matrix of T_ij times the Frobenius matrix
-        vecs = np.asarray(vals, dtype=np.int64).reshape(-1, e)
+        vecs = np.asarray(vals, dtype=self.dtype).reshape(-1, e)
         out[ii, :, jj, :] = self._blocks(vecs, self.steps)
         return out.reshape(m * e, m * e)
 
@@ -173,7 +178,7 @@ class PrimeRankTracker:
 
 
 class GenericOps:
-    """List-backed arithmetic through the field kernels (any field)."""
+    """List-backed arithmetic through the field kernels: the tests' reference backend."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -223,6 +228,8 @@ class GenericOps:
 
 
 class GenericRankTracker:
+    """Rank over the field by elimination on raw values; the reference for PrimeRankTracker."""
+
     def __init__(self, field: Field):
         self.field = field
         self.pivots: list[tuple[int, list]] = []

@@ -347,11 +347,6 @@ def krylov_matrix(b: FrobeniusBundle, n: int, c: Sequence[RawElement] | None = N
     return [ops.row_to_raw(R) for R in islice(krylov_rows(b, T), n)]
 
 
-def rank(rows: Sequence[Sequence[RawElement]], fld: Field) -> int:
-    """Exact rank over the field by Gaussian elimination."""
-    return _linalg.matrix_rank(rows, fld)
-
-
 # ---------------------------------------------------------------------------
 # Fedder-style corner oracle
 # ---------------------------------------------------------------------------
@@ -421,15 +416,30 @@ def fedder_height_oracle(f: Polynomial, n_max: int = 3) -> int | None:
 # invariant dictionary for the K3 families
 # ---------------------------------------------------------------------------
 
+def _in_axis_ideal(terms, i: int, j: int) -> bool:
+    """Whether every exponent vector in ``terms`` involves x_i or x_j: f in (x_i, x_j)."""
+    return all(e[i] + e[j] >= 1 for e in terms)
+
+
 def find_axis_line(f: Polynomial) -> tuple | None:
     """A pair (i, j) with f in (x_i, x_j), i.e. the line x_i = x_j = 0 lies on V(f)."""
     nv = f.ring.num_vars
     terms = list(f.term_dict())
     for i in range(nv):
         for j in range(i + 1, nv):
-            if all(e[i] + e[j] >= 1 for e in terms):
+            if _in_axis_ideal(terms, i, j):
                 return (i, j)
     return None
+
+
+def _check_axis_line(f: Polynomial, line: tuple) -> None:
+    """Reject ``line`` unless it is (i, j), i != j, naming an axis line on V(f)."""
+    nv = f.ring.num_vars
+    if len(line) != 2 or line[0] == line[1] or not all(0 <= i < nv for i in line):
+        raise UsageError(f"a line needs two distinct variable indices in 0..{nv - 1}, got {line}")
+    i, j = line
+    if not _in_axis_ideal(f.term_dict(), i, j):
+        raise UsageError(f"the line x{i} = x{j} = 0 does not lie on the hypersurface")
 
 
 @dataclass
@@ -484,10 +494,13 @@ def artin_report(
     assuming V(f) is smooth -- smoothness is the caller's responsibility
     (see the scan module for the heuristic witness search).  ``line`` names a
     coordinate-axis line (i, j) on the surface, which upgrades the sigma note
-    for p = 2 quartics; it is verified and rejected if f is not in (x_i, x_j).
+    for p = 2 quartics; before any other work it is rejected unless i != j
+    are variable indices and f lies in (x_i, x_j).
     """
     ring = f.ring
     fam = family_of(ring)
+    if line is not None:
+        _check_axis_line(f, line)
     b = bundle(f)
     if height_cap is None:
         height_cap = K3_MAX_HEIGHT + 1 if fam != FAMILY_GENERAL else default_height_cap(b)
@@ -502,11 +515,6 @@ def artin_report(
     ):
         # cap 11 is exhaustive on the K3 families: finite heights stop at 10
         h = Infinite(cap=h.cap, exact=True)
-
-    if line is not None:
-        i, j = line
-        if not all(e[i] + e[j] >= 1 for e in f.term_dict()):
-            raise UsageError(f"the line x{i} = x{j} = 0 does not lie on the hypersurface")
 
     if fam == FAMILY_GENERAL:
         tau = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import cartier, catalog, delsarte, lifts, scan
 from .errors import DomainError, ParseError, ResourceError, UsageError
@@ -47,12 +48,13 @@ def _emit(args, text_lines, json_doc) -> None:
             print(line)
 
 
-def _common_doc(args, f) -> dict:
+def _common_doc(f) -> dict:
+    ring = f.ring
     return {
         "equation": str(f),
-        "p": args.p,
-        "ext_degree": args.ext_degree,
-        "weights": _csv_ints(args.weights),
+        "p": ring.field.p,
+        "ext_degree": ring.field.e,
+        "weights": list(ring.weights),
     }
 
 
@@ -66,7 +68,7 @@ def _cmd_height(args) -> int:
     b = cartier.bundle(f)
     cap = args.cap if args.cap else cartier.default_height_cap(b)
     h = cartier.height(b, cap=cap)
-    doc = _common_doc(args, f)
+    doc = _common_doc(f)
     doc.update({"invariant": "height", "result": value_to_json(h),
                 "method": "krylov-matrix", "cap": cap})
     _emit(args, [f"height = {h}"], doc)
@@ -79,7 +81,7 @@ def _cmd_ns(args) -> int:
     b = cartier.bundle(f)
     cap = args.cap or cartier.default_ns_cap(b)
     ns = cartier.ns_index(b, cap=cap)
-    doc = _common_doc(args, f)
+    doc = _common_doc(f)
     doc.update({"invariant": "ns", "result": value_to_json(ns),
                 "method": "rank-profile", "cap": cap})
     _emit(args, [f"ns = {ns}"], doc)
@@ -107,13 +109,13 @@ def _cmd_lift(args) -> int:
     f = parse_poly(args.equation, ring)
     b = cartier.bundle(f)
     fld = ring.field
-    doc = _common_doc(args, f)
+    doc = _common_doc(f)
     chosen = [opt for opt in (args.c, args.random, args.find_infinite) if opt]
     if len(chosen) != 1:
         raise UsageError("lift needs exactly one of --c, --random, --find-infinite")
 
     if args.find_infinite:
-        c = lifts.infinite_lift(b, verify_cap=args.cap or 36)
+        c = lifts.infinite_lift(b, verify_cap=args.cap or None)
         if c is None:
             _emit(args, ["lambda = 0: every lift has ns 1; no infinite lift exists"],
                   {**doc, "infinite_lift": None, "reason": "lambda_zero"})
@@ -242,24 +244,18 @@ def _cmd_tables(args) -> int:
         rows_doc.append({"name": name, "computed": str(computed), "expected": str(expected),
                          "pass": ok})
 
-    if which in ("f2", "all"):
-        for entry in catalog.SUPERSINGULAR_QUARTICS_F2:
-            report = cartier.artin_report(entry.polynomial(), line=entry.line)
-            value = report.tau if not is_infinite(report.ns) else report.ns
-            record(entry.name, value, entry.expected_sigma)
-    if which in ("f3", "all"):
-        for entry in catalog.SUPERSINGULAR_QUARTICS_F3:
-            report = cartier.artin_report(entry.polynomial())
-            value = report.tau if not is_infinite(report.ns) else report.ns
-            record(entry.name, value, entry.expected_sigma)
-    if which in ("quintic", "all"):
-        entry = catalog.QUINTIC_THREEFOLD_F2
-        b = cartier.bundle(entry.polynomial())
-        record(entry.name, cartier.ns_index(b), entry.expected_ns)
-    if which in ("rdp", "all"):
-        entry = catalog.RDP_QUARTIC_F2
-        b = cartier.bundle(entry.polynomial())
-        record(entry.name, cartier.ns_index(b), entry.expected_ns)
+    for name, entries in (("f2", catalog.SUPERSINGULAR_QUARTICS_F2),
+                          ("f3", catalog.SUPERSINGULAR_QUARTICS_F3)):
+        if which in (name, "all"):
+            for entry in entries:
+                report = cartier.artin_report(entry.polynomial(), line=entry.line)
+                value = report.tau if not is_infinite(report.ns) else report.ns
+                record(entry.name, value, entry.expected_sigma)
+    for name, entry in (("quintic", catalog.QUINTIC_THREEFOLD_F2),
+                        ("rdp", catalog.RDP_QUARTIC_F2)):
+        if which in (name, "all"):
+            b = cartier.bundle(entry.polynomial())
+            record(entry.name, cartier.ns_index(b), entry.expected_ns)
     if which in ("delsarte", "all"):
         for rec in delsarte.builtin_families():
             inv = delsarte.e_invariant(rec.matrix())
@@ -279,7 +275,7 @@ def _cmd_check_smooth(args) -> int:
     ring = _build_ring(args)
     f = parse_poly(args.equation, ring)
     hit = scan.singular_witness(f, args.ext_bound)
-    doc = _common_doc(args, f)
+    doc = _common_doc(f)
     if hit is None:
         doc.update({"witness": None, "extension_bound": args.ext_bound,
                     "caveat": scan.SMOOTHNESS_CAVEAT})
@@ -316,7 +312,9 @@ def _add_shared(sub, *flags) -> None:
         sub.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The ``qfsplit`` parser, built once per process (parse_args leaves it unchanged)."""
     parser = _Parser(prog="qfsplit",
                      description="quasi-F-split heights, non-splitting indices and "
                                  "Artin invariants of Calabi-Yau hypersurfaces")

@@ -92,14 +92,17 @@ def ns_lift(shift: LiftShift, cap: int | None = None):
     return Infinite(cap=cap)
 
 
-def infinite_lift(b: FrobeniusBundle, verify_cap: int = 36) -> list | None:
+def infinite_lift(b: FrobeniusBundle, verify_cap: int | None = None) -> list | None:
     """A shift c with ns_lift = infinity, or None when lambda = 0.
 
     Picks the first j with lambda_j != 0 and sets c = lambda_j^{-1} (T e_j - e_j),
     which forces T_c e_j = e_j, so the recursion preserves a nonzero value at
-    coordinate j forever.  Both facts are verified up to ``verify_cap`` before
-    returning.  When lambda = 0 every lift has index 1 and None is returned.
+    coordinate j forever.  Both facts are verified up to ``verify_cap``
+    (default 36, the quartic ns cap) before returning.  When lambda = 0 every
+    lift has index 1 and None is returned.
     """
+    if verify_cap is None:
+        verify_cap = 36
     if verify_cap < 1:
         raise UsageError("the verification cap must be positive")
     fld = b.field

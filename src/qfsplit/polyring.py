@@ -438,6 +438,8 @@ def delta(f: Polynomial) -> Polynomial:
     :func:`delta_lift_oracle` is the independent prime-field check.
     """
     ring = f.ring
+    if len(f._terms) < 2:
+        return Polynomial.zero(ring)  # before the O(p) carries: large p has only monomials
     field = ring.field
     p = field.p
     # k_i = binom(p, i) / p = (p-1)...(p-i+1) / i! = (-1)^(i-1) / i (mod p), i = 1 .. p-1

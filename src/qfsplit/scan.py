@@ -26,6 +26,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,7 +43,7 @@ SMOOTHNESS_CAVEAT = (
     "no singular point over the searched small fields; this is NOT a smoothness proof"
 )
 
-_MAX_TABLE_CELLS = 5_000_000  # witness tables: points x basis monomials, plus q x q products
+_MAX_TABLE_BYTES = 192 * 2**20  # peak memory of one witness table build, see _table_bytes
 _MAX_EXHAUSTIVE = 200_000
 
 
@@ -75,6 +76,22 @@ def sample(seed: int, index: int, ring: RingConfig) -> list:
 # heuristic smoothness witness search
 # ---------------------------------------------------------------------------
 
+def _table_bytes(nv: int, k: int, npts: int, m: int, q: int, itemsize: int) -> int:
+    """Peak bytes of a :class:`_WitnessTables` build, from its array shapes.
+
+    The table holds (nv + 1) k npts m entries of ``itemsize`` bytes.  While a
+    slice is built, ``values`` keeps up to four int32 code arrays of npts x m
+    (the product so far, a gathered factor, and their combined index and
+    product), and the Weil gather one k x npts x m slice.  The q x q
+    multiplication table is first a list of references to shared ints (8
+    bytes an entry, plus the list's growth margin), then int32; the points
+    are npts x nv int32, built in blocks.  Bookkeeping of a few tens of KB
+    (element list, code map, power table) is left out.
+    """
+    cells = npts * m
+    return cells * ((nv + 2) * k * itemsize + 4 * 4) + 13 * q * q + 8 * npts * nv
+
+
 class _WitnessTables:
     """f and its partials at every projective point over F_{p^k}, as F_p-vectors.
 
@@ -96,17 +113,20 @@ class _WitnessTables:
         bas = cartier.basis(ring)
         # every point has first nonzero coordinate 1: (q^nv - 1) / (q - 1) of them
         npts = (q**nv - 1) // (q - 1)
-        cells = npts * bas.m + q * q
-        if cells > _MAX_TABLE_CELLS:
+        # the smallest dtype that holds a row sum of m products below p^2
+        dtype = np.min_scalar_type(bas.m * (p - 1) ** 2)
+        need = _table_bytes(nv, k, npts, bas.m, q, dtype.itemsize)
+        if need > _MAX_TABLE_BYTES:
             raise ResourceError(
-                f"witness tables would need {cells} cells; lower the extension bound"
+                f"witness tables over F_{p}^{k} would need {need / 2**20:.0f} MiB, over the "
+                f"{_MAX_TABLE_BYTES // 2**20} MiB budget; lower the extension bound"
             )
         fld = ring.field if k == 1 else make_field(p, k)
         self.p = p
         self.elems = elems = list(fld.elements())
         code_of = {e: i for i, e in enumerate(elems)}
         one = code_of[fld.one]
-        # mul[a * q + b] is the code of a * b; codes below q^2 fit int32 under the cap
+        # mul[a * q + b] is the code of a * b; codes below q^2 fit int32 under the budget
         mul = np.array([code_of[fld.mul(a, b)] for a in elems for b in elems], dtype=np.int32)
 
         exps = np.array(bas.monomials)
@@ -136,8 +156,6 @@ class _WitnessTables:
                 acc = mul[acc * q + powtab[:, ex[:, i]][points[:, i]]]
             return acc
 
-        # the smallest dtype that holds a row sum of m products below p^2
-        dtype = np.min_scalar_type(bas.m * (p - 1) ** 2)
         # weil[c] is the vector of code c's k coordinates over F_p
         weil = np.array(elems, dtype=dtype).reshape(q, k).T
         table = np.empty((nv + 1, k, npts, bas.m), dtype=dtype)
@@ -351,12 +369,15 @@ def run_scan(job: ScanJob) -> ScanResult:
     total = job.total()
     indices = list(range(total))
 
-    if job.workers == 1 or total < 4:
+    # never more processes than CPUs or chunks: with the fork start method
+    # the pool starts all max_workers at the first submit
+    workers = min(job.workers, os.cpu_count() or 1)
+    if workers == 1 or total < 4:
         rows = [_evaluate_index(job, i) for i in indices]
     else:
-        nchunks = min(total, job.workers * 4)
+        nchunks = min(total, workers * 4)
         chunks = [indices[k::nchunks] for k in range(nchunks)]
-        with ProcessPoolExecutor(max_workers=job.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, nchunks)) as pool:
             parts = list(pool.map(_worker_chunk, [(job, ch) for ch in chunks]))
         rows = [r for part in parts for r in part]
         rows.sort(key=lambda r: r["index"])

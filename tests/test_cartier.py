@@ -8,6 +8,7 @@ from qfsplit.catalog import (
     SUPERSINGULAR_QUARTICS_F2,
     SUPERSINGULAR_QUARTICS_F3,
 )
+from qfsplit._linalg import matrix_rank
 from qfsplit.cartier import (
     FAMILY_GENERAL,
     FAMILY_QUARTIC,
@@ -25,7 +26,6 @@ from qfsplit.cartier import (
     height,
     krylov_matrix,
     ns_index,
-    rank,
 )
 from qfsplit.errors import ResourceError, UsageError
 from qfsplit.ffield import field
@@ -279,9 +279,9 @@ def test_scaling_invariance():
 def test_krylov_rank_profile_of_sigma3_row():
     f = SUPERSINGULAR_QUARTICS_F2[0].polynomial()
     b = bundle(f)
-    assert rank(krylov_matrix(b, 1), F2) == 1
-    assert rank(krylov_matrix(b, 2), F2) == 2
-    assert rank(krylov_matrix(b, 3), F2) == 2
+    assert matrix_rank(krylov_matrix(b, 1), F2) == 1
+    assert matrix_rank(krylov_matrix(b, 2), F2) == 2
+    assert matrix_rank(krylov_matrix(b, 3), F2) == 2
 
 
 def test_krylov_first_row_independent_of_c():
@@ -303,7 +303,7 @@ def test_krylov_rank_invariance_under_shift():
         for _ in range(10):
             c = [rng.randrange(p) for _ in range(b.m)]
             for n in (2, 4, 6):
-                assert rank(krylov_matrix(b, n, c), b.field) == rank(
+                assert matrix_rank(krylov_matrix(b, n, c), b.field) == matrix_rank(
                     krylov_matrix(b, n), b.field
                 )
 
@@ -389,6 +389,19 @@ def test_artin_report_rejects_false_line():
     f = parse_poly("x^4+y^4+z^4+w^4", R2)  # not in (x, w)
     with pytest.raises(UsageError):
         artin_report(f, line=(0, 3))
+
+
+@pytest.mark.parametrize("line", [(0, 0), (0, 9), (-1, 2), (0,), (0, 3, 1)])
+def test_artin_report_rejects_a_non_line_before_any_bundle_work(monkeypatch, line):
+    import qfsplit.cartier as cartier
+
+    def unreachable(f):
+        raise AssertionError("bundle built before the line was checked")
+
+    monkeypatch.setattr(cartier, "bundle", unreachable)
+    f = parse_poly("x^4 + x*y^3 + x*z^3 + x*w^3", R2)  # in (x), so in every (x, x_j)
+    with pytest.raises(UsageError, match="two distinct variable indices"):
+        artin_report(f, line=line)
 
 
 def test_artin_report_ordinary_quartic():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import qfsplit
 from qfsplit.cli import main
 
 VALUE_SCHEMA = {
@@ -197,6 +202,11 @@ REJECTED = {
     ("lift", "--cap", "-1", "--c", ",".join(["0"] * 35), SS_QUARTIC): "cap must be positive",
     ("lift", "--cap", "-1", "--random", "3", SS_QUARTIC): "cap must be positive",
     ("lift", "--random", "-3", SS_QUARTIC): "positive number of draws",
+    ("artin", "--line", "0,9", SS_QUARTIC): "two distinct variable indices",
+    ("artin", "--line", "0", SS_QUARTIC): "two distinct variable indices",
+    ("artin", "--line", "0,3,1", SS_QUARTIC): "two distinct variable indices",
+    # x^4 + xy^3 + xz^3 + xw^3 lies in (x), but i = j names a plane, not a line
+    ("artin", "--line", "0,0", "x^4 + x*y^3 + x*z^3 + x*w^3"): "two distinct variable indices",
 }
 
 
@@ -205,3 +215,21 @@ def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1 and REJECTED[argv] in err
 
+
+
+def test_ns_of_a_monomial_at_a_large_prime_is_immediate():
+    # delta of a monomial is zero; building its p - 1 carries first took O(p),
+    # about an hour here, so run the command in a child process with a timeout
+    src = str(Path(qfsplit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "qfsplit.cli", "ns", "-p", "2147483647", "x*y*z*w"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0 and done.stdout == "ns = infinity\n"
+
+
+def test_parser_is_built_once():
+    from qfsplit.cli import build_parser
+
+    assert build_parser() is build_parser()

@@ -1,16 +1,18 @@
 """The Weil-restricted numpy backend against the list-based reference backend.
 
 Every bundle here is computed twice: once through ``make_ops`` (PrimeOps over
-F_{p^e}, with F_p as the case e = 1) and once through a twin whose backend is
-``GenericOps``, which drives the field kernels entry by entry.  Results must
-agree exactly.
+F_{p^e}, with F_p as the case e = 1, on int64 below p = 2^15 and on exact
+Python ints above) and once through a twin whose backend is ``GenericOps``,
+which drives the field kernels entry by entry.  Results must agree exactly.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from qfsplit import _linalg
+from qfsplit._linalg import matrix_rank
 from qfsplit.cartier import (
     FrobeniusBundle,
     basis,
@@ -19,7 +21,6 @@ from qfsplit.cartier import (
     krylov_matrix,
     krylov_rows,
     ns_index,
-    rank,
 )
 from qfsplit.ffield import field
 from qfsplit.lifts import infinite_lift, ns_lift, t_shifted
@@ -27,6 +28,9 @@ from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 from qfsplit.values import Infinite, is_infinite
 
 FIELDS = [field(2), field(3), field(5), field(2, 2), field(2, 3), field(3, 2), field(5, 2)]
+# p >= 2^15: PrimeOps holds Python ints.  At 32771 a length-m*e dot product
+# still fits int64 for small m; at 2^31 - 1 two products already overflow it.
+LARGE_FIELDS = [field(32771), field(2**31 - 1), field(32771, 2)]
 K3_WEIGHTS = [(1, 1, 1, 1), (1, 1, 1, 3)]
 
 
@@ -87,7 +91,7 @@ def test_weil_backend_matches_generic(fld, weights):
         c = random_shift(b, rng)
         assert krylov_matrix(b, n, c) == krylov_matrix(g, n, c)
         for k in (1, 2, 5, n):
-            assert rank(rows[:k], fld) == generic_rank(rows[:k], fld)
+            assert matrix_rank(rows[:k], fld) == generic_rank(rows[:k], fld)
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=repr)
@@ -125,7 +129,7 @@ def test_matrix_rank_matches_generic(fld):
             for a, r in zip(coeffs, base):
                 row = [fld.add(x, fld.mul(a, y)) for x, y in zip(row, r)]
             rows.append(row)
-        assert rank(rows, fld) == generic_rank(rows, fld)
+        assert matrix_rank(rows, fld) == generic_rank(rows, fld)
 
 
 @pytest.mark.parametrize("fld", FIELDS[:-1], ids=repr)
@@ -147,12 +151,103 @@ def test_krylov_span_never_grows_after_a_stall(fld):
             assert is_infinite(h) or h <= b.m
 
 
-def test_large_prime_uses_generic_backend():
+def random_element(fld, rng):
+    """A uniform raw element, without enumerating the field."""
+    if fld.e == 1:
+        return rng.randrange(fld.p)
+    return tuple(rng.randrange(fld.p) for _ in range(fld.e))
+
+
+def random_unit(fld, rng):
+    while True:
+        a = random_element(fld, rng)
+        if not fld.is_zero(a):
+            return a
+
+
+def random_bundles(fld, seed):
+    """Seeded bundles from random (v_f, lambda, T) on the ternary cubic basis (m = 10).
+
+    Forms whose f^(p-2) is computable at these p are near-monomials with
+    T = 0, so the data is drawn directly.  Sparse T gives rank drops at
+    several n; v_f = 0 gives infinite height, v_f off the support of lambda a
+    height of at least 2, and a weighted shift matrix a height chosen in
+    advance.
+    """
+    rng = random.Random(seed)
+    bas = basis(RingConfig(fld, (1, 1, 1)))
+    m = bas.m
+
+    def vec(density):
+        return [random_element(fld, rng) if rng.random() < density else fld.zero for _ in range(m)]
+
+    out = []
+    for k in range(8):
+        density = (0.1, 0.25, 0.6)[k % 3]
+        T = [vec(density) for _ in range(m)]
+        lam = vec(0.4)
+        lam[rng.randrange(m)] = fld.one  # lambda != 0, so infinite_lift constructs a shift
+        # v_f off the support of lambda makes R_1 . v_f = 0, so heights exceed 1
+        v_f = [fld.zero if k % 2 or not fld.is_zero(a) else random_element(fld, rng) for a in lam]
+        out.append(FrobeniusBundle(bas, bas.polynomial(v_f), v_f, lam, T))
+    for h in rng.sample(range(3, m + 1), 2):
+        # a weighted shift: R_n is supported on coordinate n - 1, so the height is h
+        T = [[fld.zero] * m for _ in range(m)]
+        for i in range(m - 1):
+            T[i][i + 1] = random_unit(fld, rng)
+        lam = [random_unit(fld, rng)] + [fld.zero] * (m - 1)
+        v_f = [random_unit(fld, rng) if i == h - 1 else fld.zero for i in range(m)]
+        out.append(FrobeniusBundle(bas, bas.polynomial(v_f), v_f, lam, T))
+    return out
+
+
+@pytest.mark.parametrize("fld", LARGE_FIELDS, ids=repr)
+def test_large_prime_backend_matches_generic(fld):
+    rng = random.Random(fld.order)
+    heights, infinite = set(), 0
+    for b in random_bundles(fld, seed=fld.order):
+        g = generic_twin(b)
+        assert isinstance(b.ops, _linalg.PrimeOps)
+        for cap in (1, 3, 7, None):
+            assert repr(height(b, cap=cap)) == repr(height(g, cap=cap))
+        for hcap in (1, None):
+            assert repr(ns_index(b, height_cap=hcap)) == repr(ns_index(g, height_cap=hcap))
+        n = b.m + 2
+        rows = krylov_matrix(b, n)
+        assert rows == krylov_matrix(g, n)
+        c = [random_element(fld, rng) if rng.random() < 0.3 else fld.zero for _ in range(b.m)]
+        assert krylov_matrix(b, n, c) == krylov_matrix(g, n, c)
+        for k in (1, 2, 5, n):
+            assert matrix_rank(rows[:k], fld) == generic_rank(rows[:k], fld)
+        lift = infinite_lift(b)
+        assert lift is not None and lift == infinite_lift(g)
+        h = height(b)
+        heights.add(repr(h))
+        if is_infinite(h):
+            infinite += 1
+            assert ns_lift(t_shifted(b, lift)) == Infinite(cap=b.m + 1)
+            assert repr(ns_lift(t_shifted(b, c))) == repr(ns_lift(t_shifted(g, c)))
+    # the draws must exercise more than one finite height and the infinite case
+    assert infinite >= 2 and len(heights) >= 3, heights
+
+
+def test_large_prime_uses_exact_integer_arithmetic():
+    # int64 up to 2^15; above it the arrays hold Python ints, so a dot product
+    # of length m*e never wraps however large (p-1)^2 is
+    assert _linalg.make_ops(field(32749)).dtype == np.int64
+    for fld in LARGE_FIELDS:
+        ops = _linalg.make_ops(fld)
+        assert isinstance(ops, _linalg.PrimeOps) and ops.dtype == object
+    ops = _linalg.make_ops(field(2**31 - 1))
+    top = ops.p - 1
+    row = ops.row([top] * 40)
+    mat = ops.matrix([[top] * 40 for _ in range(40)])
+    assert ops.row_to_raw(ops.row_times_matrix(row, mat)) == [40 * top * top % ops.p] * 40
+
     fld = field(32771)
-    assert fld.p >= 2**15
     b = bundle(parse_poly("x*y*z*w", RingConfig(fld, (1, 1, 1, 1))))
-    assert isinstance(b.ops, _linalg.GenericOps)
+    assert b.ops is _linalg.make_ops(fld)
     # f^(p-2) is one term, so lambda is supported on xyzw alone and R_1 . v_f = 1
     assert height(b) == 1
     assert is_infinite(ns_index(b))
-    assert isinstance(_linalg.make_ops(field(32749)), _linalg.PrimeOps)
+    assert krylov_matrix(b, 3) == krylov_matrix(generic_twin(b), 3)

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 
+from qfsplit import scan
 from qfsplit.cartier import basis
 from qfsplit.errors import ResourceError, UsageError
 from qfsplit.ffield import ExtensionField, PrimeField, field
@@ -145,10 +147,31 @@ def test_witness_cap_is_checked_before_any_table_is_built(monkeypatch):
     monkeypatch.setattr(ExtensionField, "elements", unreachable)
     with pytest.raises(ResourceError):
         singular_witness(parse_poly("x^4+y^4+z^4+w^4", RingConfig(field(211), (1, 1, 1, 1))), 1)
-    # two variables: q + 1 points, so only the q x q table exceeds the cap
+    # two variables: q + 1 points, so only the q x q table exceeds the budget
     line = RingConfig(field(1_000_003), (1, 1))
     with pytest.raises(ResourceError):
         singular_witness(basis(line).polynomial([1, 0, 1]), 1)
+
+
+@pytest.mark.parametrize("p,weights,k", [
+    (3, (1, 1, 1, 1), 3),
+    (3, (1, 1, 1, 3), 3),
+    (3, (1, 1, 1, 1, 1), 2),
+    (101, (1, 1, 1), 1),
+    (257, (1, 1), 1),
+])
+def test_witness_budget_counts_the_bytes_a_build_allocates(p, weights, k):
+    ring = RingConfig(field(p), weights)
+    m = basis(ring).m  # cached before the measurement
+    tracemalloc.start()
+    try:
+        tables = scan._WitnessTables(ring, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    q, nv = p**k, len(weights)
+    counted = scan._table_bytes(nv, k, (q**nv - 1) // (q - 1), m, q, tables.table.itemsize)
+    assert tables.table.nbytes < peak <= counted
 
 
 # -- jobs ---------------------------------------------------------------------
@@ -177,6 +200,37 @@ def test_worker_count_independence():
     multi = run_scan(ScanJob(ring=R2, mode="histogram", count=24, seed=3, workers=3))
     assert base.csv_text() == multi.csv_text()
     assert base.json_text() == multi.json_text()
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3, 64])
+def test_scan_pool_never_exceeds_cpus_or_chunks(monkeypatch, cpus):
+    sizes = []
+
+    class RecordingPool:
+        """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
+    serial = run_scan(ScanJob(ring=R2, mode="histogram", count=6, seed=5))
+    for workers in (2, 1_000_000):
+        job = ScanJob(ring=R2, mode="histogram", count=6, seed=5, workers=workers)
+        assert run_scan(job).csv_text() == serial.csv_text()
+    # one usable worker (no CPU count means one) runs in-process; otherwise the
+    # pool holds min(workers, CPUs, chunks) processes, and 6 samples make 6 chunks
+    usable = min(cpus or 1, 6)
+    assert sizes == ([] if usable == 1 else [min(2, usable), usable])
 
 
 def test_assert_bound_scan_small():
