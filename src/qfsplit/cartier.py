@@ -44,7 +44,6 @@ from .values import Infinite, is_infinite, value_to_json
 
 K3_QUARTIC_WEIGHTS = (1, 1, 1, 1)
 K3_SEXTIC_WEIGHTS = (1, 1, 1, 3)
-K3_MAX_HEIGHT = 10  # finite heights of K3 surfaces lie in 1..10
 
 FAMILY_QUARTIC = "quartic_K3"
 FAMILY_SEXTIC = "weighted_sextic_K3"
@@ -139,7 +138,7 @@ class FrobeniusBundle:
 
     The backend forms of T (the Krylov step matrix), lambda and v_f are built
     once, by ``ops`` (default the field's :func:`_linalg.make_ops` backend).
-    Semantically immutable; height results are memoized, so share an
+    Semantically immutable; Krylov walks are memoized, so share an
     instance across threads only behind a lock (or keep instances
     thread-local, as the scan workers do).
     """
@@ -154,7 +153,7 @@ class FrobeniusBundle:
         self.T_mat = self.ops.matrix(T)
         self.lam_row = self.ops.row(lam)
         self.v_col = self.ops.column(v_f)
-        self._height_cache: dict = {}
+        self._walks: dict = {}
 
     @property
     def ring(self) -> RingConfig:
@@ -280,6 +279,8 @@ def default_height_cap(b: FrobeniusBundle) -> int:
     V_n = V_m for every n >= m.  R . v_f = 0 is F_q-linear in R, hence if
     R_n . v_f vanishes for n <= m it vanishes on V_m and for every n.  (Over
     F_p the twist is trivial and this is the Krylov span of lambda under T.)
+    The same argument lets the walk in :func:`height` stop at the first
+    stall: every later row lies in the span of rows whose dots vanish.
     """
     return b.m
 
@@ -289,26 +290,48 @@ def default_ns_cap(b: FrobeniusBundle) -> int:
     return b.m + 1
 
 
-def height(b: FrobeniusBundle, cap: int | None = None):
-    """Least n <= cap with R_n v_f != 0, else an audited infinity."""
-    if cap is None:
-        cap = default_height_cap(b)
-    if cap < 1:
+def _walk(b: FrobeniusBundle, height_cap: int | None, ns_cap: int | None) -> tuple:
+    """(height, ns) from one pass over R_1, R_2, ..., memoized per cap pair.
+
+    The pass stops at the first n <= height_cap with R_n . v_f != 0 (height
+    n, ns infinite) or at the first stall, R_n in span(R_1..R_{n-1}) (ns = n
+    when n <= ns_cap).  Past a stall no dot is nonzero (see
+    :func:`default_height_cap`), so the height is then infinite.
+    """
+    if height_cap is None:
+        height_cap = default_height_cap(b)
+    if ns_cap is None:
+        ns_cap = default_ns_cap(b)
+    if ns_cap < 1:
+        raise UsageError("the ns cap must be positive")
+    if height_cap < 1:
         raise UsageError("the height cap must be positive")
-    cached = b._height_cache.get(cap)
+    key = (height_cap, ns_cap)
+    cached = b._walks.get(key)
     if cached is not None:
         return cached
     ops = b.ops
     v = b.v_col
-    result = None
-    for n, R in enumerate(islice(krylov_rows(b), cap), 1):
-        if not ops.dot_is_zero(R, v):
-            result = n
+    tracker = ops.rank_tracker()
+    h = None
+    ns = Infinite(cap=ns_cap)
+    for n, R in enumerate(islice(krylov_rows(b), max(height_cap, ns_cap)), 1):
+        if n <= height_cap and not ops.dot_is_zero(R, v):
+            h, ns = n, Infinite(cap=None)
             break
-    if result is None:
-        result = Infinite(cap=cap, exact=cap >= default_height_cap(b))
-    b._height_cache[cap] = result
-    return result
+        if not tracker.add_row(R):
+            if n <= ns_cap:
+                ns = n
+            break
+    if h is None:
+        h = Infinite(cap=height_cap, exact=height_cap >= default_height_cap(b))
+    b._walks[key] = (h, ns)
+    return h, ns
+
+
+def height(b: FrobeniusBundle, cap: int | None = None):
+    """Least n <= cap with R_n v_f != 0, else an audited infinity."""
+    return _walk(b, cap, None)[0]
 
 
 def ns_index(b: FrobeniusBundle, cap: int | None = None, height_cap: int | None = None):
@@ -316,20 +339,9 @@ def ns_index(b: FrobeniusBundle, cap: int | None = None, height_cap: int | None 
 
     Defined (and finite, at most m+1) when the height is infinite; when the
     height is finite the hypersurface is quasi-F-split and the index is
-    unconditionally infinite.
+    unconditionally infinite.  Shares its walk with :func:`height`.
     """
-    if cap is None:
-        cap = default_ns_cap(b)
-    if cap < 1:
-        raise UsageError("the ns cap must be positive")
-    h = height(b, cap=height_cap)
-    if not is_infinite(h):
-        return Infinite(cap=None)
-    tracker = b.ops.rank_tracker()
-    for n, R in enumerate(islice(krylov_rows(b), cap), 1):
-        if not tracker.add_row(R):
-            return n
-    return Infinite(cap=cap)
+    return _walk(b, height_cap, cap)[1]
 
 
 def krylov_matrix(b: FrobeniusBundle, n: int, c: Sequence[RawElement] | None = None) -> list:
@@ -490,12 +502,12 @@ def artin_report(
 ) -> InvariantReport:
     """Full invariant report: height, ns, and for the two K3 families tau.
 
-    For K3 rings the default height cap is 11 (finite K3 heights stop at 10),
-    assuming V(f) is smooth -- smoothness is the caller's responsibility
-    (see the scan module for the heuristic witness search).  ``line`` names a
-    coordinate-axis line (i, j) on the surface, which upgrades the sigma note
-    for p = 2 quartics; before any other work it is rejected unless i != j
-    are variable indices and f lies in (x_i, x_j).
+    tau is the Artin invariant only when V(f) is smooth, which is the
+    caller's responsibility (see the scan module for the heuristic witness
+    search).  ``line`` names a coordinate-axis line (i, j) on the surface,
+    which upgrades the sigma note for p = 2 quartics; before any other work
+    it is rejected unless i != j are variable indices and f lies in
+    (x_i, x_j).
     """
     ring = f.ring
     fam = family_of(ring)
@@ -503,18 +515,10 @@ def artin_report(
         _check_axis_line(f, line)
     b = bundle(f)
     if height_cap is None:
-        height_cap = K3_MAX_HEIGHT + 1 if fam != FAMILY_GENERAL else default_height_cap(b)
+        height_cap = default_height_cap(b)
     ns_cap = default_ns_cap(b)
     h = height(b, cap=height_cap)
     ns = ns_index(b, cap=ns_cap, height_cap=height_cap)
-    if (
-        fam != FAMILY_GENERAL
-        and is_infinite(h)
-        and not h.exact
-        and height_cap == K3_MAX_HEIGHT + 1
-    ):
-        # cap 11 is exhaustive on the K3 families: finite heights stop at 10
-        h = Infinite(cap=h.cap, exact=True)
 
     if fam == FAMILY_GENERAL:
         tau = None
@@ -539,10 +543,6 @@ def artin_report(
         ),
         "tau": {"method": "ns-dictionary"} if tau is not None else {"method": "not-applicable"},
     }
-    if fam != FAMILY_GENERAL and is_infinite(h) and h.cap == K3_MAX_HEIGHT + 1:
-        provenance["height"]["note"] = (
-            "cap 11 is exhaustive for smooth K3 surfaces (finite heights are at most 10)"
-        )
     return InvariantReport(
         equation=format_poly(f),
         p=ring.field.p,

@@ -98,11 +98,11 @@ def infinite_lift(b: FrobeniusBundle, verify_cap: int | None = None) -> list | N
     Picks the first j with lambda_j != 0 and sets c = lambda_j^{-1} (T e_j - e_j),
     which forces T_c e_j = e_j, so the recursion preserves a nonzero value at
     coordinate j forever.  Both facts are verified up to ``verify_cap``
-    (default 36, the quartic ns cap) before returning.  When lambda = 0 every
-    lift has index 1 and None is returned.
+    (default m + 1, the rows :func:`ns_lift` reads) before returning.  When
+    lambda = 0 every lift has index 1 and None is returned.
     """
     if verify_cap is None:
-        verify_cap = 36
+        verify_cap = default_ns_cap(b)
     if verify_cap < 1:
         raise UsageError("the verification cap must be positive")
     fld = b.field

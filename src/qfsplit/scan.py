@@ -176,7 +176,9 @@ class _WitnessTables:
         return tuple(self.elems[c] for c in self.points[hits[0]])
 
 
-@lru_cache(maxsize=None)
+# three entries hold one ring's whole search (k <= 3); an unbounded cache
+# would keep every table a process ever built, each up to _MAX_TABLE_BYTES
+@lru_cache(maxsize=3)
 def _tables(ring: RingConfig, k: int) -> _WitnessTables:
     return _WitnessTables(ring, k)
 
@@ -301,8 +303,7 @@ def _evaluate_index(job: ScanJob, index: int) -> dict:
             row["smooth_witness_flag"] = f"no_witness(K={job.witness_extension_bound})"
         else:
             row["smooth_witness_flag"] = f"singular(k={hit[0]})"
-    m = cartier.basis(ring).m
-    report = cartier.artin_report(f, height_cap=m)
+    report = cartier.artin_report(f)
     row["height"] = _fmt(report.height)
     row["ns"] = _fmt(report.ns)
     row["tau"] = _fmt(report.tau)
@@ -445,7 +446,7 @@ def _reverify(ring: RingConfig, coeff_str: str) -> "int | None":
     raws = [parse_scalar(fld, part) for part in coeff_str.split(";")]
     f = bas.polynomial(raws)
     fresh = parse_poly(format_poly(f), ring)
-    report = cartier.artin_report(fresh, height_cap=bas.m)
+    report = cartier.artin_report(fresh)
     if report.tau is None or is_infinite(report.tau):
         return None
     return report.tau

@@ -1,10 +1,11 @@
 """Reported invariant values: finite integers or an audited infinity.
 
 An infinite height / index is always reported together with the cap the
-scan ran to, so "infinity" is auditable.  ``cap=None`` marks values that
-are infinite unconditionally (no scan was needed).  ``exact=False`` marks a
-cap below the proven bound (``cartier.default_height_cap``, m over every
-field), so the scan did not exhaust the recursion.
+walk was allowed, so "infinity" is auditable (the walk may stop earlier, at
+the first stall of the Krylov span).  ``cap=None`` marks values that are
+infinite unconditionally (no walk was needed).  ``exact=False`` marks a
+height cap below the proven bound (``cartier.default_height_cap``, m over
+every field), so the dots past the cap were not tested.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ class Infinite:
             return "infinity"
         kind = "" if self.exact else ", not exhaustive"
         return f"infinity (cap {self.cap}{kind})"
-
-    def __repr__(self):
-        return f"Infinite(cap={self.cap}, exact={self.exact})"
 
 
 def is_infinite(value) -> bool:

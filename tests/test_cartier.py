@@ -1,9 +1,11 @@
 import json
 import random
+from itertools import islice
 
 import pytest
 
 from qfsplit.catalog import (
+    QUINTIC_THREEFOLD_F2,
     RDP_QUARTIC_F2,
     SUPERSINGULAR_QUARTICS_F2,
     SUPERSINGULAR_QUARTICS_F3,
@@ -25,13 +27,14 @@ from qfsplit.cartier import (
     find_axis_line,
     height,
     krylov_matrix,
+    krylov_rows,
     ns_index,
 )
 from qfsplit.errors import ResourceError, UsageError
 from qfsplit.ffield import field
 from qfsplit.lifts import shifted_matrix_direct
 from qfsplit.polyring import Polynomial, RingConfig, delta, parse_poly, poly_pow, u_op
-from qfsplit.values import is_infinite
+from qfsplit.values import Infinite, is_infinite
 
 F2 = field(2)
 F3 = field(3)
@@ -243,6 +246,101 @@ def test_ns_one_iff_lambda_zero_iff_fp2_in_frobenius_power():
             member = in_frobenius_power(poly_pow(f, p - 2), 1)
             ns1 = ns_index(b) == 1
             assert lam0 == member == ns1
+
+
+def _two_walk_reference(b, height_cap=None, ns_cap=None):
+    """Test-only reference: the two walks the shared walk replaced.
+
+    A dot-only walk to the height cap; then, when it found no nonzero dot, a
+    rank walk from R_1 to the ns cap.
+    """
+    hc = b.m if height_cap is None else height_cap
+    nc = b.m + 1 if ns_cap is None else ns_cap
+    ops = b.ops
+    for n, R in enumerate(islice(krylov_rows(b), hc), 1):
+        if not ops.dot_is_zero(R, b.v_col):
+            return n, Infinite(cap=None)
+    h = Infinite(cap=hc, exact=hc >= b.m)
+    tracker = ops.rank_tracker()
+    for n, R in enumerate(islice(krylov_rows(b), nc), 1):
+        if not tracker.add_row(R):
+            return h, n
+    return h, Infinite(cap=nc)
+
+
+# every (height cap, ns cap) pair the comparison runs; None is the default
+WALK_CAPS = [(hc, nc) for hc in (None, 1, 3, 11) for nc in (None, 3)]
+
+# fixed forms: lambda = 0 (ns 1), finite heights 6 and 8 (past caps 1 and
+# 3), and infinite heights with ns 2, 9, 10 and 58 (past ns cap 3)
+WALK_FIXED = [
+    (3, 1, (1, 1, 1, 1), "x^4+y^4+z^4+w^4"),
+    (3, 2, (1, 1, 1, 1), "x^4+y^4+z^4+w^4"),
+    (2, 1, (1, 1, 1, 1), "x^4 + x*z^2*w + y^3*w + y*z^3 + z^4 + w^4"),
+    (3, 1, (1, 1, 1, 1), "x^3*z + 2*x^3*w + x*y^3 + x*y*w^2 + y*z*w^2 + z^4"),
+    (2, 1, (1, 1, 1, 3), "x^5*y + x*y^4*z + x*y*z^4 + x*z^5 + y^6 + y^3*w + w^2"),
+    (2, 1, (1, 1, 1, 1), RDP_QUARTIC_F2.equation),
+    (2, 1, (1, 1, 1, 1), SUPERSINGULAR_QUARTICS_F2[-1].equation),
+    (3, 1, (1, 1, 1, 1), SUPERSINGULAR_QUARTICS_F3[-1].equation),
+    (2, 1, (1, 1, 1, 1, 1), QUINTIC_THREEFOLD_F2.equation),
+]
+
+
+def _walk_forms(p, e, weights, count, seed):
+    """``count`` seeded forms, alternately sparse (2-8 terms) and dense."""
+    ring = RingConfig(field(p, e), weights)
+    monos = basis(ring).monomials
+    units = [a for a in ring.field.elements() if not ring.field.is_zero(a)]
+    rng = random.Random(seed)
+    for i in range(count):
+        k = rng.randint(2, 8) if i % 2 == 0 else len(monos)
+        yield Polynomial(ring, {mono: rng.choice(units) for mono in rng.sample(monos, k)})
+
+
+def _compare_walks(f):
+    """Assert the shared walk equals the two-walk reference at every cap pair."""
+    b = bundle(f)
+    for hc, nc in WALK_CAPS:
+        h_ref, ns_ref = _two_walk_reference(b, hc, nc)
+        assert repr(height(b, cap=hc)) == repr(h_ref), (str(f), hc)
+        assert repr(ns_index(b, cap=nc, height_cap=hc)) == repr(ns_ref), (str(f), hc, nc)
+    return _two_walk_reference(b)
+
+
+@pytest.mark.parametrize("p,e,weights,count", [
+    (2, 1, (1, 1, 1, 1), 40), (3, 1, (1, 1, 1, 1), 30), (5, 1, (1, 1, 1, 1), 8),
+    (2, 2, (1, 1, 1, 1), 30), (3, 2, (1, 1, 1, 1), 8),
+    (2, 1, (1, 1, 1, 3), 40), (3, 1, (1, 1, 1, 3), 30), (5, 1, (1, 1, 1, 3), 6),
+    (2, 1, (1, 1, 1, 1, 1), 6), (3, 1, (1, 1, 1, 1, 1), 8),
+])
+def test_shared_walk_matches_two_walk_reference(p, e, weights, count):
+    seen = set()
+    for f in _walk_forms(p, e, weights, count, seed=p * 100 + e * 10 + len(weights)):
+        h, _ = _compare_walks(f)
+        seen.add(is_infinite(h))
+    # each field and ring meets both ends of the walk: a nonzero dot and a stall
+    assert seen == {True, False}
+
+
+def test_shared_walk_matches_two_walk_reference_on_fixed_forms():
+    heights, nss = [], []
+    for p, e, weights, text in WALK_FIXED:
+        h, ns = _compare_walks(parse_poly(text, RingConfig(field(p, e), weights)))
+        heights.append(h)
+        nss.append(ns)
+    assert heights[2:4] == [6, 8]
+    assert nss[:2] == [1, 1] and nss[5:] == [2, 9, 10, 58]
+
+
+def test_walk_stops_at_the_first_stall(step_counting):
+    # the ns = 58 quintic: 58 rows (57 steps), where the two walks took
+    # 126 rows for the height and 58 more for ns
+    b = step_counting(bundle(QUINTIC_THREEFOLD_F2.polynomial()))
+    assert is_infinite(height(b)) and b.ops.calls == 57
+    assert ns_index(b) == 58 and b.ops.calls == 57  # the same walk, from the memo
+    # another cap pair is another walk, which stops at the same stall
+    assert repr(height(b, cap=11)) == repr(Infinite(cap=11, exact=False))
+    assert b.ops.calls == 2 * 57
 
 
 def test_height_cap_recorded():

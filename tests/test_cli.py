@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import qfsplit
+from qfsplit.catalog import SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
 from qfsplit.cli import main
 
 VALUE_SCHEMA = {
@@ -68,6 +69,31 @@ def test_artin_json_schema_and_values_match_text(capsys):
     assert "ns         = 9" in text_out
     assert doc["height"]["value"] == "infinity"
     assert "height     = infinity" in text_out
+
+
+@pytest.mark.parametrize("entry", [SUPERSINGULAR_QUARTICS_F2[0], SUPERSINGULAR_QUARTICS_F3[9]],
+                         ids=lambda e: e.name)
+def test_artin_height_cap_of_a_k3_row_is_m(capsys, entry):
+    # the default height cap on K3 rings is m = 35, exhaustive by proof; a
+    # cap below m is reported as not exact, whatever the family
+    argv = ["artin", "-p", str(entry.p), "--format", "json", entry.equation]
+    if entry.line:
+        argv += ["--line", ",".join(map(str, entry.line))]
+    docs = {}
+    for cap in (None, 11):
+        code, out, _ = run_cli(capsys, *argv, *(["--cap", str(cap)] if cap else []))
+        assert code == 0
+        docs[cap] = json.loads(out)
+    default, capped = docs[None], docs[11]
+    assert default["caps_used"] == {"height": 35, "ns": 36}
+    assert default["height"] == {"value": "infinity", "cap": 35, "exact": True}
+    assert default["provenance"]["height"] == {"method": "krylov-matrix", "cap": 35, "exact": True}
+    assert capped["caps_used"] == {"height": 11, "ns": 36}
+    assert capped["height"] == {"value": "infinity", "cap": 11, "exact": False}
+    assert capped["provenance"]["height"] == {"method": "krylov-matrix", "cap": 11, "exact": False}
+    for doc in (default, capped):
+        assert doc["ns"] == doc["tau"] == {"value": entry.expected_sigma, "cap": None}
+        assert doc["sigma_note"] == "equals_tau"
 
 
 def test_height_json(capsys):

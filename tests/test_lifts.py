@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qfsplit.catalog import SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
+from qfsplit.catalog import QUINTIC_THREEFOLD_F2, SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
 from qfsplit.cartier import bundle, krylov_matrix, ns_index
 from qfsplit.errors import UsageError
 from qfsplit.ffield import field
@@ -100,6 +100,18 @@ def test_infinite_lift_construction():
     col = [shift.T_c[i][j] for i in range(b.m)]
     expected = [1 if i == j else 0 for i in range(b.m)]
     assert col == expected
+
+
+@pytest.mark.parametrize("weights,equation", [
+    ((1, 1, 1, 3), "x^5*y + x*y^4*z + x*y*z^4 + x*z^5 + y^6 + y^3*w + w^2"),
+    (QUINTIC_THREEFOLD_F2.weights, QUINTIC_THREEFOLD_F2.equation),
+], ids=["sextic", "quintic-ns58"])
+def test_infinite_lift_checks_every_row_ns_lift_reads(step_counting, weights, equation):
+    # by default the self-check walks R_{c,1}..R_{c,m+1}, the rows ns_lift
+    # reads at its default cap: m steps (39 on sextics, 126 on the quintic)
+    b = step_counting(bundle(parse_poly(equation, RingConfig(F2, weights))))
+    assert infinite_lift(b) is not None
+    assert b.ops.calls == b.m
 
 
 def test_infinite_lift_none_when_lambda_zero():

@@ -69,6 +69,21 @@ def test_sextic_with_vanishing_derivatives_is_caught():
     assert hit is not None and hit[0] == 1
 
 
+def test_witness_tables_cache_holds_one_ring_search():
+    scan._tables.cache_clear()
+    f2 = parse_poly("x^4 + x^2*y^2 + x*y^3 + y*w^3 + z^3*w", R2)  # smooth catalog row
+    f3 = parse_poly("x^4+y^4+z^4+w^4", R3)
+    assert singular_witness(f2, 3) is None  # tables for k = 1, 2, 3
+    assert singular_witness(f3, 2) is None  # two more: the oldest two go
+    info = scan._tables.cache_info()
+    assert info.maxsize == 3 and info.currsize == 3 and info.misses == 5
+    # the last ring's whole search is still cached
+    assert singular_witness(f3, 2) is None
+    assert scan._tables.cache_info().hits == info.hits + 2
+    assert singular_witness(f2, 1) is None
+    assert scan._tables.cache_info().misses == 6
+
+
 def test_witness_validates_input():
     F4 = field(2, 2)
     f = parse_poly("x^4+y^4+z^4+w^4", RingConfig(F4, (1, 1, 1, 1)))
