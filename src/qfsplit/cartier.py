@@ -23,7 +23,7 @@ oracle for small n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -136,9 +136,10 @@ def _residue_columns(ring: RingConfig) -> dict:
 class FrobeniusBundle:
     """The data (basis, f, v_f, lambda, T); construction via :func:`bundle`.
 
-    The backend forms of T (the Krylov step matrix), lambda and v_f are built
-    once, by ``ops`` (default the field's :func:`_linalg.make_ops` backend).
-    Semantically immutable; Krylov walks are memoized, so share an
+    The backend forms of lambda and v_f are built once, by ``ops`` (default
+    the field's :func:`_linalg.make_ops` backend); the step matrix ``T_mat``
+    is built on first use, since a walk that stops at R_1 never reads it.
+    Semantically immutable; the Krylov walk is memoized, so share an
     instance across threads only behind a lock (or keep instances
     thread-local, as the scan workers do).
     """
@@ -150,10 +151,14 @@ class FrobeniusBundle:
         self.lam = lam
         self.T = T
         self.ops = ops if ops is not None else _linalg.make_ops(bas.ring.field)
-        self.T_mat = self.ops.matrix(T)
         self.lam_row = self.ops.row(lam)
         self.v_col = self.ops.column(v_f)
-        self._walks: dict = {}
+        self._walked: tuple | None = None
+
+    @cached_property
+    def T_mat(self):
+        """T as the backend's Krylov step matrix."""
+        return self.ops.matrix(self.T)
 
     @property
     def ring(self) -> RingConfig:
@@ -240,17 +245,18 @@ def krylov_rows(b: FrobeniusBundle, T=None) -> Iterator:
     """The backend rows R_1 = F(lambda), R_{n+1} = F(R_n T), without end.
 
     ``T`` is a step matrix from ``b.ops.matrix`` (default the bundle's
-    own), so each step is one ``row_times_matrix`` call.  Each row is
-    computed only when the consumer asks for it, so taking n rows costs n-1
-    steps.
+    own, read only once a second row is asked for), so each step is one
+    ``row_times_matrix`` call.  Each row is computed only when the consumer
+    asks for it, so taking n rows costs n-1 steps.
     """
     ops = b.ops
+    R = ops.frobenius_row(b.lam_row)
+    yield R
     if T is None:
         T = b.T_mat
-    R = ops.frobenius_row(b.lam_row)
     while True:
-        yield R
         R = ops.row_times_matrix(R, T)
+        yield R
 
 
 def shifted_matrix(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
@@ -290,58 +296,43 @@ def default_ns_cap(b: FrobeniusBundle) -> int:
     return b.m + 1
 
 
-def _walk(b: FrobeniusBundle, height_cap: int | None, ns_cap: int | None) -> tuple:
-    """(height, ns) from one pass over R_1, R_2, ..., memoized per cap pair.
+def _walk(b: FrobeniusBundle) -> tuple:
+    """(height, ns) from one pass over R_1, R_2, ..., memoized on the bundle.
 
-    The pass stops at the first n <= height_cap with R_n . v_f != 0 (height
-    n, ns infinite) or at the first stall, R_n in span(R_1..R_{n-1}) (ns = n
-    when n <= ns_cap).  Past a stall no dot is nonzero (see
-    :func:`default_height_cap`), so the height is then infinite.
+    The pass stops at the first n with R_n . v_f != 0 (height n, ns
+    infinite) or at the first stall, R_n in span(R_1..R_{n-1}) (ns = n).
+    Past a stall no dot is nonzero (see :func:`default_height_cap`), so the
+    height is then infinite.  The rows lie in F_q^m, so one of the two stops
+    comes by n = m + 1 (see :func:`default_ns_cap`).
     """
-    if height_cap is None:
-        height_cap = default_height_cap(b)
-    if ns_cap is None:
-        ns_cap = default_ns_cap(b)
-    if ns_cap < 1:
-        raise UsageError("the ns cap must be positive")
-    if height_cap < 1:
-        raise UsageError("the height cap must be positive")
-    key = (height_cap, ns_cap)
-    cached = b._walks.get(key)
-    if cached is not None:
-        return cached
+    if b._walked is not None:
+        return b._walked
     ops = b.ops
     v = b.v_col
     tracker = ops.rank_tracker()
-    h = None
-    ns = Infinite(cap=ns_cap)
-    for n, R in enumerate(islice(krylov_rows(b), max(height_cap, ns_cap)), 1):
-        if n <= height_cap and not ops.dot_is_zero(R, v):
-            h, ns = n, Infinite(cap=None)
-            break
+    for n, R in enumerate(islice(krylov_rows(b), default_ns_cap(b)), 1):
+        if not ops.dot_is_zero(R, v):
+            b._walked = (n, Infinite(cap=None))
+            return b._walked
         if not tracker.add_row(R):
-            if n <= ns_cap:
-                ns = n
-            break
-    if h is None:
-        h = Infinite(cap=height_cap, exact=height_cap >= default_height_cap(b))
-    b._walks[key] = (h, ns)
-    return h, ns
+            b._walked = (Infinite(cap=default_height_cap(b)), n)
+            return b._walked
+    raise AssertionError("m + 1 Krylov rows in F_q^m without a stall")
 
 
-def height(b: FrobeniusBundle, cap: int | None = None):
-    """Least n <= cap with R_n v_f != 0, else an audited infinity."""
-    return _walk(b, cap, None)[0]
+def height(b: FrobeniusBundle):
+    """Least n with R_n v_f != 0 (at most m), else an infinity at cap m."""
+    return _walk(b)[0]
 
 
-def ns_index(b: FrobeniusBundle, cap: int | None = None, height_cap: int | None = None):
+def ns_index(b: FrobeniusBundle):
     """Non-splitting index: first rank drop of the stacked rows R_1..R_n.
 
     Defined (and finite, at most m+1) when the height is infinite; when the
     height is finite the hypersurface is quasi-F-split and the index is
     unconditionally infinite.  Shares its walk with :func:`height`.
     """
-    return _walk(b, height_cap, cap)[1]
+    return _walk(b)[1]
 
 
 def krylov_matrix(b: FrobeniusBundle, n: int, c: Sequence[RawElement] | None = None) -> list:
@@ -495,11 +486,7 @@ def tau_from_ns(ns) -> "int | Infinite":
     return ns if ns <= 9 else 10
 
 
-def artin_report(
-    f: Polynomial,
-    line: tuple | None = None,
-    height_cap: int | None = None,
-) -> InvariantReport:
+def artin_report(f: Polynomial, line: tuple | None = None) -> InvariantReport:
     """Full invariant report: height, ns, and for the two K3 families tau.
 
     tau is the Artin invariant only when V(f) is smooth, which is the
@@ -514,11 +501,10 @@ def artin_report(
     if line is not None:
         _check_axis_line(f, line)
     b = bundle(f)
-    if height_cap is None:
-        height_cap = default_height_cap(b)
+    height_cap = default_height_cap(b)
     ns_cap = default_ns_cap(b)
-    h = height(b, cap=height_cap)
-    ns = ns_index(b, cap=ns_cap, height_cap=height_cap)
+    h = height(b)
+    ns = ns_index(b)
 
     if fam == FAMILY_GENERAL:
         tau = None
@@ -531,11 +517,7 @@ def artin_report(
             note = SIGMA_EQUALS_TAU if line is not None else SIGMA_AMBIGUOUS
 
     provenance = {
-        "height": {
-            "method": "krylov-matrix",
-            "cap": height_cap,
-            "exact": (not is_infinite(h)) or h.exact,
-        },
+        "height": {"method": "krylov-matrix", "cap": height_cap, "exact": True},
         "ns": (
             {"method": "rank-profile", "cap": ns_cap}
             if is_infinite(h)

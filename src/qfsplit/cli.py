@@ -66,11 +66,10 @@ def _cmd_height(args) -> int:
     ring = _build_ring(args)
     f = parse_poly(args.equation, ring)
     b = cartier.bundle(f)
-    cap = args.cap if args.cap else cartier.default_height_cap(b)
-    h = cartier.height(b, cap=cap)
+    h = cartier.height(b)
     doc = _common_doc(f)
     doc.update({"invariant": "height", "result": value_to_json(h),
-                "method": "krylov-matrix", "cap": cap})
+                "method": "krylov-matrix", "cap": cartier.default_height_cap(b)})
     _emit(args, [f"height = {h}"], doc)
     return 0
 
@@ -79,11 +78,10 @@ def _cmd_ns(args) -> int:
     ring = _build_ring(args)
     f = parse_poly(args.equation, ring)
     b = cartier.bundle(f)
-    cap = args.cap or cartier.default_ns_cap(b)
-    ns = cartier.ns_index(b, cap=cap)
+    ns = cartier.ns_index(b)
     doc = _common_doc(f)
     doc.update({"invariant": "ns", "result": value_to_json(ns),
-                "method": "rank-profile", "cap": cap})
+                "method": "rank-profile", "cap": cartier.default_ns_cap(b)})
     _emit(args, [f"ns = {ns}"], doc)
     return 0
 
@@ -92,7 +90,7 @@ def _cmd_artin(args) -> int:
     ring = _build_ring(args)
     f = parse_poly(args.equation, ring)
     line = tuple(_csv_ints(args.line)) if args.line else None
-    report = cartier.artin_report(f, line=line, height_cap=args.cap or None)
+    report = cartier.artin_report(f, line=line)
     lines = [
         f"family     = {report.family}",
         f"height     = {report.height}",
@@ -115,12 +113,12 @@ def _cmd_lift(args) -> int:
         raise UsageError("lift needs exactly one of --c, --random, --find-infinite")
 
     if args.find_infinite:
-        c = lifts.infinite_lift(b, verify_cap=args.cap or None)
+        c = lifts.infinite_lift(b)
         if c is None:
             _emit(args, ["lambda = 0: every lift has ns 1; no infinite lift exists"],
                   {**doc, "infinite_lift": None, "reason": "lambda_zero"})
             return 0
-        v = lifts.ns_lift(lifts.t_shifted(b, c), cap=args.cap or None)
+        v = lifts.ns_lift(lifts.t_shifted(b, c))
         cstr = ",".join(fld.format(x) for x in c)
         _emit(args, [f"c = {cstr}", f"ns_lift = {v}"],
               {**doc, "infinite_lift": cstr, "ns_lift": value_to_json(v)})
@@ -131,7 +129,7 @@ def _cmd_lift(args) -> int:
         if len(parts) != b.m:
             raise UsageError(f"--c needs {b.m} comma-separated field elements")
         c = [parse_scalar(fld, part) for part in parts]
-        v = lifts.ns_lift(lifts.t_shifted(b, c), cap=args.cap or None)
+        v = lifts.ns_lift(lifts.t_shifted(b, c))
         _emit(args, [f"ns_lift = {v}"], {**doc, "ns_lift": value_to_json(v)})
         return 0
 
@@ -142,7 +140,7 @@ def _cmd_lift(args) -> int:
     results = {}
     for i in range(n):
         c = scan.sample(args.seed, i, ring)
-        v = lifts.ns_lift(lifts.t_shifted(b, c), cap=args.cap or None)
+        v = lifts.ns_lift(lifts.t_shifted(b, c))
         key = "infinity" if is_infinite(v) else str(v)
         results[key] = results.get(key, 0) + 1
     lines = [f"ns(f) = {ns_f}"] + [f"ns_lift {k}: {v} draws" for k, v in sorted(results.items())]
@@ -299,7 +297,6 @@ _SHARED_OPTIONS = {
     "--ext-degree": dict(type=int, default=1, help="extension degree e"),
     "--modulus": dict(help="extension modulus coefficients, constant first"),
     "--weights": dict(default="1,1,1,1", help="variable weights, e.g. 1,1,1,3"),
-    "--cap": dict(type=int, default=0, help="override the iteration cap"),
     "--seed": dict(type=int, default=0, help="seed for randomized paths"),
     "--format": dict(choices=("text", "json"), default="text"),
 }
@@ -321,10 +318,10 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, flags in (
-        ("height", _cmd_height, _RING_OPTIONS + ("--cap",)),
-        ("ns", _cmd_ns, _RING_OPTIONS + ("--cap",)),
-        ("artin", _cmd_artin, _RING_OPTIONS + ("--cap",)),
-        ("lift", _cmd_lift, _RING_OPTIONS + ("--cap", "--seed")),
+        ("height", _cmd_height, _RING_OPTIONS),
+        ("ns", _cmd_ns, _RING_OPTIONS),
+        ("artin", _cmd_artin, _RING_OPTIONS),
+        ("lift", _cmd_lift, _RING_OPTIONS + ("--seed",)),
         ("check-smooth", _cmd_check_smooth, _RING_OPTIONS),
     ):
         sub = subs.add_parser(name)

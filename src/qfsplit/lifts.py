@@ -71,40 +71,41 @@ def shifted_matrix_direct(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
     return columns_from_kernel(b.basis, shifted_kernel)
 
 
-def ns_lift(shift: LiftShift, cap: int | None = None):
+def ns_lift(shift: LiftShift):
     """Non-splitting index of the lifted equation: first n with R_{c,n} = 0.
 
     Requires the base height to be infinite (otherwise the recursion does not
-    encode the lift's index); default cap m+1 covers every finite value the
-    value-set property allows.
+    encode the lift's index).  Reading R_{c,1}..R_{c,m+1} is exhaustive, so
+    the infinity at cap m + 1 is exact:
+
+    * L(R) = F(R T_c) is Frobenius-semilinear, R_{c,n+1} = L(R_{c,n}), and
+      W, the F_q-span of the orbit R_{c,1}, R_{c,2}, ..., is L-stable;
+    * if R_{c,N} = 0 then L^N kills every orbit row, hence all of W;
+    * ker(L^j) on W is an F_q-subspace, and the chain ker L <= ker L^2 <= ...
+      is constant from its first stall on (x in ker L^(j+2) puts L(x) in
+      ker L^(j+1) = ker L^j), so it grows strictly until it fills W;
+    * hence L^(dim W) kills W, R_{c,dim W + 1} = 0, and dim W <= m.
     """
     b = shift.bundle
-    if cap is None:
-        cap = default_ns_cap(b)
-    if cap < 1:
-        raise UsageError("the lift ns cap must be positive")
     if not is_infinite(height(b)):
         raise UsageError("lift indices are defined only over a non-quasi-F-split base")
     ops = b.ops
+    cap = default_ns_cap(b)
     for n, R in enumerate(islice(krylov_rows(b, ops.matrix(shift.T_c)), cap), 1):
         if ops.is_zero_row(R):
             return n
     return Infinite(cap=cap)
 
 
-def infinite_lift(b: FrobeniusBundle, verify_cap: int | None = None) -> list | None:
+def infinite_lift(b: FrobeniusBundle) -> list | None:
     """A shift c with ns_lift = infinity, or None when lambda = 0.
 
     Picks the first j with lambda_j != 0 and sets c = lambda_j^{-1} (T e_j - e_j),
     which forces T_c e_j = e_j, so the recursion preserves a nonzero value at
-    coordinate j forever.  Both facts are verified up to ``verify_cap``
-    (default m + 1, the rows :func:`ns_lift` reads) before returning.  When
-    lambda = 0 every lift has index 1 and None is returned.
+    coordinate j forever.  Both facts are verified on R_{c,1}..R_{c,m+1},
+    the rows :func:`ns_lift` reads, before returning.  When lambda = 0 every
+    lift has index 1 and None is returned.
     """
-    if verify_cap is None:
-        verify_cap = default_ns_cap(b)
-    if verify_cap < 1:
-        raise UsageError("the verification cap must be positive")
     fld = b.field
     j = next((i for i, v in enumerate(b.lam) if not fld.is_zero(v)), None)
     if j is None:
@@ -124,7 +125,7 @@ def infinite_lift(b: FrobeniusBundle, verify_cap: int | None = None) -> list | N
             raise AssertionError("fixed-column identity T_c e_j = e_j failed")
 
     ops = b.ops
-    for R in islice(krylov_rows(b, ops.matrix(shift.T_c)), verify_cap):
+    for R in islice(krylov_rows(b, ops.matrix(shift.T_c)), default_ns_cap(b)):
         if fld.is_zero(ops.row_to_raw(R)[j]):
             raise AssertionError("R_{c,n} e_j vanished; construction invariant broken")
     return c

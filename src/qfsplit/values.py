@@ -2,10 +2,10 @@
 
 An infinite height / index is always reported together with the cap the
 walk was allowed, so "infinity" is auditable (the walk may stop earlier, at
-the first stall of the Krylov span).  ``cap=None`` marks values that are
-infinite unconditionally (no walk was needed).  ``exact=False`` marks a
-height cap below the proven bound (``cartier.default_height_cap``, m over
-every field), so the dots past the cap were not tested.
+the first stall of the Krylov span).  Every cap is the proven bound
+(``cartier.default_height_cap`` = m, ``cartier.default_ns_cap`` = m + 1),
+so every infinity is exhaustive.  ``cap=None`` marks values that are
+infinite unconditionally (no walk was needed).
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Infinite:
     cap: int | None = None
-    exact: bool = True
 
     def __str__(self):
         if self.cap is None:
             return "infinity"
-        kind = "" if self.exact else ", not exhaustive"
-        return f"infinity (cap {self.cap}{kind})"
+        return f"infinity (cap {self.cap})"
 
 
 def is_infinite(value) -> bool:
@@ -30,7 +28,10 @@ def is_infinite(value) -> bool:
 
 
 def value_to_json(value) -> dict:
-    """Uniform JSON shape: {"value": int | "infinity", "cap": int | None}."""
+    """Uniform JSON shape: {"value": int | "infinity", "cap": int | None}.
+
+    An infinity also carries ``"exact": true``: its cap is a proven bound.
+    """
     if is_infinite(value):
-        return {"value": "infinity", "cap": value.cap, "exact": value.exact}
+        return {"value": "infinity", "cap": value.cap, "exact": True}
     return {"value": value, "cap": None}

@@ -5,13 +5,19 @@ from qfsplit.cartier import FrobeniusBundle
 
 
 class StepCountingOps(_linalg.PrimeOps):
-    """The production backend, counting its Krylov steps (``row_times_matrix`` calls)."""
+    """The production backend, counting its Krylov steps (``row_times_matrix`` calls)
+    and the step matrices it builds (``matrix`` calls)."""
 
     calls = 0
+    matrix_calls = 0
 
     def row_times_matrix(self, R, T):
         self.calls += 1
         return super().row_times_matrix(R, T)
+
+    def matrix(self, T):
+        self.matrix_calls += 1
+        return super().matrix(T)
 
 
 @pytest.fixture

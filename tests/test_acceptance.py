@@ -147,7 +147,7 @@ def test_criterion_07_lift_value_set_property():
         p = b.field.p
         for _ in range(100):
             c = [rng.randrange(p) for _ in range(b.m)]
-            v = lifts.ns_lift(lifts.t_shifted(b, c), cap=cap)
+            v = lifts.ns_lift(lifts.t_shifted(b, c))
             if is_infinite(v):
                 assert v.cap == cap
             else:
@@ -165,7 +165,7 @@ def test_criterion_08_infinite_lift_construction():
         if b.lam_is_zero():
             assert lifts.infinite_lift(b) is None
             continue
-        c = lifts.infinite_lift(b, verify_cap=36)  # verifies R_{c,n} e_j != 0, n <= 36
+        c = lifts.infinite_lift(b)  # verifies R_{c,n} e_j != 0, n <= 36
         j = next(i for i, v in enumerate(b.lam) if not fld.is_zero(v))
         shift = lifts.t_shifted(b, c)
         for i in range(b.m):

@@ -58,6 +58,12 @@ def test_artin_text_report(capsys):
     assert "tau        = 3" in out
 
 
+HEIGHT_4_QUARTIC = (
+    "x0^4 + x0^3*x1 + x0^2*x1*x3 + x0^2*x2*x3 + x0^2*x3^2 + x0*x1^3 + x0*x2^3"
+    " + x0*x2*x3^2 + x1^4 + x1^3*x3 + x1*x2^3 + x2^4 + x2^2*x3^2"
+)
+
+
 def test_artin_json_schema_and_values_match_text(capsys):
     eq = "x^4 + xy^3 + yw^3 + z^3w"
     code, text_out, _ = run_cli(capsys, "artin", "-p", "2", eq)
@@ -69,31 +75,31 @@ def test_artin_json_schema_and_values_match_text(capsys):
     assert "ns         = 9" in text_out
     assert doc["height"]["value"] == "infinity"
     assert "height     = infinity" in text_out
+    # height 4: a walk that stopped reading dots at R_2 would miss it and
+    # report ns = 13, tau = 10 as definite values
+    code, json_out, _ = run_cli(capsys, "artin", "-p", "2", "--format", "json", HEIGHT_4_QUARTIC)
+    assert code == 0
+    doc = json.loads(json_out)
+    jsonschema.validate(doc, ARTIN_SCHEMA)
+    assert doc["height"] == {"value": 4, "cap": None}
+    assert doc["ns"] == doc["tau"] == {"value": "infinity", "cap": None, "exact": True}
 
 
 @pytest.mark.parametrize("entry", [SUPERSINGULAR_QUARTICS_F2[0], SUPERSINGULAR_QUARTICS_F3[9]],
                          ids=lambda e: e.name)
 def test_artin_height_cap_of_a_k3_row_is_m(capsys, entry):
-    # the default height cap on K3 rings is m = 35, exhaustive by proof; a
-    # cap below m is reported as not exact, whatever the family
+    # the height cap on K3 rings is m = 35, exhaustive by proof
     argv = ["artin", "-p", str(entry.p), "--format", "json", entry.equation]
     if entry.line:
         argv += ["--line", ",".join(map(str, entry.line))]
-    docs = {}
-    for cap in (None, 11):
-        code, out, _ = run_cli(capsys, *argv, *(["--cap", str(cap)] if cap else []))
-        assert code == 0
-        docs[cap] = json.loads(out)
-    default, capped = docs[None], docs[11]
-    assert default["caps_used"] == {"height": 35, "ns": 36}
-    assert default["height"] == {"value": "infinity", "cap": 35, "exact": True}
-    assert default["provenance"]["height"] == {"method": "krylov-matrix", "cap": 35, "exact": True}
-    assert capped["caps_used"] == {"height": 11, "ns": 36}
-    assert capped["height"] == {"value": "infinity", "cap": 11, "exact": False}
-    assert capped["provenance"]["height"] == {"method": "krylov-matrix", "cap": 11, "exact": False}
-    for doc in (default, capped):
-        assert doc["ns"] == doc["tau"] == {"value": entry.expected_sigma, "cap": None}
-        assert doc["sigma_note"] == "equals_tau"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["caps_used"] == {"height": 35, "ns": 36}
+    assert doc["height"] == {"value": "infinity", "cap": 35, "exact": True}
+    assert doc["provenance"]["height"] == {"method": "krylov-matrix", "cap": 35, "exact": True}
+    assert doc["ns"] == doc["tau"] == {"value": entry.expected_sigma, "cap": None}
+    assert doc["sigma_note"] == "equals_tau"
 
 
 def test_height_json(capsys):
@@ -223,10 +229,11 @@ REJECTED = {
     ("height", "--seed", "1", "x^4"): "unrecognized arguments",
     ("check-smooth", "--cap", "2", "x^4"): "unrecognized arguments",
     ("delsarte", "--family", "0", "-p", "7", "--ext-degree", "2"): "unrecognized arguments",
-    ("ns", "--cap", "-1", SS_QUARTIC): "cap must be positive",
-    ("lift", "--cap", "-1", "--find-infinite", SS_QUARTIC): "cap must be positive",
-    ("lift", "--cap", "-1", "--c", ",".join(["0"] * 35), SS_QUARTIC): "cap must be positive",
-    ("lift", "--cap", "-1", "--random", "3", SS_QUARTIC): "cap must be positive",
+    # every walk runs to its proven bound; no subcommand takes a cap
+    ("height", "--cap", "3", SS_QUARTIC): "unrecognized arguments",
+    ("ns", "--cap", "3", SS_QUARTIC): "unrecognized arguments",
+    ("artin", "--cap", "3", SS_QUARTIC): "unrecognized arguments",
+    ("lift", "--cap", "3", "--c", ",".join(["0"] * 35), SS_QUARTIC): "unrecognized arguments",
     ("lift", "--random", "-3", SS_QUARTIC): "positive number of draws",
     ("artin", "--line", "0,9", SS_QUARTIC): "two distinct variable indices",
     ("artin", "--line", "0", SS_QUARTIC): "two distinct variable indices",

@@ -1,9 +1,10 @@
 import random
+from itertools import islice
 
 import pytest
 
 from qfsplit.catalog import QUINTIC_THREEFOLD_F2, SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
-from qfsplit.cartier import bundle, krylov_matrix, ns_index
+from qfsplit.cartier import bundle, krylov_matrix, krylov_rows, ns_index
 from qfsplit.errors import UsageError
 from qfsplit.ffield import field
 from qfsplit.lifts import (
@@ -14,7 +15,7 @@ from qfsplit.lifts import (
     t_shifted,
 )
 from qfsplit.polyring import RingConfig, parse_poly
-from qfsplit.values import is_infinite
+from qfsplit.values import Infinite, is_infinite
 
 F2 = field(2)
 F3 = field(3)
@@ -65,6 +66,36 @@ def test_ns_lift_value_set_small():
             assert is_infinite(v) or v == expected
 
 
+# rows whose seeded shifts give both finite and infinite lift indices
+@pytest.mark.parametrize("entry,ext_degree", [
+    (SIGMA3_F2, 1), (SUPERSINGULAR_QUARTICS_F2[6], 1), (SUPERSINGULAR_QUARTICS_F3[2], 1),
+    (SUPERSINGULAR_QUARTICS_F2[6], 2),
+], ids=["f2-sigma3", "f2-sigma9", "f3-sigma3", "f4-sigma9"])
+def test_ns_lift_bound_is_exhaustive(entry, ext_degree):
+    # the proof in ns_lift: a lift row that is nonzero through R_{c,m+1}
+    # never vanishes, so the first zero row among R_{c,1}..R_{c,2m+2} is the
+    # index ns_lift reports, and an infinite index leaves all of them nonzero
+    b = bundle(parse_poly(entry.equation, RingConfig(field(entry.p, ext_degree), entry.weights)))
+    ops = b.ops
+    fld = b.field
+    elems = list(fld.elements())
+    rng = random.Random(entry.p * 10 + ext_degree)
+    # the plain lift, sparse and dense seeded shifts, and the constructed infinite one
+    shifts = [[fld.zero] * b.m, infinite_lift(b)]
+    for density in (0.05, 0.2, 1.0) * 4:
+        shifts.append([rng.choice(elems) if rng.random() < density else fld.zero
+                       for _ in range(b.m)])
+    seen = set()
+    for c in shifts:
+        shift = t_shifted(b, c)
+        rows = islice(krylov_rows(b, ops.matrix(shift.T_c)), 2 * b.m + 2)
+        first_zero = next((n for n, R in enumerate(rows, 1) if ops.is_zero_row(R)), None)
+        expected = Infinite(cap=b.m + 1) if first_zero is None else first_zero
+        assert repr(ns_lift(shift)) == repr(expected), c
+        seen.add(first_zero is None)
+    assert seen == {True, False}
+
+
 def test_trivial_shift_value_on_sigma4_row():
     # c = 0 gives the plain lift; its index is ns(f) or infinity, nothing else
     b = bundle(SIGMA4_F3.polynomial())
@@ -90,9 +121,9 @@ def test_ns_lift_requires_infinite_base_height():
 
 def test_infinite_lift_construction():
     b = bundle(SIGMA3_F2.polynomial())
-    c = infinite_lift(b, verify_cap=36)
+    c = infinite_lift(b)
     assert c is not None
-    v = ns_lift(t_shifted(b, c), cap=40)
+    v = ns_lift(t_shifted(b, c))
     assert is_infinite(v)
     # the construction fixes the standard basis column exactly
     j = next(i for i, lam in enumerate(b.lam) if lam)
@@ -107,8 +138,8 @@ def test_infinite_lift_construction():
     (QUINTIC_THREEFOLD_F2.weights, QUINTIC_THREEFOLD_F2.equation),
 ], ids=["sextic", "quintic-ns58"])
 def test_infinite_lift_checks_every_row_ns_lift_reads(step_counting, weights, equation):
-    # by default the self-check walks R_{c,1}..R_{c,m+1}, the rows ns_lift
-    # reads at its default cap: m steps (39 on sextics, 126 on the quintic)
+    # the self-check walks R_{c,1}..R_{c,m+1}, the rows ns_lift reads at
+    # its proven bound: m steps (39 on sextics, 126 on the quintic)
     b = step_counting(bundle(parse_poly(equation, RingConfig(F2, weights))))
     assert infinite_lift(b) is not None
     assert b.ops.calls == b.m
