@@ -11,6 +11,8 @@ through Weil restriction to F_p; F_p itself is the case e = 1:
 * :meth:`PrimeOps.matrix` turns T into the step matrix of the Krylov map
   R -> F(R T): block (i, j) is the multiplication matrix of T_ij times the
   Frobenius matrix, so one Krylov step is one ``row @ mat % p``;
+* :meth:`PrimeOps.shift_matrix` turns that matrix into the step matrix of a
+  lift's T - c * lambda by a rank-e update, never building T_c entrywise;
 * the F_q-span of rows R_1..R_n is the F_p-span of their multiples
   t^k R_i, so the F_q-rank is the F_p-rank divided by e.
 
@@ -108,6 +110,17 @@ class PrimeOps:
         out[ii, :, jj, :] = self._blocks(vecs, self.steps)
         return out.reshape(m * e, m * e)
 
+    def shift_matrix(self, mat, lam_row, c):
+        """The step matrix of T - c * lambda, from the step matrix ``mat`` of T.
+
+        Block (i, j) of T's is M(T_ij) Frob and M is multiplicative, so the
+        shift subtracts M(c_i) M(lambda_j) Frob: column(c) times the (e, m*e)
+        row of blocks M(lambda_j) Frob, a rank-e update.
+        """
+        e = self.e
+        lam = self._blocks(lam_row.reshape(-1, e), self.steps).transpose(1, 0, 2).reshape(e, -1)
+        return (mat - self.column(c) @ lam) % self.p
+
     def row_to_raw(self, row) -> list:
         if self.e == 1:
             return row.tolist()
@@ -191,6 +204,14 @@ class GenericOps:
 
     def matrix(self, rows) -> list:
         return [list(r) for r in rows]
+
+    def shift_matrix(self, mat, lam_row, c) -> list:
+        """T - c * lambda (column c times row lambda) as raw rows."""
+        f = self.field
+        return [
+            list(row) if f.is_zero(ci) else [f.sub(t, f.mul(ci, l)) for t, l in zip(row, lam_row)]
+            for row, ci in zip(mat, c)
+        ]
 
     def row_to_raw(self, row) -> list:
         return list(row)

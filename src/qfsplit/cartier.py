@@ -244,8 +244,8 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
 def krylov_rows(b: FrobeniusBundle, T=None) -> Iterator:
     """The backend rows R_1 = F(lambda), R_{n+1} = F(R_n T), without end.
 
-    ``T`` is a step matrix from ``b.ops.matrix`` (default the bundle's
-    own, read only once a second row is asked for), so each step is one
+    ``T`` is a step matrix from ``b.ops`` (default the bundle's own, read
+    only once a second row is asked for), so each step is one
     ``row_times_matrix`` call.  Each row is computed only when the consumer
     asks for it, so taking n rows costs n-1 steps.
     """
@@ -257,21 +257,6 @@ def krylov_rows(b: FrobeniusBundle, T=None) -> Iterator:
     while True:
         R = ops.row_times_matrix(R, T)
         yield R
-
-
-def shifted_matrix(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
-    """T - c * lambda (column c times row lambda) as raw rows."""
-    if len(c) != b.m:
-        raise UsageError(f"shift vector must have length {b.m}, got {len(c)}")
-    fld = b.field
-    lam = b.lam
-    out = []
-    for row, ci in zip(b.T, c):
-        if fld.is_zero(ci):
-            out.append(list(row))
-        else:
-            out.append([fld.sub(t, fld.mul(ci, l)) for t, l in zip(row, lam)])
-    return out
 
 
 def default_height_cap(b: FrobeniusBundle) -> int:
@@ -335,19 +320,16 @@ def ns_index(b: FrobeniusBundle):
     return _walk(b)[1]
 
 
-def krylov_matrix(b: FrobeniusBundle, n: int, c: Sequence[RawElement] | None = None) -> list:
-    """The n rows R_{c,1}, ..., R_{c,n} of the (optionally shifted) recursion.
+def krylov_matrix(b: FrobeniusBundle, n: int, T=None) -> list:
+    """The n rows R_1, ..., R_n as raw values, against the step matrix ``T``.
 
-    With a shift vector c the recursion runs against T - c*lambda; this is
-    the same recursion as F(R T - (R . c) lambda).  c = None (or zero)
-    reproduces the plain rows whose rank profile encodes the non-splitting
-    index.
+    ``T`` is as in :func:`krylov_rows`: default the bundle's own, giving
+    the plain rows whose rank profile encodes the non-splitting index; a
+    lift's ``lifts.t_shifted(b, c)`` gives the shifted rows R_{c,n}.
     """
     if n < 1:
         raise UsageError("need at least one row")
-    ops = b.ops
-    T = None if c is None else ops.matrix(shifted_matrix(b, c))
-    return [ops.row_to_raw(R) for R in islice(krylov_rows(b, T), n)]
+    return [b.ops.row_to_raw(R) for R in islice(krylov_rows(b, T), n)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from . import cartier, catalog, delsarte, lifts, scan
 from .errors import DomainError, ParseError, ResourceError, UsageError
 from .ffield import field
 from .polyring import RingConfig, parse_poly, parse_scalar
-from .values import is_infinite, value_to_json
+from .values import Infinite, is_infinite, value_to_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,8 +108,7 @@ def _cmd_lift(args) -> int:
     b = cartier.bundle(f)
     fld = ring.field
     doc = _common_doc(f)
-    chosen = [opt for opt in (args.c, args.random, args.find_infinite) if opt]
-    if len(chosen) != 1:
+    if sum((args.c is not None, args.random is not None, args.find_infinite)) != 1:
         raise UsageError("lift needs exactly one of --c, --random, --find-infinite")
 
     if args.find_infinite:
@@ -118,18 +117,19 @@ def _cmd_lift(args) -> int:
             _emit(args, ["lambda = 0: every lift has ns 1; no infinite lift exists"],
                   {**doc, "infinite_lift": None, "reason": "lambda_zero"})
             return 0
-        v = lifts.ns_lift(lifts.t_shifted(b, c))
+        # infinite_lift's self-check walked the m + 1 rows ns_lift reads
+        v = Infinite(cap=cartier.default_ns_cap(b))
         cstr = ",".join(fld.format(x) for x in c)
         _emit(args, [f"c = {cstr}", f"ns_lift = {v}"],
               {**doc, "infinite_lift": cstr, "ns_lift": value_to_json(v)})
         return 0
 
-    if args.c:
+    if args.c is not None:
         parts = args.c.split(",")
         if len(parts) != b.m:
             raise UsageError(f"--c needs {b.m} comma-separated field elements")
         c = [parse_scalar(fld, part) for part in parts]
-        v = lifts.ns_lift(lifts.t_shifted(b, c))
+        v = lifts.ns_lift(b, c)
         _emit(args, [f"ns_lift = {v}"], {**doc, "ns_lift": value_to_json(v)})
         return 0
 
@@ -140,7 +140,7 @@ def _cmd_lift(args) -> int:
     results = {}
     for i in range(n):
         c = scan.sample(args.seed, i, ring)
-        v = lifts.ns_lift(lifts.t_shifted(b, c))
+        v = lifts.ns_lift(b, c)
         key = "infinity" if is_infinite(v) else str(v)
         results[key] = results.get(key, 0) + 1
     lines = [f"ns(f) = {ns_f}"] + [f"ns_lift {k}: {v} draws" for k, v in sorted(results.items())]
@@ -332,7 +332,7 @@ def build_parser() -> _Parser:
     subs.choices["artin"].add_argument("--line", help="axis line certificate, e.g. 0,3")
     lift = subs.choices["lift"]
     lift.add_argument("--c", help="comma-separated lift coefficients")
-    lift.add_argument("--random", type=int, default=0, help="number of random lifts")
+    lift.add_argument("--random", type=int, help="number of random lifts")
     lift.add_argument("--find-infinite", action="store_true")
     subs.choices["check-smooth"].add_argument(
         "--ext-bound", type=int, default=2, help="witness search bound K (<= 3)"

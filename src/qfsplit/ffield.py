@@ -162,9 +162,6 @@ class Field:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def neg(self, a):
-        raise NotImplementedError
-
     def inv(self, a):
         raise NotImplementedError
 
@@ -232,9 +229,6 @@ class PrimeField(Field):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise DomainError("zero has no multiplicative inverse")
@@ -296,9 +290,6 @@ class ExtensionField(Field):
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
     def mul(self, a, b):
         return self._canon(_poly_mul(a, b, self.p))
 
@@ -352,6 +343,8 @@ class ExtensionField(Field):
 
 def field(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> Field:
     """Construct F_p (e=1) or F_{p^e} with the given or default modulus."""
+    if e < 1:
+        raise UsageError(f"extension degree must be positive, got {e}")
     if e == 1:
         if modulus is not None:
             raise UsageError("modulus is only meaningful for extension degree e > 1")

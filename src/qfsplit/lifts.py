@@ -7,6 +7,8 @@ vector c; all of its non-splitting data is governed by the shifted matrix
 
 through the twisted recursion R_{c,1} = F(lambda), R_{c,n+1} = F(R_{c,n} T_c)
 (the Frobenius wraps the product; over a prime field it is invisible).
+T_c is never built entry by entry: its step matrix is a rank-one update of
+the bundle's (:meth:`_linalg.PrimeOps.shift_matrix`).
 When f itself is not quasi-F-split (infinite height), the lift's
 non-splitting index is the first n with R_{c,n} = 0; its only possible
 values are ns(f) and infinity, and when lambda != 0 an explicit c with
@@ -19,7 +21,6 @@ the two routes is a mandatory self-test exercised by the suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
@@ -30,7 +31,6 @@ from .cartier import (
     descent_product,
     height,
     krylov_rows,
-    shifted_matrix,
 )
 from .errors import ResourceError, UsageError
 from .ffield import RawElement
@@ -38,22 +38,11 @@ from .polyring import corner_coefficient, delta, poly_pow, prune
 from .values import Infinite, is_infinite
 
 
-@dataclass
-class LiftShift:
-    """A first-order coefficient shift c together with its matrix T_c."""
-
-    bundle: FrobeniusBundle
-    c: list
-    T_c: list
-
-    @property
-    def m(self) -> int:
-        return self.bundle.m
-
-
-def t_shifted(b: FrobeniusBundle, c: Sequence[RawElement]) -> LiftShift:
-    """T_c = T - c * lambda via the rank-one update."""
-    return LiftShift(b, list(c), shifted_matrix(b, c))
+def t_shifted(b: FrobeniusBundle, c: Sequence[RawElement]):
+    """The step matrix of T_c = T - c * lambda, updated from the bundle's own."""
+    if len(c) != b.m:
+        raise UsageError(f"shift vector must have length {b.m}, got {len(c)}")
+    return b.ops.shift_matrix(b.T_mat, b.lam_row, c)
 
 
 def shifted_matrix_direct(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
@@ -71,8 +60,13 @@ def shifted_matrix_direct(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
     return columns_from_kernel(b.basis, shifted_kernel)
 
 
-def ns_lift(shift: LiftShift):
-    """Non-splitting index of the lifted equation: first n with R_{c,n} = 0.
+def _require_infinite_height(b: FrobeniusBundle) -> None:
+    if not is_infinite(height(b)):
+        raise UsageError("lift indices are defined only over a non-quasi-F-split base")
+
+
+def ns_lift(b: FrobeniusBundle, c: Sequence[RawElement]):
+    """Non-splitting index of the lift by c: first n with R_{c,n} = 0.
 
     Requires the base height to be infinite (otherwise the recursion does not
     encode the lift's index).  Reading R_{c,1}..R_{c,m+1} is exhaustive, so
@@ -86,12 +80,10 @@ def ns_lift(shift: LiftShift):
       ker L^(j+1) = ker L^j), so it grows strictly until it fills W;
     * hence L^(dim W) kills W, R_{c,dim W + 1} = 0, and dim W <= m.
     """
-    b = shift.bundle
-    if not is_infinite(height(b)):
-        raise UsageError("lift indices are defined only over a non-quasi-F-split base")
+    _require_infinite_height(b)
     ops = b.ops
     cap = default_ns_cap(b)
-    for n, R in enumerate(islice(krylov_rows(b, ops.matrix(shift.T_c)), cap), 1):
+    for n, R in enumerate(islice(krylov_rows(b, t_shifted(b, c)), cap), 1):
         if ops.is_zero_row(R):
             return n
     return Infinite(cap=cap)
@@ -102,30 +94,28 @@ def infinite_lift(b: FrobeniusBundle) -> list | None:
 
     Picks the first j with lambda_j != 0 and sets c = lambda_j^{-1} (T e_j - e_j),
     which forces T_c e_j = e_j, so the recursion preserves a nonzero value at
-    coordinate j forever.  Both facts are verified on R_{c,1}..R_{c,m+1},
-    the rows :func:`ns_lift` reads, before returning.  When lambda = 0 every
-    lift has index 1 and None is returned.
+    coordinate j forever.  Both facts are verified before returning, the
+    second on R_{c,1}..R_{c,m+1}, the rows :func:`ns_lift` reads: none of
+    them is zero, so this one walk proves ns_lift(b, c) = infinity at cap
+    m + 1.  When lambda = 0 every lift has index 1 and None is returned.
+    Like :func:`ns_lift`, it requires an infinite base height.
     """
+    _require_infinite_height(b)
     fld = b.field
     j = next((i for i, v in enumerate(b.lam) if not fld.is_zero(v)), None)
     if j is None:
         return None
-    inv = fld.inv(b.lam[j])
-    c = []
-    for i in range(b.m):
-        entry = b.T[i][j]
-        if i == j:
-            entry = fld.sub(entry, fld.one)
-        c.append(fld.mul(inv, entry))
+    lam_j = b.lam[j]
+    inv = fld.inv(lam_j)
+    c = [fld.mul(inv, fld.sub(row[j], fld.one) if i == j else row[j]) for i, row in enumerate(b.T)]
 
-    # exact fixed-column check: (T - c lambda) e_j = e_j
-    shift = t_shifted(b, c)
-    for i in range(b.m):
-        if shift.T_c[i][j] != (fld.one if i == j else fld.zero):
+    # exact fixed-column check: (T - c lambda) e_j = e_j, from column j alone
+    for i, (row, ci) in enumerate(zip(b.T, c)):
+        if fld.sub(row[j], fld.mul(ci, lam_j)) != (fld.one if i == j else fld.zero):
             raise AssertionError("fixed-column identity T_c e_j = e_j failed")
 
     ops = b.ops
-    for R in islice(krylov_rows(b, ops.matrix(shift.T_c)), default_ns_cap(b)):
+    for R in islice(krylov_rows(b, t_shifted(b, c)), default_ns_cap(b)):
         if fld.is_zero(ops.row_to_raw(R)[j]):
             raise AssertionError("R_{c,n} e_j vanished; construction invariant broken")
     return c

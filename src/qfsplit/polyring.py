@@ -164,10 +164,6 @@ class Polynomial:
             out[exps] = f.sub(cur, coeff)
         return Polynomial(self.ring, out)
 
-    def __neg__(self) -> "Polynomial":
-        f = self.ring.field
-        return Polynomial(self.ring, {e: f.neg(c) for e, c in self._terms.items()})
-
     def scaled(self, scalar: RawElement) -> "Polynomial":
         f = self.ring.field
         return Polynomial(self.ring, {e: f.mul(scalar, c) for e, c in self._terms.items()})
@@ -177,9 +173,6 @@ class Polynomial:
         if self._max_exp + other._max_exp >= MAX_EXPONENT:
             raise ResourceError("product exponent would exceed the 2^32 headroom")
         return Polynomial(self.ring, _product(self._terms, other._terms, self.ring.field))
-
-    def __pow__(self, n: int) -> "Polynomial":
-        return poly_pow(self, n)
 
     def __eq__(self, other):
         return (

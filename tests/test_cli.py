@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import qfsplit
+from qfsplit import cartier
 from qfsplit.catalog import SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
 from qfsplit.cli import main
 
@@ -143,6 +144,36 @@ def test_lift_find_infinite(capsys):
     assert code == 0 and "ns_lift = infinity" in out
 
 
+@pytest.fixture
+def counted_bundles(monkeypatch, step_counting):
+    """Make cartier.bundle return bundles on StepCountingOps; the list collects them."""
+    built = []
+
+    def counting_bundle(f):
+        built.append(step_counting(original(f)))
+        return built[-1]
+
+    original = cartier.bundle
+    monkeypatch.setattr(cartier, "bundle", counting_bundle)
+    return built
+
+
+def test_lift_find_infinite_walks_once(capsys, counted_bundles):
+    # the base walk to ns 9 (8 steps), then R_{c,1}..R_{c,36} once (35 steps);
+    # T_c is a rank-one update of T, so T is the only step matrix built
+    code, out, _ = run_cli(capsys, "lift", "-p", "2", SS_QUARTIC, "--find-infinite")
+    assert code == 0 and "ns_lift = infinity" in out
+    (b,) = counted_bundles
+    assert (b.ops.calls, b.ops.matrix_calls) == (43, 1)
+
+
+def test_lift_random_builds_one_step_matrix(capsys, counted_bundles):
+    code, _, _ = run_cli(capsys, "lift", "-p", "2", SS_QUARTIC, "--random", "10")
+    assert code == 0
+    (b,) = counted_bundles
+    assert b.ops.matrix_calls == 1
+
+
 def test_lift_random_distribution(capsys):
     code, out, _ = run_cli(capsys, "lift", "-p", "2", "--format", "json",
                            "x^4 + xy^3 + yw^3 + z^3w", "--random", "20", "--seed", "4")
@@ -240,6 +271,11 @@ REJECTED = {
     ("artin", "--line", "0,3,1", SS_QUARTIC): "two distinct variable indices",
     # x^4 + xy^3 + xz^3 + xw^3 lies in (x), but i = j names a plane, not a line
     ("artin", "--line", "0,0", "x^4 + x*y^3 + x*z^3 + x*w^3"): "two distinct variable indices",
+    ("lift", "--random", "0", SS_QUARTIC): "positive number of draws",
+    ("height", "--ext-degree", "0", "x^4"): "extension degree must be positive, got 0",
+    # an empty --c is a malformed shift, not a missing option
+    ("lift", "--c", "", "--random", "2", SS_QUARTIC): "exactly one of",
+    ("lift", "--c", "", SS_QUARTIC): "35 comma-separated field elements",
 }
 
 

@@ -1,10 +1,11 @@
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from qfsplit.catalog import QUINTIC_THREEFOLD_F2, SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
-from qfsplit.cartier import bundle, krylov_matrix, krylov_rows, ns_index
+from qfsplit.cartier import basis, bundle, height, krylov_matrix, krylov_rows, ns_index
 from qfsplit.errors import UsageError
 from qfsplit.ffield import field
 from qfsplit.lifts import (
@@ -14,7 +15,7 @@ from qfsplit.lifts import (
     shifted_matrix_direct,
     t_shifted,
 )
-from qfsplit.polyring import RingConfig, parse_poly
+from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 from qfsplit.values import Infinite, is_infinite
 
 F2 = field(2)
@@ -23,19 +24,19 @@ R3 = RingConfig(F3, (1, 1, 1, 1))
 
 SIGMA3_F2 = SUPERSINGULAR_QUARTICS_F2[0]
 SIGMA4_F3 = SUPERSINGULAR_QUARTICS_F3[3]
+SEXTIC_NS3_F2 = "x^3*z^3 + x^2*z^4 + y*z^5 + w^2"  # weights (1, 1, 1, 3), infinite height
 
 
 def test_shift_of_zero_is_identity():
     b = bundle(SIGMA3_F2.polynomial())
-    shift = t_shifted(b, [0] * b.m)
-    assert shift.T_c == b.T
+    assert np.array_equal(t_shifted(b, [0] * b.m), b.T_mat)
 
 
 def test_shift_is_identity_when_lambda_zero():
     b = bundle(parse_poly("x^4+y^4+z^4+w^4", R3))
     rng = random.Random(0)
     c = [rng.randrange(3) for _ in range(b.m)]
-    assert t_shifted(b, c).T_c == b.T
+    assert np.array_equal(t_shifted(b, c), b.T_mat)
 
 
 def test_shift_length_validation():
@@ -44,14 +45,55 @@ def test_shift_length_validation():
         t_shifted(b, [0, 1])
 
 
+def _oracle_shifts(b, rng):
+    """The zero shift, seeded sparse and dense shifts, and the constructed infinite lift."""
+    fld = b.field
+    elems = list(fld.elements())
+    shifts = [[fld.zero] * b.m]
+    for density in (0.1, 0.5, 1.0):
+        shifts.append([rng.choice(elems) if rng.random() < density else fld.zero
+                       for _ in range(b.m)])
+    if is_infinite(height(b)):
+        lift = infinite_lift(b)
+        if lift is not None:
+            shifts.append(lift)
+    return shifts
+
+
+ORACLE_ROWS = [
+    # (p, e, weights, equation); None draws a seeded sparse form
+    (2, 1, (1, 1, 1, 1), SIGMA3_F2.equation),
+    (3, 1, (1, 1, 1, 1), SIGMA4_F3.equation),
+    (3, 1, (1, 1, 1, 1), "x^4+y^4+z^4+w^4"),  # lambda = 0
+    (5, 1, (1, 1, 1, 1), None),
+    (2, 2, (1, 1, 1, 1), SUPERSINGULAR_QUARTICS_F2[6].equation),
+    (2, 1, (1, 1, 1, 3), SEXTIC_NS3_F2),
+    (3, 1, (1, 1, 1, 3), None),
+    (5, 1, (1, 1, 1, 3), None),
+    (2, 2, (1, 1, 1, 3), None),
+    (2, 1, QUINTIC_THREEFOLD_F2.weights, QUINTIC_THREEFOLD_F2.equation),
+    (3, 1, QUINTIC_THREEFOLD_F2.weights, None),
+    (5, 1, QUINTIC_THREEFOLD_F2.weights, None),
+    (2, 2, QUINTIC_THREEFOLD_F2.weights, None),
+]
+
+
 def test_direct_rebuild_matches_rank_one_update():
-    rng = random.Random(1)
-    for entry in (SIGMA3_F2, SIGMA4_F3):
-        b = bundle(entry.polynomial())
-        p = b.field.p
-        for _ in range(5):
-            c = [rng.randrange(p) for _ in range(b.m)]
-            assert shifted_matrix_direct(b, c) == t_shifted(b, c).T_c
+    # the step matrix t_shifted updates from T's equals the one built from
+    # T_c as rebuilt from the shifted polynomial kernel
+    for p, e, weights, equation in ORACLE_ROWS:
+        ring = RingConfig(field(p, e), weights)
+        rng = random.Random(p * 100 + e * 10 + sum(weights))
+        if equation is None:
+            elems = [x for x in ring.field.elements() if not ring.field.is_zero(x)]
+            monos = rng.sample(basis(ring).monomials, 6)
+            f = Polynomial(ring, {mono: rng.choice(elems) for mono in monos})
+        else:
+            f = parse_poly(equation, ring)
+        b = bundle(f)
+        for c in _oracle_shifts(b, rng):
+            direct = b.ops.matrix(shifted_matrix_direct(b, c))
+            assert np.array_equal(t_shifted(b, c), direct), (p, e, weights, c)
 
 
 def test_ns_lift_value_set_small():
@@ -62,7 +104,7 @@ def test_ns_lift_value_set_small():
         p = b.field.p
         for _ in range(30):
             c = [rng.randrange(p) for _ in range(b.m)]
-            v = ns_lift(t_shifted(b, c))
+            v = ns_lift(b, c)
             assert is_infinite(v) or v == expected
 
 
@@ -87,11 +129,10 @@ def test_ns_lift_bound_is_exhaustive(entry, ext_degree):
                        for _ in range(b.m)])
     seen = set()
     for c in shifts:
-        shift = t_shifted(b, c)
-        rows = islice(krylov_rows(b, ops.matrix(shift.T_c)), 2 * b.m + 2)
+        rows = islice(krylov_rows(b, t_shifted(b, c)), 2 * b.m + 2)
         first_zero = next((n for n, R in enumerate(rows, 1) if ops.is_zero_row(R)), None)
         expected = Infinite(cap=b.m + 1) if first_zero is None else first_zero
-        assert repr(ns_lift(shift)) == repr(expected), c
+        assert repr(ns_lift(b, c)) == repr(expected), c
         seen.add(first_zero is None)
     assert seen == {True, False}
 
@@ -99,7 +140,7 @@ def test_ns_lift_bound_is_exhaustive(entry, ext_degree):
 def test_trivial_shift_value_on_sigma4_row():
     # c = 0 gives the plain lift; its index is ns(f) or infinity, nothing else
     b = bundle(SIGMA4_F3.polynomial())
-    v = ns_lift(t_shifted(b, [0] * b.m))
+    v = ns_lift(b, [0] * b.m)
     assert is_infinite(v) or v == 4
 
 
@@ -108,41 +149,46 @@ def test_ns_lift_is_one_for_every_c_when_lambda_zero():
     rng = random.Random(3)
     for _ in range(10):
         c = [rng.randrange(3) for _ in range(b.m)]
-        assert ns_lift(t_shifted(b, c)) == 1
+        assert ns_lift(b, c) == 1
 
 
 def test_ns_lift_requires_infinite_base_height():
     f = parse_poly("x^4+y^4+z^4+w^4", RingConfig(field(5), (1, 1, 1, 1)))
     b = bundle(f)
-    shift = t_shifted(b, [0] * b.m)
-    with pytest.raises(UsageError):
-        ns_lift(shift)
+    with pytest.raises(UsageError, match="non-quasi-F-split"):
+        ns_lift(b, [0] * b.m)
+    with pytest.raises(UsageError, match="non-quasi-F-split"):
+        infinite_lift(b)
 
 
 def test_infinite_lift_construction():
     b = bundle(SIGMA3_F2.polynomial())
     c = infinite_lift(b)
     assert c is not None
-    v = ns_lift(t_shifted(b, c))
+    v = ns_lift(b, c)
     assert is_infinite(v)
-    # the construction fixes the standard basis column exactly
+    # the construction fixes the standard basis column exactly, on the
+    # T_c rebuilt from polynomial data
     j = next(i for i, lam in enumerate(b.lam) if lam)
-    shift = t_shifted(b, c)
-    col = [shift.T_c[i][j] for i in range(b.m)]
+    T_c = shifted_matrix_direct(b, c)
+    col = [T_c[i][j] for i in range(b.m)]
     expected = [1 if i == j else 0 for i in range(b.m)]
     assert col == expected
 
 
 @pytest.mark.parametrize("weights,equation", [
-    ((1, 1, 1, 3), "x^5*y + x*y^4*z + x*y*z^4 + x*z^5 + y^6 + y^3*w + w^2"),
+    # infinite_lift needs an infinite base height: this sextic has ns 3
+    ((1, 1, 1, 3), SEXTIC_NS3_F2),
     (QUINTIC_THREEFOLD_F2.weights, QUINTIC_THREEFOLD_F2.equation),
 ], ids=["sextic", "quintic-ns58"])
 def test_infinite_lift_checks_every_row_ns_lift_reads(step_counting, weights, equation):
     # the self-check walks R_{c,1}..R_{c,m+1}, the rows ns_lift reads at
-    # its proven bound: m steps (39 on sextics, 126 on the quintic)
+    # its proven bound: m steps (39 on sextics, 126 on the quintic), after
+    # the base walk R_1..R_ns that decides the height is infinite
     b = step_counting(bundle(parse_poly(equation, RingConfig(F2, weights))))
     assert infinite_lift(b) is not None
-    assert b.ops.calls == b.m
+    assert b.ops.calls == (ns_index(b) - 1) + b.m
+    assert b.ops.matrix_calls == 1  # T itself; T_c is updated from it
 
 
 def test_infinite_lift_none_when_lambda_zero():
@@ -181,7 +227,7 @@ def check_stage_decomposition(b, c, n):
     """row_n(c-shifted) = row_n(unshifted) - sum_j M_j^(p^(n-j)) row_(n-j)(c-shifted)."""
     fld = b.field
     p = fld.p
-    rows_c = krylov_matrix(b, n, c)
+    rows_c = krylov_matrix(b, n, t_shifted(b, c))
     rows_0 = krylov_matrix(b, n)
     ms = coupling_values(b, c, n - 1) if n > 1 else []
     rhs = list(rows_0[n - 1])
