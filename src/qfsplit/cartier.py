@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
-from . import _linalg
+from . import _fpbundle, _linalg
 from .errors import ResourceError, UsageError
 from .ffield import Field, RawElement
 from .polyring import (
@@ -205,7 +205,26 @@ def columns_from_kernel(bas: MonomialBasis, kernel: Polynomial) -> list:
 
 
 def bundle(f: Polynomial) -> FrobeniusBundle:
-    """Build the Frobenius descent bundle of a degree-d homogeneous f != 0."""
+    """Build the Frobenius descent bundle of a degree-d homogeneous f != 0.
+
+    Two routes give the same raw v_f, lambda and T, and each is the other's
+    test oracle.  The numpy route (:mod:`qfsplit._fpbundle`) is taken iff
+    all of these hold:
+
+    * the field is F_p (e = 1);
+    * 2 < p < ``_linalg._INT64_SAFE_P`` (2^15).  The route is exact over
+      F_2 too, and about eight times faster there, but F_2 stays on the
+      dict route until perfbench's ``scan-f2`` workload, which would then
+      time only about 1.5 s of equations, is resized (ROADMAP item 2);
+    * exponents up to p*d, packed one bit field per variable, fit in 62 bits;
+    * the route's per-ring arrays, by the closed form
+      ``_fpbundle.ring_bytes``, fit in ``_fpbundle.RING_BYTES_MAX``; this
+      is checked before anything is built.
+
+    Every other input, F_{p^e} with e > 1 among them, takes the dict route:
+    ``poly_pow``, the Witt-sum ``delta``, ``mul_residues`` and
+    :func:`columns_from_kernel` on term dicts.
+    """
     ring = f.ring
     if f.is_zero():
         raise UsageError("the zero polynomial has no Frobenius bundle")
@@ -214,10 +233,16 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
             f"bundle requires a homogeneous polynomial of weighted degree {ring.d}"
         )
     bas = basis(ring)
+    route = _fpbundle.lam_and_T if _fpbundle.admits(ring, bas.m) else dict_lam_and_T
+    lam, T = route(f, bas)
+    return FrobeniusBundle(bas, f, bas.coefficients(f), lam, T)
+
+
+def dict_lam_and_T(f: Polynomial, bas: MonomialBasis) -> tuple:
+    """The raw lambda row and T matrix of f on the dict route; see :func:`bundle`."""
+    ring = bas.ring
     fld = ring.field
     p = fld.p
-    v_f = bas.coefficients(f)
-
     fp2 = poly_pow(f, p - 2)
     corner = (p - 1,) * ring.num_vars
     lam = []
@@ -233,8 +258,7 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     # term's class is the sum of its factors' classes, so multiplying just the
     # class-compatible term pairs yields exactly the terms T reads.
     kernel = mul_residues(delta(f), fp2, _residue_columns(ring))
-    T = columns_from_kernel(bas, kernel)
-    return FrobeniusBundle(bas, f, v_f, lam, T)
+    return lam, columns_from_kernel(bas, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -378,6 +377,9 @@ def run_scan(job: ScanJob) -> ScanResult:
     else:
         nchunks = min(total, workers * 4)
         chunks = [indices[k::nchunks] for k in range(nchunks)]
+        # imported here: the pool machinery costs every other command ~2 MB and ~15 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, nchunks)) as pool:
             parts = list(pool.map(_worker_chunk, [(job, ch) for ch in chunks]))
         rows = [r for part in parts for r in part]

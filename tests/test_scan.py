@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 import tracemalloc
 from itertools import product
@@ -236,7 +237,7 @@ def test_scan_pool_never_exceeds_cpus_or_chunks(monkeypatch, cpus):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
     serial = run_scan(ScanJob(ring=R2, mode="histogram", count=6, seed=5))
     for workers in (2, 1_000_000):
