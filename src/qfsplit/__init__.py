@@ -7,7 +7,7 @@ closed-form cross-checks for Delsarte families.
 """
 
 from .errors import DomainError, ParseError, QfsplitError, ResourceError, UsageError
-from .ffield import ExtensionField, ModPSquare, PrimeField, field
+from .ffield import ExtensionField, PrimeField, field
 from .polyring import Polynomial, RingConfig, format_poly, parse_poly
 from .values import Infinite, is_infinite
 
@@ -17,7 +17,6 @@ __all__ = [
     "DomainError",
     "ExtensionField",
     "Infinite",
-    "ModPSquare",
     "ParseError",
     "Polynomial",
     "PrimeField",

@@ -90,20 +90,19 @@ class PrimeOps:
         """The step matrix of R -> F(R T) for the raw square matrix T."""
         m, e = len(rows), self.e
         if e == 1:
+            # Frobenius and every steps block are 1 x 1 identities, and raw
+            # values are canonical, so T is its own step matrix
             dense = np.fromiter(chain.from_iterable(rows), dtype=self.dtype, count=m * m)
-            dense = dense.reshape(m, m)
-            ii, jj = np.nonzero(dense)
-            vals = dense[ii, jj]
-        else:
-            # sparse read: converting every nested e-tuple costs far more
-            zero = self.field.zero
-            ii, jj, vals = [], [], []
-            for i, r in enumerate(rows):
-                for j, v in enumerate(r):
-                    if v != zero:
-                        ii.append(i)
-                        jj.append(j)
-                        vals.append(v)
+            return dense.reshape(m, m)
+        # sparse read: converting every nested e-tuple costs far more
+        zero = self.field.zero
+        ii, jj, vals = [], [], []
+        for i, r in enumerate(rows):
+            for j, v in enumerate(r):
+                if v != zero:
+                    ii.append(i)
+                    jj.append(j)
+                    vals.append(v)
         out = np.zeros((m, e, m, e), dtype=self.dtype)
         # block (i, j) is the multiplication matrix of T_ij times the Frobenius matrix
         vecs = np.asarray(vals, dtype=self.dtype).reshape(-1, e)
@@ -191,7 +190,7 @@ class PrimeRankTracker:
 
 
 class GenericOps:
-    """List-backed arithmetic through the field kernels: the tests' reference backend."""
+    """Oracle for :class:`PrimeOps`: list-backed arithmetic through the field kernels."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -249,7 +248,7 @@ class GenericOps:
 
 
 class GenericRankTracker:
-    """Rank over the field by elimination on raw values; the reference for PrimeRankTracker."""
+    """Oracle for :class:`PrimeRankTracker`: rank by elimination on raw field values."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -278,11 +277,3 @@ class GenericRankTracker:
         self.pivots.append((col, [f.mul(inv, v) for v in row]))
         return True
 
-
-def matrix_rank(rows, field: Field) -> int:
-    """Exact rank of a list of raw-value rows over the field."""
-    ops = make_ops(field)
-    tracker = ops.rank_tracker()
-    for r in rows:
-        tracker.add_row(ops.row(r))
-    return tracker.rank

@@ -172,11 +172,6 @@ class FrobeniusBundle:
     def m(self) -> int:
         return self.basis.m
 
-    def lam_is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(v) for v in self.lam)
-
-
 def columns_from_kernel(bas: MonomialBasis, kernel: Polynomial) -> list:
     """Matrix of h -> u_op(kernel * h) on the basis, built term by term.
 
@@ -344,18 +339,6 @@ def ns_index(b: FrobeniusBundle):
     return _walk(b)[1]
 
 
-def krylov_matrix(b: FrobeniusBundle, n: int, T=None) -> list:
-    """The n rows R_1, ..., R_n as raw values, against the step matrix ``T``.
-
-    ``T`` is as in :func:`krylov_rows`: default the bundle's own, giving
-    the plain rows whose rank profile encodes the non-splitting index; a
-    lift's ``lifts.t_shifted(b, c)`` gives the shifted rows R_{c,n}.
-    """
-    if n < 1:
-        raise UsageError("need at least one row")
-    return [b.ops.row_to_raw(R) for R in islice(krylov_rows(b, T), n)]
-
-
 # ---------------------------------------------------------------------------
 # Fedder-style corner oracle
 # ---------------------------------------------------------------------------
@@ -366,7 +349,7 @@ def descent_product(
     fp2: Polynomial | None = None,
     df: Polynomial | None = None,
 ) -> Polynomial:
-    """The n-th descent product of f, reduced mod m^[p^n].
+    """Oracle helper for the corner tests: the n-th descent product of f, mod m^[p^n].
 
     This is f^(p-2) * prod_{i=0}^{n-2} F^i( F(f^(p-2)) * delta(f) ), the
     polynomial whose product with a degree-d form is corner-tested at level
@@ -392,12 +375,12 @@ def descent_product(
 
 
 def fedder_height_oracle(f: Polynomial, n_max: int = 3) -> int | None:
-    """Height by direct corner tests on polynomial products; p in {2, 3} only.
+    """Oracle for :func:`height`: direct corner tests on polynomial products.
 
-    Returns the least n <= n_max whose level-n corner coefficient is nonzero,
-    or None meaning "height >= n_max + 1".  Independent of the matrix
-    recursion; agreement with :func:`height` on the overlap is a standing
-    cross-check.
+    Prime fields with p in {2, 3} only.  Returns the least n <= n_max whose
+    level-n corner coefficient is nonzero, or None meaning
+    "height >= n_max + 1".  Independent of the matrix recursion; agreement
+    with :func:`height` on the overlap is a standing cross-check.
     """
     fld = f.ring.field
     if fld.e != 1:
@@ -546,28 +529,3 @@ def artin_report(f: Polynomial, line: tuple | None = None) -> InvariantReport:
         line=line,
     )
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def bundle_to_json(b: FrobeniusBundle) -> dict:
-    """JSON document with field config, weights, basis, v_f, lambda and T.
-
-    Matrix entries are field-element strings in row-major order; the basis
-    is the canonical-order list of exponent vectors.
-    """
-    fld = b.field
-    fmt = fld.format
-    return {
-        "field": {
-            "p": fld.p,
-            "e": fld.e,
-            "modulus": list(fld.modulus) if fld.modulus else None,
-        },
-        "weights": list(b.ring.weights),
-        "basis": [list(mono) for mono in b.basis.monomials],
-        "v_f": [fmt(v) for v in b.v_f],
-        "lambda": [fmt(v) for v in b.lam],
-        "T": [[fmt(v) for v in row] for row in b.T],
-    }

@@ -256,11 +256,6 @@ def admissible_primes(record: FamilyRecord, primes: Sequence[int]) -> list:
     return out
 
 
-def family_invariants(record: FamilyRecord, p: int) -> DelsarteResult:
-    check_admissible(record, p)
-    return delsarte_invariants(record.matrix(), p)
-
-
 # ---------------------------------------------------------------------------
 # cross-validation against the matrix engine
 # ---------------------------------------------------------------------------

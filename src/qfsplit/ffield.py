@@ -1,18 +1,14 @@
-"""Exact arithmetic in F_p, small extensions F_{p^e}, and Z/p^2.
+"""Exact arithmetic in F_p and small extensions F_{p^e}.
 
 Raw element representations are deliberately plain so the polynomial layer
 can run hot loops without object churn:
 
-* prime field / Z-mod-p^2 elements are ``int`` in ``[0, p)`` resp. ``[0, p^2)``;
+* prime field elements are ``int`` in ``[0, p)``;
 * extension elements are ``tuple[int, ...]`` of length ``e`` holding the
   coefficients of the polynomial basis ``1, t, ..., t^(e-1)``.
 
 All values are canonical (fully reduced), so ``==`` on raw representations
 is semantic equality.
-
-The Z/p^2 ring exists only to support the lift-based construction of the
-Frobenius-defect operator; it is defined for prime fields only, where the
-Teichmuller lift of ``c`` is ``c^p mod p^2``.
 """
 
 from __future__ import annotations
@@ -350,31 +346,3 @@ def field(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> Field:
             raise UsageError("modulus is only meaningful for extension degree e > 1")
         return PrimeField(p)
     return ExtensionField(p, e, modulus)
-
-
-# ---------------------------------------------------------------------------
-# Z / p^2, host ring of the lift-based Frobenius-defect oracle
-# ---------------------------------------------------------------------------
-
-class ModPSquare:
-    """Integers modulo p^2 (raw ints in [0, p^2)); prime-field companions only."""
-
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise UsageError(f"characteristic must be prime, got {p}")
-        self.p = p
-        self.psq = p * p
-
-    def sub(self, a, b):
-        return (a - b) % self.psq
-
-    def teichmuller(self, c: int) -> int:
-        """The unique lift of c in F_p with x^p = x in Z/p^2, namely c^p mod p^2."""
-        return pow(c % self.p, self.p, self.psq)
-
-    def exact_div_p(self, a: int) -> int:
-        """(a / p) mod p for a divisible by p; the residue is well defined."""
-        a %= self.psq
-        if a % self.p != 0:
-            raise DomainError(f"{a} is not divisible by {self.p} in Z/{self.psq}")
-        return (a // self.p) % self.p

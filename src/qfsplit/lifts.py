@@ -46,10 +46,11 @@ def t_shifted(b: FrobeniusBundle, c: Sequence[RawElement]):
 
 
 def shifted_matrix_direct(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
-    """T_c rebuilt from shifted polynomial data, independent of the rank-one route.
+    """Oracle for :func:`t_shifted`: T_c rebuilt from shifted polynomial data.
 
-    The first-order shift changes the defect kernel by delta -> delta - G(c)^p,
-    where G(c) is the degree-d form with coefficient vector c; the matrix of
+    Independent of the rank-one route.  The first-order shift changes the
+    defect kernel by delta -> delta - G(c)^p, where G(c) is the degree-d
+    form with coefficient vector c; the matrix of
     h -> u((delta(f) - G(c)^p) f^(p-2) h) must equal T - c * lambda.
     """
     if len(c) != b.m:
@@ -122,7 +123,7 @@ def infinite_lift(b: FrobeniusBundle) -> list | None:
 
 
 def coupling_values(b: FrobeniusBundle, c: Sequence[RawElement], n: int) -> list:
-    """Corner coefficients coupling the shift c to each descent stage.
+    """Oracle for the shifted Krylov rows: corner coefficients coupling c to each stage.
 
     Entry j (1-based stage) is the corner coefficient at level j of
     G(c) * (stage-j descent product of f); these scalars are exactly the

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Sequence
 
-from .errors import ParseError, ResourceError, UsageError
-from .ffield import Field, ModPSquare, RawElement
+from .errors import DomainError, ParseError, ResourceError, UsageError
+from .ffield import Field, RawElement
 
 MAX_EXPONENT = 2**32  # documented headroom; exceeded only by runaway powers
 
@@ -102,12 +102,6 @@ class Polynomial:
     @classmethod
     def one(cls, ring: RingConfig) -> "Polynomial":
         return cls(ring, {(0,) * ring.num_vars: ring.field.one})
-
-    @classmethod
-    def monomial(cls, ring: RingConfig, exps: ExponentVector, coeff: RawElement | None = None) -> "Polynomial":
-        if coeff is None:
-            coeff = ring.field.one
-        return cls(ring, {tuple(exps): coeff})
 
     # -- inspection ---------------------------------------------------------
 
@@ -200,52 +194,6 @@ class Polynomial:
                 c = frob(c)
             out[twisted] = c
         return Polynomial(self.ring, out)
-
-    def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
-        """Relabel x_i -> x_perm[i]; the permutation must preserve weights."""
-        if sorted(perm) != list(range(self.ring.num_vars)):
-            raise UsageError(f"{perm} is not a permutation of the variables")
-        w = self.ring.weights
-        if any(w[i] != w[perm[i]] for i in range(len(w))):
-            raise UsageError("permutation does not preserve the grading")
-        out = {}
-        for exps, coeff in self._terms.items():
-            new = [0] * len(exps)
-            for i, e in enumerate(exps):
-                new[perm[i]] = e
-            out[tuple(new)] = coeff
-        return Polynomial(self.ring, out)
-
-    def partial(self, i: int) -> "Polynomial":
-        """Formal partial derivative with respect to x_i."""
-        f = self.ring.field
-        out: dict = {}
-        for exps, coeff in self._terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            scalar = f.from_int(e)
-            if f.is_zero(scalar):
-                continue
-            lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
-            val = f.mul(scalar, coeff)
-            cur = out.get(lowered)
-            out[lowered] = val if cur is None else f.add(cur, val)
-        return Polynomial(self.ring, out)
-
-    def evaluate(self, point: Sequence[RawElement]) -> RawElement:
-        """Value at a point with coordinates in the coefficient field."""
-        f = self.ring.field
-        if len(point) != self.ring.num_vars:
-            raise UsageError("point has the wrong number of coordinates")
-        total = f.zero
-        for exps, coeff in self._terms.items():
-            val = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    val = f.mul(val, f.pow(x, e))
-            total = f.add(total, val)
-        return total
 
     def __str__(self):
         return format_poly(self)
@@ -402,7 +350,10 @@ def mul_residues(a: Polynomial, b: Polynomial, keep) -> Polynomial:
 
 
 def prune(a: Polynomial, exp_bound: int) -> Polynomial:
-    """Drop terms with any exponent >= exp_bound (reduction mod m^[exp_bound])."""
+    """Oracle helper for the corner tests: drop terms with an exponent >= exp_bound.
+
+    This is the reduction mod m^[exp_bound].
+    """
     return Polynomial(a.ring, {e: c for e, c in a._terms.items() if max(e) < exp_bound})
 
 
@@ -456,26 +407,26 @@ def delta(f: Polynomial) -> Polynomial:
 
 
 def delta_lift_oracle(f: Polynomial) -> Polynomial:
-    """Frobenius defect via the Teichmuller lift to Z/p^2; prime fields only.
+    """Oracle for :func:`delta`: the Frobenius defect by a Teichmuller lift to Z/p^2.
 
-    Lifts each coefficient c to the Teichmuller representative c^p mod p^2,
-    forms (fhat^p - phi(fhat)) / p with phi the termwise (coeff, p*exps) map,
-    and reduces mod p.  Agrees identically with :func:`delta`; kept as the
-    oracle for the Witt-sum route, not used in production.
+    Prime fields only.  Lifts each coefficient c to the Teichmuller
+    representative c^p mod p^2, forms (fhat^p - phi(fhat)) / p with phi the
+    termwise (coeff, p*exps) map, and reduces mod p.  Agrees identically
+    with :func:`delta`; not used in production.
     """
     field = f.ring.field
     if field.e != 1:
         raise UsageError("the lift oracle is defined over prime fields only")
     p = field.p
-    zring = ModPSquare(p)
-    lifted = {e: zring.teichmuller(c) for e, c in f._terms.items()}
+    psq = p * p
+    lifted = {e: pow(c, p, psq) for e, c in f._terms.items()}
 
     def zmul(a: dict, b: dict) -> dict:
         out: dict = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 exps = tuple(x + y for x, y in zip(e1, e2))
-                out[exps] = (out.get(exps, 0) + c1 * c2) % zring.psq
+                out[exps] = (out.get(exps, 0) + c1 * c2) % psq
         return {e: c for e, c in out.items() if c}
 
     # fhat^p by square and multiply over Z/p^2
@@ -492,14 +443,12 @@ def delta_lift_oracle(f: Polynomial) -> Polynomial:
     # subtract phi(fhat): Teichmuller coefficients are Frobenius-fixed in Z/p^2
     for e, c in lifted.items():
         pe = tuple(p * x for x in e)
-        power[pe] = zring.sub(power.get(pe, 0), c)
+        power[pe] = (power.get(pe, 0) - c) % psq
 
-    out = {}
-    for e, c in power.items():
-        r = zring.exact_div_p(c)
-        if r:
-            out[e] = field.from_int(r)
-    return Polynomial(f.ring, out)
+    for c in power.values():
+        if c % p:
+            raise DomainError(f"{c} is not divisible by {p} in Z/{psq}")
+    return Polynomial(f.ring, {e: c // p for e, c in power.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +456,12 @@ def delta_lift_oracle(f: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 def u_op(f: Polynomial) -> Polynomial:
-    """Projection onto the top dual-basis component of the Frobenius pushforward.
+    """Oracle for lambda and the T columns: the corner projection of the pushforward.
 
-    Keeps exactly the terms c * x^e with every e_i = p-1 (mod p), sending each
-    to inverse_frobenius(c) * x^((e - (p-1))/p); everything else maps to 0.
+    The projection onto the top dual-basis component of the Frobenius
+    pushforward.  Keeps exactly the terms c * x^e with every e_i = p-1
+    (mod p), sending each to inverse_frobenius(c) * x^((e - (p-1))/p);
+    everything else maps to 0.
     Semilinear: u_op(g^p * a) = g * u_op(a).
     """
     field = f.ring.field
@@ -524,7 +475,7 @@ def u_op(f: Polynomial) -> Polynomial:
 
 
 def in_frobenius_power(f: Polynomial, n: int) -> bool:
-    """Membership in m^[p^n] = (x_0^(p^n), ..., x_N^(p^n))."""
+    """Oracle for ns = 1 and the corner test: membership in m^[p^n] = (x_i^(p^n))."""
     if n < 1:
         raise UsageError("the Frobenius power index must be positive")
     q = f.ring.field.p**n
@@ -532,7 +483,7 @@ def in_frobenius_power(f: Polynomial, n: int) -> bool:
 
 
 def corner_coefficient(f: Polynomial, n: int) -> RawElement:
-    """Coefficient of (x_0 ... x_N)^(p^n - 1) in f.
+    """Oracle helper for the corner tests: the coefficient of (x_0 ... x_N)^(p^n - 1).
 
     Requires f homogeneous of weighted degree (p^n - 1) * d.  In that degree,
     the corner is the only monomial outside m^[p^n], so a zero corner

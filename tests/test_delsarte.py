@@ -7,7 +7,6 @@ from qfsplit.delsarte import (
     cross_check,
     delsarte_invariants,
     e_invariant,
-    family_invariants,
     generic_hypotheses_hold,
     order_scan,
 )
@@ -126,8 +125,9 @@ def test_admissibility_logic():
     check_admissible(cycle3, 3)  # separately verified special prime
     chain4 = fams[8]  # star = {2}
     check_admissible(chain4, 2)
-    assert family_invariants(chain4, 2).kind == "sigma"
-    assert family_invariants(chain4, 2).value == 9
+    result = delsarte_invariants(chain4.matrix(), 2)
+    assert result.kind == "sigma"
+    assert result.value == 9
 
 
 def test_cross_check_small():

@@ -3,7 +3,6 @@ import pytest
 from qfsplit.errors import DomainError, UsageError
 from qfsplit.ffield import (
     ExtensionField,
-    ModPSquare,
     default_modulus,
     field,
 )
@@ -117,18 +116,3 @@ def test_serialization_round_trip():
     for raw in range(7):
         assert parse_scalar(F7, F7.format(raw)) == raw
 
-
-def test_mod_p_square_teichmuller():
-    for p in (2, 3, 5, 7):
-        Z = ModPSquare(p)
-        for c in range(p):
-            t = Z.teichmuller(c)
-            assert t % p == c
-            assert pow(t, p, p * p) == t  # the defining fixed-point property
-
-
-def test_mod_p_square_exact_division():
-    Z = ModPSquare(3)
-    assert Z.exact_div_p(6) == 2
-    with pytest.raises(DomainError):
-        Z.exact_div_p(4)

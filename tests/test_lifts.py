@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qfsplit.catalog import QUINTIC_THREEFOLD_F2, SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
-from qfsplit.cartier import basis, bundle, height, krylov_matrix, krylov_rows, ns_index
+from qfsplit.cartier import basis, bundle, height, krylov_rows, ns_index
 from qfsplit.errors import UsageError
 from qfsplit.ffield import field
 from qfsplit.lifts import (
@@ -17,6 +17,8 @@ from qfsplit.lifts import (
 )
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 from qfsplit.values import Infinite, is_infinite
+
+from _support import krylov_matrix
 
 F2 = field(2)
 F3 = field(3)

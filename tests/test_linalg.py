@@ -13,13 +13,11 @@ import numpy as np
 import pytest
 
 from qfsplit import _linalg
-from qfsplit._linalg import matrix_rank
 from qfsplit.cartier import (
     FrobeniusBundle,
     basis,
     bundle,
     height,
-    krylov_matrix,
     krylov_rows,
     ns_index,
 )
@@ -28,6 +26,8 @@ from qfsplit.ffield import field
 from qfsplit.lifts import infinite_lift, ns_lift, t_shifted
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 from qfsplit.values import Infinite, is_infinite
+
+from _support import krylov_matrix, matrix_rank
 
 FIELDS = [field(2), field(3), field(5), field(2, 2), field(2, 3), field(3, 2), field(5, 2)]
 # p >= 2^15: PrimeOps holds Python ints.  At 32771 a length-m*e dot product

@@ -167,7 +167,7 @@ def test_p_power_equals_termwise_frobenius():
 
 
 def test_exponent_overflow_guard():
-    f = Polynomial.monomial(R2ab, (MAX_EXPONENT - 2, 0))
+    f = Polynomial(R2ab, {(MAX_EXPONENT - 2, 0): 1})
     with pytest.raises(ResourceError):
         f * f
 
@@ -313,7 +313,7 @@ def test_witt_delta_matches_multinomial_oracle(p, e):
         ring = RingConfig(fld, (1,) * nv)
         forms = [
             Polynomial.zero(ring),
-            Polynomial.monomial(ring, tuple(rng.randrange(4) for _ in range(nv)), rng.choice(units)),
+            Polynomial(ring, {tuple(rng.randrange(4) for _ in range(nv)): rng.choice(units)}),
         ]
         for _ in range(4):
             size = rng.randrange(2, 13)
@@ -450,11 +450,3 @@ def test_corner_degree_precondition():
     with pytest.raises(UsageError):
         corner_coefficient(parse_poly("x^4", R3), 1)  # degree 4 != (3-1)*4
 
-
-def test_permute_variables_requires_weight_preservation():
-    ring = RingConfig(F3, (1, 1, 1, 3))
-    f = parse_poly("x0^6+x3^2", ring)
-    with pytest.raises(UsageError):
-        f.permute_variables([3, 1, 2, 0])
-    g = f.permute_variables([1, 0, 2, 3])
-    assert g.coefficient((0, 6, 0, 0)) == 1

@@ -18,6 +18,8 @@ from qfsplit.scan import (
     singular_witness,
 )
 
+from _support import evaluate, partial
+
 F2 = field(2)
 F3 = field(3)
 R2 = RingConfig(F2, (1, 1, 1, 1))
@@ -102,9 +104,9 @@ def test_witness_points_are_actual_singular_points():
     fld = field(3, k) if k > 1 else F3
     ring_k = RingConfig(fld, (1, 1, 1, 1))
     fk = parse_poly("x^4 + x^2y^2 + z^4", ring_k)
-    assert fld.is_zero(fk.evaluate(point))
+    assert fld.is_zero(evaluate(fk, point))
     for i in range(4):
-        assert fld.is_zero(fk.partial(i).evaluate(point))
+        assert fld.is_zero(evaluate(partial(fk, i), point))
 
 
 def reference_witness(f, extension_bound):
@@ -118,12 +120,12 @@ def reference_witness(f, extension_bound):
         fld = field(p, k)
         fk = Polynomial(RingConfig(fld, f.ring.weights),
                         {e: fld.from_int(c) for e, c in f.term_dict().items()})
-        polys = [fk] + [fk.partial(i) for i in range(nv)]
+        polys = [fk] + [partial(fk, i) for i in range(nv)]
         elems = list(fld.elements())
         for pivot in range(nv):
             for rest in product(elems, repeat=nv - pivot - 1):
                 point = (fld.zero,) * pivot + (fld.one,) + rest[::-1]
-                if all(fld.is_zero(g.evaluate(point)) for g in polys):
+                if all(fld.is_zero(evaluate(g, point)) for g in polys):
                     return (k, point)
     return None
 
