@@ -134,7 +134,7 @@ def _residue_columns(ring: RingConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 class FrobeniusBundle:
-    """The data (basis, f, v_f, lambda, T); construction via :func:`bundle`.
+    """The data (basis, f, v_f, lambda, T), v_f read off f; construction via :func:`bundle`.
 
     The backend forms of lambda and v_f are built once, by ``ops`` (default
     the field's :func:`_linalg.make_ops` backend); the step matrix ``T_mat``
@@ -144,15 +144,15 @@ class FrobeniusBundle:
     thread-local, as the scan workers do).
     """
 
-    def __init__(self, bas: MonomialBasis, f: Polynomial, v_f: list, lam: list, T: list, ops=None):
+    def __init__(self, bas: MonomialBasis, f: Polynomial, lam: list, T: list, ops=None):
         self.basis = bas
         self.f = f
-        self.v_f = v_f
+        self.v_f = bas.coefficients(f)
         self.lam = lam
         self.T = T
         self.ops = ops if ops is not None else _linalg.make_ops(bas.ring.field)
         self.lam_row = self.ops.row(lam)
-        self.v_col = self.ops.column(v_f)
+        self.v_col = self.ops.column(self.v_f)
         self._walked: tuple | None = None
 
     @cached_property
@@ -202,7 +202,7 @@ def columns_from_kernel(bas: MonomialBasis, kernel: Polynomial) -> list:
 def bundle(f: Polynomial) -> FrobeniusBundle:
     """Build the Frobenius descent bundle of a degree-d homogeneous f != 0.
 
-    Two routes give the same raw v_f, lambda and T, and each is the other's
+    Two routes give the same raw lambda and T, and each is the other's
     test oracle.  The numpy route (:mod:`qfsplit._fpbundle`) is taken iff
     all of these hold:
 
@@ -230,7 +230,7 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     bas = basis(ring)
     route = _fpbundle.lam_and_T if _fpbundle.admits(ring, bas.m) else dict_lam_and_T
     lam, T = route(f, bas)
-    return FrobeniusBundle(bas, f, bas.coefficients(f), lam, T)
+    return FrobeniusBundle(bas, f, lam, T)
 
 
 def dict_lam_and_T(f: Polynomial, bas: MonomialBasis) -> tuple:

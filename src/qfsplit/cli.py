@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
+from pathlib import Path
 
 from . import cartier, catalog, delsarte, lifts, scan
 from .errors import DomainError, ParseError, ResourceError, UsageError
@@ -40,6 +42,11 @@ def _build_ring(args) -> RingConfig:
     return RingConfig(fld, weights)
 
 
+def _equation(args):
+    """The equation argument, parsed into the ring the ring options name."""
+    return parse_poly(args.equation, _build_ring(args))
+
+
 def _emit(args, text_lines, json_doc) -> None:
     if args.format == "json":
         print(json.dumps(json_doc, sort_keys=True, indent=2))
@@ -62,33 +69,23 @@ def _common_doc(f) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_height(args) -> int:
-    ring = _build_ring(args)
-    f = parse_poly(args.equation, ring)
+def _cmd_walk(args) -> int:
+    """``height`` or ``ns`` (``args.command``) of the equation, with its proven cap."""
+    f = _equation(args)
     b = cartier.bundle(f)
-    h = cartier.height(b)
+    if args.command == "height":
+        value, method, cap = cartier.height(b), "krylov-matrix", cartier.default_height_cap(b)
+    else:
+        value, method, cap = cartier.ns_index(b), "rank-profile", cartier.default_ns_cap(b)
     doc = _common_doc(f)
-    doc.update({"invariant": "height", "result": value_to_json(h),
-                "method": "krylov-matrix", "cap": cartier.default_height_cap(b)})
-    _emit(args, [f"height = {h}"], doc)
-    return 0
-
-
-def _cmd_ns(args) -> int:
-    ring = _build_ring(args)
-    f = parse_poly(args.equation, ring)
-    b = cartier.bundle(f)
-    ns = cartier.ns_index(b)
-    doc = _common_doc(f)
-    doc.update({"invariant": "ns", "result": value_to_json(ns),
-                "method": "rank-profile", "cap": cartier.default_ns_cap(b)})
-    _emit(args, [f"ns = {ns}"], doc)
+    doc.update({"invariant": args.command, "result": value_to_json(value),
+                "method": method, "cap": cap})
+    _emit(args, [f"{args.command} = {value}"], doc)
     return 0
 
 
 def _cmd_artin(args) -> int:
-    ring = _build_ring(args)
-    f = parse_poly(args.equation, ring)
+    f = _equation(args)
     line = tuple(_csv_ints(args.line)) if args.line else None
     report = cartier.artin_report(f, line=line)
     lines = [
@@ -103,10 +100,9 @@ def _cmd_artin(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    ring = _build_ring(args)
-    f = parse_poly(args.equation, ring)
+    f = _equation(args)
     b = cartier.bundle(f)
-    fld = ring.field
+    fld = f.ring.field
     doc = _common_doc(f)
     if sum((args.c is not None, args.random is not None, args.find_infinite)) != 1:
         raise UsageError("lift needs exactly one of --c, --random, --find-infinite")
@@ -139,7 +135,7 @@ def _cmd_lift(args) -> int:
     ns_f = cartier.ns_index(b)
     results = {}
     for i in range(n):
-        c = scan.sample(args.seed, i, ring)
+        c = scan.sample(args.seed, i, f.ring)
         v = lifts.ns_lift(b, c)
         key = "infinity" if is_infinite(v) else str(v)
         results[key] = results.get(key, 0) + 1
@@ -176,8 +172,7 @@ def _cmd_delsarte(args) -> int:
         f"equation = {equation}",
         f"|det|    = {abs(inv.det)}",
         f"e_A      = {inv.e_A}",
-        f"{result.kind}    = {result.value}" if result.kind == "sigma"
-        else f"{result.kind}   = {result.value}",
+        f"{result.kind:<9}= {result.value}",
     ]
     doc = {
         "equation": equation,
@@ -192,6 +187,15 @@ def _cmd_delsarte(args) -> int:
     }
     _emit(args, lines, doc)
     return 0
+
+
+@contextmanager
+def _writing_to(out: str):
+    """Report an OSError on the scan's --out directory as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write scan artifacts to {out!r}: {exc.strerror}") from exc
 
 
 def _cmd_scan(args) -> int:
@@ -209,9 +213,14 @@ def _cmd_scan(args) -> int:
         witness_extension_bound=args.ext_bound,
         workers=args.workers,
     )
+    job.validate()  # a bad job leaves no --out directory behind
+    if args.out:  # before the first sample, so a bad path costs no scan
+        with _writing_to(args.out):
+            Path(args.out).mkdir(parents=True, exist_ok=True)
     result = scan.run_scan(job)
     if args.out:
-        result.write_artifacts(args.out)
+        with _writing_to(args.out):
+            result.write_artifacts(args.out)
     doc = result.to_json_dict()
     if args.format == "json":
         print(result.json_text(), end="")
@@ -270,8 +279,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_check_smooth(args) -> int:
-    ring = _build_ring(args)
-    f = parse_poly(args.equation, ring)
+    f = _equation(args)
     hit = scan.singular_witness(f, args.ext_bound)
     doc = _common_doc(f)
     if hit is None:
@@ -281,7 +289,7 @@ def _cmd_check_smooth(args) -> int:
                      f"note: {scan.SMOOTHNESS_CAVEAT}"], doc)
     else:
         k, point = hit
-        fld = field(args.p, k) if k > 1 else ring.field
+        fld = field(args.p, k) if k > 1 else f.ring.field
         coords = ",".join(fld.format(c) for c in point)
         doc.update({"witness": {"extension_degree": k, "point": coords}})
         _emit(args, [f"singular point over F_{args.p}^{k}: ({coords})"], doc)
@@ -318,8 +326,8 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, flags in (
-        ("height", _cmd_height, _RING_OPTIONS),
-        ("ns", _cmd_ns, _RING_OPTIONS),
+        ("height", _cmd_walk, _RING_OPTIONS),
+        ("ns", _cmd_walk, _RING_OPTIONS),
         ("artin", _cmd_artin, _RING_OPTIONS),
         ("lift", _cmd_lift, _RING_OPTIONS + ("--seed",)),
         ("check-smooth", _cmd_check_smooth, _RING_OPTIONS),

@@ -15,10 +15,12 @@ All integer arithmetic is exact (Python ints; |det| <= 432 here).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
 from . import cartier
+from .cartier import K3_QUARTIC_WEIGHTS, K3_SEXTIC_WEIGHTS
 from .errors import DomainError, UsageError
 from .ffield import _is_prime, field
 from .polyring import RingConfig, parse_poly
@@ -63,7 +65,7 @@ class DelsarteMatrix:
             raise UsageError("exponent matrix must be 4x4")
         if any(e < 0 for r in self.rows for e in r):
             raise UsageError("exponent matrix entries must be nonnegative")
-        if self.weights not in ((1, 1, 1, 1), (1, 1, 1, 3)):
+        if self.weights not in (K3_QUARTIC_WEIGHTS, K3_SEXTIC_WEIGHTS):
             raise UsageError("supported weight systems are (1,1,1,1) and (1,1,1,3)")
         d = sum(self.weights)
         for i, row in enumerate(self.rows):
@@ -154,8 +156,9 @@ class FamilyRecord:
         return DelsarteMatrix(rows=_exponent_rows(self.equation, self.weights), weights=self.weights)
 
 
+@lru_cache(maxsize=None)
 def _exponent_rows(equation: str, weights: tuple) -> tuple:
-    """Exponent vectors of the four monomials, in written order."""
+    """Exponent vectors of the four monomials, in written order; parsed once per process."""
     ring = RingConfig(field(2), weights)  # coefficients are all 1; field irrelevant
     rows = []
     for chunk in equation.split("+"):
@@ -202,9 +205,9 @@ def builtin_families() -> list:
     """The twenty catalogued smooth Delsarte K3 families."""
     records = []
     for idx, (eq, det_abs, e_a, star) in enumerate(_QUARTIC_FAMILIES):
-        records.append(FamilyRecord(idx, (1, 1, 1, 1), eq, det_abs, e_a, frozenset(star)))
+        records.append(FamilyRecord(idx, K3_QUARTIC_WEIGHTS, eq, det_abs, e_a, frozenset(star)))
     for k, (eq, det_abs, e_a, star) in enumerate(_SEXTIC_FAMILIES):
-        records.append(FamilyRecord(10 + k, (1, 1, 1, 3), eq, det_abs, e_a, frozenset(star)))
+        records.append(FamilyRecord(10 + k, K3_SEXTIC_WEIGHTS, eq, det_abs, e_a, frozenset(star)))
     return records
 
 
@@ -275,9 +278,9 @@ def cross_check(p: int, families: Sequence[FamilyRecord] | None = None) -> list:
     """Run the closed form and the matrix engine side by side at p.
 
     For every admissible family: a sigma verdict must coincide with a
-    supersingular matrix report whose tau equals sigma (tau = 10 absorbing
-    all sigma >= 10), and a height verdict must match the matrix height
-    exactly.  Returns one row per admissible family.
+    supersingular matrix report whose tau is :func:`cartier.tau_from_ns` of
+    sigma, and a height verdict must match the matrix height exactly.
+    Returns one row per admissible family.
     """
     if families is None:
         families = builtin_families()
@@ -290,11 +293,9 @@ def cross_check(p: int, families: Sequence[FamilyRecord] | None = None) -> list:
         formula = delsarte_invariants(record.matrix(), p)
         ring = RingConfig(field(p), record.weights)
         f = parse_poly(record.equation, ring)
-        line = cartier.find_axis_line(f) if (p == 2 and record.weights == (1, 1, 1, 1)) else None
-        report = cartier.artin_report(f, line=line)
+        report = cartier.artin_report(f, line=cartier.find_axis_line(f))
         if formula.kind == "sigma":
-            expected_tau = formula.value if formula.value <= 9 else 10
-            match = is_infinite(report.height) and report.tau == expected_tau
+            match = is_infinite(report.height) and report.tau == cartier.tau_from_ns(formula.value)
         else:
             match = (not is_infinite(report.height)) and report.height == formula.value
         rows.append(

@@ -14,6 +14,7 @@ is semantic equality.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Sequence, Union
 
 from .errors import DomainError, UsageError
@@ -122,13 +123,8 @@ def default_modulus(p: int, e: int) -> tuple:
     Deterministic replacement for a lookup table; intended for p^e <= 5^4
     (larger requests still work, just slower).
     """
-    for i in range(p**e):
-        coeffs = []
-        n = i
-        for _ in range(e):
-            coeffs.append(n % p)
-            n //= p
-        candidate = tuple(coeffs) + (1,)
+    for digits in product(range(p), repeat=e):
+        candidate = digits[::-1] + (1,)
         if _is_irreducible(candidate, p):
             return candidate
     raise DomainError(f"no irreducible polynomial of degree {e} over F_{p}")
@@ -268,7 +264,8 @@ class ExtensionField(Field):
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise UsageError(
-                f"modulus must be monic of degree {e}, got {len(modulus) - 1} coefficients"
+                f"modulus must be monic of degree {e} ({e + 1} coefficients, constant "
+                f"first), got {','.join(map(str, modulus))}"
             )
         if not _is_irreducible(modulus, p):
             raise UsageError(f"modulus {modulus} is reducible over F_{p}")
@@ -298,11 +295,8 @@ class ExtensionField(Field):
         return self.pow(a, self.p)
 
     def inverse_frobenius(self, a):
-        # Frobenius has order e on F_{p^e}, so its inverse is the (e-1)-st power.
-        out = a
-        for _ in range(self.e - 1):
-            out = self.frobenius(out)
-        return out
+        # Frobenius has order e on F_{p^e}, so its inverse is its (e-1)-st power
+        return self.pow(a, self.p ** (self.e - 1))
 
     def from_int(self, n: int):
         return (n % self.p,) + (0,) * (self.e - 1)
@@ -324,14 +318,7 @@ class ExtensionField(Field):
         return "+".join(parts) if parts else "0"
 
     def elements(self) -> Iterator[tuple]:
-        def rec(prefix, i):
-            if i == self.e:
-                yield tuple(prefix)
-                return
-            for c in range(self.p):
-                yield from rec(prefix + [c], i + 1)
-
-        return rec([], 0)
+        return product(range(self.p), repeat=self.e)
 
     def __repr__(self):
         return f"ExtensionField(p={self.p}, e={self.e}, modulus={self.modulus})"

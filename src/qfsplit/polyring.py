@@ -55,9 +55,6 @@ class RingConfig:
     def weighted_degree(self, exps: ExponentVector) -> int:
         return sum(w * e for w, e in zip(self.weights, exps))
 
-    def var_name(self, i: int) -> str:
-        return f"x{i}"
-
     def __eq__(self, other):
         return (
             isinstance(other, RingConfig)
@@ -150,13 +147,7 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        f = self.ring.field
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            cur = out.get(exps, f.zero)
-            out[exps] = f.sub(cur, coeff)
-        return Polynomial(self.ring, out)
+        return self + other.scaled(other.ring.field.from_int(-1))
 
     def scaled(self, scalar: RawElement) -> "Polynomial":
         f = self.ring.field
@@ -544,31 +535,37 @@ class _Tokenizer:
             raise ParseError("expected an unsigned integer", start)
         return int(self.text[start : self.pos])
 
-    def at_end(self) -> bool:
-        return self.peek() == ""
 
+def _signed_terms(tok: _Tokenizer, stop: str, what: str) -> Iterator[int]:
+    """Yield the sign of each term of ['+'|'-'] term (('+'|'-') term)*, up to `stop`.
 
-def _parse_scalar_expr(tok: _Tokenizer, field: Field, stop: str) -> RawElement:
-    """Sum of terms in the extension generator t, up to (not consuming) `stop`."""
-    total = field.zero
-    sign = 1
+    The caller parses each term after its sign is yielded; the sum ends at
+    the end of the input or before (not consuming) `stop`.
+    """
     first = True
     while True:
         ch = tok.peek()
-        if ch == "" or ch == stop:
+        if ch in ("", stop):
             if first:
-                raise ParseError("empty coefficient expression", tok.pos)
-            return total
+                raise ParseError(f"empty {what} expression", tok.pos)
+            return
+        sign = 1
         if ch in "+-":
             tok.take()
             sign = -1 if ch == "-" else 1
         elif not first:
             raise ParseError(f"expected '+' or '-', found {ch!r}", tok.pos)
         first = False
+        yield sign
+
+
+def _parse_scalar_expr(tok: _Tokenizer, field: Field, stop: str) -> RawElement:
+    """Sum of terms in the extension generator t, up to (not consuming) `stop`."""
+    total = field.zero
+    for sign in _signed_terms(tok, stop, "coefficient"):
         # one scalar term: [uint] ['*'] ['t' ['^' uint]]
         coeff = None
-        ch = tok.peek()
-        if ch.isdigit():
+        if tok.peek().isdigit():
             coeff = tok.read_uint()
             if tok.peek() == "*":
                 tok.take()
@@ -585,32 +582,24 @@ def _parse_scalar_expr(tok: _Tokenizer, field: Field, stop: str) -> RawElement:
             raise ParseError("expected a coefficient term", tok.pos)
         if coeff is None:
             coeff = 1
-        value = field.from_int(coeff if sign > 0 else -coeff)
+        value = field.from_int(sign * coeff)
         if power:
             tgen = (0, 1) + (0,) * (field.e - 2)
             value = field.mul(value, field.pow(tgen, power))
         total = field.add(total, value)
-        sign = 1
+    return total
 
 
 def parse_scalar(field: Field, text: str) -> RawElement:
     """Parse a standalone field element ('7', 't+1', '2*t^2 + 1', ...)."""
-    tok = _Tokenizer(text)
-    value = _parse_scalar_expr(tok, field, stop="")
-    if not tok.at_end():
-        raise ParseError(f"unexpected trailing input {tok.peek()!r}", tok.pos)
-    return value
+    return _parse_scalar_expr(_Tokenizer(text), field, stop="")
 
 
 def _parse_var(tok: _Tokenizer, ring: RingConfig) -> int:
+    """A variable the caller has peeked: 'x' uint, or one of the aliases."""
     pos = tok.pos
     ch = tok.take()
-    if ch == "x" and tok.peek().isdigit():
-        idx = tok.read_uint()
-    elif ch in _ALIASES:
-        idx = _ALIASES[ch]
-    else:
-        raise ParseError(f"unknown variable {ch!r}", pos)
+    idx = tok.read_uint() if ch == "x" and tok.peek().isdigit() else _ALIASES[ch]
     if idx >= ring.num_vars:
         raise ParseError(
             f"variable x{idx} out of range for a {ring.num_vars}-variable ring", pos
@@ -636,21 +625,7 @@ def parse_poly(text: str, ring: RingConfig) -> Polynomial:
     field = ring.field
     tok = _Tokenizer(text)
     terms: dict = {}
-    sign = 1
-    first = True
-    while True:
-        ch = tok.peek()
-        if ch == "":
-            if first:
-                raise ParseError("empty polynomial expression", tok.pos)
-            break
-        if ch in "+-":
-            tok.take()
-            sign = -1 if ch == "-" else 1
-        elif not first:
-            raise ParseError(f"expected '+' or '-', found {ch!r}", tok.pos)
-        first = False
-
+    for sign in _signed_terms(tok, "", "polynomial"):
         coeff = field.from_int(sign)
         exps = [0] * ring.num_vars
         saw_coeff = False
@@ -675,9 +650,9 @@ def parse_poly(text: str, ring: RingConfig) -> Polynomial:
             if ch == "*":
                 tok.take()
                 ch = tok.peek()
-                if not (ch == "x" or ch in _ALIASES):
+                if ch not in _ALIASES:
                     raise ParseError("expected a variable after '*'", tok.pos)
-            if not (ch == "x" or ch in _ALIASES):
+            if ch not in _ALIASES:
                 break
             idx = _parse_var(tok, ring)
             power = 1
@@ -696,7 +671,6 @@ def parse_poly(text: str, ring: RingConfig) -> Polynomial:
         key = tuple(exps)
         cur = terms.get(key, field.zero)
         terms[key] = field.add(cur, coeff)
-        sign = 1
     return Polynomial(ring, terms)
 
 
@@ -710,9 +684,9 @@ def format_poly(f: Polynomial) -> str:
         factors = []
         for i, e in enumerate(exps):
             if e == 1:
-                factors.append(f.ring.var_name(i))
+                factors.append(f"x{i}")
             elif e > 1:
-                factors.append(f"{f.ring.var_name(i)}^{e}")
+                factors.append(f"x{i}^{e}")
         cstr = field.format(coeff)
         if field.e > 1 and ("+" in cstr or "t" in cstr):
             cstr = f"({cstr})"

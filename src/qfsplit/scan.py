@@ -29,6 +29,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -182,7 +183,12 @@ def _tables(ring: RingConfig, k: int) -> _WitnessTables:
     return _WitnessTables(ring, k)
 
 
-def singular_witness(f: Polynomial, extension_bound: int = 2):
+def _check_extension_bound(k: int) -> None:
+    if not 1 <= k <= 3:
+        raise UsageError("the witness extension bound must be 1, 2 or 3")
+
+
+def singular_witness(f: Polynomial, extension_bound: int):
     """A singular point of V(f) over F_{p^k}, k <= extension_bound, or None.
 
     Returns (k, point) for the first witness found (a common zero of f and
@@ -191,8 +197,7 @@ def singular_witness(f: Polynomial, extension_bound: int = 2):
     """
     if f.ring.field.e != 1:
         raise UsageError("the witness search supports prime base fields only")
-    if not 1 <= extension_bound <= 3:
-        raise UsageError("the witness extension bound must be 1, 2 or 3")
+    _check_extension_bound(extension_bound)
     coeffs = cartier.basis(f.ring).coefficients(f)
     for k in range(1, extension_bound + 1):
         hit = _tables(f.ring, k).witness(coeffs)
@@ -243,10 +248,13 @@ class ScanJob:
             m = cartier.basis(self.ring).m
             if any(not 0 <= i < m for i in self.mask):
                 raise UsageError("mask indices out of basis range")
+            if len(set(self.mask)) != len(self.mask):
+                raise UsageError("mask indices must be distinct")
             if self.ring.field.order ** len(self.mask) > _MAX_EXHAUSTIVE:
                 raise UsageError("exhaustive mask space too large")
         if self.filter_on() and self.ring.field.e != 1:
             raise UsageError("the smoothness filter supports prime base fields only")
+        _check_extension_bound(self.witness_extension_bound)
         if self.workers < 1:
             raise UsageError("worker count must be positive")
 
@@ -291,6 +299,7 @@ def _evaluate_index(job: ScanJob, index: int) -> dict:
         "smooth_witness_flag": "",
         "_supersingular": False,
         "_tau": None,
+        "_ambiguous": False,
     }
     f = cartier.basis(ring).polynomial(coeffs)
     if f.is_zero():
@@ -307,6 +316,7 @@ def _evaluate_index(job: ScanJob, index: int) -> dict:
     row["ns"] = _fmt(report.ns)
     row["tau"] = _fmt(report.tau)
     row["_supersingular"] = is_infinite(report.height)
+    row["_ambiguous"] = report.sigma_note == cartier.SIGMA_AMBIGUOUS
     if report.tau is not None and not is_infinite(report.tau):
         row["_tau"] = report.tau
     return row
@@ -355,10 +365,8 @@ class ScanResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def write_artifacts(self, directory) -> None:
-        from pathlib import Path
-
+        """Write scan.csv and scan.json into ``directory``, which must exist."""
         out = Path(directory)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "scan.csv").write_text(self.csv_text())
         (out / "scan.json").write_text(self.json_text())
 
@@ -394,9 +402,6 @@ def run_scan(job: ScanJob) -> ScanResult:
     smooth_ok = lambda row: (not job.filter_on()) or row["smooth_witness_flag"].startswith(
         "no_witness"
     )
-    quartic_char2 = (
-        cartier.family_of(job.ring) == cartier.FAMILY_QUARTIC and job.ring.field.p == 2
-    )
 
     hits = []
     violations = []
@@ -411,7 +416,7 @@ def run_scan(job: ScanJob) -> ScanResult:
             public["reverified"] = fresh == tau
             hits.append(public)
         elif job.mode == MODE_ASSERT_BOUND:
-            sigma_max = tau + 1 if quartic_char2 else tau
+            sigma_max = tau + 1 if row["_ambiguous"] else tau
             if sigma_max < job.min_sigma:
                 violations.append(public)
             elif tau < job.min_sigma:

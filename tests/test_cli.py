@@ -8,9 +8,12 @@ import jsonschema
 import pytest
 
 import qfsplit
-from qfsplit import cartier
+from qfsplit import cartier, lifts, scan
 from qfsplit.catalog import SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
 from qfsplit.cli import main
+from qfsplit.ffield import field
+from qfsplit.polyring import RingConfig, parse_poly
+from qfsplit.values import value_to_json
 
 VALUE_SCHEMA = {
     "type": "object",
@@ -144,6 +147,31 @@ def test_lift_find_infinite(capsys):
     assert code == 0 and "ns_lift = infinity" in out
 
 
+def test_lift_find_infinite_when_lambda_is_zero(capsys):
+    entry = SUPERSINGULAR_QUARTICS_F3[0]  # the Fermat quartic over F_3: lambda = 0
+    code, out, _ = run_cli(capsys, "lift", "-p", "3", entry.equation, "--find-infinite")
+    assert (code, out) == (0, "lambda = 0: every lift has ns 1; no infinite lift exists\n")
+    code, out, _ = run_cli(capsys, "lift", "-p", "3", "--format", "json", entry.equation,
+                           "--find-infinite")
+    doc = json.loads(out)
+    assert code == 0 and doc["infinite_lift"] is None and doc["reason"] == "lambda_zero"
+
+
+@pytest.mark.parametrize("p, equation", [(2, "x^4 + xy^3 + yw^3 + z^3w"),
+                                         (3, SUPERSINGULAR_QUARTICS_F3[1].equation)])
+def test_lift_c_reports_ns_lift(capsys, p, equation):
+    ring = RingConfig(field(p), (1, 1, 1, 1))
+    b = cartier.bundle(parse_poly(equation, ring))
+    for seed in range(3):
+        c = scan.sample(seed, 0, ring)
+        want = lifts.ns_lift(b, c)
+        argv = ["lift", "-p", str(p), equation, "--c", ",".join(map(str, c))]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, f"ns_lift = {want}\n")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["ns_lift"] == value_to_json(want)
+
+
 @pytest.fixture
 def counted_bundles(monkeypatch, step_counting):
     """Make cartier.bundle return bundles on StepCountingOps; the list collects them."""
@@ -192,6 +220,56 @@ def test_scan_json(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["total"] == 10
     assert (tmp_path / "scan.csv").exists()
+
+
+def test_scan_text_report(capsys):
+    code, out, _ = run_cli(capsys, "scan", "-p", "3", "--mode", "hunt", "--sigma", "1",
+                           "--mask", "0,20,30,34", "--smooth-filter", "on")
+    assert code == 0
+    assert out == (
+        "samples: 81\n"
+        "  height=infinity ns=1: 80\n"
+        "  height=zero_polynomial ns=-: 1\n"
+        "hits: 16\n"
+        f"note: {scan.SMOOTHNESS_CAVEAT}\n"
+    )
+    code, out, _ = run_cli(capsys, "scan", "-p", "2", "--mode", "assert-bound", "--sigma", "10",
+                           "--mask", "0,10,29,31")
+    assert code == 0
+    assert out == (
+        "samples: 16\n"
+        "  height=infinity ns=2: 11\n"
+        "  height=infinity ns=3: 3\n"
+        "  height=infinity ns=9: 1\n"
+        "  height=zero_polynomial ns=-: 1\n"
+        "violations: 0  ambiguous: 1\n"
+        f"note: {scan.SMOOTHNESS_CAVEAT}\n"
+    )
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_scan_out_that_is_no_directory_fails_before_sampling(capsys, monkeypatch, tmp_path, out):
+    (tmp_path / "afile").write_text("")
+    sampled = []
+    monkeypatch.setattr(scan, "_evaluate_index", lambda job, i: sampled.append(i))
+    code, stdout, err = run_cli(capsys, "scan", "-p", "2", "--count", "2",
+                                "--out", str(tmp_path / out))
+    assert (code, stdout, sampled) == (1, "", [])
+    assert err.startswith(f"usage error: cannot write scan artifacts to {str(tmp_path / out)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_scan_out_is_created_before_sampling(capsys, monkeypatch, tmp_path):
+    out = tmp_path / "new" / "dir"
+    evaluate = scan._evaluate_index
+
+    def checked(job, i):
+        assert out.is_dir()
+        return evaluate(job, i)
+
+    monkeypatch.setattr(scan, "_evaluate_index", checked)
+    code, _, _ = run_cli(capsys, "scan", "-p", "2", "--count", "2", "--out", str(out))
+    assert code == 0 and (out / "scan.csv").exists() and (out / "scan.json").exists()
 
 
 def test_check_smooth(capsys):
@@ -248,6 +326,10 @@ def test_tables_quintic_and_delsarte(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["failures"] == 0
+    # 20 e_A rows, then every admissible family at p = 2, 3, 5, 7
+    code, out, _ = run_cli(capsys, "tables", "--which", "delsarte", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and len(doc["rows"]) == 61 and doc["failures"] == 0
 
 
 SS_QUARTIC = "x^4 + xy^3 + yw^3 + z^3w"  # supersingular over F_2, ns 9
@@ -276,6 +358,14 @@ REJECTED = {
     # an empty --c is a malformed shift, not a missing option
     ("lift", "--c", "", "--random", "2", SS_QUARTIC): "exactly one of",
     ("lift", "--c", "", SS_QUARTIC): "35 comma-separated field elements",
+    ("delsarte", "--matrix", ",".join(["1"] * 15), "-p", "2"): "16 comma-separated entries",
+    # the modulus is t + 1: two coefficients, one short of degree 2
+    ("height", "-p", "3", "--ext-degree", "2", "--modulus", "1,1", "x^4"):
+        "monic of degree 2 (3 coefficients, constant first), got 1,1",
+    # 2 masked coefficients over F_2 span 4 forms; a repeated index would sample 0 and x^4 twice
+    ("scan", "-p", "2", "--mask", "0,0"): "mask indices must be distinct",
+    # the bound is written to the artifacts even with the filter off
+    ("scan", "-p", "2", "--count", "5", "--ext-bound", "7"): "extension bound must be 1, 2 or 3",
 }
 
 

@@ -50,7 +50,7 @@ def random_forms(fld, weights, count, seed):
 
 def generic_twin(b):
     """The same bundle on the reference GenericOps backend."""
-    return FrobeniusBundle(b.basis, b.f, b.v_f, b.lam, b.T, ops=_linalg.GenericOps(b.field))
+    return FrobeniusBundle(b.basis, b.f, b.lam, b.T, ops=_linalg.GenericOps(b.field))
 
 
 def generic_rank(rows, fld):
@@ -194,7 +194,7 @@ def random_bundles(fld, seed):
         lam[rng.randrange(m)] = fld.one  # lambda != 0, so infinite_lift constructs a shift
         # v_f off the support of lambda makes R_1 . v_f = 0, so heights exceed 1
         v_f = [fld.zero if k % 2 or not fld.is_zero(a) else random_element(fld, rng) for a in lam]
-        out.append(FrobeniusBundle(bas, bas.polynomial(v_f), v_f, lam, T))
+        out.append(FrobeniusBundle(bas, bas.polynomial(v_f), lam, T))
     for h in rng.sample(range(3, m + 1), 2):
         # a weighted shift: R_n is supported on coordinate n - 1, so the height is h
         T = [[fld.zero] * m for _ in range(m)]
@@ -202,7 +202,7 @@ def random_bundles(fld, seed):
             T[i][i + 1] = random_unit(fld, rng)
         lam = [random_unit(fld, rng)] + [fld.zero] * (m - 1)
         v_f = [random_unit(fld, rng) if i == h - 1 else fld.zero for i in range(m)]
-        out.append(FrobeniusBundle(bas, bas.polynomial(v_f), v_f, lam, T))
+        out.append(FrobeniusBundle(bas, bas.polynomial(v_f), lam, T))
     return out
 
 

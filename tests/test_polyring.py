@@ -18,6 +18,7 @@ from qfsplit.polyring import (
     in_frobenius_power,
     mul_residues,
     parse_poly,
+    parse_scalar,
     poly_pow,
     prune,
     u_op,
@@ -93,6 +94,71 @@ def test_parse_errors_carry_offsets():
         parse_poly("x0^", R3)
     with pytest.raises(ParseError):
         parse_poly("3 4", R3)
+
+
+F9 = field(3, 2)
+R9 = RingConfig(F9, (1, 1, 1, 1))
+PARSERS = {
+    "poly F3": lambda text: parse_poly(text, R3),
+    "poly F9": lambda text: parse_poly(text, R9),
+    "scalar F3": lambda text: parse_scalar(F3, text),
+    "scalar F9": lambda text: parse_scalar(F9, text),
+}
+
+# malformed input -> (message, byte offset) of its ParseError, one or more
+# inputs for every message the parser raises
+PARSE_ERRORS = [
+    ("poly F3", "", "empty polynomial expression", 0),
+    ("poly F3", "   ", "empty polynomial expression", 3),
+    ("poly F3", "x^2 3", "expected '+' or '-', found '3'", 4),
+    ("poly F3", "x0^4 + q", "expected a term", 7),
+    ("poly F3", "x + + y", "expected a term", 4),
+    ("poly F3", "-", "expected a term", 1),
+    ("poly F3", "x^4 -", "expected a term", 5),
+    ("poly F3", ")x", "expected a term", 0),
+    ("poly F3", "2*", "expected a variable after '*'", 2),
+    ("poly F3", "2*3", "expected a variable after '*'", 2),
+    ("poly F3", "3 4", "unexpected character '4'", 2),
+    ("poly F3", "x0^", "expected an unsigned integer", 3),
+    ("poly F3", "x9", "variable x9 out of range for a 4-variable ring", 0),
+    ("poly F3", "u^4", "variable x4 out of range for a 4-variable ring", 0),
+    ("poly F3", "(t+1)*x0^4", "parenthesized extension coefficient used over a prime field", 0),
+    ("poly F9", "()*x^4", "empty coefficient expression", 1),
+    ("poly F9", "( )x", "empty coefficient expression", 2),
+    ("poly F9", "(t t)*x^4", "expected '+' or '-', found 't'", 3),
+    ("poly F9", "(2 x", "expected '+' or '-', found 'x'", 3),
+    ("poly F9", "(t+)*x^4", "expected a coefficient term", 3),
+    ("poly F9", "(-)x", "expected a coefficient term", 2),
+    ("poly F9", "(t", "expected ')', found ''", 2),
+    ("poly F9", "(t^)x", "expected an unsigned integer", 3),
+    ("poly F9", "(t)3", "unexpected character '3'", 3),
+    ("scalar F9", "", "empty coefficient expression", 0),
+    ("scalar F9", "t t", "expected '+' or '-', found 't'", 2),
+    ("scalar F9", "2 3", "expected '+' or '-', found '3'", 2),
+    ("scalar F9", "1 +", "expected a coefficient term", 3),
+    ("scalar F9", "*t", "expected a coefficient term", 0),
+    ("scalar F9", ")", "expected a coefficient term", 0),
+    ("scalar F9", "t^", "expected an unsigned integer", 2),
+    ("scalar F3", "t", "extension generator t used over a prime field", 0),
+]
+
+
+@pytest.mark.parametrize("parser, text, message, offset", PARSE_ERRORS,
+                         ids=[f"{c[0]}:{c[1]!r}" for c in PARSE_ERRORS])
+def test_parse_error_message_and_offset(parser, text, message, offset):
+    with pytest.raises(ParseError) as err:
+        PARSERS[parser](text)
+    assert err.value.offset == offset
+    assert str(err.value) == f"{message} (at byte {offset})"
+
+
+def test_parse_scalar_products_and_powers_of_t():
+    F27 = field(3, 3)
+    assert parse_scalar(F27, "2*t^2 + 1") == (1, 0, 2)
+    assert parse_scalar(F27, "2t^2+t") == (0, 1, 2)
+    assert parse_scalar(F27, "t^3") == (2, 1, 0)  # t^3 = t + 2 mod the default modulus
+    assert parse_scalar(F27, "5") == (2, 0, 0)
+    assert parse_scalar(F9, "-t^2") == (1, 0)
 
 
 def test_parser_fuzz_never_crashes():

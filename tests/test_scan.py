@@ -258,6 +258,21 @@ def test_assert_bound_scan_small():
     assert all(row["smooth_witness_flag"] for row in res.rows)
 
 
+@pytest.mark.parametrize("ring, equation, bound, violations, ambiguous", [
+    # tau 9 below a bound of 10: over F_2 a quartic's sigma may be tau + 1 = 10
+    (R2, "x^4 + xy^3 + yw^3 + z^3w", 10, [], ["9"]),
+    # tau 1 below a bound of 2: over F_3 sigma = tau, so the 16 diagonal forms violate it
+    (R3, "x^4 + y^4 + z^4 + w^4", 2, ["1"] * 16, []),
+])
+def test_assert_bound_doubts_sigma_only_for_char2_quartics(ring, equation, bound, violations,
+                                                           ambiguous):
+    bas = basis(ring)
+    mask = tuple(bas.index_of(e) for e in parse_poly(equation, ring).term_dict())
+    res = run_scan(ScanJob(ring=ring, mode="assert_bound", mask=mask, min_sigma=bound))
+    assert [row["tau"] for row in res.violations] == violations
+    assert [row["tau"] for row in res.ambiguous] == ambiguous
+
+
 def test_hunt_with_mask_finds_diagonal_quartics():
     bas = basis(R3)
     mask = tuple(bas.index_of(e) for e in [(4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)])
