@@ -1,36 +1,48 @@
-"""The prime-field route of :func:`cartier.bundle`: lambda and T from numpy term arrays.
+"""The numpy route of :func:`cartier.bundle`: lambda and T from term arrays, over F_q.
 
-A polynomial is a pair of int64 arrays: packed exponent codes (one
-``width``-bit field per variable, x_0 highest, as in ``polyring._pack``),
-sorted ascending, and canonical coefficients, so exponent vectors add as
-codes.  Per equation:
+q = p^e, F_p being the case e = 1.  A polynomial is a pair of int64 arrays:
+packed exponent codes (one ``width``-bit field per variable, x_0 highest,
+as in ``polyring._pack``), sorted ascending, and coefficients, so exponent
+vectors add as codes.  A coefficient is one residue at e = 1 and an e-vector
+of residues in the basis 1, t, ..., t^(e-1) otherwise (:class:`Scalars`).
+Per equation:
 
-1. ``fhat``, the Teichmuller lift of f to Z/p^2 (c -> c^p mod p^2), is
-   multiplied by f's lift p - 1 times, f being the short factor (at most m
-   terms); ``f^(p-2) = fhat^(p-2) mod p`` and ``fhat^p`` is the last power;
-2. ``delta = (fhat^p - phi(fhat)) / p mod p`` with phi(c x^a) = c x^(pa),
-   the identity ``polyring.delta_lift_oracle`` checks the Witt-sum route
-   against;
+1. ``fhat``, f with each coefficient lifted to the Galois ring GR(p^2, e) =
+   (Z/p^2)[t] / (the field's modulus with its coefficients read as
+   integers), is multiplied by itself p - 1 times, fhat being the short
+   factor (at most m terms); any lift gives ``f^(p-2) = fhat^(p-2) mod p``,
+   and ``fhat^p`` is the last power.  The route takes the Teichmuller lift
+   chat = (any lift)^q, whose powers cancel more often mod p^2;
+2. ``delta = (fhat^p - sum_a chat_a^p x^(pa)) / p mod p``: the first Witt
+   sum polynomial at the lifted terms, the identity
+   ``polyring.delta_lift_oracle`` checks the Witt-sum route against over F_p.
+   Any lift gives it, but chat^p = chat only over F_p;
 3. T[i][j] sums delta_a * f^(p-2)_b over the pairs with a + b = p M_i +
-   (p-1, ..., p-1) - M_j.  Only pairs whose residue classes mod p add up to
-   a column class (p-1-M_j) mod p are formed: for each term b and each
-   column class c, the partners are the delta terms of class c - b, one run
-   of delta sorted by class.  Every such pair reaches a cell, found from
-   the quotients a // p and b // p through the per-ring tables;
-4. lambda_i is the coefficient of f^(p-2) at (p-1, ..., p-1) - M_i.
+   (p-1, ..., p-1) - M_j, then applies the inverse Frobenius (F_p-linear,
+   an e x e matrix).  Only pairs whose residue classes mod p add up to a
+   column class (p-1-M_j) mod p are formed: for each term b and each column
+   class c, the partners are the delta terms of class c - b, one run of
+   delta sorted by class.  Every such pair reaches a cell, found from the
+   quotients a // p and b // p through the per-ring tables;
+4. lambda_i is the inverse Frobenius of the coefficient of f^(p-2) at
+   (p-1, ..., p-1) - M_i.
 
 The per-ring arrays (:class:`RingTables`) are an int32 rank table over the
 box of degree-d exponent vectors, an int32 map of the m^2 cells, the column
 classes and the lambda codes.  Their closed-form size (:func:`ring_bytes`)
 is part of the route rule, and they are built on a ring's first bundle.
 Term pairs are formed in blocks of at most ``BLOCK``, so temporaries stay
-O(BLOCK) beyond the polynomials themselves.
+O(e^2 BLOCK) beyond the polynomials themselves.
 
-Integers only, on int64.  A product of two residues mod p^2 is below p^4 <
-2^60 for p < 2^15 and is reduced, once per block, before any sum; a sum
-then adds at most BLOCK + 1 values below p^2 < 2^30, far below 2^63.  The
-kernel pairs multiply residues mod p, below p^2, and each T cell is reduced
-mod p once per block, so it stays below p + BLOCK p^2 < 2^44.
+Integers only, on int64.  Coefficients are residues, below p^2 in the
+Galois ring and below p in the field.  A product multiplies coordinates,
+each product below p^4 < 2^60 for p < 2^15; over e > 1 these are reduced
+and summed through the multiplication tensor, whose entries are residues
+too, so the sum stays below e^2 (p^2 - 1)^2, which the route rule keeps
+below 2^63.  Products are reduced before like terms are summed, and a sum
+adds at most BLOCK + 1 values below p^2 < 2^30.  In the kernel each product
+is below p^2, and each T cell is reduced mod p once per block, so it stays
+below p + BLOCK p^2 < 2^44.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._linalg import _INT64_SAFE_P
+from .ffield import Field
 from .polyring import RingConfig
 
 CODE_BITS = 62  # packed codes stay below 2^62
@@ -73,13 +86,103 @@ def ring_bytes(ring: RingConfig, m: int) -> int:
 
 
 def admits(ring: RingConfig, m: int) -> bool:
-    """The route rule: F_p with 2 < p < 2^15, 62-bit codes, per-ring arrays in budget."""
+    """The route rule: q > 2, p < 2^15, exact GR products, 62-bit codes, arrays in budget."""
+    p, e = ring.field.p, ring.field.e
     return (
-        ring.field.e == 1
-        and 2 < ring.field.p < _INT64_SAFE_P
+        ring.field.order > 2
+        and p < _INT64_SAFE_P
+        and e * e * (p * p - 1) ** 2 < 2**63
         and ring.num_vars * code_width(ring) <= CODE_BITS
         and ring_bytes(ring, m) <= RING_BYTES_MAX
     )
+
+
+class Scalars:
+    """Coefficient arrays of F_q and of its lift GR(p^2, e): the only code that reads e.
+
+    At e = 1 a coefficient array is 1-D and a product is the plain ``a * b``.
+    At e > 1 it is (k, e), and a product goes through ``tensor[mod]``, whose
+    row i e + j holds t^(i+j) reduced by the monic integer lift of the
+    field's modulus, mod p^2 (the Galois ring) or mod p (the field).
+    """
+
+    def __init__(self, fld: Field):
+        self.p = p = fld.p
+        self.e = e = fld.e
+        self.shape = (e,) if e > 1 else ()  # of one coefficient
+        self.zero = fld.zero
+        self.one = self.lift([fld.one])
+        if e == 1:
+            return
+        self.tensor = {mod: _power_tensor(fld.modulus, mod) for mod in (p, p * p)}
+        # row k = coordinates of the inverse Frobenius of t^k
+        units = [tuple(int(k == i) for i in range(e)) for k in range(e)]
+        self.ifrob = np.array([fld.inverse_frobenius(u) for u in units], dtype=np.int64)
+
+    def lift(self, coeffs: list) -> np.ndarray:
+        """The canonical coordinates of raw field elements, each lifting itself."""
+        return np.array(coeffs, dtype=np.int64).reshape((len(coeffs),) + self.shape)
+
+    def zeros(self, n: int) -> np.ndarray:
+        return np.zeros((n,) + self.shape, dtype=np.int64)
+
+    def mul(self, a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
+        """Values congruent to a * b mod ``mod`` (p or p^2), each below mod^2."""
+        if self.e == 1:
+            return a * b
+        outer = a[:, :, None] * b[:, None, :] % mod
+        return outer.reshape(len(a), -1) @ self.tensor[mod] % mod
+
+    def power(self, a: np.ndarray, n: int, mod: int) -> np.ndarray:
+        """a^n mod ``mod``, n >= 1, by square and multiply."""
+        out = None
+        while n:
+            if n & 1:
+                out = a if out is None else self.mul(out, a, mod) % mod
+            n >>= 1
+            if n:
+                a = self.mul(a, a, mod) % mod
+        return out
+
+    def add_at(self, out: np.ndarray, index: np.ndarray, a: np.ndarray) -> None:
+        """``np.add.at(out, index, a)``; over e > 1 one coordinate at a time, numpy's fast path."""
+        if self.e == 1:
+            np.add.at(out, index, a)
+            return
+        for k in range(self.e):
+            np.add.at(out[:, k], index, a[:, k])
+
+    def nonzero(self, a: np.ndarray) -> np.ndarray:
+        return a != 0 if self.e == 1 else a.any(axis=1)
+
+    def raw(self, a: np.ndarray) -> list:
+        """Raw field elements of the inverse Frobenius of reduced coefficients mod p.
+
+        Zero entries share the field's ``zero``, as ``cartier`` builds them.
+        """
+        if self.e == 1:
+            return a.tolist()
+        a = a @ self.ifrob % self.p
+        out = [self.zero] * len(a)
+        hit = np.flatnonzero(a.any(axis=1))
+        for i, v in zip(hit.tolist(), a[hit].tolist()):
+            out[i] = tuple(v)
+        return out
+
+
+@lru_cache(maxsize=None)
+def scalars(fld: Field) -> Scalars:
+    return Scalars(fld)
+
+
+def _power_tensor(modulus: tuple, mod: int) -> np.ndarray:
+    """(e^2, e) array: row i e + j holds t^(i+j) mod the monic ``modulus``, mod ``mod``."""
+    e = len(modulus) - 1
+    powers = [[int(k == n) for k in range(e)] for n in range(e)]
+    for _ in range(e - 1):
+        top = powers[-1][-1]  # t * t^n: shift up, then t^e = -sum_k modulus[k] t^k
+        powers.append([(low - top * c) % mod for low, c in zip([0] + powers[-1][:-1], modulus)])
+    return np.array([powers[i + j] for i in range(e) for j in range(e)], dtype=np.int64)
 
 
 class RingTables:
@@ -157,19 +260,19 @@ def _run_starts(srt: np.ndarray) -> np.ndarray:
     return first
 
 
-def _combine(codes: np.ndarray, vals: np.ndarray, mod: int) -> tuple:
+def _combine(s: Scalars, codes: np.ndarray, vals: np.ndarray, mod: int) -> tuple:
     """Like terms summed mod ``mod``, zeros dropped, codes ascending."""
     srt = np.sort(codes)
     support = srt[_run_starts(srt)]
-    out = np.zeros(support.size, dtype=np.int64)
-    np.add.at(out, np.searchsorted(support, codes), vals)
+    out = s.zeros(support.size)
+    s.add_at(out, np.searchsorted(support, codes), vals)
     out %= mod
-    keep = out != 0
+    keep = s.nonzero(out)
     return support[keep], out[keep]
 
 
-def _mul(a: tuple, b: tuple, mod: int) -> tuple:
-    """a * b over Z/mod in blocks of at most BLOCK term pairs; b is the short factor."""
+def _mul(s: Scalars, a: tuple, b: tuple, mod: int) -> tuple:
+    """a * b mod ``mod`` in blocks of at most BLOCK term pairs; b is the short factor."""
     (ac, av), (bc, bv) = a, b
     na = ac.size
     total = na * bc.size
@@ -178,53 +281,57 @@ def _mul(a: tuple, b: tuple, mod: int) -> tuple:
         k = np.arange(lo, min(lo + BLOCK, total), dtype=np.int64)
         j, i = np.divmod(k, na)  # runs of a per term of b
         codes = np.concatenate((acc[0], ac[i] + bc[j]))
-        vals = np.concatenate((acc[1], av[i] * bv[j] % mod))
-        acc = _combine(codes, vals, mod)
+        vals = np.concatenate((acc[1], s.mul(av[i], bv[j], mod) % mod))
+        acc = _combine(s, codes, vals, mod)
     return acc
 
 
 def lam_and_T(f, bas) -> tuple:
     """The raw lambda row and T matrix of f on this route, by the steps above."""
     t = ring_tables(bas)
+    s = scalars(bas.ring.field)
     p, m = t.p, t.m
     mod = p * p
     terms = f.term_dict()
     codes = np.array(list(terms), dtype=np.int64).reshape(len(terms), -1) @ t.place
     order = np.argsort(codes)
     fc = codes[order]
-    fv = np.array(list(terms.values()), dtype=np.int64)[order]
-    fhat = (fc, np.array([pow(c, p, mod) for c in fv.tolist()], dtype=np.int64))
+    # the Teichmuller lift (coordinates)^q: fhat^2 of a dense F_3 quintic has
+    # 779 terms against the coordinate lift's 882, so fewer pairs are formed
+    fhat = (fc, s.power(s.lift(list(terms.values()))[order], bas.ring.field.order, mod))
 
     # 1. fhat^k for k = 1 .. p, keeping k = p - 2
-    fp2 = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))  # fhat^0
+    fp2 = (np.zeros(1, dtype=np.int64), s.one)  # fhat^0
     power = fhat
     for k in range(1, p):
         if k == p - 2:
             fp2 = power
-        power = _mul(power, fhat, mod)
+        power = _mul(s, power, fhat, mod)
     vals = fp2[1] % p
-    keep = vals != 0
+    keep = s.nonzero(vals)
     fp2 = (fp2[0][keep], vals[keep])
 
-    # 2. delta = (fhat^p - phi(fhat)) / p mod p; every phi term is a term of
-    # fhat^p, whose coefficient there is c^p = c != 0 mod p
+    # 2. delta = (fhat^p - sum chat^p x^(pa)) / p mod p; every x^(pa) is a term
+    # of fhat^p, whose coefficient there is c^p != 0 mod p
     hc, hv = power
     hv = hv.copy()
-    hv[np.searchsorted(hc, p * fc)] -= fhat[1]
+    hv[np.searchsorted(hc, p * fc)] -= s.power(fhat[1], p, mod)
     dv = hv % mod // p
-    keep = dv != 0
+    keep = s.nonzero(dv)
     delta = (hc[keep], dv[keep])
 
     # 3. T: the kernel summed in each class's first column, then copied to every cell
-    kv = np.zeros(m * m + 1, dtype=np.int64)
+    kv = s.zeros(m * m + 1)
     if delta[0].size:
-        _accumulate_kernel(t, delta, fp2, kv)
+        _accumulate_kernel(t, s, delta, fp2, kv)
+    cells = s.raw(kv[t.cell])
 
-    # 4. lambda_i = f^(p-2) at (p-1, ..., p-1) - M_i
+    # 4. lambda_i = f^(p-2) at (p-1, ..., p-1) - M_i; a miss reads the zero appended
     pc, pv = fp2
     pos = np.minimum(np.searchsorted(pc, t.lam), pc.size - 1)
-    lam = np.where(pc[pos] == t.lam, pv[pos], 0)
-    return lam.tolist(), kv[t.cell].reshape(m, m).tolist()
+    pv = np.concatenate((pv, s.zeros(1)))
+    lam = s.raw(pv[np.where(pc[pos] == t.lam, pos, pc.size)])
+    return lam, [cells[i : i + m] for i in range(0, m * m, m)]
 
 
 def _by_class(t: RingTables, poly: tuple) -> tuple:
@@ -241,7 +348,7 @@ def _by_class(t: RingTables, poly: tuple) -> tuple:
     return res[order], cls[order], (exps[order] // t.p) @ t.box, poly[1][order]
 
 
-def _accumulate_kernel(t: RingTables, delta: tuple, fp2: tuple, kv: np.ndarray) -> None:
+def _accumulate_kernel(t: RingTables, s: Scalars, delta: tuple, fp2: tuple, kv: np.ndarray) -> None:
     """Add every class-compatible delta_a * fp2_b, mod p, into kv at its cell.
 
     A row is a term b of f^(p-2) and a column class c; its partners are the
@@ -262,11 +369,11 @@ def _accumulate_kernel(t: RingTables, delta: tuple, fp2: tuple, kv: np.ndarray) 
         key = (res > t.columns).astype(np.int64) @ t.box + t.col_s0 + fq[lo : lo + step, None]
         hit = np.flatnonzero(d_n)
         b, col = np.divmod(hit, ncol)
-        _accumulate_rows(t, d_lo.reshape(-1)[hit], d_n.reshape(-1)[hit], key.reshape(-1)[hit],
+        _accumulate_rows(t, s, d_lo.reshape(-1)[hit], d_n.reshape(-1)[hit], key.reshape(-1)[hit],
                          fv[lo + b], t.col_j0[col], dq, dv, kv)
 
 
-def _accumulate_rows(t: RingTables, d_lo, d_n, key, val, j0, dq, dv, kv) -> None:
+def _accumulate_rows(t: RingTables, s: Scalars, d_lo, d_n, key, val, j0, dq, dv, kv) -> None:
     """Row r pairs delta terms d_lo[r] .. d_lo[r] + d_n[r] - 1 with one term of f^(p-2).
 
     ``key`` is that term's quotient box index plus the carry's and s_j0's,
@@ -283,5 +390,5 @@ def _accumulate_rows(t: RingTables, d_lo, d_n, key, val, j0, dq, dv, kv) -> None
         r = np.repeat(np.arange(r0, r1), counts)
         i = np.arange(lo, hi, dtype=np.int64) + shift[r]
         cell = t.rank[key[r] + dq[i]] * t.m + j0[r]
-        np.add.at(kv, cell, val[r] * dv[i])
+        s.add_at(kv, cell, s.mul(val[r], dv[i], t.p))
         kv %= t.p

@@ -206,19 +206,21 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     test oracle.  The numpy route (:mod:`qfsplit._fpbundle`) is taken iff
     all of these hold:
 
-    * the field is F_p (e = 1);
-    * 2 < p < ``_linalg._INT64_SAFE_P`` (2^15).  The route is exact over
-      F_2 too, and about eight times faster there, but F_2 stays on the
-      dict route until perfbench's ``scan-f2`` workload, which would then
-      time only about 1.5 s of equations, is resized (ROADMAP item 2);
+    * q = p^e > 2.  The route is exact over F_2 too, and about eight times
+      faster there, but F_2 stays on the dict route until perfbench's
+      ``scan-f2`` workload, which would then time only about 1.5 s of
+      equations, is resized (ROADMAP item 2);
+    * p < ``_linalg._INT64_SAFE_P`` (2^15);
+    * a product in the Galois ring GR(p^2, e) stays exact on int64:
+      e^2 (p^2 - 1)^2 < 2^63 (at e = 1 the previous rule implies it);
     * exponents up to p*d, packed one bit field per variable, fit in 62 bits;
     * the route's per-ring arrays, by the closed form
       ``_fpbundle.ring_bytes``, fit in ``_fpbundle.RING_BYTES_MAX``; this
       is checked before anything is built.
 
-    Every other input, F_{p^e} with e > 1 among them, takes the dict route:
-    ``poly_pow``, the Witt-sum ``delta``, ``mul_residues`` and
-    :func:`columns_from_kernel` on term dicts.
+    Every other input takes the dict route: ``poly_pow``, the Witt-sum
+    ``delta``, ``mul_residues`` and :func:`columns_from_kernel` on term
+    dicts.
     """
     ring = f.ring
     if f.is_zero():

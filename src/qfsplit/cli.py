@@ -124,7 +124,13 @@ def _cmd_lift(args) -> int:
         parts = args.c.split(",")
         if len(parts) != b.m:
             raise UsageError(f"--c needs {b.m} comma-separated field elements")
-        c = [parse_scalar(fld, part) for part in parts]
+        c, start = [], 0
+        for part in parts:
+            try:
+                c.append(parse_scalar(fld, part))
+            except ParseError as exc:  # report the offset within --c, not within the part
+                raise ParseError(exc.message, start + exc.offset) from None
+            start += len(part) + 1
         v = lifts.ns_lift(b, c)
         _emit(args, [f"ns_lift = {v}"], {**doc, "ns_lift": value_to_json(v)})
         return 0

@@ -113,7 +113,7 @@ def order_scan(p: int, e_A: int) -> DelsarteResult:
     """Scan p^n mod e_A: first -1 gives sigma = n, else first 1 gives height = n."""
     if e_A < 1:
         raise DomainError("e_A must be positive")
-    if e_A > 1 and p % e_A == 0:
+    if e_A > 1 and e_A % p == 0:
         raise DomainError(f"p = {p} divides e_A = {e_A}; the order scan is undefined")
     power = 1
     for n in range(1, e_A + 1):

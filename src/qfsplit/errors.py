@@ -28,4 +28,5 @@ class ParseError(UsageError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
+        self.message = message
         self.offset = offset

@@ -44,6 +44,7 @@ SMOOTHNESS_CAVEAT = (
 )
 
 _MAX_TABLE_BYTES = 192 * 2**20  # peak memory of one witness table build, see _table_bytes
+_BLOCK_CELLS = 1 << 16  # (point, monomial) cells per block of a witness table build
 _MAX_EXHAUSTIVE = 200_000
 
 
@@ -76,20 +77,30 @@ def sample(seed: int, index: int, ring: RingConfig) -> list:
 # heuristic smoothness witness search
 # ---------------------------------------------------------------------------
 
+def _block_points(m: int) -> int:
+    """Points per block of a witness table build: at most _BLOCK_CELLS cells, or one point."""
+    return max(1, _BLOCK_CELLS // m)
+
+
 def _table_bytes(nv: int, k: int, npts: int, m: int, q: int, itemsize: int) -> int:
     """Peak bytes of a :class:`_WitnessTables` build, from its array shapes.
 
-    The table holds (nv + 1) k npts m entries of ``itemsize`` bytes.  While a
-    slice is built, ``values`` keeps up to four int32 code arrays of npts x m
-    (the product so far, a gathered factor, and their combined index and
-    product), and the Weil gather one k x npts x m slice.  The q x q
-    multiplication table is first a list of references to shared ints (8
-    bytes an entry, plus the list's growth margin), then int32; the points
-    are npts x nv int32, built in blocks.  Bookkeeping of a few tens of KB
-    (element list, code map, power table) is left out.
+    The table holds (nv + 1) k npts m entries of ``itemsize`` bytes.  It is
+    filled one block of points at a time, and a block's ``bcells`` cells
+    hold at most nv + 4 int32 code arrays' worth at once: up to nv - 1
+    suffix products, the prefix, a gathered factor, and one multiplication's
+    index, its int64 cast for the gather and its product.  The Weil gather
+    adds up to two k x bcells slices, while at most nv - 1 code arrays live.
+    The q x q multiplication table is first a list of references to shared
+    ints (8 bytes an entry, plus the list's growth margin), then int32; the
+    points are npts x nv int32, built in blocks.  The exponents, lowered
+    exponents and scales are m x nv, the powers of one variable q x m int32.
+    Bookkeeping of a few tens of KB (element list, code map, power table) is
+    left out.
     """
-    cells = npts * m
-    return cells * ((nv + 2) * k * itemsize + 4 * 4) + 13 * q * q + 8 * npts * nv
+    bcells = min(npts, _block_points(m)) * m
+    return (npts * m * (nv + 1) * k * itemsize + bcells * (4 * (nv + 4) + 2 * k * itemsize)
+            + 13 * q * q + 8 * npts * nv + m * (nv * (16 + itemsize) + 4 * q))
 
 
 class _WitnessTables:
@@ -103,7 +114,10 @@ class _WitnessTables:
     f(P) = sum_j c_j M_j(P) is an F_p-combination of these vectors: one
     sample costs one ``(table @ c) % p``.  The monomial values are built once
     from a q x q multiplication table of element codes, a code being an
-    element's index in ``fld.elements()``.
+    element's index in ``fld.elements()``: per block of points, each
+    partial multiplies the prefix product of the factors before x_i, its
+    lowered x_i factor and the suffix product of those after, so a block
+    costs O(nv) gathers, not one product of all nv factors per table.
     """
 
     def __init__(self, ring: RingConfig, k: int):
@@ -149,22 +163,36 @@ class _WitnessTables:
             blocks.append(block)
         self.points = points = np.concatenate(blocks)
 
-        def values(ex: np.ndarray) -> np.ndarray:
-            """(npts, m) codes of prod_i x_i^ex[j, i] at every point."""
-            acc = powtab[:, ex[:, 0]][points[:, 0]]
-            for i in range(1, nv):
-                acc = mul[acc * q + powtab[:, ex[:, i]][points[:, i]]]
-            return acc
-
         # weil[c] is the vector of code c's k coordinates over F_p
         weil = np.array(elems, dtype=dtype).reshape(q, k).T
+        lowered = np.maximum(exps - 1, 0)
+        scales = (exps % p).astype(dtype)
+
+        def times(a, b):
+            """Codes of a * b; ``None`` is the empty product."""
+            return b if a is None else mul[a * q + b]
+
+        def factor(pts, ex, i):
+            """(points, m) codes of x_i^ex[j, i] at the points ``pts``."""
+            return powtab[:, ex[:, i]][pts[:, i]]
+
         table = np.empty((nv + 1, k, npts, bas.m), dtype=dtype)
-        table[0] = weil.take(values(exps), axis=1)
-        for i in range(nv):
-            lowered = exps.copy()
-            lowered[:, i] = np.maximum(lowered[:, i] - 1, 0)
-            scale = (exps[:, i] % p).astype(dtype)
-            table[i + 1] = weil.take(values(lowered), axis=1) * scale % p
+        rows = _block_points(bas.m)
+        for lo in range(0, npts, rows):
+            cut = slice(lo, lo + rows)
+            pts = points[cut]
+            # suffix[i] is the product of the factors after x_i
+            suffix = [None] * nv
+            for i in range(nv - 1, 0, -1):
+                suffix[i - 1] = times(suffix[i], factor(pts, exps, i))
+            prefix = None
+            for i in range(nv):
+                part = times(suffix[i], times(prefix, factor(pts, lowered, i)))
+                suffix[i] = None
+                table[i + 1, :, cut] = weil.take(part, axis=1) * scales[:, i] % p
+                del part  # before the next product, see _table_bytes
+                prefix = times(prefix, factor(pts, exps, i))
+            table[0, :, cut] = weil.take(prefix, axis=1)
         self.table = table
 
     def witness(self, coeffs) -> tuple | None:

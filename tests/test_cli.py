@@ -358,6 +358,9 @@ REJECTED = {
     # an empty --c is a malformed shift, not a missing option
     ("lift", "--c", "", "--random", "2", SS_QUARTIC): "exactly one of",
     ("lift", "--c", "", SS_QUARTIC): "35 comma-separated field elements",
+    # a bad part's offset counts from the start of --c: part 35 begins at byte 68
+    ("lift", "-p", "2", "--c", ",".join(["0"] * 34 + ["t"]), SS_QUARTIC):
+        "extension generator t used over a prime field (at byte 68)",
     ("delsarte", "--matrix", ",".join(["1"] * 15), "-p", "2"): "16 comma-separated entries",
     # the modulus is t + 1: two coefficients, one short of degree 2
     ("height", "-p", "3", "--ext-degree", "2", "--modulus", "1,1", "x^4"):

@@ -80,6 +80,12 @@ def test_order_scan_examples():
     assert order_scan(3, 50).kind == "sigma" and order_scan(3, 50).value == 10
 
 
+@pytest.mark.parametrize("p, e_A", [(2, 2), (2, 4), (3, 9), (2, 6)])
+def test_order_scan_rejects_p_dividing_eA(p, e_A):
+    with pytest.raises(DomainError, match=f"p = {p} divides e_A = {e_A}"):
+        order_scan(p, e_A)
+
+
 def test_delsarte_invariants_rejects_p_dividing_eA():
     with pytest.raises(DomainError):
         delsarte_invariants(fermat_matrix(), 2)

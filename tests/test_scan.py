@@ -18,7 +18,7 @@ from qfsplit.scan import (
     singular_witness,
 )
 
-from _support import evaluate, partial
+from _support import evaluate, partial, witness_table_reference
 
 F2 = field(2)
 F3 = field(3)
@@ -190,6 +190,18 @@ def test_witness_budget_counts_the_bytes_a_build_allocates(p, weights, k):
     q, nv = p**k, len(weights)
     counted = scan._table_bytes(nv, k, (q**nv - 1) // (q - 1), m, q, tables.table.itemsize)
     assert tables.table.nbytes < peak <= counted
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 1, 1, 3)], ids=["quartic", "sextic"])
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)],
+                         ids=["F2", "F4", "F8", "F9", "F27"])
+def test_witness_tables_equal_the_table_by_table_build(p, k, weights):
+    # F_27 has 20440 points, more than one block of the build
+    ring = RingConfig(field(p), weights)
+    built = scan._WitnessTables(ring, k).table
+    reference = witness_table_reference(ring, k)
+    assert (built.dtype, built.shape) == (reference.dtype, reference.shape)
+    assert built.tobytes() == reference.tobytes()
 
 
 # -- jobs ---------------------------------------------------------------------
