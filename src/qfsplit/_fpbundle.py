@@ -86,11 +86,14 @@ def ring_bytes(ring: RingConfig, m: int) -> int:
 
 
 def admits(ring: RingConfig, m: int) -> bool:
-    """The route rule: q > 2, p < 2^15, exact GR products, 62-bit codes, arrays in budget."""
+    """The route rule: p < 2^15, exact GR products, 62-bit codes, arrays in budget.
+
+    No field is left out by its size, F_2 included: the dict route serves
+    only p >= 2^15 and the rings past the other bounds.
+    """
     p, e = ring.field.p, ring.field.e
     return (
-        ring.field.order > 2
-        and p < _INT64_SAFE_P
+        p < _INT64_SAFE_P
         and e * e * (p * p - 1) ** 2 < 2**63
         and ring.num_vars * code_width(ring) <= CODE_BITS
         and ring_bytes(ring, m) <= RING_BYTES_MAX

@@ -206,11 +206,8 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     test oracle.  The numpy route (:mod:`qfsplit._fpbundle`) is taken iff
     all of these hold:
 
-    * q = p^e > 2.  The route is exact over F_2 too, and about eight times
-      faster there, but F_2 stays on the dict route until perfbench's
-      ``scan-f2`` workload, which would then time only about 1.5 s of
-      equations, is resized (ROADMAP item 2);
-    * p < ``_linalg._INT64_SAFE_P`` (2^15);
+    * p < ``_linalg._INT64_SAFE_P`` (2^15); no field is left out by its
+      size, F_2 included;
     * a product in the Galois ring GR(p^2, e) stays exact on int64:
       e^2 (p^2 - 1)^2 < 2^63 (at e = 1 the previous rule implies it);
     * exponents up to p*d, packed one bit field per variable, fit in 62 bits;
@@ -218,14 +215,14 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
       ``_fpbundle.ring_bytes``, fit in ``_fpbundle.RING_BYTES_MAX``; this
       is checked before anything is built.
 
-    Every other input takes the dict route: ``poly_pow``, the Witt-sum
-    ``delta``, ``mul_residues`` and :func:`columns_from_kernel` on term
-    dicts.
+    Only larger p and the rings past these bounds take the dict route:
+    ``poly_pow``, the Witt-sum ``delta``, ``mul_residues`` and
+    :func:`columns_from_kernel` on term dicts.
     """
     ring = f.ring
     if f.is_zero():
         raise UsageError("the zero polynomial has no Frobenius bundle")
-    if not f.is_homogeneous() or f.weighted_degree() != ring.d:
+    if {ring.weighted_degree(e) for e in f.term_dict()} != {ring.d}:
         raise UsageError(
             f"bundle requires a homogeneous polynomial of weighted degree {ring.d}"
         )
@@ -438,9 +435,13 @@ def _check_axis_line(f: Polynomial, line: tuple) -> None:
 
 @dataclass
 class InvariantReport:
-    """Computed invariants of one hypersurface with per-value provenance."""
+    """Computed invariants of one hypersurface with per-value provenance.
 
-    equation: str
+    ``equation``, the canonical text of ``f``, is rendered on demand: the
+    scans and cross-checks read only the invariants.
+    """
+
+    f: Polynomial
     p: int
     ext_degree: int
     weights: tuple
@@ -452,6 +453,10 @@ class InvariantReport:
     caps_used: dict
     provenance: dict
     line: tuple | None = None
+
+    @property
+    def equation(self) -> str:
+        return format_poly(self.f)
 
     def to_json_dict(self) -> dict:
         return {
@@ -517,7 +522,7 @@ def artin_report(f: Polynomial, line: tuple | None = None) -> InvariantReport:
         "tau": {"method": "ns-dictionary"} if tau is not None else {"method": "not-applicable"},
     }
     return InvariantReport(
-        equation=format_poly(f),
+        f=f,
         p=ring.field.p,
         ext_degree=ring.field.e,
         weights=ring.weights,

@@ -1,11 +1,13 @@
-"""The numpy route of bundle() over F_{p^e} against the dict route, on many seeded forms.
+"""The numpy route of bundle() over F_2 and F_{p^e} against the dict route, on many seeded forms.
 
 Outside the tier-1 suite (it takes 20-40 s on a 2-core VM); CI runs it
 with the other sweeps:
 
     PYTHONPATH=src python -m pytest -q sweeps
 
-Each case compares the raw lambda and T of both routes on 20 seeded forms.
+The F_2 quartics are the scan's own traffic: the first 1000 samples of
+``qfsplit scan -p 2 --seed 2026``, drawn by ``scan.sample``.  Each case of
+CASES compares the raw lambda and T of both routes on 20 seeded forms.
 A form is fully dense (every basis monomial drawn from the whole field)
 where the dict route takes at most about 0.2 s on one; elsewhere it has a
 fixed number of terms, because one fully dense form costs the dict route
@@ -18,7 +20,7 @@ import random
 
 import pytest
 
-from qfsplit import _fpbundle
+from qfsplit import _fpbundle, scan
 from qfsplit.cartier import basis, dict_lam_and_T
 from qfsplit.ffield import field
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
@@ -26,8 +28,10 @@ from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 QUARTIC, SEXTIC, QUINTIC = (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 1, 1, 1)
 NAMES = {QUARTIC: "quartic", SEXTIC: "sextic", QUINTIC: "quintic"}
 FORMS = 20
+SCAN_SEED, SCAN_SAMPLES = 2026, 1000
 # (p, e, weights, terms per form); None is fully dense
 CASES = [
+    (2, 1, SEXTIC, None), (2, 1, QUINTIC, None),
     (2, 2, QUARTIC, None), (2, 2, SEXTIC, None), (2, 2, QUINTIC, None),
     (2, 3, QUARTIC, None), (2, 3, SEXTIC, None), (2, 3, QUINTIC, None),
     (3, 2, QUARTIC, None), (3, 2, SEXTIC, None), (3, 2, QUINTIC, 12),
@@ -72,6 +76,18 @@ def test_routes_agree_on_seeded_forms(p, e, weights, terms):
     ring = RingConfig(field(p, e), weights)
     for seed in range(FORMS):
         twins(seeded_form(ring, 10_000 * p + 100 * e + seed, terms))
+
+
+def test_routes_agree_on_scan_samples():
+    ring = RingConfig(field(2), QUARTIC)
+    bas = basis(ring)
+    compared = 0
+    for index in range(SCAN_SAMPLES):
+        f = bas.polynomial(scan.sample(SCAN_SEED, index, ring))
+        if not f.is_zero():  # the zero form has no bundle
+            twins(f)
+            compared += 1
+    assert compared >= SCAN_SAMPLES - 1
 
 
 @pytest.mark.parametrize("p,weights", [(5, QUARTIC), (5, SEXTIC), (7, QUARTIC)],

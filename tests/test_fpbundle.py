@@ -22,10 +22,10 @@ DIAGONAL = {
 def assert_twins(f):
     """Both routes give the same raw lambda and T, and bundle() returns them.
 
-    bundle() takes the numpy route for every input here except over F_2.
+    bundle() takes the numpy route for every input here.
     """
     bas = basis(f.ring)
-    assert _fpbundle.admits(f.ring, bas.m) == (f.ring.field.order > 2)
+    assert _fpbundle.admits(f.ring, bas.m)
     lam, T = _fpbundle.lam_and_T(f, bas)
     assert (lam, T) == dict_lam_and_T(f, bas)
     b = bundle(f)
@@ -135,21 +135,18 @@ def dict_route_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("p,e,text", [
-    (2, 1, "x^4 + x*y^3 + y*w^3 + z^3*w"),  # F_2, for now (see bundle())
-    (32771, 1, "x*y*z*w"),
-])
-def test_extensions_and_large_primes_take_the_dict_route(dict_route_calls, p, e, text):
-    f = parse_poly(text, RingConfig(field(p, e), QUARTIC))
+def test_large_primes_take_the_dict_route(dict_route_calls):
+    f = parse_poly("x*y*z*w", RingConfig(field(32771), QUARTIC))
     bundle(f)
     assert dict_route_calls == [1]
 
 
 @pytest.mark.parametrize("p,e,text", [
+    (2, 1, "x^4 + x*y^3 + y*w^3 + z^3*w"),
     (2, 2, "x^4 + x*y^3 + y*w^3 + z^3*w"),
     (3, 2, "x^4+y^4+z^4+w^4"),
-])
-def test_extensions_take_the_numpy_route(dict_route_calls, p, e, text):
+], ids=["F2", "F4", "F9"])
+def test_f2_and_extensions_take_the_numpy_route(dict_route_calls, p, e, text):
     f = parse_poly(text, RingConfig(field(p, e), QUARTIC))
     bundle(f)
     assert dict_route_calls == []
@@ -179,7 +176,7 @@ def test_route_rule_builds_no_array(monkeypatch):
     assert _fpbundle.admits(RingConfig(field(7), QUARTIC), 35)
     assert _fpbundle.admits(RingConfig(field(2, 2), QUARTIC), 35)
     assert _fpbundle.admits(RingConfig(field(3, 2), QUARTIC), 35)
-    assert not _fpbundle.admits(RingConfig(field(2), QUARTIC), 35)
+    assert _fpbundle.admits(RingConfig(field(2), QUARTIC), 35)
     # p < 2^15, but four 17-bit exponent fields of degree 4p exceed 62 bits
     assert not _fpbundle.admits(RingConfig(field(32749), QUARTIC), 35)
     # binary forms fit the codes; a GR(p^2, e) product sums e^2 values below

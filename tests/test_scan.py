@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from qfsplit import scan
+from qfsplit import _fpbundle, scan
 from qfsplit.cartier import basis
 from qfsplit.errors import ResourceError, UsageError
 from qfsplit.ffield import ExtensionField, PrimeField, field
@@ -283,6 +283,25 @@ def test_assert_bound_doubts_sigma_only_for_char2_quartics(ring, equation, bound
     res = run_scan(ScanJob(ring=ring, mode="assert_bound", mask=mask, min_sigma=bound))
     assert [row["tau"] for row in res.violations] == violations
     assert [row["tau"] for row in res.ambiguous] == ambiguous
+
+
+F2_MASK_SIX = "x^4 + xy^3 + yw^3 + z^3w + xyzw + x^2z^2"  # its 64 forms hold one tau-9 hit
+
+
+@pytest.mark.parametrize("kind", ["assert_bound", "mask"])
+def test_f2_scan_artifacts_are_route_independent(monkeypatch, kind):
+    if kind == "assert_bound":
+        job = ScanJob(ring=R2, mode="assert_bound", count=60, seed=2026, min_sigma=3)
+    else:
+        mask = tuple(basis(R2).index_of(e) for e in parse_poly(F2_MASK_SIX, R2).term_dict())
+        job = ScanJob(ring=R2, mode="hunt", mask=mask, target_sigma=9, smoothness_filter=True)
+    numpy_route = run_scan(job)
+    monkeypatch.setattr(_fpbundle, "admits", lambda ring, m: False)
+    dict_route = run_scan(job)
+    assert numpy_route.csv_text() == dict_route.csv_text()
+    assert numpy_route.json_text() == dict_route.json_text()
+    if kind == "mask":
+        assert [hit["reverified"] for hit in numpy_route.hits] == [True]
 
 
 def test_hunt_with_mask_finds_diagonal_quartics():
