@@ -27,12 +27,26 @@ Per equation:
 4. lambda_i is the inverse Frobenius of the coefficient of f^(p-2) at
    (p-1, ..., p-1) - M_i.
 
+At p = 2 none of this runs (:func:`char2_lam_and_T`).  There f^(p-2) = 1,
+and for f = sum_a c_a x^(M_a) over the basis and any lift fhat = sum_a
+chat_a x^(M_a), fhat^2 = sum_a chat_a^2 x^(2 M_a) + 2 sum_(a<b) chat_a
+chat_b x^(M_a + M_b), so
+
+    delta(f) = sum_(a<b) c_a c_b x^(M_a + M_b):
+
+T is a fixed quadratic form in the coefficient vector c.  A per-ring (m, m)
+table holds the cell that x^(M_a + M_b) feeds, and an equation adds c_a c_b
+(mod 2) at the k(k-1)/2 pairs a < b of its k nonzero coefficients, then
+copies the cells out and applies the inverse Frobenius as in step 3.
+lambda is the indicator of M_i = (1, ..., 1), the one term of f^0 = 1.
+
 The per-ring arrays (:class:`RingTables`) are an int32 rank table over the
 box of degree-d exponent vectors, an int32 map of the m^2 cells, the column
-classes and the lambda codes.  Their closed-form size (:func:`ring_bytes`)
-is part of the route rule, and they are built on a ring's first bundle.
-Term pairs are formed in blocks of at most ``BLOCK``, so temporaries stay
-O(e^2 BLOCK) beyond the polynomials themselves.
+classes and the lambda codes, and at p = 2 the int32 (m, m) pair table and
+its boolean mask of the pairs a < b.  Their closed-form size
+(:func:`ring_bytes`) is part of the route rule, and they are built on a
+ring's first bundle.  Term pairs are formed in blocks of at most ``BLOCK``,
+so temporaries stay O(e^2 BLOCK) beyond the polynomials themselves.
 
 Integers only, on int64.  Coefficients are residues, below p^2 in the
 Galois ring and below p in the field.  A product multiplies coordinates,
@@ -42,7 +56,9 @@ too, so the sum stays below e^2 (p^2 - 1)^2, which the route rule keeps
 below 2^63.  Products are reduced before like terms are summed, and a sum
 adds at most BLOCK + 1 values below p^2 < 2^30.  In the kernel each product
 is below p^2, and each T cell is reduced mod p once per block, so it stays
-below p + BLOCK p^2 < 2^44.
+below p + BLOCK p^2 < 2^44.  At p = 2 each product c_a c_b is reduced below
+2, and a cell sums at most m(m-1)/2 of them, below m^2 <= 2^20 by the byte
+budget.
 """
 
 from __future__ import annotations
@@ -78,11 +94,13 @@ def box_radices(ring: RingConfig) -> list:
 def ring_bytes(ring: RingConfig, m: int) -> int:
     """Upper bound on the bytes of :class:`RingTables` for a basis of size m.
 
-    The int32 rank table over the degree-d box and int32 cell map, plus at
-    most m column classes and m lambda codes.  Closed form: it is checked
-    before anything is built.
+    The int32 rank table over the degree-d box and int32 cell map (and at
+    p = 2 the int32 pair table and its boolean mask of a < b), plus at most
+    m column classes and m lambda codes.  Closed form: it is checked before
+    anything is built.
     """
-    return 4 * (math.prod(box_radices(ring)) + m * m) + 8 * m * (ring.num_vars + 3)
+    pairs = 5 * m * m if ring.field.p == 2 else 0
+    return 4 * (math.prod(box_radices(ring)) + m * m) + pairs + 8 * m * (ring.num_vars + 3)
 
 
 def admits(ring: RingConfig, m: int) -> bool:
@@ -134,7 +152,7 @@ class Scalars:
         if self.e == 1:
             return a * b
         outer = a[:, :, None] * b[:, None, :] % mod
-        return outer.reshape(len(a), -1) @ self.tensor[mod] % mod
+        return outer.reshape(len(a), self.e * self.e) @ self.tensor[mod] % mod
 
     def power(self, a: np.ndarray, n: int, mod: int) -> np.ndarray:
         """a^n mod ``mod``, n >= 1, by square and multiply."""
@@ -197,6 +215,7 @@ class RingTables:
     only in each class's first column j0 (cell (Q + s_j0, j0)), and
     ``cell`` maps each of the m^2 cells to the cell of its kernel term, or
     to the zero sentinel m^2 when it reads none (some coordinate of Q < 0).
+    At p = 2, ``pair[a, b]`` is the cell that x^(M_a + M_b) feeds, or m^2.
     """
 
     def __init__(self, bas):
@@ -244,6 +263,28 @@ class RingTables:
         corner = int(np.full(nv, p - 1, dtype=np.int64) @ self.place)
         # codes of (p-1, ..., p-1) - M_i, -1 where a coordinate is negative
         self.lam = np.where((M <= p - 1).all(axis=1), corner - M @ self.place, -1)
+        if p == 2:
+            self.pair = self._pair_cells(M, rows)
+            self.upper = np.triu(np.ones((m, m), dtype=bool), 1)  # the pairs a < b
+
+    def _pair_cells(self, M: np.ndarray, rows: int) -> np.ndarray:
+        """The (m, m) table of the cell x^(M_a + M_b) feeds, by blocks of rows a.
+
+        x^E of class c = E mod 2 and quotient Q = E // 2 feeds the cell
+        (Q + s_j0, j0) of the first column j0 of class c, if c is a column
+        class; Q + s_j0 is then a basis monomial, since E + M_j0 - 1 >= 0.
+        """
+        m = self.m
+        ccode = self.columns @ self.place  # ascending
+        pair = np.empty((m, m), dtype=np.int32)
+        for lo in range(0, m, rows):
+            E = M[lo : lo + rows, None, :] + M
+            cls = (E & 1) @ self.place
+            col = np.minimum(np.searchsorted(ccode, cls), ccode.size - 1)
+            hit = ccode[col] == cls
+            moved = np.where(hit, (E >> 1) @ self.box + self.col_s0[col], 0)
+            pair[lo : lo + rows] = np.where(hit, self.rank[moved] * m + self.col_j0[col], m * m)
+        return pair
 
     def exponents(self, codes: np.ndarray) -> np.ndarray:
         return (codes[:, None] >> self.shifts) & self.mask
@@ -289,8 +330,42 @@ def _mul(s: Scalars, a: tuple, b: tuple, mod: int) -> tuple:
     return acc
 
 
-def lam_and_T(f, bas) -> tuple:
-    """The raw lambda row and T matrix of f on this route, by the steps above."""
+def lam_and_T(f, bas, coeffs: list | None = None) -> tuple:
+    """The raw lambda row and T matrix of f on this route.
+
+    ``coeffs`` is f's basis coefficient vector, ``bas.coefficients(f)``,
+    if the caller has read it; only the p = 2 kernel reads it.
+    """
+    if bas.ring.field.p == 2:
+        return char2_lam_and_T(bas.coefficients(f) if coeffs is None else coeffs, bas)
+    return general_lam_and_T(f, bas)
+
+
+def char2_lam_and_T(coeffs: list, bas) -> tuple:
+    """lambda and T over F_(2^e) as a quadratic form in the coefficient vector.
+
+    ``coeffs`` is the basis coefficient vector of f; see the module docstring.
+    """
+    t = ring_tables(bas)
+    s = scalars(bas.ring.field)
+    m = t.m
+    c = s.lift(coeffs)
+    support = np.flatnonzero(s.nonzero(c))
+    i, j = np.nonzero(t.upper[: support.size, : support.size])
+    a, b = support[i], support[j]
+    kv = s.zeros(m * m + 1)
+    s.add_at(kv, t.pair[a, b], s.mul(c[a], c[b], 2))
+    kv[m * m] = 0  # drop the pairs that feed no cell: the empty cells read this entry
+    kv %= 2
+    cells = s.raw(kv[t.cell])
+    lv = s.zeros(m)
+    lv[t.lam == 0] = s.one  # (1, ..., 1) - M_i is the code 0 of f^0 = 1
+    lam = s.raw(lv)
+    return lam, [cells[i : i + m] for i in range(0, m * m, m)]
+
+
+def general_lam_and_T(f, bas) -> tuple:
+    """The raw lambda row and T matrix of f by the steps above, at any p of the route."""
     t = ring_tables(bas)
     s = scalars(bas.ring.field)
     p, m = t.p, t.m

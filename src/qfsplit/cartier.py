@@ -134,7 +134,7 @@ def _residue_columns(ring: RingConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 class FrobeniusBundle:
-    """The data (basis, f, v_f, lambda, T), v_f read off f; construction via :func:`bundle`.
+    """The data (basis, f, v_f, lambda, T), v_f read off f unless given; built by :func:`bundle`.
 
     The backend forms of lambda and v_f are built once, by ``ops`` (default
     the field's :func:`_linalg.make_ops` backend); the step matrix ``T_mat``
@@ -144,10 +144,11 @@ class FrobeniusBundle:
     thread-local, as the scan workers do).
     """
 
-    def __init__(self, bas: MonomialBasis, f: Polynomial, lam: list, T: list, ops=None):
+    def __init__(self, bas: MonomialBasis, f: Polynomial, lam: list, T: list, ops=None,
+                 v_f: list | None = None):
         self.basis = bas
         self.f = f
-        self.v_f = bas.coefficients(f)
+        self.v_f = bas.coefficients(f) if v_f is None else v_f
         self.lam = lam
         self.T = T
         self.ops = ops if ops is not None else _linalg.make_ops(bas.ring.field)
@@ -199,8 +200,13 @@ def columns_from_kernel(bas: MonomialBasis, kernel: Polynomial) -> list:
     return T
 
 
-def bundle(f: Polynomial) -> FrobeniusBundle:
+def bundle(f: Polynomial, v_f: list | None = None) -> FrobeniusBundle:
     """Build the Frobenius descent bundle of a degree-d homogeneous f != 0.
+
+    ``v_f`` is f's basis coefficient vector, ``basis(f.ring).coefficients(f)``,
+    if the caller has read it already; it is read here otherwise.  f is
+    homogeneous of degree d iff it has as many terms as nonzero entries in
+    v_f.
 
     Two routes give the same raw lambda and T, and each is the other's
     test oracle.  The numpy route (:mod:`qfsplit._fpbundle`) is taken iff
@@ -215,21 +221,27 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
       ``_fpbundle.ring_bytes``, fit in ``_fpbundle.RING_BYTES_MAX``; this
       is checked before anything is built.
 
-    Only larger p and the rings past these bounds take the dict route:
-    ``poly_pow``, the Witt-sum ``delta``, ``mul_residues`` and
+    On the numpy route, p = 2 (every F_(2^e)) builds T as a fixed quadratic
+    form in v_f: delta(f) is the sum of c_a c_b x^(M_a + M_b) over a < b,
+    and f^(p-2) = 1.  Only larger p and the rings past these bounds take the
+    dict route: ``poly_pow``, the Witt-sum ``delta``, ``mul_residues`` and
     :func:`columns_from_kernel` on term dicts.
     """
     ring = f.ring
     if f.is_zero():
         raise UsageError("the zero polynomial has no Frobenius bundle")
-    if {ring.weighted_degree(e) for e in f.term_dict()} != {ring.d}:
+    bas = basis(ring)
+    if v_f is None:
+        v_f = bas.coefficients(f)
+    if bas.m - v_f.count(ring.field.zero) != len(f):
         raise UsageError(
             f"bundle requires a homogeneous polynomial of weighted degree {ring.d}"
         )
-    bas = basis(ring)
-    route = _fpbundle.lam_and_T if _fpbundle.admits(ring, bas.m) else dict_lam_and_T
-    lam, T = route(f, bas)
-    return FrobeniusBundle(bas, f, lam, T)
+    if _fpbundle.admits(ring, bas.m):
+        lam, T = _fpbundle.lam_and_T(f, bas, v_f)
+    else:
+        lam, T = dict_lam_and_T(f, bas)
+    return FrobeniusBundle(bas, f, lam, T, v_f=v_f)
 
 
 def dict_lam_and_T(f: Polynomial, bas: MonomialBasis) -> tuple:
@@ -482,7 +494,8 @@ def tau_from_ns(ns) -> "int | Infinite":
     return ns if ns <= 9 else 10
 
 
-def artin_report(f: Polynomial, line: tuple | None = None) -> InvariantReport:
+def artin_report(f: Polynomial, line: tuple | None = None,
+                 v_f: list | None = None) -> InvariantReport:
     """Full invariant report: height, ns, and for the two K3 families tau.
 
     tau is the Artin invariant only when V(f) is smooth, which is the
@@ -490,13 +503,13 @@ def artin_report(f: Polynomial, line: tuple | None = None) -> InvariantReport:
     search).  ``line`` names a coordinate-axis line (i, j) on the surface,
     which upgrades the sigma note for p = 2 quartics; before any other work
     it is rejected unless i != j are variable indices and f lies in
-    (x_i, x_j).
+    (x_i, x_j).  ``v_f`` is passed on to :func:`bundle`.
     """
     ring = f.ring
     fam = family_of(ring)
     if line is not None:
         _check_axis_line(f, line)
-    b = bundle(f)
+    b = bundle(f, v_f)
     height_cap = default_height_cap(b)
     ns_cap = default_ns_cap(b)
     h = height(b)

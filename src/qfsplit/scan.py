@@ -216,19 +216,21 @@ def _check_extension_bound(k: int) -> None:
         raise UsageError("the witness extension bound must be 1, 2 or 3")
 
 
-def singular_witness(f: Polynomial, extension_bound: int):
+def singular_witness(f: Polynomial, extension_bound: int, v_f: list | None = None):
     """A singular point of V(f) over F_{p^k}, k <= extension_bound, or None.
 
     Returns (k, point) for the first witness found (a common zero of f and
     all partials, nonzero in the affine cone).  ``None`` means no witness
     over the searched fields -- see SMOOTHNESS_CAVEAT; it is not a proof.
+    ``v_f`` is f's basis coefficient vector, if the caller has read it.
     """
     if f.ring.field.e != 1:
         raise UsageError("the witness search supports prime base fields only")
     _check_extension_bound(extension_bound)
-    coeffs = cartier.basis(f.ring).coefficients(f)
+    if v_f is None:
+        v_f = cartier.basis(f.ring).coefficients(f)
     for k in range(1, extension_bound + 1):
-        hit = _tables(f.ring, k).witness(coeffs)
+        hit = _tables(f.ring, k).witness(v_f)
         if hit is not None:
             return (k, hit)
     return None
@@ -329,17 +331,19 @@ def _evaluate_index(job: ScanJob, index: int) -> dict:
         "_tau": None,
         "_ambiguous": False,
     }
-    f = cartier.basis(ring).polynomial(coeffs)
+    bas = cartier.basis(ring)
+    f = bas.polynomial(coeffs)
     if f.is_zero():
         row["height"] = "zero_polynomial"
         return row
+    v_f = bas.coefficients(f)  # read once, for the witness search and the bundle
     if job.filter_on():
-        hit = singular_witness(f, job.witness_extension_bound)
+        hit = singular_witness(f, job.witness_extension_bound, v_f)
         if hit is None:
             row["smooth_witness_flag"] = f"no_witness(K={job.witness_extension_bound})"
         else:
             row["smooth_witness_flag"] = f"singular(k={hit[0]})"
-    report = cartier.artin_report(f)
+    report = cartier.artin_report(f, v_f=v_f)
     row["height"] = _fmt(report.height)
     row["ns"] = _fmt(report.ns)
     row["tau"] = _fmt(report.tau)
@@ -407,7 +411,7 @@ def run_scan(job: ScanJob) -> ScanResult:
 
     # never more processes than CPUs or chunks: with the fork start method
     # the pool starts all max_workers at the first submit
-    workers = min(job.workers, os.cpu_count() or 1)
+    workers = min(job.workers, os.cpu_count() or 1) if job.workers > 1 else 1
     if workers == 1 or total < 4:
         rows = [_evaluate_index(job, i) for i in indices]
     else:

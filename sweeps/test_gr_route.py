@@ -6,7 +6,8 @@ with the other sweeps:
     PYTHONPATH=src python -m pytest -q sweeps
 
 The F_2 quartics are the scan's own traffic: the first 1000 samples of
-``qfsplit scan -p 2 --seed 2026``, drawn by ``scan.sample``.  Each case of
+``qfsplit scan -p 2 --seed 2026``, drawn by ``scan.sample``; on them the
+p = 2 kernel also meets the general numpy route.  Each case of
 CASES compares the raw lambda and T of both routes on 20 seeded forms.
 A form is fully dense (every basis monomial drawn from the whole field)
 where the dict route takes at most about 0.2 s on one; elsewhere it has a
@@ -85,7 +86,9 @@ def test_routes_agree_on_scan_samples():
     for index in range(SCAN_SAMPLES):
         f = bas.polynomial(scan.sample(SCAN_SEED, index, ring))
         if not f.is_zero():  # the zero form has no bundle
-            twins(f)
+            kernel = _fpbundle.lam_and_T(f, bas)
+            assert kernel == _fpbundle.general_lam_and_T(f, bas)
+            assert kernel == dict_lam_and_T(f, bas)
             compared += 1
     assert compared >= SCAN_SAMPLES - 1
 

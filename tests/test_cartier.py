@@ -84,6 +84,10 @@ def test_bundle_rejects_bad_input():
         bundle(parse_poly("x^3", R3))
     with pytest.raises(UsageError):
         bundle(parse_poly("x^4 + x^3", R3))
+    # weighted degree 7 in (1,1,1,3), alone and beside a degree-6 term
+    for text in ("x^4*w", "x^4*w + y^6 + w^2"):
+        with pytest.raises(UsageError, match="homogeneous polynomial of weighted degree 6"):
+            bundle(parse_poly(text, R3S))
 
 
 def test_bundle_reconstructs_f():

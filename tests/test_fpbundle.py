@@ -1,8 +1,9 @@
-"""The numpy route of bundle() against the dict route over F_p and F_{p^e}, and the route rule."""
+"""The numpy route of bundle() against the dict route over F_p and F_{p^e}, the p = 2 kernel against both, and the route rule."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qfsplit import _fpbundle, cartier, catalog, delsarte
@@ -122,6 +123,68 @@ def test_routes_agree_on_delsarte_families_over_the_quadratic_extension(p):
         assert_twins(parse_poly(record.equation, RingConfig(field(p, 2), record.weights)))
 
 
+# -- p = 2: T as a quadratic form in the coefficient vector ---------------------
+
+CHAR2 = [(e, w) for e in (1, 2, 3) for w in (QUARTIC, SEXTIC, QUINTIC)]
+
+
+def assert_char2_twins(f):
+    """The p = 2 kernel equals the general numpy route and the dict route."""
+    bas = basis(f.ring)
+    kernel = _fpbundle.char2_lam_and_T(bas.coefficients(f), bas)
+    assert kernel == _fpbundle.general_lam_and_T(f, bas)
+    assert kernel == dict_lam_and_T(f, bas)
+    assert kernel == _fpbundle.lam_and_T(f, bas)
+
+
+@pytest.mark.parametrize("e,weights", CHAR2, ids=[f"F{2 ** e}-{NAMES[w]}" for e, w in CHAR2])
+def test_char2_kernel_matches_both_routes_on_seeded_forms(e, weights):
+    ring = RingConfig(field(2, e), weights)
+    rng = random.Random(e)
+    monos = basis(ring).monomials
+    elems = list(ring.field.elements())[1:]
+    for seed in range(3):
+        # dense (the first seed), 4-term and one-term forms: one term has no pairs
+        for f in seeded_forms(ring, 200 * e + seed, seed == 0):
+            assert_char2_twins(f)
+        # two terms: a single pair
+        assert_char2_twins(Polynomial(ring, {m: rng.choice(elems) for m in rng.sample(monos, 2)}))
+
+
+@pytest.mark.parametrize("weights", [(2, 3, 3), (2, 2, 3, 3), (2, 3, 3, 4)])
+def test_char2_kernel_drops_pairs_that_feed_no_cell(weights):
+    # in these rings some x^(M_a + M_b) has a residue class that no column reads
+    ring = RingConfig(field(2), weights)
+    bas = basis(ring)
+    assert (_fpbundle.ring_tables(bas).pair == bas.m ** 2).any()
+    rng = random.Random(len(weights))
+    for _ in range(10):
+        f = Polynomial(ring, {m: 1 for m in bas.monomials if rng.random() < 0.7} | {bas.monomials[0]: 1})
+        assert_char2_twins(f)
+
+
+@pytest.mark.parametrize("e", [1, 2], ids=["F2", "F4"])
+def test_char2_kernel_matches_both_routes_on_the_f2_catalog_rows(e):
+    rows = [entry for entry in catalog.all_entries() if entry.p == 2]
+    assert rows
+    for entry in rows:
+        assert_char2_twins(parse_poly(entry.equation, RingConfig(field(2, e), entry.weights)))
+
+
+def test_char2_bundles_never_reach_the_class_pairing_loop(monkeypatch):
+    calls = []
+    original = _fpbundle._accumulate_kernel
+    monkeypatch.setattr(_fpbundle, "_accumulate_kernel",
+                        lambda *args: calls.append(1) or original(*args))
+    for e in (1, 2, 3):
+        for weights in (QUARTIC, SEXTIC, QUINTIC):
+            for f in seeded_forms(RingConfig(field(2, e), weights), e, True):
+                bundle(f)
+    assert calls == []
+    bundle(parse_poly("x^4+y^4+z^4+w^4", RingConfig(field(3), QUARTIC)))
+    assert calls == [1]  # odd p pairs terms there
+
+
 # -- the route rule --------------------------------------------------------------
 
 
@@ -161,6 +224,16 @@ def test_a_ring_over_the_byte_budget_takes_the_dict_route(dict_route_calls, monk
     b = bundle(f)
     assert dict_route_calls == [1]
     assert (b.lam, b.T) == _fpbundle.lam_and_T(f, basis(ring))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ring_tables_fit_their_closed_form(p):
+    for weights in (QUARTIC, SEXTIC, QUINTIC):
+        ring = RingConfig(field(p), weights)
+        bas = basis(ring)
+        built = sum(v.nbytes for v in vars(_fpbundle.ring_tables(bas)).values()
+                    if isinstance(v, np.ndarray))
+        assert built <= _fpbundle.ring_bytes(ring, bas.m)
 
 
 def test_route_rule_builds_no_array(monkeypatch):
