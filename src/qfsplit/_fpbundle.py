@@ -18,14 +18,20 @@ Per equation:
    ``polyring.delta_lift_oracle`` checks the Witt-sum route against over F_p.
    Any lift gives it, but chat^p = chat only over F_p;
 3. T[i][j] sums delta_a * f^(p-2)_b over the pairs with a + b = p M_i +
-   (p-1, ..., p-1) - M_j, then applies the inverse Frobenius (F_p-linear,
-   an e x e matrix).  Only pairs whose residue classes mod p add up to a
-   column class (p-1-M_j) mod p are formed: for each term b and each column
-   class c, the partners are the delta terms of class c - b, one run of
-   delta sorted by class.  Every such pair reaches a cell, found from the
-   quotients a // p and b // p through the per-ring tables;
+   (p-1, ..., p-1) - M_j.  Only pairs whose residue classes mod p add up
+   to a column class (p-1-M_j) mod p are formed: for each term b and each
+   column class c, the partners are the delta terms of class c - b, one run
+   of delta sorted by class.  Every such pair reaches a cell, found from
+   the quotients a // p and b // p through the per-ring tables.  Then the
+   inverse Frobenius (F_p-linear, the e x e matrix ``ifrob`` of
+   :func:`_linalg.field_tables`) leaves T as an (m, m) coordinate array,
+   (m, m, e) at e > 1;
 4. lambda_i is the inverse Frobenius of the coefficient of f^(p-2) at
-   (p-1, ..., p-1) - M_i.
+   (p-1, ..., p-1) - M_i: an (m,) coordinate array, (m, e) at e > 1.
+
+:class:`cartier.FrobeniusBundle` stores these arrays and
+``_linalg.PrimeOps.matrix`` reads T's, both in the coordinates of
+``_linalg.field_tables``; neither is turned into raw field values.
 
 At p = 2 none of this runs (:func:`char2_lam_and_T`).  There f^(p-2) = 1,
 and for f = sum_a c_a x^(M_a) over the basis and any lift fhat = sum_a
@@ -68,7 +74,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import _INT64_SAFE_P
+from ._linalg import _INT64_SAFE_P, field_tables
 from .ffield import Field
 from .polyring import RingConfig
 
@@ -109,36 +115,40 @@ def admits(ring: RingConfig, m: int) -> bool:
     No field is left out by its size, F_2 included: the dict route serves
     only p >= 2^15 and the rings past the other bounds.
     """
+    need = _ring_bytes_if_packable(ring, m)
+    return need is not None and need <= RING_BYTES_MAX
+
+
+@lru_cache(maxsize=None)
+def _ring_bytes_if_packable(ring: RingConfig, m: int) -> int | None:
+    """:func:`ring_bytes` if the ring passes every clause of the rule but the budget, else None."""
     p, e = ring.field.p, ring.field.e
-    return (
+    if (
         p < _INT64_SAFE_P
         and e * e * (p * p - 1) ** 2 < 2**63
         and ring.num_vars * code_width(ring) <= CODE_BITS
-        and ring_bytes(ring, m) <= RING_BYTES_MAX
-    )
+    ):
+        return ring_bytes(ring, m)
+    return None
 
 
 class Scalars:
     """Coefficient arrays of F_q and of its lift GR(p^2, e): the only code that reads e.
 
     At e = 1 a coefficient array is 1-D and a product is the plain ``a * b``.
-    At e > 1 it is (k, e), and a product goes through ``tensor[mod]``, whose
-    row i e + j holds t^(i+j) reduced by the monic integer lift of the
-    field's modulus, mod p^2 (the Galois ring) or mod p (the field).
+    At e > 1 it is (k, e), and a product goes through ``tensor[mod]`` of
+    :func:`_linalg.field_tables`, mod p^2 (the Galois ring) or mod p (the
+    field).
     """
 
     def __init__(self, fld: Field):
-        self.p = p = fld.p
+        self.p = fld.p
         self.e = e = fld.e
         self.shape = (e,) if e > 1 else ()  # of one coefficient
-        self.zero = fld.zero
         self.one = self.lift([fld.one])
-        if e == 1:
-            return
-        self.tensor = {mod: _power_tensor(fld.modulus, mod) for mod in (p, p * p)}
-        # row k = coordinates of the inverse Frobenius of t^k
-        units = [tuple(int(k == i) for i in range(e)) for k in range(e)]
-        self.ifrob = np.array([fld.inverse_frobenius(u) for u in units], dtype=np.int64)
+        tables = field_tables(fld)
+        self.tensor = tables.tensor
+        self.ifrob = tables.ifrob
 
     def lift(self, coeffs: list) -> np.ndarray:
         """The canonical coordinates of raw field elements, each lifting itself."""
@@ -176,34 +186,14 @@ class Scalars:
     def nonzero(self, a: np.ndarray) -> np.ndarray:
         return a != 0 if self.e == 1 else a.any(axis=1)
 
-    def raw(self, a: np.ndarray) -> list:
-        """Raw field elements of the inverse Frobenius of reduced coefficients mod p.
-
-        Zero entries share the field's ``zero``, as ``cartier`` builds them.
-        """
-        if self.e == 1:
-            return a.tolist()
-        a = a @ self.ifrob % self.p
-        out = [self.zero] * len(a)
-        hit = np.flatnonzero(a.any(axis=1))
-        for i, v in zip(hit.tolist(), a[hit].tolist()):
-            out[i] = tuple(v)
-        return out
+    def unfrobenius(self, a: np.ndarray) -> np.ndarray:
+        """The inverse Frobenius of coefficients reduced mod p, as coordinates mod p."""
+        return a if self.e == 1 else a @ self.ifrob % self.p
 
 
 @lru_cache(maxsize=None)
 def scalars(fld: Field) -> Scalars:
     return Scalars(fld)
-
-
-def _power_tensor(modulus: tuple, mod: int) -> np.ndarray:
-    """(e^2, e) array: row i e + j holds t^(i+j) mod the monic ``modulus``, mod ``mod``."""
-    e = len(modulus) - 1
-    powers = [[int(k == n) for k in range(e)] for n in range(e)]
-    for _ in range(e - 1):
-        top = powers[-1][-1]  # t * t^n: shift up, then t^e = -sum_k modulus[k] t^k
-        powers.append([(low - top * c) % mod for low, c in zip([0] + powers[-1][:-1], modulus)])
-    return np.array([powers[i + j] for i in range(e) for j in range(e)], dtype=np.int64)
 
 
 class RingTables:
@@ -331,7 +321,7 @@ def _mul(s: Scalars, a: tuple, b: tuple, mod: int) -> tuple:
 
 
 def lam_and_T(f, bas, coeffs: list | None = None) -> tuple:
-    """The raw lambda row and T matrix of f on this route.
+    """The coordinate arrays of lambda and T of f on this route (steps 3 and 4 above).
 
     ``coeffs`` is f's basis coefficient vector, ``bas.coefficients(f)``,
     if the caller has read it; only the p = 2 kernel reads it.
@@ -357,15 +347,13 @@ def char2_lam_and_T(coeffs: list, bas) -> tuple:
     s.add_at(kv, t.pair[a, b], s.mul(c[a], c[b], 2))
     kv[m * m] = 0  # drop the pairs that feed no cell: the empty cells read this entry
     kv %= 2
-    cells = s.raw(kv[t.cell])
     lv = s.zeros(m)
     lv[t.lam == 0] = s.one  # (1, ..., 1) - M_i is the code 0 of f^0 = 1
-    lam = s.raw(lv)
-    return lam, [cells[i : i + m] for i in range(0, m * m, m)]
+    return s.unfrobenius(lv), s.unfrobenius(kv[t.cell]).reshape((m, m) + s.shape)
 
 
 def general_lam_and_T(f, bas) -> tuple:
-    """The raw lambda row and T matrix of f by the steps above, at any p of the route."""
+    """The coordinate arrays of lambda and T of f by the steps above, at any p of the route."""
     t = ring_tables(bas)
     s = scalars(bas.ring.field)
     p, m = t.p, t.m
@@ -402,14 +390,13 @@ def general_lam_and_T(f, bas) -> tuple:
     kv = s.zeros(m * m + 1)
     if delta[0].size:
         _accumulate_kernel(t, s, delta, fp2, kv)
-    cells = s.raw(kv[t.cell])
+    T = s.unfrobenius(kv[t.cell]).reshape((m, m) + s.shape)
 
     # 4. lambda_i = f^(p-2) at (p-1, ..., p-1) - M_i; a miss reads the zero appended
     pc, pv = fp2
     pos = np.minimum(np.searchsorted(pc, t.lam), pc.size - 1)
     pv = np.concatenate((pv, s.zeros(1)))
-    lam = s.raw(pv[np.where(pc[pos] == t.lam, pos, pc.size)])
-    return lam, [cells[i : i + m] for i in range(0, m * m, m)]
+    return s.unfrobenius(pv[np.where(pc[pos] == t.lam, pos, pc.size)]), T
 
 
 def _by_class(t: RingTables, poly: tuple) -> tuple:

@@ -3,27 +3,31 @@
 One numpy backend, :class:`PrimeOps`, serves every field F_q, q = p^e,
 through Weil restriction to F_p; F_p itself is the case e = 1:
 
-* an element is its e-vector over F_p in the basis 1, t, ..., t^(e-1); a row
-  of length m is a flat array of length m*e;
+* an element is its e-vector over F_p in the basis 1, t, ..., t^(e-1) (its
+  coordinates); a row of length m is a flat array of length m*e;
 * multiplication by t^k is a fixed e x e F_p-matrix, and so is Frobenius,
   which is F_p-linear in these coordinates (both are 1 x 1 identities at
-  e = 1);
-* :meth:`PrimeOps.matrix` turns T into the step matrix of the Krylov map
-  R -> F(R T): block (i, j) is the multiplication matrix of T_ij times the
-  Frobenius matrix, so one Krylov step is one ``row @ mat % p``;
+  e = 1).  :func:`field_tables` builds these structure constants once per
+  field, together with the inverse Frobenius and the multiplication tensor
+  of the Galois ring GR(p^2, e) that ``_fpbundle`` lifts to;
+* :meth:`PrimeOps.matrix` turns T, given as its coordinate array, into the
+  step matrix of the Krylov map R -> F(R T): block (i, j) is the
+  multiplication matrix of T_ij times the Frobenius matrix, so one Krylov
+  step is one ``row @ mat % p``;
 * :meth:`PrimeOps.shift_matrix` turns that matrix into the step matrix of a
   lift's T - c * lambda by a rank-e update, never building T_c entrywise;
 * the F_q-span of rows R_1..R_n is the F_p-span of their multiples
   t^k R_i, so the F_q-rank is the F_p-rank divided by e.
 
-Raw field values are ``int`` for e = 1 and e-tuples otherwise; they are told
-apart only where they enter (:meth:`PrimeOps.matrix`) or leave
-(:meth:`PrimeOps.row_to_raw`).  Entries are canonical residues and every
-product is reduced mod p: a dot product of length m*e sums products below
-(p-1)^2 before its reduction, so int64 is exact while m*e*(p-1)^2 < 2^63.
-For p < 2^15 that holds for every m*e < 2^33, and arrays are int64; for
-larger p the arrays hold exact Python ints (numpy ``dtype=object``), which
-are slower but cannot overflow.
+A coordinate array of an element holds e canonical residues on its last
+axis, which is dropped at e = 1.  Raw field values (``int`` for e = 1,
+e-tuples otherwise) are those coordinates, so a list of them reads as the
+same array; :func:`raw_values` turns an array back into raw values for the
+oracles, JSON and tests.  Every product is reduced mod p: a dot product of
+length m*e sums products below (p-1)^2 before its reduction, so int64 is
+exact while m*e*(p-1)^2 < 2^63.  For p < 2^15 that holds for every
+m*e < 2^33, and arrays are int64; for larger p the arrays hold exact Python
+ints (numpy ``dtype=object``), which are slower but cannot overflow.
 
 Rank is tracked incrementally by Gaussian elimination: pivot rows are kept
 normalized, each candidate row is reduced against them, and a row either
@@ -39,13 +43,65 @@ semilinear, so it cannot be folded into a list-based matrix).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from .ffield import Field
 
 _INT64_SAFE_P = 2**15  # below it, m*e*(p-1)^2 < 2^63 for every m*e < 2^33
+
+
+class FieldTables:
+    """The structure constants of F_q in coordinates; one instance per field.
+
+    * ``tensor[mod]``, for ``mod`` p (the field) or p^2 (the Galois ring
+      GR(p^2, e)): the (e^2, e) array whose row i e + j holds t^(i+j)
+      reduced by the monic integer lift of the field's modulus, mod ``mod``;
+    * ``units``: (e, e, e), the matrix of multiplication by t^k in F_q, row
+      l = vec(t^k t^l), i.e. ``tensor[p]``;
+    * ``frob`` and ``ifrob``: (e, e), row l = vec(F(t^l)) and
+      vec(F^-1(t^l)), so vec(F(a)) = vec(a) @ frob.
+
+    All are int64 canonical residues; at e = 1 each holds the single entry 1.
+    """
+
+    def __init__(self, fld: Field):
+        p, e = fld.p, fld.e
+        # F_p is F_p[t] / (t), with the one basis element 1
+        self.tensor = {mod: _power_tensor(fld.modulus or (0, 1), mod) for mod in (p, p * p)}
+        self.units = self.tensor[p].reshape(e, e, e)
+        basis = [fld.one] if e == 1 else [tuple(int(k == i) for i in range(e)) for k in range(e)]
+        self.frob = np.array([fld.frobenius(u) for u in basis], dtype=np.int64).reshape(e, e)
+        self.ifrob = np.array([fld.inverse_frobenius(u) for u in basis], dtype=np.int64).reshape(e, e)
+        for table in (*self.tensor.values(), self.frob, self.ifrob):
+            table.flags.writeable = False  # shared by every user of the field
+
+
+@lru_cache(maxsize=None)
+def field_tables(fld: Field) -> FieldTables:
+    return FieldTables(fld)
+
+
+def _power_tensor(modulus: tuple, mod: int) -> np.ndarray:
+    """(e^2, e) array: row i e + j holds t^(i+j) mod the monic ``modulus``, mod ``mod``."""
+    e = len(modulus) - 1
+    powers = [[int(k == n) for k in range(e)] for n in range(e)]
+    for _ in range(e - 1):
+        top = powers[-1][-1]  # t * t^n: shift up, then t^e = -sum_k modulus[k] t^k
+        powers.append([(low - top * c) % mod for low, c in zip([0] + powers[-1][:-1], modulus)])
+    return np.array([powers[i + j] for i in range(e) for j in range(e)], dtype=np.int64)
+
+
+def raw_values(a, e: int) -> list:
+    """The raw field values of a coordinate array (see the module docstring), as nested lists."""
+    a = np.asarray(a)
+    if e == 1:
+        return a.tolist()
+    flat = [tuple(v) for v in a.reshape(-1, e).tolist()]
+    if a.ndim == 2:
+        return flat
+    n = a.shape[-2]
+    return [flat[i : i + n] for i in range(0, len(flat), n)]
 
 
 @lru_cache(maxsize=None)
@@ -64,13 +120,11 @@ class PrimeOps:
     def __init__(self, field: Field):
         self.field = field
         self.p = p = field.p
-        self.e = e = field.e
+        self.e = field.e
         self.dtype = np.int64 if p < _INT64_SAFE_P else object
-        basis = self.row_to_raw(np.eye(e, dtype=self.dtype).reshape(-1))  # 1, t, ..., t^(e-1)
-        # units[k] is the matrix of multiplication by t^k: row l = vec(t^k t^l)
-        self.units = self.row([field.mul(a, b) for a in basis for b in basis]).reshape(e, e, e)
-        # row l = vec(F(t^l)); vec(F(a)) = vec(a) @ frob
-        self.frob = self.row([field.frobenius(a) for a in basis]).reshape(e, e)
+        tables = field_tables(field)
+        self.units = tables.units.astype(self.dtype)
+        self.frob = tables.frob.astype(self.dtype)
         # steps[k]: multiplication by t^k followed by Frobenius
         self.steps = (self.units @ self.frob) % p
 
@@ -79,35 +133,24 @@ class PrimeOps:
         e = self.e
         return (vecs @ table.reshape(e, e * e)).reshape(vecs.shape[:-1] + (e, e)) % self.p
 
-    def row(self, raws) -> np.ndarray:
-        return np.asarray(raws, dtype=self.dtype).reshape(-1) % self.p
+    def row(self, vals) -> np.ndarray:
+        """A flat row from coordinates: an (m,) or (m, e) array, or raw values."""
+        return np.asarray(vals, dtype=self.dtype).reshape(-1) % self.p
 
     def column(self, raws) -> np.ndarray:
         """The (m*e, e) right-hand factor of :meth:`dot_is_zero`: stacked multiplications."""
         return self._blocks(self.row(raws).reshape(-1, self.e), self.units).reshape(-1, self.e)
 
-    def matrix(self, rows) -> np.ndarray:
-        """The step matrix of R -> F(R T) for the raw square matrix T."""
-        m, e = len(rows), self.e
-        if e == 1:
-            # Frobenius and every steps block are 1 x 1 identities, and raw
-            # values are canonical, so T is its own step matrix
-            dense = np.fromiter(chain.from_iterable(rows), dtype=self.dtype, count=m * m)
-            return dense.reshape(m, m)
-        # sparse read: converting every nested e-tuple costs far more
-        zero = self.field.zero
-        ii, jj, vals = [], [], []
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                if v != zero:
-                    ii.append(i)
-                    jj.append(j)
-                    vals.append(v)
-        out = np.zeros((m, e, m, e), dtype=self.dtype)
+    def matrix(self, cells) -> np.ndarray:
+        """The step matrix of R -> F(R T) for T's coordinate array, (m, m) or (m, m, e)."""
+        cells = np.asarray(cells, dtype=self.dtype)
+        if self.e == 1:
+            # Frobenius and every steps block are 1 x 1 identities, so T is its
+            # own step matrix
+            return cells
+        m, e = len(cells), self.e
         # block (i, j) is the multiplication matrix of T_ij times the Frobenius matrix
-        vecs = np.asarray(vals, dtype=self.dtype).reshape(-1, e)
-        out[ii, :, jj, :] = self._blocks(vecs, self.steps)
-        return out.reshape(m * e, m * e)
+        return self._blocks(cells, self.steps).transpose(0, 2, 1, 3).reshape(m * e, m * e)
 
     def shift_matrix(self, mat, lam_row, c):
         """The step matrix of T - c * lambda, from the step matrix ``mat`` of T.
@@ -195,14 +238,16 @@ class GenericOps:
     def __init__(self, field: Field):
         self.field = field
 
-    def row(self, raws) -> list:
-        return list(raws)
+    def row(self, vals) -> list:
+        """Raw values from coordinates: an (m,) or (m, e) array, or raw values."""
+        return raw_values(np.asarray(vals, dtype=np.int64), self.field.e)
 
     def column(self, raws) -> list:
         return list(raws)
 
-    def matrix(self, rows) -> list:
-        return [list(r) for r in rows]
+    def matrix(self, cells) -> list:
+        """T's raw rows from its coordinate array (or its raw rows)."""
+        return raw_values(np.asarray(cells, dtype=np.int64), self.field.e)
 
     def shift_matrix(self, mat, lam_row, c) -> list:
         """T - c * lambda (column c times row lambda) as raw rows."""

@@ -27,6 +27,8 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from . import _fpbundle, _linalg
 from .errors import ResourceError, UsageError
 from .ffield import Field, RawElement
@@ -136,30 +138,45 @@ def _residue_columns(ring: RingConfig) -> dict:
 class FrobeniusBundle:
     """The data (basis, f, v_f, lambda, T), v_f read off f unless given; built by :func:`bundle`.
 
-    The backend forms of lambda and v_f are built once, by ``ops`` (default
-    the field's :func:`_linalg.make_ops` backend); the step matrix ``T_mat``
-    is built on first use, since a walk that stops at R_1 never reads it.
-    Semantically immutable; the Krylov walk is memoized, so share an
-    instance across threads only behind a lock (or keep instances
+    ``lam`` and ``T`` are coordinate arrays (see :mod:`qfsplit._linalg`):
+    lambda is (m,) and T is (m, m), with a last axis of length e over
+    F_{p^e}.  Lists of raw values read as the same arrays.  The bundle
+    keeps them as ``lam_coords`` and ``T_coords``; ``lam`` and ``T`` are
+    views as raw values, built when first read, for the oracles, JSON and
+    tests.  The backend forms of lambda and v_f are built once, by ``ops``
+    (default the field's :func:`_linalg.make_ops` backend); the step matrix
+    ``T_mat`` is built on first use, since a walk that stops at R_1 never
+    reads it.  Semantically immutable; the Krylov walk is memoized, so
+    share an instance across threads only behind a lock (or keep instances
     thread-local, as the scan workers do).
     """
 
-    def __init__(self, bas: MonomialBasis, f: Polynomial, lam: list, T: list, ops=None,
+    def __init__(self, bas: MonomialBasis, f: Polynomial, lam, T, ops=None,
                  v_f: list | None = None):
         self.basis = bas
         self.f = f
         self.v_f = bas.coefficients(f) if v_f is None else v_f
-        self.lam = lam
-        self.T = T
+        self.lam_coords = np.asarray(lam, dtype=np.int64)
+        self.T_coords = np.asarray(T, dtype=np.int64)
         self.ops = ops if ops is not None else _linalg.make_ops(bas.ring.field)
-        self.lam_row = self.ops.row(lam)
+        self.lam_row = self.ops.row(self.lam_coords)
         self.v_col = self.ops.column(self.v_f)
         self._walked: tuple | None = None
 
     @cached_property
     def T_mat(self):
         """T as the backend's Krylov step matrix."""
-        return self.ops.matrix(self.T)
+        return self.ops.matrix(self.T_coords)
+
+    @cached_property
+    def lam(self) -> list:
+        """lambda as raw field values."""
+        return _linalg.raw_values(self.lam_coords, self.field.e)
+
+    @cached_property
+    def T(self) -> list:
+        """T as rows of raw field values."""
+        return _linalg.raw_values(self.T_coords, self.field.e)
 
     @property
     def ring(self) -> RingConfig:
@@ -208,9 +225,12 @@ def bundle(f: Polynomial, v_f: list | None = None) -> FrobeniusBundle:
     homogeneous of degree d iff it has as many terms as nonzero entries in
     v_f.
 
-    Two routes give the same raw lambda and T, and each is the other's
-    test oracle.  The numpy route (:mod:`qfsplit._fpbundle`) is taken iff
-    all of these hold:
+    Two routes give the same lambda and T, and each is the other's test
+    oracle.  The numpy route returns coordinate arrays; the dict route
+    returns lists of raw values, which :class:`FrobeniusBundle` reads as
+    the same arrays, once.
+    The numpy route (:mod:`qfsplit._fpbundle`) is taken iff all of these
+    hold:
 
     * p < ``_linalg._INT64_SAFE_P`` (2^15); no field is left out by its
       size, F_2 included;

@@ -24,6 +24,9 @@ from __future__ import annotations
 from itertools import islice
 from typing import Sequence
 
+import numpy as np
+
+from ._linalg import raw_values
 from .cartier import (
     FrobeniusBundle,
     columns_from_kernel,
@@ -103,21 +106,24 @@ def infinite_lift(b: FrobeniusBundle) -> list | None:
     """
     _require_infinite_height(b)
     fld = b.field
-    j = next((i for i, v in enumerate(b.lam) if not fld.is_zero(v)), None)
-    if j is None:
+    hit = np.flatnonzero(b.lam_coords.reshape(b.m, -1).any(axis=1))
+    if hit.size == 0:
         return None
-    lam_j = b.lam[j]
+    j = int(hit[0])
+    lam_j = raw_values(b.lam_coords[j : j + 1], fld.e)[0]
+    column = raw_values(b.T_coords[:, j], fld.e)  # T e_j
     inv = fld.inv(lam_j)
-    c = [fld.mul(inv, fld.sub(row[j], fld.one) if i == j else row[j]) for i, row in enumerate(b.T)]
+    c = [fld.mul(inv, fld.sub(t, fld.one) if i == j else t) for i, t in enumerate(column)]
 
     # exact fixed-column check: (T - c lambda) e_j = e_j, from column j alone
-    for i, (row, ci) in enumerate(zip(b.T, c)):
-        if fld.sub(row[j], fld.mul(ci, lam_j)) != (fld.one if i == j else fld.zero):
+    for i, (t, ci) in enumerate(zip(column, c)):
+        if fld.sub(t, fld.mul(ci, lam_j)) != (fld.one if i == j else fld.zero):
             raise AssertionError("fixed-column identity T_c e_j = e_j failed")
 
     ops = b.ops
+    e_j = ops.column([fld.one if i == j else fld.zero for i in range(b.m)])
     for R in islice(krylov_rows(b, t_shifted(b, c)), default_ns_cap(b)):
-        if fld.is_zero(ops.row_to_raw(R)[j]):
+        if ops.dot_is_zero(R, e_j):  # R_{c,n} e_j, coordinate j of the row
             raise AssertionError("R_{c,n} e_j vanished; construction invariant broken")
     return c
 

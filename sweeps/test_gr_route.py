@@ -8,7 +8,9 @@ with the other sweeps:
 The F_2 quartics are the scan's own traffic: the first 1000 samples of
 ``qfsplit scan -p 2 --seed 2026``, drawn by ``scan.sample``; on them the
 p = 2 kernel also meets the general numpy route.  Each case of
-CASES compares the raw lambda and T of both routes on 20 seeded forms.
+CASES compares lambda and T of both routes, read as raw values, on 20
+seeded forms, and the bundle's step matrix against the entry-by-entry
+build from raw rows in ``tests/_support.py``.
 A form is fully dense (every basis monomial drawn from the whole field)
 where the dict route takes at most about 0.2 s on one; elsewhere it has a
 fixed number of terms, because one fully dense form costs the dict route
@@ -18,13 +20,20 @@ quartic, and so do the lambda = 0 diagonal and cyclic forms.
 """
 
 import random
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qfsplit import _fpbundle, scan
-from qfsplit.cartier import basis, dict_lam_and_T
+from qfsplit._linalg import raw_values
+from qfsplit.cartier import basis, bundle, dict_lam_and_T
 from qfsplit.ffield import field
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from _support import step_matrix_reference  # noqa: E402
 
 QUARTIC, SEXTIC, QUINTIC = (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 1, 1, 1)
 NAMES = {QUARTIC: "quartic", SEXTIC: "sextic", QUINTIC: "quintic"}
@@ -48,13 +57,22 @@ DIAGONAL = {
 }
 
 
+def as_raw(kernel, fld) -> tuple:
+    """A kernel's (lambda, T) coordinate arrays as raw values."""
+    return tuple(raw_values(a, fld.e) for a in kernel)
+
+
 def twins(f) -> list:
-    """Assert that both routes give the same raw lambda and T; return lambda."""
+    """Assert that both routes give the same lambda and T, and that bundle()
+    returns them with its step matrix built right; return lambda."""
     bas = basis(f.ring)
     assert _fpbundle.admits(f.ring, bas.m)
-    lam, T = _fpbundle.lam_and_T(f, bas)
-    assert (lam, T) == dict_lam_and_T(f, bas)
-    return lam
+    raw = dict_lam_and_T(f, bas)
+    assert as_raw(_fpbundle.lam_and_T(f, bas), f.ring.field) == raw
+    b = bundle(f)
+    assert (b.lam, b.T) == raw
+    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, b.T))
+    return b.lam
 
 
 def seeded_form(ring, seed, terms):
@@ -86,8 +104,8 @@ def test_routes_agree_on_scan_samples():
     for index in range(SCAN_SAMPLES):
         f = bas.polynomial(scan.sample(SCAN_SEED, index, ring))
         if not f.is_zero():  # the zero form has no bundle
-            kernel = _fpbundle.lam_and_T(f, bas)
-            assert kernel == _fpbundle.general_lam_and_T(f, bas)
+            kernel = as_raw(_fpbundle.lam_and_T(f, bas), ring.field)
+            assert kernel == as_raw(_fpbundle.general_lam_and_T(f, bas), ring.field)
             assert kernel == dict_lam_and_T(f, bas)
             compared += 1
     assert compared >= SCAN_SAMPLES - 1

@@ -1,8 +1,9 @@
-"""Helpers that only the tests use: raw Krylov rows, exact rank, evaluation, witness tables."""
+"""Helpers that only the tests use: raw Krylov rows, step matrices from raw rows, exact rank,
+evaluation, witness tables."""
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,33 @@ def krylov_matrix(b: FrobeniusBundle, n: int, T=None) -> list:
     if n < 1:
         raise UsageError("need at least one row")
     return [b.ops.row_to_raw(R) for R in islice(krylov_rows(b, T), n)]
+
+
+def step_matrix_reference(ops, rows) -> np.ndarray:
+    """``ops.matrix`` (a ``PrimeOps``) rebuilt from T's raw rows, one entry at a time.
+
+    The production build reads T's coordinate array and forms every block
+    in one ``_blocks`` call, then moves the blocks into place with one
+    transpose; this reads raw values, at e > 1 only the nonzero ones, and
+    writes each block (i, j), the multiplication matrix of T_ij times the
+    Frobenius matrix, into its place by index.
+    """
+    m, e = len(rows), ops.e
+    if e == 1:
+        dense = np.fromiter(chain.from_iterable(rows), dtype=ops.dtype, count=m * m)
+        return dense.reshape(m, m)
+    zero = ops.field.zero
+    ii, jj, vals = [], [], []
+    for i, r in enumerate(rows):
+        for j, v in enumerate(r):
+            if v != zero:
+                ii.append(i)
+                jj.append(j)
+                vals.append(v)
+    out = np.zeros((m, e, m, e), dtype=ops.dtype)
+    vecs = np.asarray(vals, dtype=ops.dtype).reshape(-1, e)
+    out[ii, :, jj, :] = ops._blocks(vecs, ops.steps)
+    return out.reshape(m * e, m * e)
 
 
 def matrix_rank(rows, field: Field) -> int:

@@ -25,6 +25,6 @@ def step_counting():
     """b -> the same bundle on a fresh :class:`StepCountingOps` backend."""
 
     def twin(b):
-        return FrobeniusBundle(b.basis, b.f, b.lam, b.T, ops=StepCountingOps(b.field))
+        return FrobeniusBundle(b.basis, b.f, b.lam_coords, b.T_coords, ops=StepCountingOps(b.field))
 
     return twin

@@ -1,4 +1,10 @@
-"""The numpy route of bundle() against the dict route over F_p and F_{p^e}, the p = 2 kernel against both, and the route rule."""
+"""The numpy route of bundle() against the dict route over F_p and F_{p^e}, the p = 2 kernel against both, and the route rule.
+
+The routes meet in raw values: the numpy route's coordinate arrays, read as
+raw values, must equal the dict route's lists entry for entry.  Every twin
+case also checks the bundle's step matrix against the entry-by-entry build
+from raw rows in ``_support``.
+"""
 
 import math
 import random
@@ -7,9 +13,12 @@ import numpy as np
 import pytest
 
 from qfsplit import _fpbundle, cartier, catalog, delsarte
+from qfsplit._linalg import raw_values
 from qfsplit.cartier import basis, bundle, dict_lam_and_T
 from qfsplit.ffield import field
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
+
+from _support import step_matrix_reference
 
 QUARTIC, SEXTIC, QUINTIC = (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 1, 1, 1)
 # forms whose lambda vanishes at some of p = 3, 5, 7 (ns = 1 there)
@@ -20,18 +29,33 @@ DIAGONAL = {
 }
 
 
+def as_raw(kernel, fld) -> tuple:
+    """A kernel's (lambda, T) coordinate arrays as raw values."""
+    return tuple(raw_values(a, fld.e) for a in kernel)
+
+
+def assert_bundle_matches(b, raw):
+    """The bundle's raw views equal ``raw``, the dict route's (lambda, T), and its
+    step matrix equals the entry-by-entry build from the raw rows."""
+    assert (b.lam, b.T) == raw
+    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, b.T))
+
+
 def assert_twins(f):
-    """Both routes give the same raw lambda and T, and bundle() returns them.
+    """Both routes give the same lambda and T, and bundle() returns them.
 
     bundle() takes the numpy route for every input here.
     """
     bas = basis(f.ring)
     assert _fpbundle.admits(f.ring, bas.m)
     lam, T = _fpbundle.lam_and_T(f, bas)
-    assert (lam, T) == dict_lam_and_T(f, bas)
+    raw = dict_lam_and_T(f, bas)
+    assert as_raw((lam, T), f.ring.field) == raw
     b = bundle(f)
-    assert (b.lam, b.T, b.v_f) == (lam, T, bas.coefficients(f))
-    return lam
+    assert np.array_equal(b.lam_coords, lam) and np.array_equal(b.T_coords, T)
+    assert b.v_f == bas.coefficients(f)
+    assert_bundle_matches(b, raw)
+    return b.lam
 
 
 def seeded_forms(ring, seed, dense):
@@ -131,10 +155,11 @@ CHAR2 = [(e, w) for e in (1, 2, 3) for w in (QUARTIC, SEXTIC, QUINTIC)]
 def assert_char2_twins(f):
     """The p = 2 kernel equals the general numpy route and the dict route."""
     bas = basis(f.ring)
-    kernel = _fpbundle.char2_lam_and_T(bas.coefficients(f), bas)
-    assert kernel == _fpbundle.general_lam_and_T(f, bas)
+    fld = f.ring.field
+    kernel = as_raw(_fpbundle.char2_lam_and_T(bas.coefficients(f), bas), fld)
+    assert kernel == as_raw(_fpbundle.general_lam_and_T(f, bas), fld)
     assert kernel == dict_lam_and_T(f, bas)
-    assert kernel == _fpbundle.lam_and_T(f, bas)
+    assert kernel == as_raw(_fpbundle.lam_and_T(f, bas), fld)
 
 
 @pytest.mark.parametrize("e,weights", CHAR2, ids=[f"F{2 ** e}-{NAMES[w]}" for e, w in CHAR2])
@@ -200,8 +225,10 @@ def dict_route_calls(monkeypatch):
 
 def test_large_primes_take_the_dict_route(dict_route_calls):
     f = parse_poly("x*y*z*w", RingConfig(field(32771), QUARTIC))
-    bundle(f)
+    b = bundle(f)
     assert dict_route_calls == [1]
+    assert b.ops.dtype == object  # exact Python ints in the step matrix
+    assert_bundle_matches(b, dict_lam_and_T(f, b.basis))
 
 
 @pytest.mark.parametrize("p,e,text", [
@@ -223,7 +250,19 @@ def test_a_ring_over_the_byte_budget_takes_the_dict_route(dict_route_calls, monk
     monkeypatch.setattr(_fpbundle, "RING_BYTES_MAX", _fpbundle.ring_bytes(ring, basis(ring).m) - 1)
     b = bundle(f)
     assert dict_route_calls == [1]
-    assert (b.lam, b.T) == _fpbundle.lam_and_T(f, basis(ring))
+    assert (b.lam, b.T) == as_raw(_fpbundle.lam_and_T(f, basis(ring)), ring.field)
+    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, b.T))
+
+
+def test_route_rule_reads_the_ring_once_per_basis_size(monkeypatch):
+    ring = RingConfig(field(5), QUARTIC)
+    assert _fpbundle.admits(ring, 35)
+    # a second read of the ring would call these
+    monkeypatch.setattr(_fpbundle, "code_width", None)
+    monkeypatch.setattr(_fpbundle, "ring_bytes", None)
+    assert _fpbundle.admits(ring, 35)
+    monkeypatch.setattr(_fpbundle, "RING_BYTES_MAX", 0)
+    assert not _fpbundle.admits(ring, 35)  # the budget is read on every call
 
 
 @pytest.mark.parametrize("p", [2, 3])
