@@ -5,7 +5,8 @@ packed exponent codes (one ``width``-bit field per variable, x_0 highest,
 as in ``polyring._pack``), sorted ascending, and coefficients, so exponent
 vectors add as codes.  A coefficient is one residue at e = 1 and an e-vector
 of residues in the basis 1, t, ..., t^(e-1) otherwise (:class:`Scalars`).
-Per equation:
+f's arrays are its nonzero entries of ``MonomialBasis.coefficients(f)``
+(read once and kept on f) and their basis codes.  Per equation:
 
 1. ``fhat``, f with each coefficient lifted to the Galois ring GR(p^2, e) =
    (Z/p^2)[t] / (the field's modulus with its coefficients read as
@@ -48,8 +49,8 @@ lambda is the indicator of M_i = (1, ..., 1), the one term of f^0 = 1.
 
 The per-ring arrays (:class:`RingTables`) are an int32 rank table over the
 box of degree-d exponent vectors, an int32 map of the m^2 cells, the column
-classes and the lambda codes, and at p = 2 the int32 (m, m) pair table and
-its boolean mask of the pairs a < b.  Their closed-form size
+classes, the basis codes and the lambda codes, and at p = 2 the int32 (m, m)
+pair table and its boolean mask of the pairs a < b.  Their closed-form size
 (:func:`ring_bytes`) is part of the route rule, and they are built on a
 ring's first bundle.  Term pairs are formed in blocks of at most ``BLOCK``,
 so temporaries stay O(e^2 BLOCK) beyond the polynomials themselves.
@@ -102,11 +103,11 @@ def ring_bytes(ring: RingConfig, m: int) -> int:
 
     The int32 rank table over the degree-d box and int32 cell map (and at
     p = 2 the int32 pair table and its boolean mask of a < b), plus at most
-    m column classes and m lambda codes.  Closed form: it is checked before
-    anything is built.
+    m column classes, m basis codes and m lambda codes.  Closed form: it is
+    checked before anything is built.
     """
     pairs = 5 * m * m if ring.field.p == 2 else 0
-    return 4 * (math.prod(box_radices(ring)) + m * m) + pairs + 8 * m * (ring.num_vars + 3)
+    return 4 * (math.prod(box_radices(ring)) + m * m) + pairs + 8 * m * (ring.num_vars + 4)
 
 
 def admits(ring: RingConfig, m: int) -> bool:
@@ -223,6 +224,7 @@ class RingTables:
         box = [math.prod(radices[k + 1 :]) for k in range(nv - 1)] + [0]
         self.box = np.array(box, dtype=np.int64)  # exponent vector @ box = box index
         M = np.array(bas.monomials, dtype=np.int64).reshape(m, nv)
+        self.codes = M @ self.place  # of the basis monomials, descending
         # basis index by box index; entries off the basis are never read
         self.rank = np.zeros(math.prod(radices), dtype=np.int32)
         self.rank[M @ self.box] = np.arange(m, dtype=np.int32)
@@ -255,7 +257,9 @@ class RingTables:
         self.lam = np.where((M <= p - 1).all(axis=1), corner - M @ self.place, -1)
         if p == 2:
             self.pair = self._pair_cells(M, rows)
-            self.upper = np.triu(np.ones((m, m), dtype=bool), 1)  # the pairs a < b
+            # the pairs a < b: np.nonzero(upper[:k, :k]) takes 3-10 us against 26-32 us
+            # for np.triu_indices(k, 1) (k = 10..30, numpy 2.4), a tenth of a scan-f2 equation
+            self.upper = np.triu(np.ones((m, m), dtype=bool), 1)
 
     def _pair_cells(self, M: np.ndarray, rows: int) -> np.ndarray:
         """The (m, m) table of the cell x^(M_a + M_b) feeds, by blocks of rows a.
@@ -320,31 +324,33 @@ def _mul(s: Scalars, a: tuple, b: tuple, mod: int) -> tuple:
     return acc
 
 
-def lam_and_T(f, bas, coeffs: list | None = None) -> tuple:
-    """The coordinate arrays of lambda and T of f on this route (steps 3 and 4 above).
+def _terms(f, bas, s: Scalars) -> tuple:
+    """f's nonzero entries of ``bas.coefficients(f)``: their basis indices and coordinates."""
+    v = bas.coefficients(f)
+    zero = bas.ring.field.zero
+    support = [k for k, x in enumerate(v) if x != zero]
+    return np.array(support, dtype=np.int64), s.lift([v[k] for k in support])
 
-    ``coeffs`` is f's basis coefficient vector, ``bas.coefficients(f)``,
-    if the caller has read it; only the p = 2 kernel reads it.
-    """
+
+def lam_and_T(f, bas) -> tuple:
+    """The coordinate arrays of lambda and T of f on this route (steps 3 and 4 above)."""
     if bas.ring.field.p == 2:
-        return char2_lam_and_T(bas.coefficients(f) if coeffs is None else coeffs, bas)
+        return char2_lam_and_T(f, bas)
     return general_lam_and_T(f, bas)
 
 
-def char2_lam_and_T(coeffs: list, bas) -> tuple:
-    """lambda and T over F_(2^e) as a quadratic form in the coefficient vector.
+def char2_lam_and_T(f, bas) -> tuple:
+    """lambda and T over F_(2^e) as a quadratic form in f's coefficient vector.
 
-    ``coeffs`` is the basis coefficient vector of f; see the module docstring.
+    The vector is ``bas.coefficients(f)``, kept on f; see the module docstring.
     """
     t = ring_tables(bas)
     s = scalars(bas.ring.field)
     m = t.m
-    c = s.lift(coeffs)
-    support = np.flatnonzero(s.nonzero(c))
+    support, c = _terms(f, bas, s)
     i, j = np.nonzero(t.upper[: support.size, : support.size])
-    a, b = support[i], support[j]
     kv = s.zeros(m * m + 1)
-    s.add_at(kv, t.pair[a, b], s.mul(c[a], c[b], 2))
+    s.add_at(kv, t.pair[support[i], support[j]], s.mul(c[i], c[j], 2))
     kv[m * m] = 0  # drop the pairs that feed no cell: the empty cells read this entry
     kv %= 2
     lv = s.zeros(m)
@@ -353,18 +359,22 @@ def char2_lam_and_T(coeffs: list, bas) -> tuple:
 
 
 def general_lam_and_T(f, bas) -> tuple:
-    """The coordinate arrays of lambda and T of f by the steps above, at any p of the route."""
+    """The coordinate arrays of lambda and T of f by the steps above, at any p of the route.
+
+    f's terms are read from its coefficient vector ``bas.coefficients(f)``,
+    kept on f, and their codes from the per-ring ``RingTables.codes``.
+    """
     t = ring_tables(bas)
     s = scalars(bas.ring.field)
     p, m = t.p, t.m
     mod = p * p
-    terms = f.term_dict()
-    codes = np.array(list(terms), dtype=np.int64).reshape(len(terms), -1) @ t.place
+    support, c = _terms(f, bas, s)
+    codes = t.codes[support]
     order = np.argsort(codes)
     fc = codes[order]
     # the Teichmuller lift (coordinates)^q: fhat^2 of a dense F_3 quintic has
     # 779 terms against the coordinate lift's 882, so fewer pairs are formed
-    fhat = (fc, s.power(s.lift(list(terms.values()))[order], bas.ring.field.order, mod))
+    fhat = (fc, s.power(c[order], bas.ring.field.order, mod))
 
     # 1. fhat^k for k = 1 .. p, keeping k = p - 2
     fp2 = (np.zeros(1, dtype=np.int64), s.one)  # fhat^0

@@ -163,11 +163,6 @@ class PrimeOps:
         lam = self._blocks(lam_row.reshape(-1, e), self.steps).transpose(1, 0, 2).reshape(e, -1)
         return (mat - self.column(c) @ lam) % self.p
 
-    def row_to_raw(self, row) -> list:
-        if self.e == 1:
-            return row.tolist()
-        return [tuple(v) for v in row.reshape(-1, self.e).tolist()]
-
     def frobenius_row(self, row):
         return ((row.reshape(-1, self.e) @ self.frob) % self.p).reshape(-1)
 
@@ -256,9 +251,6 @@ class GenericOps:
             list(row) if f.is_zero(ci) else [f.sub(t, f.mul(ci, l)) for t, l in zip(row, lam_row)]
             for row, ci in zip(mat, c)
         ]
-
-    def row_to_raw(self, row) -> list:
-        return list(row)
 
     def frobenius_row(self, row) -> list:
         frob = self.field.frobenius

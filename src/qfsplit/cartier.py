@@ -4,7 +4,8 @@ For a homogeneous f of Calabi-Yau degree d = sum(weights) this module
 constructs the triple (v_f, lambda, T) over the ordered degree-d monomial
 basis:
 
-* ``v_f`` -- the coefficient column of f;
+* ``v_f`` -- the coefficient column of f, read off f once and kept on it
+  (:meth:`MonomialBasis.coefficients`);
 * ``lambda`` -- the row of u-images u(f^(p-2) * M_i), scalars by degree count;
 * ``T`` -- the matrix of the semilinear map h -> u(delta(f) * f^(p-2) * h)
   in the monomial basis (column j expands the image of M_j).
@@ -88,8 +89,11 @@ class MonomialBasis:
             raise UsageError(f"expected {self.m} coefficients, got {len(coeffs)}")
         return Polynomial(self.ring, dict(zip(self.monomials, coeffs)))
 
-    def coefficients(self, f: Polynomial) -> list:
-        return [f.coefficient(mono) for mono in self.monomials]
+    def coefficients(self, f: Polynomial) -> tuple:
+        """f's coefficient vector on the basis, read on the first call and kept on f."""
+        if f._coeffs is None:
+            f._coeffs = tuple([f.coefficient(mono) for mono in self.monomials])
+        return f._coeffs
 
 
 @lru_cache(maxsize=None)
@@ -136,26 +140,25 @@ def _residue_columns(ring: RingConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 class FrobeniusBundle:
-    """The data (basis, f, v_f, lambda, T), v_f read off f unless given; built by :func:`bundle`.
+    """The data (basis, f, v_f, lambda, T); built by :func:`bundle`.
 
-    ``lam`` and ``T`` are coordinate arrays (see :mod:`qfsplit._linalg`):
-    lambda is (m,) and T is (m, m), with a last axis of length e over
-    F_{p^e}.  Lists of raw values read as the same arrays.  The bundle
-    keeps them as ``lam_coords`` and ``T_coords``; ``lam`` and ``T`` are
-    views as raw values, built when first read, for the oracles, JSON and
-    tests.  The backend forms of lambda and v_f are built once, by ``ops``
-    (default the field's :func:`_linalg.make_ops` backend); the step matrix
-    ``T_mat`` is built on first use, since a walk that stops at R_1 never
-    reads it.  Semantically immutable; the Krylov walk is memoized, so
-    share an instance across threads only behind a lock (or keep instances
+    ``v_f`` is f's coefficient vector, ``bas.coefficients(f)``, which f
+    keeps once it is read.  ``lam`` and ``T`` are coordinate arrays (see
+    :mod:`qfsplit._linalg`): lambda is (m,) and T is (m, m), with a last
+    axis of length e over F_{p^e}.  Lists of raw values read as the same
+    arrays.  The bundle keeps them only as ``lam_coords`` and ``T_coords``.
+    The backend forms of lambda and v_f are built once, by ``ops`` (default
+    the field's :func:`_linalg.make_ops` backend); the step matrix ``T_mat``
+    is built on first use, since a walk that stops at R_1 never reads it.
+    Semantically immutable; the Krylov walk is memoized, so share an
+    instance across threads only behind a lock (or keep instances
     thread-local, as the scan workers do).
     """
 
-    def __init__(self, bas: MonomialBasis, f: Polynomial, lam, T, ops=None,
-                 v_f: list | None = None):
+    def __init__(self, bas: MonomialBasis, f: Polynomial, lam, T, ops=None):
         self.basis = bas
         self.f = f
-        self.v_f = bas.coefficients(f) if v_f is None else v_f
+        self.v_f = bas.coefficients(f)
         self.lam_coords = np.asarray(lam, dtype=np.int64)
         self.T_coords = np.asarray(T, dtype=np.int64)
         self.ops = ops if ops is not None else _linalg.make_ops(bas.ring.field)
@@ -167,16 +170,6 @@ class FrobeniusBundle:
     def T_mat(self):
         """T as the backend's Krylov step matrix."""
         return self.ops.matrix(self.T_coords)
-
-    @cached_property
-    def lam(self) -> list:
-        """lambda as raw field values."""
-        return _linalg.raw_values(self.lam_coords, self.field.e)
-
-    @cached_property
-    def T(self) -> list:
-        """T as rows of raw field values."""
-        return _linalg.raw_values(self.T_coords, self.field.e)
 
     @property
     def ring(self) -> RingConfig:
@@ -217,13 +210,13 @@ def columns_from_kernel(bas: MonomialBasis, kernel: Polynomial) -> list:
     return T
 
 
-def bundle(f: Polynomial, v_f: list | None = None) -> FrobeniusBundle:
+def bundle(f: Polynomial) -> FrobeniusBundle:
     """Build the Frobenius descent bundle of a degree-d homogeneous f != 0.
 
-    ``v_f`` is f's basis coefficient vector, ``basis(f.ring).coefficients(f)``,
-    if the caller has read it already; it is read here otherwise.  f is
-    homogeneous of degree d iff it has as many terms as nonzero entries in
-    v_f.
+    f is homogeneous of degree d iff it has as many terms as nonzero entries
+    in its coefficient vector v_f, ``basis(f.ring).coefficients(f)``; f
+    keeps that vector, so the witness search, this check, the p = 2 kernel
+    and the bundle read f's coefficients once between them.
 
     Two routes give the same lambda and T, and each is the other's test
     oracle.  The numpy route returns coordinate arrays; the dict route
@@ -251,17 +244,15 @@ def bundle(f: Polynomial, v_f: list | None = None) -> FrobeniusBundle:
     if f.is_zero():
         raise UsageError("the zero polynomial has no Frobenius bundle")
     bas = basis(ring)
-    if v_f is None:
-        v_f = bas.coefficients(f)
-    if bas.m - v_f.count(ring.field.zero) != len(f):
+    if bas.m - bas.coefficients(f).count(ring.field.zero) != len(f):
         raise UsageError(
             f"bundle requires a homogeneous polynomial of weighted degree {ring.d}"
         )
     if _fpbundle.admits(ring, bas.m):
-        lam, T = _fpbundle.lam_and_T(f, bas, v_f)
+        lam, T = _fpbundle.lam_and_T(f, bas)
     else:
         lam, T = dict_lam_and_T(f, bas)
-    return FrobeniusBundle(bas, f, lam, T, v_f=v_f)
+    return FrobeniusBundle(bas, f, lam, T)
 
 
 def dict_lam_and_T(f: Polynomial, bas: MonomialBasis) -> tuple:
@@ -514,8 +505,7 @@ def tau_from_ns(ns) -> "int | Infinite":
     return ns if ns <= 9 else 10
 
 
-def artin_report(f: Polynomial, line: tuple | None = None,
-                 v_f: list | None = None) -> InvariantReport:
+def artin_report(f: Polynomial, line: tuple | None = None) -> InvariantReport:
     """Full invariant report: height, ns, and for the two K3 families tau.
 
     tau is the Artin invariant only when V(f) is smooth, which is the
@@ -523,13 +513,13 @@ def artin_report(f: Polynomial, line: tuple | None = None,
     search).  ``line`` names a coordinate-axis line (i, j) on the surface,
     which upgrades the sigma note for p = 2 quartics; before any other work
     it is rejected unless i != j are variable indices and f lies in
-    (x_i, x_j).  ``v_f`` is passed on to :func:`bundle`.
+    (x_i, x_j).
     """
     ring = f.ring
     fam = family_of(ring)
     if line is not None:
         _check_axis_line(f, line)
-    b = bundle(f, v_f)
+    b = bundle(f)
     height_cap = default_height_cap(b)
     ns_cap = default_ns_cap(b)
     h = height(b)

@@ -173,8 +173,7 @@ class Field:
         raise NotImplementedError
 
     def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
+        """a^n for n >= 0, by square and multiply."""
         result = self.one
         base = a
         while n:

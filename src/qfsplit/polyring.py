@@ -75,9 +75,12 @@ def _order_key(ring: RingConfig, exps: ExponentVector):
 
 
 class Polynomial:
-    """Immutable sparse polynomial; coefficients are raw field values."""
+    """Immutable sparse polynomial; coefficients are raw field values.
 
-    __slots__ = ("ring", "_terms", "_max_exp")
+    ``_coeffs`` keeps ``cartier.MonomialBasis.coefficients(self)`` once it is read.
+    """
+
+    __slots__ = ("ring", "_terms", "_max_exp", "_coeffs")
 
     def __init__(self, ring: RingConfig, terms: Mapping[ExponentVector, RawElement] | None = None):
         self.ring = ring
@@ -89,6 +92,7 @@ class Polynomial:
                     clean[tuple(exps)] = coeff
         self._terms = clean
         self._max_exp = max((max(e) for e in clean), default=0)
+        self._coeffs = None
 
     # -- constructors -------------------------------------------------------
 

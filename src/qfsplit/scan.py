@@ -52,25 +52,26 @@ _MAX_EXHAUSTIVE = 200_000
 # counter-based sampling
 # ---------------------------------------------------------------------------
 
-def _u64_stream(seed: int, index: int):
-    key = (seed % 2**64).to_bytes(8, "little")
-    block = 0
-    while True:
-        msg = index.to_bytes(8, "little") + block.to_bytes(4, "little")
-        digest = hashlib.blake2b(msg, key=key, digest_size=64).digest()
-        for off in range(0, 64, 8):
-            yield int.from_bytes(digest[off : off + 8], "little")
-        block += 1
-
-
 def sample(seed: int, index: int, ring: RingConfig) -> list:
-    """Uniform coefficient vector in field^m, a pure function of (seed, index)."""
+    """Uniform coefficient vector in field^m, a pure function of (seed, index).
+
+    Its m e coordinates are the first m e little-endian 64-bit words of the
+    BLAKE2b digests (keyed by the seed mod 2^64) of index || block, for
+    blocks 0, 1, ..., each reduced mod p; a digest holds 8 words.
+    """
     m = cartier.basis(ring).m
     fld = ring.field
-    stream = _u64_stream(seed, index)
+    n = m * fld.e
+    key = (seed % 2**64).to_bytes(8, "little")
+    msg = index.to_bytes(8, "little")
+    digests = b"".join(
+        hashlib.blake2b(msg + block.to_bytes(4, "little"), key=key, digest_size=64).digest()
+        for block in range((n + 7) // 8)
+    )
+    words = (np.frombuffer(digests, dtype="<u8", count=n) % np.uint64(fld.p)).tolist()
     if fld.e == 1:
-        return [next(stream) % fld.p for _ in range(m)]
-    return [tuple(next(stream) % fld.p for _ in range(fld.e)) for _ in range(m)]
+        return words
+    return [tuple(words[i : i + fld.e]) for i in range(0, n, fld.e)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +217,19 @@ def _check_extension_bound(k: int) -> None:
         raise UsageError("the witness extension bound must be 1, 2 or 3")
 
 
-def singular_witness(f: Polynomial, extension_bound: int, v_f: list | None = None):
+def singular_witness(f: Polynomial, extension_bound: int):
     """A singular point of V(f) over F_{p^k}, k <= extension_bound, or None.
 
     Returns (k, point) for the first witness found (a common zero of f and
     all partials, nonzero in the affine cone).  ``None`` means no witness
     over the searched fields -- see SMOOTHNESS_CAVEAT; it is not a proof.
-    ``v_f`` is f's basis coefficient vector, if the caller has read it.
+    f's coefficient vector is read once and kept on f, so a later bundle of
+    the same f does not read it again.
     """
     if f.ring.field.e != 1:
         raise UsageError("the witness search supports prime base fields only")
     _check_extension_bound(extension_bound)
-    if v_f is None:
-        v_f = cartier.basis(f.ring).coefficients(f)
+    v_f = cartier.basis(f.ring).coefficients(f)
     for k in range(1, extension_bound + 1):
         hit = _tables(f.ring, k).witness(v_f)
         if hit is not None:
@@ -336,14 +337,13 @@ def _evaluate_index(job: ScanJob, index: int) -> dict:
     if f.is_zero():
         row["height"] = "zero_polynomial"
         return row
-    v_f = bas.coefficients(f)  # read once, for the witness search and the bundle
     if job.filter_on():
-        hit = singular_witness(f, job.witness_extension_bound, v_f)
+        hit = singular_witness(f, job.witness_extension_bound)
         if hit is None:
             row["smooth_witness_flag"] = f"no_witness(K={job.witness_extension_bound})"
         else:
             row["smooth_witness_flag"] = f"singular(k={hit[0]})"
-    report = cartier.artin_report(f, v_f=v_f)
+    report = cartier.artin_report(f)
     row["height"] = _fmt(report.height)
     row["ns"] = _fmt(report.ns)
     row["tau"] = _fmt(report.tau)

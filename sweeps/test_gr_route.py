@@ -27,13 +27,12 @@ import numpy as np
 import pytest
 
 from qfsplit import _fpbundle, scan
-from qfsplit._linalg import raw_values
 from qfsplit.cartier import basis, bundle, dict_lam_and_T
 from qfsplit.ffield import field
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from _support import step_matrix_reference  # noqa: E402
+from _support import as_raw, bundle_raw, step_matrix_reference  # noqa: E402
 
 QUARTIC, SEXTIC, QUINTIC = (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 1, 1, 1)
 NAMES = {QUARTIC: "quartic", SEXTIC: "sextic", QUINTIC: "quintic"}
@@ -57,11 +56,6 @@ DIAGONAL = {
 }
 
 
-def as_raw(kernel, fld) -> tuple:
-    """A kernel's (lambda, T) coordinate arrays as raw values."""
-    return tuple(raw_values(a, fld.e) for a in kernel)
-
-
 def twins(f) -> list:
     """Assert that both routes give the same lambda and T, and that bundle()
     returns them with its step matrix built right; return lambda."""
@@ -70,9 +64,10 @@ def twins(f) -> list:
     raw = dict_lam_and_T(f, bas)
     assert as_raw(_fpbundle.lam_and_T(f, bas), f.ring.field) == raw
     b = bundle(f)
-    assert (b.lam, b.T) == raw
-    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, b.T))
-    return b.lam
+    lam, T = bundle_raw(b)
+    assert (lam, T) == raw
+    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, T))
+    return lam
 
 
 def seeded_form(ring, seed, terms):

@@ -1,18 +1,29 @@
-"""Helpers that only the tests use: raw Krylov rows, step matrices from raw rows, exact rank,
-evaluation, witness tables."""
+"""Helpers that only the tests use: raw values of lambda, T and Krylov rows, step matrices
+from raw rows, exact rank, evaluation, witness tables, the reference sampler."""
 
 from __future__ import annotations
 
+import hashlib
 from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
 
-from qfsplit._linalg import make_ops
+from qfsplit._linalg import make_ops, raw_values
 from qfsplit.cartier import FrobeniusBundle, basis, krylov_rows
 from qfsplit.errors import UsageError
 from qfsplit.ffield import Field, RawElement, field
 from qfsplit.polyring import Polynomial, RingConfig
+
+
+def as_raw(kernel, fld: Field) -> tuple:
+    """A kernel's (lambda, T) coordinate arrays as raw values: a list and a list of rows."""
+    return tuple(raw_values(a, fld.e) for a in kernel)
+
+
+def bundle_raw(b: FrobeniusBundle) -> tuple:
+    """The bundle's (lambda, T) as raw values, for the oracles the tests compare against."""
+    return as_raw((b.lam_coords, b.T_coords), b.field)
 
 
 def krylov_matrix(b: FrobeniusBundle, n: int, T=None) -> list:
@@ -24,7 +35,9 @@ def krylov_matrix(b: FrobeniusBundle, n: int, T=None) -> list:
     """
     if n < 1:
         raise UsageError("need at least one row")
-    return [b.ops.row_to_raw(R) for R in islice(krylov_rows(b, T), n)]
+    e = b.field.e
+    return [raw_values(R if e == 1 else np.reshape(R, (b.m, e)), e)
+            for R in islice(krylov_rows(b, T), n)]
 
 
 def step_matrix_reference(ops, rows) -> np.ndarray:
@@ -144,3 +157,25 @@ def witness_table_reference(ring: RingConfig, k: int) -> np.ndarray:
         scale = (exps[:, i] % p).astype(dtype)
         table[i + 1] = weil.take(values(lowered), axis=1) * scale % p
     return table
+
+
+def _u64_stream(seed: int, index: int):
+    """The 64-bit words ``scan.sample`` reads, one at a time: its reference."""
+    key = (seed % 2**64).to_bytes(8, "little")
+    block = 0
+    while True:
+        msg = index.to_bytes(8, "little") + block.to_bytes(4, "little")
+        digest = hashlib.blake2b(msg, key=key, digest_size=64).digest()
+        for off in range(0, 64, 8):
+            yield int.from_bytes(digest[off : off + 8], "little")
+        block += 1
+
+
+def sample_reference(seed: int, index: int, ring: RingConfig) -> list:
+    """``scan.sample`` drawn word by word from a generator over the hash blocks."""
+    m = basis(ring).m
+    fld = ring.field
+    stream = _u64_stream(seed, index)
+    if fld.e == 1:
+        return [next(stream) % fld.p for _ in range(m)]
+    return [tuple(next(stream) % fld.p for _ in range(fld.e)) for _ in range(m)]

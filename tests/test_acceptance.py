@@ -28,7 +28,7 @@ from qfsplit.polyring import (
 )
 from qfsplit.values import is_infinite
 
-from _support import krylov_matrix, matrix_rank
+from _support import bundle_raw, krylov_matrix, matrix_rank
 
 F2 = field(2)
 F3 = field(3)
@@ -108,7 +108,7 @@ def test_criterion_05_ns_one_criterion_both_directions():
             if f.is_zero():
                 continue
             b = bundle(f)
-            lam_zero = all(ring.field.is_zero(v) for v in b.lam)
+            lam_zero = all(ring.field.is_zero(v) for v in bundle_raw(b)[0])
             member = in_frobenius_power(poly_pow(f, p - 2), 1)
             ns_one = ns_index(b) == 1
             assert lam_zero == member == ns_one, (p, str(f))
@@ -163,12 +163,13 @@ def test_criterion_08_infinite_lift_construction():
     for entry in entries:
         b = bundle(entry.polynomial())
         fld = b.field
-        if all(fld.is_zero(v) for v in b.lam):
+        lam, T = bundle_raw(b)
+        if all(fld.is_zero(v) for v in lam):
             assert lifts.infinite_lift(b) is None
             continue
         c = lifts.infinite_lift(b)  # verifies R_{c,n} e_j != 0, n <= 36
-        j = next(i for i, v in enumerate(b.lam) if not fld.is_zero(v))
-        T_c = GenericOps(fld).shift_matrix(b.T, b.lam, c)  # raw T - c * lambda
+        j = next(i for i, v in enumerate(lam) if not fld.is_zero(v))
+        T_c = GenericOps(fld).shift_matrix(T, lam, c)  # raw T - c * lambda
         for i in range(b.m):
             expected = fld.one if i == j else fld.zero
             assert T_c[i][j] == expected  # T_c e_j = e_j exactly

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from qfsplit import _fpbundle, cartier, catalog, delsarte
-from qfsplit._linalg import raw_values
 from qfsplit.cartier import basis, bundle, dict_lam_and_T
 from qfsplit.ffield import field
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 
-from _support import step_matrix_reference
+from _support import as_raw, bundle_raw, step_matrix_reference
 
 QUARTIC, SEXTIC, QUINTIC = (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 1, 1, 1)
 # forms whose lambda vanishes at some of p = 3, 5, 7 (ns = 1 there)
@@ -29,16 +28,12 @@ DIAGONAL = {
 }
 
 
-def as_raw(kernel, fld) -> tuple:
-    """A kernel's (lambda, T) coordinate arrays as raw values."""
-    return tuple(raw_values(a, fld.e) for a in kernel)
-
-
 def assert_bundle_matches(b, raw):
-    """The bundle's raw views equal ``raw``, the dict route's (lambda, T), and its
-    step matrix equals the entry-by-entry build from the raw rows."""
-    assert (b.lam, b.T) == raw
-    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, b.T))
+    """The bundle's (lambda, T) read as raw values equal ``raw``, the dict route's,
+    and its step matrix equals the entry-by-entry build from the raw rows."""
+    lam, T = bundle_raw(b)
+    assert (lam, T) == raw
+    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, T))
 
 
 def assert_twins(f):
@@ -55,7 +50,7 @@ def assert_twins(f):
     assert np.array_equal(b.lam_coords, lam) and np.array_equal(b.T_coords, T)
     assert b.v_f == bas.coefficients(f)
     assert_bundle_matches(b, raw)
-    return b.lam
+    return raw[0]
 
 
 def seeded_forms(ring, seed, dense):
@@ -156,7 +151,7 @@ def assert_char2_twins(f):
     """The p = 2 kernel equals the general numpy route and the dict route."""
     bas = basis(f.ring)
     fld = f.ring.field
-    kernel = as_raw(_fpbundle.char2_lam_and_T(bas.coefficients(f), bas), fld)
+    kernel = as_raw(_fpbundle.char2_lam_and_T(f, bas), fld)
     assert kernel == as_raw(_fpbundle.general_lam_and_T(f, bas), fld)
     assert kernel == dict_lam_and_T(f, bas)
     assert kernel == as_raw(_fpbundle.lam_and_T(f, bas), fld)
@@ -250,8 +245,7 @@ def test_a_ring_over_the_byte_budget_takes_the_dict_route(dict_route_calls, monk
     monkeypatch.setattr(_fpbundle, "RING_BYTES_MAX", _fpbundle.ring_bytes(ring, basis(ring).m) - 1)
     b = bundle(f)
     assert dict_route_calls == [1]
-    assert (b.lam, b.T) == as_raw(_fpbundle.lam_and_T(f, basis(ring)), ring.field)
-    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, b.T))
+    assert_bundle_matches(b, as_raw(_fpbundle.lam_and_T(f, basis(ring)), ring.field))
 
 
 def test_route_rule_reads_the_ring_once_per_basis_size(monkeypatch):

@@ -18,7 +18,7 @@ from qfsplit.lifts import (
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 from qfsplit.values import Infinite, is_infinite
 
-from _support import krylov_matrix
+from _support import bundle_raw, krylov_matrix
 
 F2 = field(2)
 F3 = field(3)
@@ -171,7 +171,7 @@ def test_infinite_lift_construction():
     assert is_infinite(v)
     # the construction fixes the standard basis column exactly, on the
     # T_c rebuilt from polynomial data
-    j = next(i for i, lam in enumerate(b.lam) if lam)
+    j = next(i for i, lam in enumerate(bundle_raw(b)[0]) if lam)
     T_c = shifted_matrix_direct(b, c)
     col = [T_c[i][j] for i in range(b.m)]
     expected = [1 if i == j else 0 for i in range(b.m)]
@@ -206,10 +206,11 @@ def test_coupling_values_zero_shift():
 def test_first_coupling_value_is_lambda_dot_c():
     rng = random.Random(4)
     b = bundle(SIGMA4_F3.polynomial())
+    lam = bundle_raw(b)[0]
     for _ in range(10):
         c = [rng.randrange(3) for _ in range(b.m)]
         m1 = coupling_values(b, c, 1)[0]
-        assert m1 == sum(l * x for l, x in zip(b.lam, c)) % 3
+        assert m1 == sum(l * x for l, x in zip(lam, c)) % 3
 
 
 def test_coupling_values_guards():

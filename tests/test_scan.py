@@ -18,7 +18,7 @@ from qfsplit.scan import (
     singular_witness,
 )
 
-from _support import evaluate, partial, witness_table_reference
+from _support import evaluate, partial, sample_reference, witness_table_reference
 
 F2 = field(2)
 F3 = field(3)
@@ -51,6 +51,17 @@ def test_sample_coordinate_means():
             sums[j] += x
     means = [s / n for s in sums]
     assert min(means) > 0.45 and max(means) < 0.55
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2**31 - 1, 1), (32771, 2)],
+                         ids=["F2", "F3", "F4", "F9", "F(2^31-1)", "F(32771^2)"])
+def test_sample_matches_the_word_by_word_reference(p, e):
+    ring = RingConfig(field(p, e), (1, 1, 1, 1))
+    for seed in (0, 2026, -5, 2**70 + 3):
+        for index in (0, 1, 977):
+            v = sample(seed, index, ring)
+            assert v == sample_reference(seed, index, ring)
+            assert all(type(x) is int for x in (v if e == 1 else sum(v, ())))
 
 
 # -- witness search -----------------------------------------------------------
@@ -205,6 +216,20 @@ def test_witness_tables_equal_the_table_by_table_build(p, k, weights):
 
 
 # -- jobs ---------------------------------------------------------------------
+
+def test_a_filtered_f2_sample_reads_its_coefficients_once(monkeypatch):
+    # the witness search, the homogeneity check, the p = 2 kernel and the
+    # bundle share one read of the coefficient vector, kept on f
+    job = ScanJob(ring=R2, mode="assert_bound", count=3, seed=2026, min_sigma=3)
+    scan._evaluate_index(job, 0)  # builds the per-ring tables
+    calls = []
+    original = Polynomial.coefficient
+    monkeypatch.setattr(Polynomial, "coefficient",
+                        lambda f, exps: calls.append(exps) or original(f, exps))
+    row = scan._evaluate_index(job, 1)
+    assert row["height"] and row["smooth_witness_flag"]
+    assert len(calls) == basis(R2).m
+
 
 def test_job_validation():
     with pytest.raises(UsageError):
