@@ -4,7 +4,8 @@ q = p^e, F_p being the case e = 1.  A polynomial is a pair of int64 arrays:
 packed exponent codes (one ``width``-bit field per variable, x_0 highest,
 as in ``polyring._pack``), sorted ascending, and coefficients, so exponent
 vectors add as codes.  A coefficient is one residue at e = 1 and an e-vector
-of residues in the basis 1, t, ..., t^(e-1) otherwise (:class:`Scalars`).
+of residues in the basis 1, t, ..., t^(e-1) otherwise; the arithmetic on
+them is the field's :class:`_linalg.FieldTables` (:func:`_linalg.field_tables`).
 f's arrays are its nonzero entries of ``MonomialBasis.coefficients(f)``
 (read once and kept on f) and their basis codes.  Per equation:
 
@@ -51,15 +52,16 @@ The per-ring arrays (:class:`RingTables`) are an int32 rank table over the
 box of degree-d exponent vectors, an int32 map of the m^2 cells, the column
 classes, the basis codes and the lambda codes, and at p = 2 the int32 (m, m)
 pair table and its boolean mask of the pairs a < b.  Their closed-form size
-(:func:`ring_bytes`) is part of the route rule, and they are built on a
-ring's first bundle.  Term pairs are formed in blocks of at most ``BLOCK``,
-so temporaries stay O(e^2 BLOCK) beyond the polynomials themselves.
+(:func:`ring_bytes`) is part of the route rule (:func:`admits`).  The basis
+keeps them as ``MonomialBasis.tables``, built on the ring's first bundle.
+Term pairs are formed in blocks of at most ``BLOCK``, so temporaries stay
+O(e^2 BLOCK) beyond the polynomials themselves.
 
 Integers only, on int64.  Coefficients are residues, below p^2 in the
 Galois ring and below p in the field.  A product multiplies coordinates,
 each product below p^4 < 2^60 for p < 2^15; over e > 1 these are reduced
 and summed through the multiplication tensor, whose entries are residues
-too, so the sum stays below e^2 (p^2 - 1)^2, which the route rule keeps
+too, so the sum stays below e^2 (p^2 - 1)^2, which :func:`admits` keeps
 below 2^63.  Products are reduced before like terms are summed, and a sum
 adds at most BLOCK + 1 values below p^2 < 2^30.  In the kernel each product
 is below p^2, and each T cell is reduced mod p once per block, so it stays
@@ -75,8 +77,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import _INT64_SAFE_P, field_tables
-from .ffield import Field
+from ._linalg import _INT64_SAFE_P, FieldTables, field_tables
 from .polyring import RingConfig
 
 CODE_BITS = 62  # packed codes stay below 2^62
@@ -111,10 +112,20 @@ def ring_bytes(ring: RingConfig, m: int) -> int:
 
 
 def admits(ring: RingConfig, m: int) -> bool:
-    """The route rule: p < 2^15, exact GR products, 62-bit codes, arrays in budget.
+    """The route rule: whether ``cartier.bundle`` takes this route for a basis of size m.
 
-    No field is left out by its size, F_2 included: the dict route serves
-    only p >= 2^15 and the rings past the other bounds.
+    It holds iff all of these hold:
+
+    * p < ``_linalg._INT64_SAFE_P`` (2^15); no field is left out by its
+      size, F_2 included;
+    * a product in the Galois ring GR(p^2, e) stays exact on int64:
+      e^2 (p^2 - 1)^2 < 2^63 (at e = 1 the previous clause implies it);
+    * exponents up to p*d, packed one bit field per variable, fit in 62 bits;
+    * the route's per-ring arrays, by the closed form :func:`ring_bytes`,
+      fit in ``RING_BYTES_MAX``.
+
+    It is computed from the ring alone, before anything is built.  The dict
+    route serves the rest: p >= 2^15 and the rings past the other bounds.
     """
     need = _ring_bytes_if_packable(ring, m)
     return need is not None and need <= RING_BYTES_MAX
@@ -133,72 +144,8 @@ def _ring_bytes_if_packable(ring: RingConfig, m: int) -> int | None:
     return None
 
 
-class Scalars:
-    """Coefficient arrays of F_q and of its lift GR(p^2, e): the only code that reads e.
-
-    At e = 1 a coefficient array is 1-D and a product is the plain ``a * b``.
-    At e > 1 it is (k, e), and a product goes through ``tensor[mod]`` of
-    :func:`_linalg.field_tables`, mod p^2 (the Galois ring) or mod p (the
-    field).
-    """
-
-    def __init__(self, fld: Field):
-        self.p = fld.p
-        self.e = e = fld.e
-        self.shape = (e,) if e > 1 else ()  # of one coefficient
-        self.one = self.lift([fld.one])
-        tables = field_tables(fld)
-        self.tensor = tables.tensor
-        self.ifrob = tables.ifrob
-
-    def lift(self, coeffs: list) -> np.ndarray:
-        """The canonical coordinates of raw field elements, each lifting itself."""
-        return np.array(coeffs, dtype=np.int64).reshape((len(coeffs),) + self.shape)
-
-    def zeros(self, n: int) -> np.ndarray:
-        return np.zeros((n,) + self.shape, dtype=np.int64)
-
-    def mul(self, a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
-        """Values congruent to a * b mod ``mod`` (p or p^2), each below mod^2."""
-        if self.e == 1:
-            return a * b
-        outer = a[:, :, None] * b[:, None, :] % mod
-        return outer.reshape(len(a), self.e * self.e) @ self.tensor[mod] % mod
-
-    def power(self, a: np.ndarray, n: int, mod: int) -> np.ndarray:
-        """a^n mod ``mod``, n >= 1, by square and multiply."""
-        out = None
-        while n:
-            if n & 1:
-                out = a if out is None else self.mul(out, a, mod) % mod
-            n >>= 1
-            if n:
-                a = self.mul(a, a, mod) % mod
-        return out
-
-    def add_at(self, out: np.ndarray, index: np.ndarray, a: np.ndarray) -> None:
-        """``np.add.at(out, index, a)``; over e > 1 one coordinate at a time, numpy's fast path."""
-        if self.e == 1:
-            np.add.at(out, index, a)
-            return
-        for k in range(self.e):
-            np.add.at(out[:, k], index, a[:, k])
-
-    def nonzero(self, a: np.ndarray) -> np.ndarray:
-        return a != 0 if self.e == 1 else a.any(axis=1)
-
-    def unfrobenius(self, a: np.ndarray) -> np.ndarray:
-        """The inverse Frobenius of coefficients reduced mod p, as coordinates mod p."""
-        return a if self.e == 1 else a @ self.ifrob % self.p
-
-
-@lru_cache(maxsize=None)
-def scalars(fld: Field) -> Scalars:
-    return Scalars(fld)
-
-
 class RingTables:
-    """The per-ring arrays of the route, built on the ring's first bundle.
+    """The per-ring arrays of the route, kept as ``MonomialBasis.tables``.
 
     Column j reads the kernel terms of class c_j = (p-1-M_j) mod p: the term
     c_j + p Q lands in cell (Q + s_j, j) with s_j = (c_j + M_j - (p-1)) / p.
@@ -284,12 +231,6 @@ class RingTables:
         return (codes[:, None] >> self.shifts) & self.mask
 
 
-@lru_cache(maxsize=None)
-def ring_tables(bas) -> RingTables:
-    """The route's arrays for the basis ``bas`` of one ring."""
-    return RingTables(bas)
-
-
 def _run_starts(srt: np.ndarray) -> np.ndarray:
     """Mask of the first entry of each run of equal values in a sorted array."""
     first = np.empty(srt.size, dtype=bool)
@@ -298,7 +239,7 @@ def _run_starts(srt: np.ndarray) -> np.ndarray:
     return first
 
 
-def _combine(s: Scalars, codes: np.ndarray, vals: np.ndarray, mod: int) -> tuple:
+def _combine(s: FieldTables, codes: np.ndarray, vals: np.ndarray, mod: int) -> tuple:
     """Like terms summed mod ``mod``, zeros dropped, codes ascending."""
     srt = np.sort(codes)
     support = srt[_run_starts(srt)]
@@ -309,7 +250,7 @@ def _combine(s: Scalars, codes: np.ndarray, vals: np.ndarray, mod: int) -> tuple
     return support[keep], out[keep]
 
 
-def _mul(s: Scalars, a: tuple, b: tuple, mod: int) -> tuple:
+def _mul(s: FieldTables, a: tuple, b: tuple, mod: int) -> tuple:
     """a * b mod ``mod`` in blocks of at most BLOCK term pairs; b is the short factor."""
     (ac, av), (bc, bv) = a, b
     na = ac.size
@@ -324,7 +265,7 @@ def _mul(s: Scalars, a: tuple, b: tuple, mod: int) -> tuple:
     return acc
 
 
-def _terms(f, bas, s: Scalars) -> tuple:
+def _terms(f, bas, s: FieldTables) -> tuple:
     """f's nonzero entries of ``bas.coefficients(f)``: their basis indices and coordinates."""
     v = bas.coefficients(f)
     zero = bas.ring.field.zero
@@ -344,8 +285,8 @@ def char2_lam_and_T(f, bas) -> tuple:
 
     The vector is ``bas.coefficients(f)``, kept on f; see the module docstring.
     """
-    t = ring_tables(bas)
-    s = scalars(bas.ring.field)
+    t = bas.tables
+    s = field_tables(bas.ring.field)
     m = t.m
     support, c = _terms(f, bas, s)
     i, j = np.nonzero(t.upper[: support.size, : support.size])
@@ -364,8 +305,8 @@ def general_lam_and_T(f, bas) -> tuple:
     f's terms are read from its coefficient vector ``bas.coefficients(f)``,
     kept on f, and their codes from the per-ring ``RingTables.codes``.
     """
-    t = ring_tables(bas)
-    s = scalars(bas.ring.field)
+    t = bas.tables
+    s = field_tables(bas.ring.field)
     p, m = t.p, t.m
     mod = p * p
     support, c = _terms(f, bas, s)
@@ -423,7 +364,7 @@ def _by_class(t: RingTables, poly: tuple) -> tuple:
     return res[order], cls[order], (exps[order] // t.p) @ t.box, poly[1][order]
 
 
-def _accumulate_kernel(t: RingTables, s: Scalars, delta: tuple, fp2: tuple, kv: np.ndarray) -> None:
+def _accumulate_kernel(t: RingTables, s: FieldTables, delta: tuple, fp2: tuple, kv: np.ndarray) -> None:
     """Add every class-compatible delta_a * fp2_b, mod p, into kv at its cell.
 
     A row is a term b of f^(p-2) and a column class c; its partners are the
@@ -448,7 +389,7 @@ def _accumulate_kernel(t: RingTables, s: Scalars, delta: tuple, fp2: tuple, kv: 
                          fv[lo + b], t.col_j0[col], dq, dv, kv)
 
 
-def _accumulate_rows(t: RingTables, s: Scalars, d_lo, d_n, key, val, j0, dq, dv, kv) -> None:
+def _accumulate_rows(t: RingTables, s: FieldTables, d_lo, d_n, key, val, j0, dq, dv, kv) -> None:
     """Row r pairs delta terms d_lo[r] .. d_lo[r] + d_n[r] - 1 with one term of f^(p-2).
 
     ``key`` is that term's quotient box index plus the carry's and s_j0's,

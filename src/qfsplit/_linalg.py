@@ -9,7 +9,8 @@ through Weil restriction to F_p; F_p itself is the case e = 1:
   which is F_p-linear in these coordinates (both are 1 x 1 identities at
   e = 1).  :func:`field_tables` builds these structure constants once per
   field, together with the inverse Frobenius and the multiplication tensor
-  of the Galois ring GR(p^2, e) that ``_fpbundle`` lifts to;
+  of the Galois ring GR(p^2, e) that ``_fpbundle`` lifts to, and the
+  coefficient-array arithmetic ``_fpbundle`` does on them;
 * :meth:`PrimeOps.matrix` turns T, given as its coordinate array, into the
   step matrix of the Krylov map R -> F(R T): block (i, j) is the
   multiplication matrix of T_ij times the Frobenius matrix, so one Krylov
@@ -52,7 +53,7 @@ _INT64_SAFE_P = 2**15  # below it, m*e*(p-1)^2 < 2^63 for every m*e < 2^33
 
 
 class FieldTables:
-    """The structure constants of F_q in coordinates; one instance per field.
+    """The structure constants of F_q in coordinates and arithmetic on them; one per field.
 
     * ``tensor[mod]``, for ``mod`` p (the field) or p^2 (the Galois ring
       GR(p^2, e)): the (e^2, e) array whose row i e + j holds t^(i+j)
@@ -63,18 +64,62 @@ class FieldTables:
       vec(F^-1(t^l)), so vec(F(a)) = vec(a) @ frob.
 
     All are int64 canonical residues; at e = 1 each holds the single entry 1.
+    The methods act on coefficient arrays, one element of ``shape`` per row,
+    and are the only code of ``_fpbundle`` that reads e.
     """
 
     def __init__(self, fld: Field):
-        p, e = fld.p, fld.e
+        self.p, self.e = p, e = fld.p, fld.e
+        self.shape = (e,) if e > 1 else ()  # of one coefficient
         # F_p is F_p[t] / (t), with the one basis element 1
         self.tensor = {mod: _power_tensor(fld.modulus or (0, 1), mod) for mod in (p, p * p)}
         self.units = self.tensor[p].reshape(e, e, e)
         basis = [fld.one] if e == 1 else [tuple(int(k == i) for i in range(e)) for k in range(e)]
         self.frob = np.array([fld.frobenius(u) for u in basis], dtype=np.int64).reshape(e, e)
         self.ifrob = np.array([fld.inverse_frobenius(u) for u in basis], dtype=np.int64).reshape(e, e)
-        for table in (*self.tensor.values(), self.frob, self.ifrob):
+        self.one = self.lift([fld.one])
+        for table in (*self.tensor.values(), self.frob, self.ifrob, self.one):
             table.flags.writeable = False  # shared by every user of the field
+
+    def lift(self, coeffs: list) -> np.ndarray:
+        """The canonical coordinates of raw field elements, each lifting itself."""
+        return np.array(coeffs, dtype=np.int64).reshape((len(coeffs),) + self.shape)
+
+    def zeros(self, n: int) -> np.ndarray:
+        return np.zeros((n,) + self.shape, dtype=np.int64)
+
+    def mul(self, a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
+        """Values congruent to a * b mod ``mod`` (p or p^2), each below mod^2."""
+        if self.e == 1:
+            return a * b
+        outer = a[:, :, None] * b[:, None, :] % mod
+        return outer.reshape(len(a), self.e * self.e) @ self.tensor[mod] % mod
+
+    def power(self, a: np.ndarray, n: int, mod: int) -> np.ndarray:
+        """a^n mod ``mod``, n >= 1, by square and multiply."""
+        out = None
+        while n:
+            if n & 1:
+                out = a if out is None else self.mul(out, a, mod) % mod
+            n >>= 1
+            if n:
+                a = self.mul(a, a, mod) % mod
+        return out
+
+    def add_at(self, out: np.ndarray, index: np.ndarray, a: np.ndarray) -> None:
+        """``np.add.at(out, index, a)``; over e > 1 one coordinate at a time, numpy's fast path."""
+        if self.e == 1:
+            np.add.at(out, index, a)
+            return
+        for k in range(self.e):
+            np.add.at(out[:, k], index, a[:, k])
+
+    def nonzero(self, a: np.ndarray) -> np.ndarray:
+        return a != 0 if self.e == 1 else a.any(axis=1)
+
+    def unfrobenius(self, a: np.ndarray) -> np.ndarray:
+        """The inverse Frobenius of coefficients reduced mod p, as coordinates mod p."""
+        return a if self.e == 1 else a @ self.ifrob % self.p
 
 
 @lru_cache(maxsize=None)

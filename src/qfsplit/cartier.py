@@ -4,8 +4,9 @@ For a homogeneous f of Calabi-Yau degree d = sum(weights) this module
 constructs the triple (v_f, lambda, T) over the ordered degree-d monomial
 basis:
 
-* ``v_f`` -- the coefficient column of f, read off f once and kept on it
-  (:meth:`MonomialBasis.coefficients`);
+* ``v_f`` -- the coefficient column of f, kept on f: the vector a form
+  built by :meth:`MonomialBasis.polynomial` was given, else read off f
+  once (:meth:`MonomialBasis.coefficients`);
 * ``lambda`` -- the row of u-images u(f^(p-2) * M_i), scalars by degree count;
 * ``T`` -- the matrix of the semilinear map h -> u(delta(f) * f^(p-2) * h)
   in the monomial basis (column j expands the image of M_j).
@@ -71,7 +72,11 @@ def family_of(ring: RingConfig) -> str:
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """All weighted-degree-d monomials in the frozen canonical order."""
+    """All weighted-degree-d monomials in the frozen canonical order.
+
+    The basis keeps its ring's derived tables, each built on first use:
+    ``index``, ``residue_columns`` and the numpy route's ``tables``.
+    """
 
     ring: RingConfig
     monomials: tuple
@@ -80,14 +85,43 @@ class MonomialBasis:
     def m(self) -> int:
         return len(self.monomials)
 
+    @cached_property
+    def index(self) -> dict:
+        """Monomial -> its position in the basis."""
+        return {mono: i for i, mono in enumerate(self.monomials)}
+
+    @cached_property
+    def residue_columns(self) -> dict:
+        """Residue class mod p -> [(j, M_j)]: the columns a kernel term of that class feeds.
+
+        Column j reads the kernel terms x^e with e + M_j = (p-1, ..., p-1) mod p,
+        i.e. the class (p-1-M_j) mod p; distinct monomials may share a class.
+        """
+        p = self.ring.field.p
+        out: dict = {}
+        for j, mono in enumerate(self.monomials):
+            out.setdefault(tuple((p - 1 - e) % p for e in mono), []).append((j, mono))
+        return out
+
+    @cached_property
+    def tables(self) -> "_fpbundle.RingTables":
+        """The numpy route's per-ring arrays."""
+        return _fpbundle.RingTables(self)
+
     def index_of(self, exps) -> int:
-        return _basis_index(self.ring)[tuple(exps)]
+        return self.index[tuple(exps)]
 
     def polynomial(self, coeffs: Sequence[RawElement]) -> Polynomial:
-        """The degree-d polynomial with the given coefficient vector."""
+        """The degree-d polynomial with the given coefficient vector, which it keeps.
+
+        It keeps the vector :meth:`coefficients` would read, a zero entry as ``field.zero``.
+        """
         if len(coeffs) != self.m:
             raise UsageError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        return Polynomial(self.ring, dict(zip(self.monomials, coeffs)))
+        f = Polynomial(self.ring, dict(zip(self.monomials, coeffs)))
+        fld = self.ring.field
+        f._coeffs = tuple([fld.zero if fld.is_zero(c) else c for c in coeffs])
+        return f
 
     def coefficients(self, f: Polynomial) -> tuple:
         """f's coefficient vector on the basis, read on the first call and kept on f."""
@@ -116,25 +150,6 @@ def basis(ring: RingConfig) -> MonomialBasis:
     return MonomialBasis(ring, tuple(found))
 
 
-@lru_cache(maxsize=None)
-def _basis_index(ring: RingConfig) -> dict:
-    return {mono: i for i, mono in enumerate(basis(ring).monomials)}
-
-
-@lru_cache(maxsize=None)
-def _residue_columns(ring: RingConfig) -> dict:
-    """Residue class mod p -> [(j, M_j)]: the columns a kernel term of that class feeds.
-
-    Column j reads the kernel terms x^e with e + M_j = (p-1, ..., p-1) mod p,
-    i.e. the class (p-1-M_j) mod p; distinct monomials may share a class.
-    """
-    p = ring.field.p
-    out: dict = {}
-    for j, mono in enumerate(basis(ring).monomials):
-        out.setdefault(tuple((p - 1 - e) % p for e in mono), []).append((j, mono))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bundle construction
 # ---------------------------------------------------------------------------
@@ -143,7 +158,7 @@ class FrobeniusBundle:
     """The data (basis, f, v_f, lambda, T); built by :func:`bundle`.
 
     ``v_f`` is f's coefficient vector, ``bas.coefficients(f)``, which f
-    keeps once it is read.  ``lam`` and ``T`` are coordinate arrays (see
+    keeps.  ``lam`` and ``T`` are coordinate arrays (see
     :mod:`qfsplit._linalg`): lambda is (m,) and T is (m, m), with a last
     axis of length e over F_{p^e}.  Lists of raw values read as the same
     arrays.  The bundle keeps them only as ``lam_coords`` and ``T_coords``.
@@ -188,14 +203,14 @@ def columns_from_kernel(bas: MonomialBasis, kernel: Polynomial) -> list:
 
     u_op reads x^(e + M_j) only when every coordinate is p-1 (mod p), so a
     kernel term x^e feeds exactly the columns j listed under its residue
-    class in :func:`_residue_columns`; it lands in row index((e + M_j -
+    class in ``bas.residue_columns``; it lands in row index((e + M_j -
     (p-1)) / p).  Each term is looked up once: O(|kernel| + nnz(T)) work.
     """
     ring = bas.ring
     f = ring.field
     p = f.p
-    index = _basis_index(ring)
-    columns = _residue_columns(ring)
+    index = bas.index
+    columns = bas.residue_columns
     m = bas.m
     T = [[f.zero] * m for _ in range(m)]
     ifrob, fadd = f.inverse_frobenius, f.add
@@ -216,28 +231,17 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     f is homogeneous of degree d iff it has as many terms as nonzero entries
     in its coefficient vector v_f, ``basis(f.ring).coefficients(f)``; f
     keeps that vector, so the witness search, this check, the p = 2 kernel
-    and the bundle read f's coefficients once between them.
+    and the bundle read f's coefficients at most once between them.
 
     Two routes give the same lambda and T, and each is the other's test
     oracle.  The numpy route returns coordinate arrays; the dict route
     returns lists of raw values, which :class:`FrobeniusBundle` reads as
-    the same arrays, once.
-    The numpy route (:mod:`qfsplit._fpbundle`) is taken iff all of these
-    hold:
-
-    * p < ``_linalg._INT64_SAFE_P`` (2^15); no field is left out by its
-      size, F_2 included;
-    * a product in the Galois ring GR(p^2, e) stays exact on int64:
-      e^2 (p^2 - 1)^2 < 2^63 (at e = 1 the previous rule implies it);
-    * exponents up to p*d, packed one bit field per variable, fit in 62 bits;
-    * the route's per-ring arrays, by the closed form
-      ``_fpbundle.ring_bytes``, fit in ``_fpbundle.RING_BYTES_MAX``; this
-      is checked before anything is built.
-
-    On the numpy route, p = 2 (every F_(2^e)) builds T as a fixed quadratic
-    form in v_f: delta(f) is the sum of c_a c_b x^(M_a + M_b) over a < b,
-    and f^(p-2) = 1.  Only larger p and the rings past these bounds take the
-    dict route: ``poly_pow``, the Witt-sum ``delta``, ``mul_residues`` and
+    the same arrays, once.  The numpy route (:mod:`qfsplit._fpbundle`) is
+    taken iff :func:`_fpbundle.admits` holds, whose docstring states the
+    rule.  On it, p = 2 (every F_(2^e)) builds T as a fixed quadratic form
+    in v_f: delta(f) is the sum of c_a c_b x^(M_a + M_b) over a < b, and
+    f^(p-2) = 1.  The rings the rule refuses take the dict route:
+    ``poly_pow``, the Witt-sum ``delta``, ``mul_residues`` and
     :func:`columns_from_kernel` on term dicts.
     """
     ring = f.ring
@@ -274,7 +278,7 @@ def dict_lam_and_T(f: Polynomial, bas: MonomialBasis) -> tuple:
     # class mod p is (p-1-M_j) mod p for some basis monomial M_j.  A product
     # term's class is the sum of its factors' classes, so multiplying just the
     # class-compatible term pairs yields exactly the terms T reads.
-    kernel = mul_residues(delta(f), fp2, _residue_columns(ring))
+    kernel = mul_residues(delta(f), fp2, bas.residue_columns)
     return lam, columns_from_kernel(bas, kernel)
 
 

@@ -207,10 +207,15 @@ def _writing_to(out: str):
 def _cmd_scan(args) -> int:
     ring = _build_ring(args)
     mode = args.mode.replace("-", "_")
+    # argparse cannot tell an explicit --count 100 from the default
+    if args.mask and args.count is not None:
+        raise UsageError("--count and --mask exclude each other: a mask scans its whole space")
+    if args.sigma is not None and mode == scan.MODE_HISTOGRAM:
+        raise UsageError("--sigma is read only by the hunt and assert-bound modes")
     job = scan.ScanJob(
         ring=ring,
         mode=mode,
-        count=args.count,
+        count=100 if args.count is None else args.count,
         seed=args.seed,
         mask=tuple(_csv_ints(args.mask)) if args.mask else None,
         target_sigma=args.sigma if mode == scan.MODE_HUNT else None,
@@ -362,7 +367,7 @@ def build_parser() -> _Parser:
     _add_shared(sc, *_RING_OPTIONS, "--seed", "--format")
     sc.add_argument("--mode", choices=("histogram", "hunt", "assert-bound"),
                     default="histogram")
-    sc.add_argument("--count", type=int, default=100)
+    sc.add_argument("--count", type=int, default=None, help="samples to draw (default 100)")
     sc.add_argument("--sigma", type=int, default=None, help="hunt target / assert bound")
     sc.add_argument("--mask", help="basis indices for exhaustive enumeration")
     sc.add_argument("--workers", type=int, default=1)

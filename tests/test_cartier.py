@@ -100,6 +100,19 @@ def test_bundle_reconstructs_f():
         assert b.basis.polynomial(b.v_f) == f
 
 
+def test_a_form_keeps_the_vector_it_was_built_from_with_canonical_zeros():
+    ring = RingConfig(field(5), (1, 1, 1, 1))
+    bas = basis(ring)
+    v = [0] * bas.m
+    v[0] = 5  # x^4, zero in F_5
+    for mono in ((0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4), (1, 1, 1, 1)):
+        v[bas.index_of(mono)] = 1
+    f = bas.polynomial(v)
+    kept = bas.coefficients(f)
+    assert kept[0] == 0 and kept == bas.coefficients(Polynomial(ring, f.term_dict()))
+    assert ns_index(bundle(f)) == ns_index(bundle(parse_poly("y^4+z^4+w^4+x*y*z*w", ring)))
+
+
 def test_lambda_entries_are_u_values():
     rng = random.Random(1)
     f = random_form(rng, R3)

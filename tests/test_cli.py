@@ -369,6 +369,11 @@ REJECTED = {
     ("scan", "-p", "2", "--mask", "0,0"): "mask indices must be distinct",
     # the bound is written to the artifacts even with the filter off
     ("scan", "-p", "2", "--count", "5", "--ext-bound", "7"): "extension bound must be 1, 2 or 3",
+    # a mask enumerates its whole space, so an explicit count (even the default) would be dropped
+    ("scan", "-p", "2", "--count", "7", "--mask", "0"): "--count and --mask exclude each other",
+    ("scan", "-p", "2", "--count", "100", "--mask", "0"): "--count and --mask exclude each other",
+    # a histogram scan has no target or bound
+    ("scan", "-p", "2", "--count", "5", "--sigma", "3"): "--sigma is read only by",
 }
 
 

@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from qfsplit import _fpbundle, cartier, catalog, delsarte
+from qfsplit import _fpbundle, cartier, catalog, delsarte, scan
 from qfsplit.cartier import basis, bundle, dict_lam_and_T
 from qfsplit.ffield import field
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
@@ -176,7 +176,7 @@ def test_char2_kernel_drops_pairs_that_feed_no_cell(weights):
     # in these rings some x^(M_a + M_b) has a residue class that no column reads
     ring = RingConfig(field(2), weights)
     bas = basis(ring)
-    assert (_fpbundle.ring_tables(bas).pair == bas.m ** 2).any()
+    assert (bas.tables.pair == bas.m ** 2).any()
     rng = random.Random(len(weights))
     for _ in range(10):
         f = Polynomial(ring, {m: 1 for m in bas.monomials if rng.random() < 0.7} | {bas.monomials[0]: 1})
@@ -259,12 +259,28 @@ def test_route_rule_reads_the_ring_once_per_basis_size(monkeypatch):
     assert not _fpbundle.admits(ring, 35)  # the budget is read on every call
 
 
+def test_a_basis_builds_its_ring_tables_once(monkeypatch):
+    # a ring no other test uses; the basis keeps its tables for every later bundle and scan
+    ring = RingConfig(field(11), (1, 2, 2))
+    bas = basis(ring)
+    bas.__dict__.pop("tables", None)
+    built = []
+    init = _fpbundle.RingTables.__init__
+    monkeypatch.setattr(_fpbundle.RingTables, "__init__", lambda t, b: built.append(b) or init(t, b))
+    for index in (0, 1):
+        bundle(bas.polynomial(scan.sample(5, index, ring)))
+    scan.run_scan(scan.ScanJob(ring=ring, count=3, seed=7))
+    assert built == [bas]
+    assert basis(ring).tables is basis(ring).tables
+    assert basis(RingConfig(field(11), QUARTIC)).tables is not bas.tables
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_ring_tables_fit_their_closed_form(p):
     for weights in (QUARTIC, SEXTIC, QUINTIC):
         ring = RingConfig(field(p), weights)
         bas = basis(ring)
-        built = sum(v.nbytes for v in vars(_fpbundle.ring_tables(bas)).values()
+        built = sum(v.nbytes for v in vars(bas.tables).values()
                     if isinstance(v, np.ndarray))
         assert built <= _fpbundle.ring_bytes(ring, bas.m)
 
