@@ -6,8 +6,8 @@ as in ``polyring._pack``), sorted ascending, and coefficients, so exponent
 vectors add as codes.  A coefficient is one residue at e = 1 and an e-vector
 of residues in the basis 1, t, ..., t^(e-1) otherwise; the arithmetic on
 them is the field's :class:`_linalg.FieldTables` (:func:`_linalg.field_tables`).
-f's arrays are its nonzero entries of ``MonomialBasis.coefficients(f)``
-(read once and kept on f) and their basis codes.  Per equation:
+f's arrays are the nonzero entries of the coordinate array f keeps,
+``MonomialBasis.coefficients(f)``, and their basis codes.  Per equation:
 
 1. ``fhat``, f with each coefficient lifted to the Galois ring GR(p^2, e) =
    (Z/p^2)[t] / (the field's modulus with its coefficients read as
@@ -266,11 +266,10 @@ def _mul(s: FieldTables, a: tuple, b: tuple, mod: int) -> tuple:
 
 
 def _terms(f, bas, s: FieldTables) -> tuple:
-    """f's nonzero entries of ``bas.coefficients(f)``: their basis indices and coordinates."""
+    """Basis indices and coordinates of the nonzero entries of f's ``bas.coefficients(f)``."""
     v = bas.coefficients(f)
-    zero = bas.ring.field.zero
-    support = [k for k, x in enumerate(v) if x != zero]
-    return np.array(support, dtype=np.int64), s.lift([v[k] for k in support])
+    support = np.flatnonzero(s.nonzero(v))
+    return support, v[support]
 
 
 def lam_and_T(f, bas) -> tuple:

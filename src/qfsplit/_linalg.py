@@ -78,12 +78,14 @@ class FieldTables:
         self.frob = np.array([fld.frobenius(u) for u in basis], dtype=np.int64).reshape(e, e)
         self.ifrob = np.array([fld.inverse_frobenius(u) for u in basis], dtype=np.int64).reshape(e, e)
         self.one = self.lift([fld.one])
-        for table in (*self.tensor.values(), self.frob, self.ifrob, self.one):
+        for table in (*self.tensor.values(), self.frob, self.ifrob):
             table.flags.writeable = False  # shared by every user of the field
 
-    def lift(self, coeffs: list) -> np.ndarray:
-        """The canonical coordinates of raw field elements, each lifting itself."""
-        return np.array(coeffs, dtype=np.int64).reshape((len(coeffs),) + self.shape)
+    def lift(self, coeffs) -> np.ndarray:
+        """The read-only canonical coordinates of raw field elements, each lifting itself."""
+        a = np.array(coeffs, dtype=np.int64).reshape((len(coeffs),) + self.shape) % self.p
+        a.flags.writeable = False  # a form keeps its own as v_f, which all its readers share
+        return a
 
     def zeros(self, n: int) -> np.ndarray:
         return np.zeros((n,) + self.shape, dtype=np.int64)
@@ -182,9 +184,9 @@ class PrimeOps:
         """A flat row from coordinates: an (m,) or (m, e) array, or raw values."""
         return np.asarray(vals, dtype=self.dtype).reshape(-1) % self.p
 
-    def column(self, raws) -> np.ndarray:
-        """The (m*e, e) right-hand factor of :meth:`dot_is_zero`: stacked multiplications."""
-        return self._blocks(self.row(raws).reshape(-1, self.e), self.units).reshape(-1, self.e)
+    def column(self, vals) -> np.ndarray:
+        """The (m*e, e) right-hand factor of :meth:`dot_is_zero`, from ``vals`` read as by ``row``."""
+        return self._blocks(self.row(vals).reshape(-1, self.e), self.units).reshape(-1, self.e)
 
     def matrix(self, cells) -> np.ndarray:
         """The step matrix of R -> F(R T) for T's coordinate array, (m, m) or (m, m, e)."""
@@ -282,8 +284,7 @@ class GenericOps:
         """Raw values from coordinates: an (m,) or (m, e) array, or raw values."""
         return raw_values(np.asarray(vals, dtype=np.int64), self.field.e)
 
-    def column(self, raws) -> list:
-        return list(raws)
+    column = row  # v_f's raw values, from its coordinate array
 
     def matrix(self, cells) -> list:
         """T's raw rows from its coordinate array (or its raw rows)."""

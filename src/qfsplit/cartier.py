@@ -4,9 +4,9 @@ For a homogeneous f of Calabi-Yau degree d = sum(weights) this module
 constructs the triple (v_f, lambda, T) over the ordered degree-d monomial
 basis:
 
-* ``v_f`` -- the coefficient column of f, kept on f: the vector a form
-  built by :meth:`MonomialBasis.polynomial` was given, else read off f
-  once (:meth:`MonomialBasis.coefficients`);
+* ``v_f`` -- the coefficient column of f as an int64 coordinate array,
+  kept on f: the vector a form built by :meth:`MonomialBasis.polynomial`
+  was given, else read off f once (:meth:`MonomialBasis.coefficients`);
 * ``lambda`` -- the row of u-images u(f^(p-2) * M_i), scalars by degree count;
 * ``T`` -- the matrix of the semilinear map h -> u(delta(f) * f^(p-2) * h)
   in the monomial basis (column j expands the image of M_j).
@@ -112,21 +112,21 @@ class MonomialBasis:
         return self.index[tuple(exps)]
 
     def polynomial(self, coeffs: Sequence[RawElement]) -> Polynomial:
-        """The degree-d polynomial with the given coefficient vector, which it keeps.
-
-        It keeps the vector :meth:`coefficients` would read, a zero entry as ``field.zero``.
-        """
+        """The degree-d polynomial with the given raw coefficient vector, which it keeps."""
         if len(coeffs) != self.m:
             raise UsageError(f"expected {self.m} coefficients, got {len(coeffs)}")
         f = Polynomial(self.ring, dict(zip(self.monomials, coeffs)))
-        fld = self.ring.field
-        f._coeffs = tuple([fld.zero if fld.is_zero(c) else c for c in coeffs])
+        f._coeffs = _linalg.field_tables(self.ring.field).lift(coeffs)
         return f
 
-    def coefficients(self, f: Polynomial) -> tuple:
-        """f's coefficient vector on the basis, read on the first call and kept on f."""
+    def coefficients(self, f: Polynomial) -> np.ndarray:
+        """f's coefficient vector on the basis, read on the first call and kept on f.
+
+        A read-only int64 coordinate array (see :mod:`qfsplit._linalg`): (m,), or (m, e).
+        """
         if f._coeffs is None:
-            f._coeffs = tuple([f.coefficient(mono) for mono in self.monomials])
+            coeffs = [f.coefficient(mono) for mono in self.monomials]
+            f._coeffs = _linalg.field_tables(self.ring.field).lift(coeffs)
         return f._coeffs
 
 
@@ -157,11 +157,11 @@ def basis(ring: RingConfig) -> MonomialBasis:
 class FrobeniusBundle:
     """The data (basis, f, v_f, lambda, T); built by :func:`bundle`.
 
-    ``v_f`` is f's coefficient vector, ``bas.coefficients(f)``, which f
-    keeps.  ``lam`` and ``T`` are coordinate arrays (see
-    :mod:`qfsplit._linalg`): lambda is (m,) and T is (m, m), with a last
-    axis of length e over F_{p^e}.  Lists of raw values read as the same
-    arrays.  The bundle keeps them only as ``lam_coords`` and ``T_coords``.
+    v_f, lambda and T are coordinate arrays (see :mod:`qfsplit._linalg`):
+    (m,), (m,) and (m, m), with a last axis of length e over F_{p^e}.
+    ``v_f`` is the read-only array f keeps, ``bas.coefficients(f)`` itself.
+    ``lam`` and ``T`` may be lists of raw values, which read as the same
+    arrays; the bundle keeps them only as ``lam_coords`` and ``T_coords``.
     The backend forms of lambda and v_f are built once, by ``ops`` (default
     the field's :func:`_linalg.make_ops` backend); the step matrix ``T_mat``
     is built on first use, since a walk that stops at R_1 never reads it.
@@ -229,9 +229,9 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     """Build the Frobenius descent bundle of a degree-d homogeneous f != 0.
 
     f is homogeneous of degree d iff it has as many terms as nonzero entries
-    in its coefficient vector v_f, ``basis(f.ring).coefficients(f)``; f
-    keeps that vector, so the witness search, this check, the p = 2 kernel
-    and the bundle read f's coefficients at most once between them.
+    in its coefficient vector v_f, ``basis(f.ring).coefficients(f)``, the
+    coordinate array f keeps: the witness search, this check, both routes
+    and the walk read f's coefficients at most once between them.
 
     Two routes give the same lambda and T, and each is the other's test
     oracle.  The numpy route returns coordinate arrays; the dict route
@@ -248,7 +248,7 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     if f.is_zero():
         raise UsageError("the zero polynomial has no Frobenius bundle")
     bas = basis(ring)
-    if bas.m - bas.coefficients(f).count(ring.field.zero) != len(f):
+    if np.count_nonzero(_linalg.field_tables(ring.field).nonzero(bas.coefficients(f))) != len(f):
         raise UsageError(
             f"bundle requires a homogeneous polynomial of weighted degree {ring.d}"
         )

@@ -37,7 +37,7 @@ def _csv_ints(text: str) -> list:
 
 def _build_ring(args) -> RingConfig:
     weights = tuple(_csv_ints(args.weights))
-    modulus = _csv_ints(args.modulus) if args.modulus else None
+    modulus = _csv_ints(args.modulus) if args.modulus is not None else None
     fld = field(args.p, args.ext_degree, modulus)
     return RingConfig(fld, weights)
 
@@ -86,7 +86,7 @@ def _cmd_walk(args) -> int:
 
 def _cmd_artin(args) -> int:
     f = _equation(args)
-    line = tuple(_csv_ints(args.line)) if args.line else None
+    line = tuple(_csv_ints(args.line)) if args.line is not None else None
     report = cartier.artin_report(f, line=line)
     lines = [
         f"family     = {report.family}",
@@ -106,6 +106,8 @@ def _cmd_lift(args) -> int:
     doc = _common_doc(f)
     if sum((args.c is not None, args.random is not None, args.find_infinite)) != 1:
         raise UsageError("lift needs exactly one of --c, --random, --find-infinite")
+    if args.seed is not None and args.random is None:
+        raise UsageError("--seed is read only by --random")
 
     if args.find_infinite:
         c = lifts.infinite_lift(b)
@@ -139,15 +141,16 @@ def _cmd_lift(args) -> int:
     if n < 1:
         raise UsageError("--random needs a positive number of draws")
     ns_f = cartier.ns_index(b)
+    seed = 0 if args.seed is None else args.seed
     results = {}
     for i in range(n):
-        c = scan.sample(args.seed, i, f.ring)
+        c = scan.sample(seed, i, f.ring)
         v = lifts.ns_lift(b, c)
         key = "infinity" if is_infinite(v) else str(v)
         results[key] = results.get(key, 0) + 1
     lines = [f"ns(f) = {ns_f}"] + [f"ns_lift {k}: {v} draws" for k, v in sorted(results.items())]
     _emit(args, lines, {**doc, "ns": value_to_json(ns_f), "draws": n,
-                        "seed": args.seed, "distribution": results})
+                        "seed": seed, "distribution": results})
     return 0
 
 
@@ -155,6 +158,8 @@ def _cmd_delsarte(args) -> int:
     if (args.matrix is None) == (args.family is None):
         raise UsageError("delsarte needs exactly one of --matrix or --family")
     if args.family is not None:
+        if args.weights is not None:
+            raise UsageError("--weights is read only with --matrix: a family fixes its weights")
         families = delsarte.builtin_families()
         if not 0 <= args.family < len(families):
             raise UsageError(f"--family must be in [0, {len(families) - 1}]")
@@ -167,7 +172,7 @@ def _cmd_delsarte(args) -> int:
         entries = _csv_ints(args.matrix)
         if len(entries) != 16:
             raise UsageError("--matrix needs 16 comma-separated entries, row-major")
-        weights = tuple(_csv_ints(args.weights))
+        weights = tuple(_csv_ints("1,1,1,1" if args.weights is None else args.weights))
         A = delsarte.DelsarteMatrix(
             rows=tuple(tuple(entries[4 * i : 4 * i + 4]) for i in range(4)), weights=weights
         )
@@ -207,17 +212,19 @@ def _writing_to(out: str):
 def _cmd_scan(args) -> int:
     ring = _build_ring(args)
     mode = args.mode.replace("-", "_")
-    # argparse cannot tell an explicit --count 100 from the default
-    if args.mask and args.count is not None:
+    # argparse cannot tell an explicit --count 100 or --seed 0 from a default
+    if args.mask is not None and args.count is not None:
         raise UsageError("--count and --mask exclude each other: a mask scans its whole space")
+    if args.mask is not None and args.seed is not None:
+        raise UsageError("--seed and --mask exclude each other: a mask draws no random sample")
     if args.sigma is not None and mode == scan.MODE_HISTOGRAM:
         raise UsageError("--sigma is read only by the hunt and assert-bound modes")
     job = scan.ScanJob(
         ring=ring,
         mode=mode,
         count=100 if args.count is None else args.count,
-        seed=args.seed,
-        mask=tuple(_csv_ints(args.mask)) if args.mask else None,
+        seed=0 if args.seed is None else args.seed,
+        mask=tuple(_csv_ints(args.mask)) if args.mask is not None else None,
         target_sigma=args.sigma if mode == scan.MODE_HUNT else None,
         min_sigma=args.sigma if mode == scan.MODE_ASSERT_BOUND else None,
         smoothness_filter=None if args.smooth_filter == "auto" else args.smooth_filter == "on",
@@ -316,7 +323,7 @@ _SHARED_OPTIONS = {
     "--ext-degree": dict(type=int, default=1, help="extension degree e"),
     "--modulus": dict(help="extension modulus coefficients, constant first"),
     "--weights": dict(default="1,1,1,1", help="variable weights, e.g. 1,1,1,3"),
-    "--seed": dict(type=int, default=0, help="seed for randomized paths"),
+    "--seed": dict(type=int, default=None, help="seed for randomized paths (default 0)"),
     "--format": dict(choices=("text", "json"), default="text"),
 }
 _RING_OPTIONS = ("-p", "--ext-degree", "--modulus", "--weights")
@@ -358,7 +365,8 @@ def build_parser() -> _Parser:
     )
 
     dels = subs.add_parser("delsarte")
-    _add_shared(dels, "-p", "--weights", "--format")
+    _add_shared(dels, "-p", "--format")
+    dels.add_argument("--weights", help="variable weights of --matrix (default 1,1,1,1)")
     dels.add_argument("--matrix", help="16 comma-separated exponent entries, row-major")
     dels.add_argument("--family", type=int, default=None, help="built-in family index 0..19")
     dels.set_defaults(fn=_cmd_delsarte)

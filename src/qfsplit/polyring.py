@@ -77,8 +77,9 @@ def _order_key(ring: RingConfig, exps: ExponentVector):
 class Polynomial:
     """Immutable sparse polynomial; coefficients are raw field values.
 
-    ``_coeffs`` keeps ``cartier.MonomialBasis.coefficients(self)``: the vector
-    ``MonomialBasis.polynomial`` was given, or else the one read on first use.
+    ``_coeffs`` keeps ``cartier.MonomialBasis.coefficients(self)``, a
+    read-only int64 coordinate array: the vector ``MonomialBasis.polynomial``
+    was given, or else the one read on first use.
     """
 
     __slots__ = ("ring", "_terms", "_max_exp", "_coeffs")

@@ -27,6 +27,7 @@ import hashlib
 import io
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -46,6 +47,7 @@ SMOOTHNESS_CAVEAT = (
 _MAX_TABLE_BYTES = 192 * 2**20  # peak memory of one witness table build, see _table_bytes
 _BLOCK_CELLS = 1 << 16  # (point, monomial) cells per block of a witness table build
 _MAX_EXHAUSTIVE = 200_000
+_COLUMNS = ("index", "coefficients", "height", "ns", "tau", "smooth_witness_flag")  # of a row
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +198,13 @@ class _WitnessTables:
             table[0, :, cut] = weil.take(prefix, axis=1)
         self.table = table
 
-    def witness(self, coeffs) -> tuple | None:
-        """First projective point where f and all partials vanish, else None."""
-        vals = (self.table @ np.asarray(coeffs, dtype=self.table.dtype)) % self.p
+    def witness(self, coeffs: np.ndarray) -> tuple | None:
+        """First projective point where f and all partials vanish, else None.
+
+        ``coeffs``, f's coordinate array, takes the table's narrow dtype: an
+        int64 vector would cast the whole table, 1.3-1.6x slower.
+        """
+        vals = (self.table @ coeffs.astype(self.table.dtype)) % self.p
         hits = np.flatnonzero(~vals.any(axis=(0, 1)))
         if hits.size == 0:
             return None
@@ -223,8 +229,8 @@ def singular_witness(f: Polynomial, extension_bound: int):
     Returns (k, point) for the first witness found (a common zero of f and
     all partials, nonzero in the affine cone).  ``None`` means no witness
     over the searched fields -- see SMOOTHNESS_CAVEAT; it is not a proof.
-    f's coefficient vector is read once and kept on f, so a later bundle of
-    the same f does not read it again.
+    f's coefficient vector is read once, as the coordinate array f keeps,
+    so a later bundle of the same f does not read it again.
     """
     if f.ring.field.e != 1:
         raise UsageError("the witness search supports prime base fields only")
@@ -316,42 +322,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _evaluate_index(job: ScanJob, index: int) -> dict:
+def _evaluate_index(job: ScanJob, index: int) -> tuple:
+    """(row, verdict): the row that scan.csv and scan.json write, and (tau, whether sigma
+    may be tau + 1) for a supersingular K3 sample with finite tau that passed the
+    smoothness filter, else None."""
     ring = job.ring
     fld = ring.field
     coeffs = job.coefficients_for(index)
-    coeff_str = ";".join(fld.format(c) for c in coeffs)
-    row = {
-        "index": index,
-        "coefficients": coeff_str,
-        "height": "",
-        "ns": "",
-        "tau": "",
-        "smooth_witness_flag": "",
-        "_supersingular": False,
-        "_tau": None,
-        "_ambiguous": False,
-    }
-    bas = cartier.basis(ring)
-    f = bas.polynomial(coeffs)
+    row = dict.fromkeys(_COLUMNS, "")
+    row.update(index=index, coefficients=";".join(fld.format(c) for c in coeffs))
+    f = cartier.basis(ring).polynomial(coeffs)
     if f.is_zero():
         row["height"] = "zero_polynomial"
-        return row
+        return row, None
+    hit = None
     if job.filter_on():
         hit = singular_witness(f, job.witness_extension_bound)
-        if hit is None:
-            row["smooth_witness_flag"] = f"no_witness(K={job.witness_extension_bound})"
-        else:
-            row["smooth_witness_flag"] = f"singular(k={hit[0]})"
+        row["smooth_witness_flag"] = (f"no_witness(K={job.witness_extension_bound})"
+                                      if hit is None else f"singular(k={hit[0]})")
     report = cartier.artin_report(f)
     row["height"] = _fmt(report.height)
     row["ns"] = _fmt(report.ns)
     row["tau"] = _fmt(report.tau)
-    row["_supersingular"] = is_infinite(report.height)
-    row["_ambiguous"] = report.sigma_note == cartier.SIGMA_AMBIGUOUS
-    if report.tau is not None and not is_infinite(report.tau):
-        row["_tau"] = report.tau
-    return row
+    # an infinite height comes with a finite ns, so a K3 sample's tau is finite
+    if hit is None and is_infinite(report.height) and report.tau is not None:
+        return row, (report.tau, report.sigma_note == cartier.SIGMA_AMBIGUOUS)
+    return row, None
 
 
 def _worker_chunk(args) -> list:
@@ -384,13 +380,9 @@ class ScanResult:
 
     def csv_text(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "coefficients", "height", "ns", "tau", "smooth_witness_flag"])
-        for row in self.rows:
-            writer.writerow(
-                [row["index"], row["coefficients"], row["height"], row["ns"], row["tau"],
-                 row["smooth_witness_flag"]]
-            )
+        writer = csv.DictWriter(buf, _COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(self.rows)
         return buf.getvalue()
 
     def json_text(self) -> str:
@@ -404,7 +396,11 @@ class ScanResult:
 
 
 def run_scan(job: ScanJob) -> ScanResult:
-    """Execute a scan job; identical inputs give identical results at any worker count."""
+    """Execute a scan job; identical inputs give identical results at any worker count.
+
+    Hits (copies of their rows with ``reverified``), violations and ambiguous
+    rows are read off the verdicts of :func:`_evaluate_index` in one pass.
+    """
     job.validate()
     total = job.total()
     indices = list(range(total))
@@ -413,7 +409,7 @@ def run_scan(job: ScanJob) -> ScanResult:
     # the pool starts all max_workers at the first submit
     workers = min(job.workers, os.cpu_count() or 1) if job.workers > 1 else 1
     if workers == 1 or total < 4:
-        rows = [_evaluate_index(job, i) for i in indices]
+        evaluated = [_evaluate_index(job, i) for i in indices]
     else:
         nchunks = min(total, workers * 4)
         chunks = [indices[k::nchunks] for k in range(nchunks)]
@@ -422,39 +418,28 @@ def run_scan(job: ScanJob) -> ScanResult:
 
         with ProcessPoolExecutor(max_workers=min(workers, nchunks)) as pool:
             parts = list(pool.map(_worker_chunk, [(job, ch) for ch in chunks]))
-        rows = [r for part in parts for r in part]
-        rows.sort(key=lambda r: r["index"])
+        evaluated = sorted((r for part in parts for r in part), key=lambda r: r[0]["index"])
 
-    hist: dict = {}
-    for row in rows:
-        key = (row["height"], row["ns"])
-        hist[key] = hist.get(key, 0) + 1
+    rows = [row for row, _ in evaluated]
+    hist = Counter((row["height"], row["ns"]) for row in rows)
     histogram = sorted((h, ns, c) for (h, ns), c in hist.items())
-
-    smooth_ok = lambda row: (not job.filter_on()) or row["smooth_witness_flag"].startswith(
-        "no_witness"
-    )
 
     hits = []
     violations = []
     ambiguous = []
-    for row in rows:
-        if not row["_supersingular"] or row["_tau"] is None or not smooth_ok(row):
+    for row, verdict in evaluated:
+        if verdict is None:
             continue
-        tau = row["_tau"]
-        public = {k: v for k, v in row.items() if not k.startswith("_")}
+        tau, may_exceed = verdict
         if job.mode == MODE_HUNT and tau == job.target_sigma:
-            fresh = _reverify(job.ring, row["coefficients"])
-            public["reverified"] = fresh == tau
-            hits.append(public)
+            hits.append({**row, "reverified": _reverify(job.ring, row["coefficients"]) == tau})
         elif job.mode == MODE_ASSERT_BOUND:
-            sigma_max = tau + 1 if row["_ambiguous"] else tau
+            sigma_max = tau + 1 if may_exceed else tau
             if sigma_max < job.min_sigma:
-                violations.append(public)
+                violations.append(row)
             elif tau < job.min_sigma:
-                ambiguous.append(public)
+                ambiguous.append(row)
 
-    cleaned = [{k: v for k, v in row.items() if not k.startswith("_")} for row in rows]
     return ScanResult(
         job={
             "p": job.ring.field.p,
@@ -469,7 +454,7 @@ def run_scan(job: ScanJob) -> ScanResult:
             "smoothness_filter": job.filter_on(),
             "witness_extension_bound": job.witness_extension_bound,
         },
-        rows=cleaned,
+        rows=rows,
         histogram=histogram,
         hits=hits,
         violations=violations,

@@ -8,9 +8,10 @@ with the other sweeps:
 The F_2 quartics are the scan's own traffic: the first 1000 samples of
 ``qfsplit scan -p 2 --seed 2026``, drawn by ``scan.sample``; on them the
 p = 2 kernel also meets the general numpy route.  Each case of
-CASES compares lambda and T of both routes, read as raw values, on 20
-seeded forms, and the bundle's step matrix against the entry-by-entry
-build from raw rows in ``tests/_support.py``.
+CASES runs the tier-1 suite's twin assertion, ``assert_twins`` in
+``tests/_support.py``, on 20 seeded forms: lambda and T of both routes,
+read as raw values, the bundle's arrays and kept v_f, and its step matrix
+against the entry-by-entry build from raw rows.
 A form is fully dense (every basis monomial drawn from the whole field)
 where the dict route takes at most about 0.2 s on one; elsewhere it has a
 fixed number of terms, because one fully dense form costs the dict route
@@ -23,16 +24,15 @@ import random
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qfsplit import _fpbundle, scan
-from qfsplit.cartier import basis, bundle, dict_lam_and_T
+from qfsplit.cartier import basis, dict_lam_and_T
 from qfsplit.ffield import field
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from _support import as_raw, bundle_raw, step_matrix_reference  # noqa: E402
+from _support import as_raw, assert_twins  # noqa: E402
 
 QUARTIC, SEXTIC, QUINTIC = (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 1, 1, 1)
 NAMES = {QUARTIC: "quartic", SEXTIC: "sextic", QUINTIC: "quintic"}
@@ -56,20 +56,6 @@ DIAGONAL = {
 }
 
 
-def twins(f) -> list:
-    """Assert that both routes give the same lambda and T, and that bundle()
-    returns them with its step matrix built right; return lambda."""
-    bas = basis(f.ring)
-    assert _fpbundle.admits(f.ring, bas.m)
-    raw = dict_lam_and_T(f, bas)
-    assert as_raw(_fpbundle.lam_and_T(f, bas), f.ring.field) == raw
-    b = bundle(f)
-    lam, T = bundle_raw(b)
-    assert (lam, T) == raw
-    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, T))
-    return lam
-
-
 def seeded_form(ring, seed, terms):
     rng = random.Random(seed)
     fld = ring.field
@@ -89,7 +75,7 @@ def seeded_form(ring, seed, terms):
 def test_routes_agree_on_seeded_forms(p, e, weights, terms):
     ring = RingConfig(field(p, e), weights)
     for seed in range(FORMS):
-        twins(seeded_form(ring, 10_000 * p + 100 * e + seed, terms))
+        assert_twins(seeded_form(ring, 10_000 * p + 100 * e + seed, terms))
 
 
 def test_routes_agree_on_scan_samples():
@@ -109,7 +95,7 @@ def test_routes_agree_on_scan_samples():
 @pytest.mark.parametrize("p,weights", [(5, QUARTIC), (5, SEXTIC), (7, QUARTIC)],
                          ids=["F25-quartic", "F25-sextic", "F49-quartic"])
 def test_routes_agree_on_a_fully_dense_form(p, weights):
-    twins(seeded_form(RingConfig(field(p, 2), weights), 7, None))
+    assert_twins(seeded_form(RingConfig(field(p, 2), weights), 7, None))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7], ids=["F9", "F25", "F49"])
@@ -118,5 +104,6 @@ def test_routes_agree_on_diagonal_and_cyclic_forms(p):
     for weights, texts in DIAGONAL.items():
         ring = RingConfig(field(p, 2), weights)
         for text in texts:
-            zero_rows += not any(lam != ring.field.zero for lam in twins(parse_poly(text, ring)))
+            lam = assert_twins(parse_poly(text, ring))
+            zero_rows += not any(v != ring.field.zero for v in lam)
     assert zero_rows >= 2  # lambda = 0 occurs at every one of these p

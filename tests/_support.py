@@ -1,5 +1,6 @@
 """Helpers that only the tests use: raw values of lambda, T and Krylov rows, step matrices
-from raw rows, exact rank, evaluation, witness tables, the reference sampler."""
+from raw rows, the twin assertion of the two bundle routes, exact rank, evaluation,
+witness tables, the reference sampler."""
 
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
+from qfsplit import _fpbundle
 from qfsplit._linalg import make_ops, raw_values
-from qfsplit.cartier import FrobeniusBundle, basis, krylov_rows
+from qfsplit.cartier import FrobeniusBundle, basis, bundle, dict_lam_and_T, krylov_rows
 from qfsplit.errors import UsageError
 from qfsplit.ffield import Field, RawElement, field
 from qfsplit.polyring import Polynomial, RingConfig
@@ -65,6 +67,33 @@ def step_matrix_reference(ops, rows) -> np.ndarray:
     vecs = np.asarray(vals, dtype=ops.dtype).reshape(-1, e)
     out[ii, :, jj, :] = ops._blocks(vecs, ops.steps)
     return out.reshape(m * e, m * e)
+
+
+def assert_bundle_matches(b: FrobeniusBundle, raw: tuple) -> None:
+    """The bundle's (lambda, T) read as raw values equal ``raw``, the dict route's,
+    and its step matrix equals the entry-by-entry build from the raw rows."""
+    lam, T = bundle_raw(b)
+    assert (lam, T) == raw
+    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, T))
+
+
+def assert_twins(f: Polynomial) -> list:
+    """Both routes give the same lambda and T, and bundle() returns them; return lambda.
+
+    bundle() must take the numpy route for f.  Its v_f is the coordinate
+    array f keeps, and its step matrix is checked as in
+    :func:`assert_bundle_matches`.
+    """
+    bas = basis(f.ring)
+    assert _fpbundle.admits(f.ring, bas.m)
+    lam, T = _fpbundle.lam_and_T(f, bas)
+    raw = dict_lam_and_T(f, bas)
+    assert as_raw((lam, T), f.ring.field) == raw
+    b = bundle(f)
+    assert np.array_equal(b.lam_coords, lam) and np.array_equal(b.T_coords, T)
+    assert b.v_f is bas.coefficients(f)
+    assert_bundle_matches(b, raw)
+    return raw[0]
 
 
 def matrix_rank(rows, field: Field) -> int:

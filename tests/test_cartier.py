@@ -1,8 +1,10 @@
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
+from qfsplit._linalg import raw_values
 from qfsplit.catalog import (
     QUINTIC_THREEFOLD_F2,
     RDP_QUARTIC_F2,
@@ -97,7 +99,7 @@ def test_bundle_reconstructs_f():
         if f.is_zero():
             continue
         b = bundle(f)
-        assert b.basis.polynomial(b.v_f) == f
+        assert b.basis.polynomial(raw_values(b.v_f, 1)) == f
 
 
 def test_a_form_keeps_the_vector_it_was_built_from_with_canonical_zeros():
@@ -109,8 +111,15 @@ def test_a_form_keeps_the_vector_it_was_built_from_with_canonical_zeros():
         v[bas.index_of(mono)] = 1
     f = bas.polynomial(v)
     kept = bas.coefficients(f)
-    assert kept[0] == 0 and kept == bas.coefficients(Polynomial(ring, f.term_dict()))
-    assert ns_index(bundle(f)) == ns_index(bundle(parse_poly("y^4+z^4+w^4+x*y*z*w", ring)))
+    read = bas.coefficients(Polynomial(ring, f.term_dict()))
+    assert kept[0] == 0 and np.array_equal(kept, read)
+    # a read-only int64 coordinate array, whichever way the form was built
+    for vec in (kept, read):
+        assert type(vec) is np.ndarray and vec.dtype == np.int64 and vec.shape == (bas.m,)
+        assert not vec.flags.writeable
+    b = bundle(f)
+    assert b.v_f is kept
+    assert ns_index(b) == ns_index(bundle(parse_poly("y^4+z^4+w^4+x*y*z*w", ring)))
 
 
 def test_lambda_entries_are_u_values():
@@ -149,8 +158,8 @@ def test_T_columns_expand_u_images():
     kernel = delta(f) * poly_pow(f, 1)
     for j in (0, 7, 34):
         image = u_op(kernel * Polynomial(R3, {b.basis.monomials[j]: 1}))
-        expected = b.basis.coefficients(image)
-        assert tuple(T[i][j] for i in range(b.m)) == expected
+        expected = raw_values(b.basis.coefficients(image), 1)
+        assert [T[i][j] for i in range(b.m)] == expected
 
 
 def _columns_reference(bas, kernel):
@@ -580,6 +589,7 @@ def test_semilinear_rows_match_corner_coefficients_over_f4():
         if f.is_zero() or f.weighted_degree() != 4:
             continue
         b = bundle(f)
+        assert b.v_f.shape == (b.m, 2)
         rows = krylov_matrix(b, 3)
         first_nonzero = None
         for n in (1, 2, 3):
@@ -589,7 +599,7 @@ def test_semilinear_rows_match_corner_coefficients_over_f4():
                 F4.zero if element.is_zero() else corner_coefficient(element, n)
             )
             row_dot = F4.zero
-            for rv, vv in zip(rows[n - 1], b.v_f):
+            for rv, vv in zip(rows[n - 1], raw_values(b.v_f, 2)):
                 row_dot = F4.add(row_dot, F4.mul(rv, vv))
             assert row_dot == corner, (str(f), n)
             if first_nonzero is None and not F4.is_zero(corner):

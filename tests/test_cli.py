@@ -211,6 +211,18 @@ def test_lift_random_distribution(capsys):
     assert finite <= {"9"}
 
 
+def test_omitted_seed_and_weights_read_as_their_defaults(capsys):
+    # --seed and delsarte's --weights default to None so that a mode which
+    # does not read them can reject them; omitted, they read as 0 and 1,1,1,1
+    lift = ("lift", "-p", "2", "--format", "json", SS_QUARTIC, "--random", "5")
+    implicit, explicit = run_cli(capsys, *lift), run_cli(capsys, *lift, "--seed", "0")
+    assert implicit == explicit and json.loads(implicit[1])["seed"] == 0
+    code, out, _ = run_cli(capsys, "scan", "-p", "2", "--mask", "0,1", "--format", "json")
+    assert code == 0 and json.loads(out)["job"]["seed"] == 0
+    matrix = ("delsarte", "--matrix", "4,0,0,0,1,3,0,0,0,1,3,0,0,0,1,3", "-p", "2")
+    assert run_cli(capsys, *matrix) == run_cli(capsys, *matrix, "--weights", "1,1,1,1")
+
+
 def test_scan_json(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "scan", "-p", "2", "--mode", "histogram", "--count", "10",
@@ -374,6 +386,21 @@ REJECTED = {
     ("scan", "-p", "2", "--count", "100", "--mask", "0"): "--count and --mask exclude each other",
     # a histogram scan has no target or bound
     ("scan", "-p", "2", "--count", "5", "--sigma", "3"): "--sigma is read only by",
+    # a family fixes its weights; only --matrix reads --weights
+    ("delsarte", "--family", "0", "-p", "7", "--weights", "1,1,1,3"):
+        "--weights is read only with --matrix",
+    # only --random draws, so a seed beside --c or --find-infinite would be dropped
+    ("lift", "--find-infinite", "--seed", "5", SS_QUARTIC): "--seed is read only by --random",
+    ("lift", "--c", ",".join(["0"] * 35), "--seed", "9", SS_QUARTIC):
+        "--seed is read only by --random",
+    # a mask enumerates its whole space and draws nothing
+    ("scan", "-p", "2", "--mask", "0,1", "--seed", "9"): "--seed and --mask exclude each other",
+    # an empty value is malformed, not absent
+    ("artin", "--line", "", SS_QUARTIC): "expected comma-separated integers, got ''",
+    ("artin", "--ext-degree", "2", "--modulus", "", SS_QUARTIC):
+        "expected comma-separated integers, got ''",
+    ("scan", "-p", "2", "--mask", "", "--count", "3"): "--count and --mask exclude each other",
+    ("scan", "-p", "2", "--mask", ""): "expected comma-separated integers, got ''",
 }
 
 

@@ -17,7 +17,7 @@ from qfsplit.cartier import basis, bundle, dict_lam_and_T
 from qfsplit.ffield import field
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 
-from _support import as_raw, bundle_raw, step_matrix_reference
+from _support import as_raw, assert_bundle_matches, assert_twins
 
 QUARTIC, SEXTIC, QUINTIC = (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 1, 1, 1)
 # forms whose lambda vanishes at some of p = 3, 5, 7 (ns = 1 there)
@@ -26,31 +26,6 @@ DIAGONAL = {
     SEXTIC: ("x^6+y^6+z^6+w^2", "x^5y+y^5z+z^5x+w^2"),
     QUINTIC: ("x^5+y^5+z^5+w^5+u^5", "x^4y+y^4z+z^4w+w^4u+u^4x"),
 }
-
-
-def assert_bundle_matches(b, raw):
-    """The bundle's (lambda, T) read as raw values equal ``raw``, the dict route's,
-    and its step matrix equals the entry-by-entry build from the raw rows."""
-    lam, T = bundle_raw(b)
-    assert (lam, T) == raw
-    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, T))
-
-
-def assert_twins(f):
-    """Both routes give the same lambda and T, and bundle() returns them.
-
-    bundle() takes the numpy route for every input here.
-    """
-    bas = basis(f.ring)
-    assert _fpbundle.admits(f.ring, bas.m)
-    lam, T = _fpbundle.lam_and_T(f, bas)
-    raw = dict_lam_and_T(f, bas)
-    assert as_raw((lam, T), f.ring.field) == raw
-    b = bundle(f)
-    assert np.array_equal(b.lam_coords, lam) and np.array_equal(b.T_coords, T)
-    assert b.v_f == bas.coefficients(f)
-    assert_bundle_matches(b, raw)
-    return raw[0]
 
 
 def seeded_forms(ring, seed, dense):

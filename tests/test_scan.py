@@ -1,11 +1,12 @@
 import concurrent.futures
+import dataclasses
 import random
 import tracemalloc
 from itertools import product
 
 import pytest
 
-from qfsplit import _fpbundle, scan
+from qfsplit import _fpbundle, catalog, scan
 from qfsplit.cartier import basis
 from qfsplit.errors import ResourceError, UsageError
 from qfsplit.ffield import ExtensionField, PrimeField, field
@@ -96,6 +97,15 @@ def test_witness_tables_cache_holds_one_ring_search():
     assert scan._tables.cache_info().hits == info.hits + 2
     assert singular_witness(f2, 1) is None
     assert scan._tables.cache_info().misses == 6
+
+
+def test_catalog_rows_marked_smooth_are_those_without_a_witness():
+    # the rational-double-point quartic has a witness over F_2 itself
+    entries = catalog.all_entries()
+    found = {e.name: singular_witness(e.polynomial(), 2) for e in entries}
+    assert {name for name, hit in found.items() if hit is not None} == {
+        e.name for e in entries if not e.smooth} == {"rdp-quartic-ns2"}
+    assert found["rdp-quartic-ns2"][0] == 1
 
 
 def test_witness_validates_input():
@@ -227,7 +237,7 @@ def test_a_filtered_f2_sample_reads_its_coefficients_once(monkeypatch):
     original = Polynomial.coefficient
     monkeypatch.setattr(Polynomial, "coefficient",
                         lambda f, exps: calls.append(exps) or original(f, exps))
-    row = scan._evaluate_index(job, 1)
+    row, _ = scan._evaluate_index(job, 1)
     assert row["height"] and row["smooth_witness_flag"]
     assert calls == []
 
@@ -254,6 +264,23 @@ def test_histogram_totals_match_sample_count():
 def test_worker_count_independence():
     base = run_scan(ScanJob(ring=R2, mode="histogram", count=24, seed=3))
     multi = run_scan(ScanJob(ring=R2, mode="histogram", count=24, seed=3, workers=3))
+    assert base.csv_text() == multi.csv_text()
+    assert base.json_text() == multi.json_text()
+
+
+@pytest.mark.parametrize("job, lists", [
+    # the README hunt: 16 hits, each reverified
+    (ScanJob(ring=R3, mode="hunt", mask=(0, 20, 30, 34), target_sigma=1, smoothness_filter=True),
+     ("hits",)),
+    # violation at index 267 (tau 6), ambiguous at 377 (tau 9)
+    (ScanJob(ring=R2, mode="assert_bound", count=400, seed=11, min_sigma=10),
+     ("violations", "ambiguous")),
+], ids=["hunt", "assert_bound"])
+def test_worker_count_independence_of_hits_violations_and_ambiguous(job, lists):
+    base = run_scan(job)
+    multi = run_scan(dataclasses.replace(job, workers=3))
+    for name in lists:
+        assert getattr(base, name)
     assert base.csv_text() == multi.csv_text()
     assert base.json_text() == multi.json_text()
 
