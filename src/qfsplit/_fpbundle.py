@@ -5,7 +5,7 @@ packed exponent codes (one ``width``-bit field per variable, x_0 highest,
 as in ``polyring._pack``), sorted ascending, and coefficients, so exponent
 vectors add as codes.  A coefficient is one residue at e = 1 and an e-vector
 of residues in the basis 1, t, ..., t^(e-1) otherwise; the arithmetic on
-them is the field's :class:`_linalg.FieldTables` (:func:`_linalg.field_tables`).
+them is the field's :class:`_linalg.PrimeOps` (:func:`_linalg.make_ops`).
 f's arrays are the nonzero entries of the coordinate array f keeps,
 ``MonomialBasis.coefficients(f)``, and their basis codes.  Per equation:
 
@@ -26,14 +26,14 @@ f's arrays are the nonzero entries of the coordinate array f keeps,
    of delta sorted by class.  Every such pair reaches a cell, found from
    the quotients a // p and b // p through the per-ring tables.  Then the
    inverse Frobenius (F_p-linear, the e x e matrix ``ifrob`` of
-   :func:`_linalg.field_tables`) leaves T as an (m, m) coordinate array,
+   :func:`_linalg.make_ops`) leaves T as an (m, m) coordinate array,
    (m, m, e) at e > 1;
 4. lambda_i is the inverse Frobenius of the coefficient of f^(p-2) at
    (p-1, ..., p-1) - M_i: an (m,) coordinate array, (m, e) at e > 1.
 
 :class:`cartier.FrobeniusBundle` stores these arrays and
-``_linalg.PrimeOps.matrix`` reads T's, both in the coordinates of
-``_linalg.field_tables``; neither is turned into raw field values.
+``_linalg.PrimeOps.matrix`` reads T's, both in the coordinates of the
+field's ``PrimeOps``; neither is turned into raw field values.
 
 At p = 2 none of this runs (:func:`char2_lam_and_T`).  There f^(p-2) = 1,
 and for f = sum_a c_a x^(M_a) over the basis and any lift fhat = sum_a
@@ -77,7 +77,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import _INT64_SAFE_P, FieldTables, field_tables
+from ._linalg import _INT64_SAFE_P, PrimeOps, make_ops
 from .polyring import RingConfig
 
 CODE_BITS = 62  # packed codes stay below 2^62
@@ -239,7 +239,7 @@ def _run_starts(srt: np.ndarray) -> np.ndarray:
     return first
 
 
-def _combine(s: FieldTables, codes: np.ndarray, vals: np.ndarray, mod: int) -> tuple:
+def _combine(s: PrimeOps, codes: np.ndarray, vals: np.ndarray, mod: int) -> tuple:
     """Like terms summed mod ``mod``, zeros dropped, codes ascending."""
     srt = np.sort(codes)
     support = srt[_run_starts(srt)]
@@ -250,7 +250,7 @@ def _combine(s: FieldTables, codes: np.ndarray, vals: np.ndarray, mod: int) -> t
     return support[keep], out[keep]
 
 
-def _mul(s: FieldTables, a: tuple, b: tuple, mod: int) -> tuple:
+def _mul(s: PrimeOps, a: tuple, b: tuple, mod: int) -> tuple:
     """a * b mod ``mod`` in blocks of at most BLOCK term pairs; b is the short factor."""
     (ac, av), (bc, bv) = a, b
     na = ac.size
@@ -265,7 +265,7 @@ def _mul(s: FieldTables, a: tuple, b: tuple, mod: int) -> tuple:
     return acc
 
 
-def _terms(f, bas, s: FieldTables) -> tuple:
+def _terms(f, bas, s: PrimeOps) -> tuple:
     """Basis indices and coordinates of the nonzero entries of f's ``bas.coefficients(f)``."""
     v = bas.coefficients(f)
     support = np.flatnonzero(s.nonzero(v))
@@ -285,7 +285,7 @@ def char2_lam_and_T(f, bas) -> tuple:
     The vector is ``bas.coefficients(f)``, kept on f; see the module docstring.
     """
     t = bas.tables
-    s = field_tables(bas.ring.field)
+    s = make_ops(bas.ring.field)
     m = t.m
     support, c = _terms(f, bas, s)
     i, j = np.nonzero(t.upper[: support.size, : support.size])
@@ -305,7 +305,7 @@ def general_lam_and_T(f, bas) -> tuple:
     kept on f, and their codes from the per-ring ``RingTables.codes``.
     """
     t = bas.tables
-    s = field_tables(bas.ring.field)
+    s = make_ops(bas.ring.field)
     p, m = t.p, t.m
     mod = p * p
     support, c = _terms(f, bas, s)
@@ -363,7 +363,7 @@ def _by_class(t: RingTables, poly: tuple) -> tuple:
     return res[order], cls[order], (exps[order] // t.p) @ t.box, poly[1][order]
 
 
-def _accumulate_kernel(t: RingTables, s: FieldTables, delta: tuple, fp2: tuple, kv: np.ndarray) -> None:
+def _accumulate_kernel(t: RingTables, s: PrimeOps, delta: tuple, fp2: tuple, kv: np.ndarray) -> None:
     """Add every class-compatible delta_a * fp2_b, mod p, into kv at its cell.
 
     A row is a term b of f^(p-2) and a column class c; its partners are the
@@ -388,7 +388,7 @@ def _accumulate_kernel(t: RingTables, s: FieldTables, delta: tuple, fp2: tuple, 
                          fv[lo + b], t.col_j0[col], dq, dv, kv)
 
 
-def _accumulate_rows(t: RingTables, s: FieldTables, d_lo, d_n, key, val, j0, dq, dv, kv) -> None:
+def _accumulate_rows(t: RingTables, s: PrimeOps, d_lo, d_n, key, val, j0, dq, dv, kv) -> None:
     """Row r pairs delta terms d_lo[r] .. d_lo[r] + d_n[r] - 1 with one term of f^(p-2).
 
     ``key`` is that term's quotient box index plus the carry's and s_j0's,

@@ -7,7 +7,7 @@ through Weil restriction to F_p; F_p itself is the case e = 1:
   coordinates); a row of length m is a flat array of length m*e;
 * multiplication by t^k is a fixed e x e F_p-matrix, and so is Frobenius,
   which is F_p-linear in these coordinates (both are 1 x 1 identities at
-  e = 1).  :func:`field_tables` builds these structure constants once per
+  e = 1).  :func:`make_ops` builds these structure constants once per
   field, together with the inverse Frobenius and the multiplication tensor
   of the Galois ring GR(p^2, e) that ``_fpbundle`` lifts to, and the
   coefficient-array arithmetic ``_fpbundle`` does on them;
@@ -52,8 +52,38 @@ from .ffield import Field
 _INT64_SAFE_P = 2**15  # below it, m*e*(p-1)^2 < 2^63 for every m*e < 2^33
 
 
-class FieldTables:
-    """The structure constants of F_q in coordinates and arithmetic on them; one per field.
+def _power_tensor(modulus: tuple, mod: int) -> np.ndarray:
+    """(e^2, e) array: row i e + j holds t^(i+j) mod the monic ``modulus``, mod ``mod``."""
+    e = len(modulus) - 1
+    powers = [[int(k == n) for k in range(e)] for n in range(e)]
+    for _ in range(e - 1):
+        top = powers[-1][-1]  # t * t^n: shift up, then t^e = -sum_k modulus[k] t^k
+        powers.append([(low - top * c) % mod for low, c in zip([0] + powers[-1][:-1], modulus)])
+    return np.array([powers[i + j] for i in range(e) for j in range(e)], dtype=np.int64)
+
+
+def raw_values(a, e: int) -> list:
+    """The raw field values of a coordinate array (see the module docstring), as nested lists."""
+    a = np.asarray(a)
+    if e == 1:
+        return a.tolist()
+    flat = [tuple(v) for v in a.reshape(-1, e).tolist()]
+    if a.ndim == 2:
+        return flat
+    n = a.shape[-2]
+    return [flat[i : i + n] for i in range(0, len(flat), n)]
+
+
+@lru_cache(maxsize=None)
+def make_ops(field: Field) -> "PrimeOps":
+    """The backend for ``field``; one shared, stateless instance per field."""
+    return PrimeOps(field)
+
+
+class PrimeOps:
+    """numpy-backed exact arithmetic mod p, over F_{p^e} by Weil restriction; one per field.
+
+    It holds the structure constants of F_q in coordinates:
 
     * ``tensor[mod]``, for ``mod`` p (the field) or p^2 (the Galois ring
       GR(p^2, e)): the (e^2, e) array whose row i e + j holds t^(i+j)
@@ -61,25 +91,35 @@ class FieldTables:
     * ``units``: (e, e, e), the matrix of multiplication by t^k in F_q, row
       l = vec(t^k t^l), i.e. ``tensor[p]``;
     * ``frob`` and ``ifrob``: (e, e), row l = vec(F(t^l)) and
-      vec(F^-1(t^l)), so vec(F(a)) = vec(a) @ frob.
+      vec(F^-1(t^l)), so vec(F(a)) = vec(a) @ frob;
+    * ``steps``: (e, e, e), multiplication by t^k followed by Frobenius.
 
-    All are int64 canonical residues; at e = 1 each holds the single entry 1.
-    The methods act on coefficient arrays, one element of ``shape`` per row,
-    and are the only code of ``_fpbundle`` that reads e.
+    All are canonical residues; at e = 1 each holds the single entry 1.
+    ``units``, ``frob``, ``steps`` and the rows and matrices of the Krylov
+    walk have ``dtype``: int64 for p < 2^15 and exact Python ints
+    (``dtype=object``) above, where int64 dot products could overflow.
+    The coefficient arithmetic (:meth:`lift` to :meth:`unfrobenius`) is
+    int64 at every p: it acts on coefficient arrays, one element of
+    ``shape`` per row, and is the only code of ``_fpbundle`` that reads e.
+    Every array held is read-only, since every user of the field shares it.
     """
 
-    def __init__(self, fld: Field):
-        self.p, self.e = p, e = fld.p, fld.e
+    def __init__(self, field: Field):
+        self.field = field
+        self.p, self.e = p, e = field.p, field.e
+        self.dtype = np.int64 if p < _INT64_SAFE_P else object
         self.shape = (e,) if e > 1 else ()  # of one coefficient
         # F_p is F_p[t] / (t), with the one basis element 1
-        self.tensor = {mod: _power_tensor(fld.modulus or (0, 1), mod) for mod in (p, p * p)}
-        self.units = self.tensor[p].reshape(e, e, e)
-        basis = [fld.one] if e == 1 else [tuple(int(k == i) for i in range(e)) for k in range(e)]
-        self.frob = np.array([fld.frobenius(u) for u in basis], dtype=np.int64).reshape(e, e)
-        self.ifrob = np.array([fld.inverse_frobenius(u) for u in basis], dtype=np.int64).reshape(e, e)
-        self.one = self.lift([fld.one])
-        for table in (*self.tensor.values(), self.frob, self.ifrob):
-            table.flags.writeable = False  # shared by every user of the field
+        self.tensor = {mod: _power_tensor(field.modulus or (0, 1), mod) for mod in (p, p * p)}
+        basis = [field.one] if e == 1 else [tuple(int(k == i) for i in range(e)) for k in range(e)]
+        frob = np.array([field.frobenius(u) for u in basis], dtype=np.int64).reshape(e, e)
+        self.ifrob = np.array([field.inverse_frobenius(u) for u in basis], dtype=np.int64).reshape(e, e)
+        self.one = self.lift([field.one])
+        self.units = self.tensor[p].reshape(e, e, e).astype(self.dtype)
+        self.frob = frob.astype(self.dtype)
+        self.steps = (self.units @ self.frob) % p
+        for table in (*self.tensor.values(), self.ifrob, self.units, self.frob, self.steps):
+            table.flags.writeable = False
 
     def lift(self, coeffs) -> np.ndarray:
         """The read-only canonical coordinates of raw field elements, each lifting itself."""
@@ -122,58 +162,6 @@ class FieldTables:
     def unfrobenius(self, a: np.ndarray) -> np.ndarray:
         """The inverse Frobenius of coefficients reduced mod p, as coordinates mod p."""
         return a if self.e == 1 else a @ self.ifrob % self.p
-
-
-@lru_cache(maxsize=None)
-def field_tables(fld: Field) -> FieldTables:
-    return FieldTables(fld)
-
-
-def _power_tensor(modulus: tuple, mod: int) -> np.ndarray:
-    """(e^2, e) array: row i e + j holds t^(i+j) mod the monic ``modulus``, mod ``mod``."""
-    e = len(modulus) - 1
-    powers = [[int(k == n) for k in range(e)] for n in range(e)]
-    for _ in range(e - 1):
-        top = powers[-1][-1]  # t * t^n: shift up, then t^e = -sum_k modulus[k] t^k
-        powers.append([(low - top * c) % mod for low, c in zip([0] + powers[-1][:-1], modulus)])
-    return np.array([powers[i + j] for i in range(e) for j in range(e)], dtype=np.int64)
-
-
-def raw_values(a, e: int) -> list:
-    """The raw field values of a coordinate array (see the module docstring), as nested lists."""
-    a = np.asarray(a)
-    if e == 1:
-        return a.tolist()
-    flat = [tuple(v) for v in a.reshape(-1, e).tolist()]
-    if a.ndim == 2:
-        return flat
-    n = a.shape[-2]
-    return [flat[i : i + n] for i in range(0, len(flat), n)]
-
-
-@lru_cache(maxsize=None)
-def make_ops(field: Field) -> "PrimeOps":
-    """The backend for ``field``; one shared, stateless instance per field."""
-    return PrimeOps(field)
-
-
-class PrimeOps:
-    """numpy-backed exact arithmetic mod p, over F_{p^e} by Weil restriction.
-
-    Arrays are int64 for p < 2^15 and exact Python ints (``dtype=object``)
-    above, where int64 dot products could overflow.
-    """
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.p = p = field.p
-        self.e = field.e
-        self.dtype = np.int64 if p < _INT64_SAFE_P else object
-        tables = field_tables(field)
-        self.units = tables.units.astype(self.dtype)
-        self.frob = tables.frob.astype(self.dtype)
-        # steps[k]: multiplication by t^k followed by Frobenius
-        self.steps = (self.units @ self.frob) % p
 
     def _blocks(self, vecs: np.ndarray, table: np.ndarray) -> np.ndarray:
         """(..., e) element vectors a -> (..., e, e) matrices sum_k a_k table[k]."""
@@ -281,14 +269,10 @@ class GenericOps:
         self.field = field
 
     def row(self, vals) -> list:
-        """Raw values from coordinates: an (m,) or (m, e) array, or raw values."""
+        """Raw values from coordinates, or raw values: a row, v_f's column or T's rows."""
         return raw_values(np.asarray(vals, dtype=np.int64), self.field.e)
 
-    column = row  # v_f's raw values, from its coordinate array
-
-    def matrix(self, cells) -> list:
-        """T's raw rows from its coordinate array (or its raw rows)."""
-        return raw_values(np.asarray(cells, dtype=np.int64), self.field.e)
+    column = matrix = row
 
     def shift_matrix(self, mat, lam_row, c) -> list:
         """T - c * lambda (column c times row lambda) as raw rows."""

@@ -116,7 +116,7 @@ class MonomialBasis:
         if len(coeffs) != self.m:
             raise UsageError(f"expected {self.m} coefficients, got {len(coeffs)}")
         f = Polynomial(self.ring, dict(zip(self.monomials, coeffs)))
-        f._coeffs = _linalg.field_tables(self.ring.field).lift(coeffs)
+        f._coeffs = _linalg.make_ops(self.ring.field).lift(coeffs)
         return f
 
     def coefficients(self, f: Polynomial) -> np.ndarray:
@@ -126,7 +126,7 @@ class MonomialBasis:
         """
         if f._coeffs is None:
             coeffs = [f.coefficient(mono) for mono in self.monomials]
-            f._coeffs = _linalg.field_tables(self.ring.field).lift(coeffs)
+            f._coeffs = _linalg.make_ops(self.ring.field).lift(coeffs)
         return f._coeffs
 
 
@@ -248,7 +248,7 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     if f.is_zero():
         raise UsageError("the zero polynomial has no Frobenius bundle")
     bas = basis(ring)
-    if np.count_nonzero(_linalg.field_tables(ring.field).nonzero(bas.coefficients(f))) != len(f):
+    if np.count_nonzero(_linalg.make_ops(ring.field).nonzero(bas.coefficients(f))) != len(f):
         raise UsageError(
             f"bundle requires a homogeneous polynomial of weighted degree {ring.d}"
         )

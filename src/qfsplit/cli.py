@@ -100,14 +100,30 @@ def _cmd_artin(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    f = _equation(args)
-    b = cartier.bundle(f)
-    fld = f.ring.field
-    doc = _common_doc(f)
+    ring = _build_ring(args)
+    fld = ring.field
+    # every option rule is checked before the bundle, which is the costly step
     if sum((args.c is not None, args.random is not None, args.find_infinite)) != 1:
         raise UsageError("lift needs exactly one of --c, --random, --find-infinite")
     if args.seed is not None and args.random is None:
         raise UsageError("--seed is read only by --random")
+    if args.random is not None and args.random < 1:
+        raise UsageError("--random needs a positive number of draws")
+    if args.c is not None:
+        parts = args.c.split(",")
+        m = cartier.basis(ring).m
+        if len(parts) != m:
+            raise UsageError(f"--c needs {m} comma-separated field elements")
+        c, start = [], 0
+        for part in parts:
+            try:
+                c.append(parse_scalar(fld, part))
+            except ParseError as exc:  # report the offset within --c, not within the part
+                raise ParseError(exc.message, start + exc.offset) from None
+            start += len(part) + 1
+    f = parse_poly(args.equation, ring)
+    b = cartier.bundle(f)
+    doc = _common_doc(f)
 
     if args.find_infinite:
         c = lifts.infinite_lift(b)
@@ -123,23 +139,11 @@ def _cmd_lift(args) -> int:
         return 0
 
     if args.c is not None:
-        parts = args.c.split(",")
-        if len(parts) != b.m:
-            raise UsageError(f"--c needs {b.m} comma-separated field elements")
-        c, start = [], 0
-        for part in parts:
-            try:
-                c.append(parse_scalar(fld, part))
-            except ParseError as exc:  # report the offset within --c, not within the part
-                raise ParseError(exc.message, start + exc.offset) from None
-            start += len(part) + 1
         v = lifts.ns_lift(b, c)
         _emit(args, [f"ns_lift = {v}"], {**doc, "ns_lift": value_to_json(v)})
         return 0
 
     n = args.random
-    if n < 1:
-        raise UsageError("--random needs a positive number of draws")
     ns_f = cartier.ns_index(b)
     seed = 0 if args.seed is None else args.seed
     results = {}
@@ -219,6 +223,8 @@ def _cmd_scan(args) -> int:
         raise UsageError("--seed and --mask exclude each other: a mask draws no random sample")
     if args.sigma is not None and mode == scan.MODE_HISTOGRAM:
         raise UsageError("--sigma is read only by the hunt and assert-bound modes")
+    if args.out == "":  # an empty value is malformed, not absent
+        raise UsageError("--out needs a directory name, got ''")
     job = scan.ScanJob(
         ring=ring,
         mode=mode,

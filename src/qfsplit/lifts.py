@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import raw_values
+from ._linalg import make_ops, raw_values
 from .cartier import (
     FrobeniusBundle,
     columns_from_kernel,
@@ -106,7 +106,7 @@ def infinite_lift(b: FrobeniusBundle) -> list | None:
     """
     _require_infinite_height(b)
     fld = b.field
-    hit = np.flatnonzero(b.lam_coords.reshape(b.m, -1).any(axis=1))
+    hit = np.flatnonzero(make_ops(fld).nonzero(b.lam_coords))
     if hit.size == 0:
         return None
     j = int(hit[0])

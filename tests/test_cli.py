@@ -401,6 +401,7 @@ REJECTED = {
         "expected comma-separated integers, got ''",
     ("scan", "-p", "2", "--mask", "", "--count", "3"): "--count and --mask exclude each other",
     ("scan", "-p", "2", "--mask", ""): "expected comma-separated integers, got ''",
+    ("scan", "-p", "2", "--count", "3", "--out", ""): "--out needs a directory name, got ''",
 }
 
 
@@ -408,6 +409,21 @@ REJECTED = {
 def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1 and REJECTED[argv] in err
+
+
+@pytest.mark.parametrize("argv", [argv for argv in REJECTED if argv[0] == "lift"])
+def test_rejected_lift_builds_no_bundle(capsys, counted_bundles, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, counted_bundles) == (1, []) and REJECTED[argv] in err
+
+
+def test_scan_empty_out_writes_nothing(capsys, monkeypatch, tmp_path):
+    # read for truth, an empty --out would run the scan and drop its artifacts
+    monkeypatch.chdir(tmp_path)
+    sampled = []
+    monkeypatch.setattr(scan, "_evaluate_index", lambda job, i: sampled.append(i))
+    code, out, _ = run_cli(capsys, "scan", "-p", "2", "--count", "3", "--out", "")
+    assert (code, out, sampled, list(tmp_path.iterdir())) == (1, "", [], [])
 
 
 

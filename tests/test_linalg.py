@@ -73,6 +73,19 @@ def test_make_ops_picks_numpy_for_extension_fields(fld):
     assert ops is _linalg.make_ops(field(fld.p, fld.e))  # one instance per field
 
 
+@pytest.mark.parametrize("fld", [field(2), field(2, 2), field(3, 2), field(32771), field(32771, 2)],
+                         ids=repr)
+def test_field_backend_is_shared_and_read_only(fld):
+    # every bundle over the field reads the one make_ops(fld), so none may write its arrays
+    ops = _linalg.make_ops(fld)
+    arrays = {name: a for name, a in vars(ops).items() if isinstance(a, np.ndarray)}
+    arrays.update((f"tensor[{mod}]", a) for mod, a in ops.tensor.items())
+    assert {"units", "frob", "ifrob", "steps", "one"} <= set(arrays)
+    assert [name for name, a in arrays.items() if a.flags.writeable] == []
+    b = bundle(parse_poly("x*y*z*w", RingConfig(fld, (1, 1, 1, 1))))
+    assert b.ops is ops
+
+
 @pytest.mark.parametrize("weights", K3_WEIGHTS)
 @pytest.mark.parametrize("fld", FIELDS, ids=repr)
 def test_weil_backend_matches_generic(fld, weights):
