@@ -15,8 +15,10 @@ through Weil restriction to F_p; F_p itself is the case e = 1:
   step matrix of the Krylov map R -> F(R T): block (i, j) is the
   multiplication matrix of T_ij times the Frobenius matrix, so one Krylov
   step is one ``row @ mat % p``;
-* :meth:`PrimeOps.shift_matrix` turns that matrix into the step matrix of a
-  lift's T - c * lambda by a rank-e update, never building T_c entrywise;
+* a lift's T - c * lambda is never built entrywise: :meth:`PrimeOps.shift_row`
+  is the (e, m*e) row that its step matrix subtracts column(c) times, so
+  :meth:`PrimeOps.shift_matrix` is a rank-e update, and a step of a batch
+  of lifts is the plain step minus (R . c) times that row;
 * the F_q-span of rows R_1..R_n is the F_p-span of their multiples
   t^k R_i, so the F_q-rank is the F_p-rank divided by e.
 
@@ -187,16 +189,20 @@ class PrimeOps:
         # block (i, j) is the multiplication matrix of T_ij times the Frobenius matrix
         return self._blocks(cells, self.steps).transpose(0, 2, 1, 3).reshape(m * e, m * e)
 
-    def shift_matrix(self, mat, lam_row, c):
-        """The step matrix of T - c * lambda, from the step matrix ``mat`` of T.
+    def shift_row(self, lam_row) -> np.ndarray:
+        """The (e, m*e) row of blocks M(lambda_j) Frob that a shift by c subtracts.
 
-        Block (i, j) of T's is M(T_ij) Frob and M is multiplicative, so the
-        shift subtracts M(c_i) M(lambda_j) Frob: column(c) times the (e, m*e)
-        row of blocks M(lambda_j) Frob, a rank-e update.
+        Block (i, j) of T's step matrix is M(T_ij) Frob and M is
+        multiplicative, so the step matrix of T - c * lambda is T's minus
+        column(c) times this row, and one step F(R (T - c * lambda)) is
+        F(R T) minus (R . c) times it.
         """
         e = self.e
-        lam = self._blocks(lam_row.reshape(-1, e), self.steps).transpose(1, 0, 2).reshape(e, -1)
-        return (mat - self.column(c) @ lam) % self.p
+        return self._blocks(lam_row.reshape(-1, e), self.steps).transpose(1, 0, 2).reshape(e, -1)
+
+    def shift_matrix(self, mat, lam_row, c):
+        """The step matrix of T - c * lambda, from the step matrix ``mat`` of T: a rank-e update."""
+        return (mat - self.column(c) @ self.shift_row(lam_row)) % self.p
 
     def frobenius_row(self, row):
         return ((row.reshape(-1, self.e) @ self.frob) % self.p).reshape(-1)
@@ -208,9 +214,6 @@ class PrimeOps:
     def dot_is_zero(self, row, col) -> bool:
         """Whether R . v = 0 in F_q, ``col`` coming from :meth:`column`."""
         return not ((row @ col) % self.p).any()
-
-    def is_zero_row(self, row) -> bool:
-        return not row.any()
 
     def rank_tracker(self) -> "PrimeRankTracker":
         return PrimeRankTracker(self.p, self.units)
@@ -305,10 +308,6 @@ class GenericOps:
         for x, y in zip(row, col):
             total = f.add(total, f.mul(x, y))
         return f.is_zero(total)
-
-    def is_zero_row(self, row) -> bool:
-        f = self.field
-        return all(f.is_zero(v) for v in row)
 
     def rank_tracker(self) -> "GenericRankTracker":
         return GenericRankTracker(self.field)

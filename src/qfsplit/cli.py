@@ -109,6 +109,8 @@ def _cmd_lift(args) -> int:
         raise UsageError("--seed is read only by --random")
     if args.random is not None and args.random < 1:
         raise UsageError("--random needs a positive number of draws")
+    seed = 0 if args.seed is None else args.seed
+    scan.check_seed(seed)
     if args.c is not None:
         parts = args.c.split(",")
         m = cartier.basis(ring).m
@@ -131,7 +133,7 @@ def _cmd_lift(args) -> int:
             _emit(args, ["lambda = 0: every lift has ns 1; no infinite lift exists"],
                   {**doc, "infinite_lift": None, "reason": "lambda_zero"})
             return 0
-        # infinite_lift's self-check walked the m + 1 rows ns_lift reads
+        # infinite_lift's self-check walked R_{c,1}..R_{c,m+1}, past ns_lift's bound ns(f)
         v = Infinite(cap=cartier.default_ns_cap(b))
         cstr = ",".join(fld.format(x) for x in c)
         _emit(args, [f"c = {cstr}", f"ns_lift = {v}"],
@@ -139,17 +141,14 @@ def _cmd_lift(args) -> int:
         return 0
 
     if args.c is not None:
-        v = lifts.ns_lift(b, c)
+        (v,) = lifts.ns_lift(b, [c])
         _emit(args, [f"ns_lift = {v}"], {**doc, "ns_lift": value_to_json(v)})
         return 0
 
     n = args.random
     ns_f = cartier.ns_index(b)
-    seed = 0 if args.seed is None else args.seed
     results = {}
-    for i in range(n):
-        c = scan.sample(seed, i, f.ring)
-        v = lifts.ns_lift(b, c)
+    for v in lifts.ns_lift(b, (scan.sample(seed, i, f.ring) for i in range(n))):
         key = "infinity" if is_infinite(v) else str(v)
         results[key] = results.get(key, 0) + 1
     lines = [f"ns(f) = {ns_f}"] + [f"ns_lift {k}: {v} draws" for k, v in sorted(results.items())]

@@ -7,12 +7,17 @@ vector c; all of its non-splitting data is governed by the shifted matrix
 
 through the twisted recursion R_{c,1} = F(lambda), R_{c,n+1} = F(R_{c,n} T_c)
 (the Frobenius wraps the product; over a prime field it is invisible).
-T_c is never built entry by entry: its step matrix is a rank-one update of
-the bundle's (:meth:`_linalg.PrimeOps.shift_matrix`).
 When f itself is not quasi-F-split (infinite height), the lift's
 non-splitting index is the first n with R_{c,n} = 0; its only possible
 values are ns(f) and infinity, and when lambda != 0 an explicit c with
 infinite index exists and is constructed here.
+
+:func:`ns_lift` reads R_{c,1}..R_{c,ns(f)}, which is exhaustive (the proof
+is in its docstring), for any number of shifts in one batched walk that
+never builds T_c: a step is F(R T) minus (R . c) times a fixed row.
+:func:`t_shifted` gives one shift's step matrix as a rank-one update of the
+bundle's (:meth:`_linalg.PrimeOps.shift_matrix`); :func:`infinite_lift`
+walks it to R_{c,m+1} to check its construction.
 
 ``shifted_matrix_direct`` rebuilds T_c from the shifted polynomial kernel
 (delta(f) - G(c)^p) * f^(p-2) instead of the rank-one update; agreement of
@@ -22,7 +27,7 @@ the two routes is a mandatory self-test exercised by the suite.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,11 +39,14 @@ from .cartier import (
     descent_product,
     height,
     krylov_rows,
+    ns_index,
 )
 from .errors import ResourceError, UsageError
 from .ffield import RawElement
 from .polyring import corner_coefficient, delta, poly_pow, prune
 from .values import Infinite, is_infinite
+
+_CHUNK_CELLS = 1 << 16  # row coordinates (shifts x m*e) per chunk of the lift walk
 
 
 def t_shifted(b: FrobeniusBundle, c: Sequence[RawElement]):
@@ -69,28 +77,64 @@ def _require_infinite_height(b: FrobeniusBundle) -> None:
         raise UsageError("lift indices are defined only over a non-quasi-F-split base")
 
 
-def ns_lift(b: FrobeniusBundle, c: Sequence[RawElement]):
-    """Non-splitting index of the lift by c: first n with R_{c,n} = 0.
+def ns_lift(b: FrobeniusBundle, shifts: Iterable[Sequence[RawElement]]) -> list:
+    """Non-splitting indices of the lifts by ``shifts``, in order: first n with R_{c,n} = 0.
 
+    ``shifts`` is any iterable of shift vectors c of m raw field values.
     Requires the base height to be infinite (otherwise the recursion does not
-    encode the lift's index).  Reading R_{c,1}..R_{c,m+1} is exhaustive, so
-    the infinity at cap m + 1 is exact:
+    encode the lift's index).  Reading R_{c,1}..R_{c,ns} with ns = ns(f) is
+    exhaustive, so an index is the first n <= ns with R_{c,n} = 0, and
+    infinity otherwise:
 
-    * L(R) = F(R T_c) is Frobenius-semilinear, R_{c,n+1} = L(R_{c,n}), and
-      W, the F_q-span of the orbit R_{c,1}, R_{c,2}, ..., is L-stable;
-    * if R_{c,N} = 0 then L^N kills every orbit row, hence all of W;
-    * ker(L^j) on W is an F_q-subspace, and the chain ker L <= ker L^2 <= ...
-      is constant from its first stall on (x in ker L^(j+2) puts L(x) in
-      ker L^(j+1) = ker L^j), so it grows strictly until it fills W;
-    * hence L^(dim W) kills W, R_{c,dim W + 1} = 0, and dim W <= m.
+    * V = span(R_1..R_{ns-1}), the base walk's span, is stable under
+      L(R) = F(R T) (see :func:`cartier.default_height_cap`: R_ns lies in V);
+    * L_c(R) = F(R T_c) = L(R) - F(R . c) R_1 with R_1 = F(lambda) in V, so
+      V is L_c-stable too, and the orbit R_{c,1} = R_1, R_{c,n+1} = L_c(R_{c,n})
+      lies in V, of dimension ns - 1;
+    * L_c is Frobenius-semilinear and W, the F_q-span of the orbit, is
+      L_c-stable; if R_{c,N} = 0 then L_c^N kills every orbit row, hence all
+      of W;
+    * ker(L_c^j) on W is an F_q-subspace, and the chain ker L_c <= ker L_c^2
+      <= ... is constant from its first stall on (x in ker L_c^(j+2) puts
+      L_c(x) in ker L_c^(j+1) = ker L_c^j), so it grows strictly until it
+      fills W;
+    * hence L_c^(dim W) kills W, R_{c,dim W + 1} = 0, and dim W + 1 <= ns.
+
+    When lambda = 0, ns = 1 and R_1 = 0, so every index is 1.  An infinity
+    is reported at the cap m + 1 (:func:`cartier.default_ns_cap`), which
+    bounds ns.
+
+    All shifts are walked at once, as the rows of one (N, m*e) array on the
+    bundle's ``PrimeOps`` backend, and T_c is never built: one step is
+    F(R T), one ``row_times_matrix`` call with T's step matrix, minus
+    (R . c) times the row of blocks of :meth:`_linalg.PrimeOps.shift_row`.
+    The shifts are read and walked in chunks of at most _CHUNK_CELLS row
+    coordinates, so memory does not grow with their number.
     """
     _require_infinite_height(b)
     ops = b.ops
-    cap = default_ns_cap(b)
-    for n, R in enumerate(islice(krylov_rows(b, t_shifted(b, c)), cap), 1):
-        if ops.is_zero_row(R):
-            return n
-    return Infinite(cap=cap)
+    m, e = b.m, b.field.e
+    ns = ns_index(b)
+    infinite = Infinite(cap=default_ns_cap(b))
+    first = ops.frobenius_row(b.lam_row)  # R_{c,1} for every c
+    lam = ops.shift_row(b.lam_row)
+    out = []
+    todo = iter(shifts)
+    while chunk := list(islice(todo, max(1, _CHUNK_CELLS // (m * e)))):
+        if any(len(c) != m for c in chunk):
+            raise UsageError(f"shift vector must have length {m}")
+        cols = ops.column(chunk).reshape(len(chunk), m * e, e)
+        R = np.broadcast_to(first, (len(chunk), m * e))
+        index = np.zeros(len(chunk), dtype=np.int64)  # 0 until R_{c,n} = 0
+        for n in range(1, ns + 1):
+            # R == 0 is boolean on every dtype (object included), whatever numpy's version
+            index[(index == 0) & (R == 0).all(axis=1)] = n
+            if n == ns or index.all():
+                break
+            dots = (R[:, None] @ cols)[:, 0] % ops.p  # the coordinates of each row's R . c
+            R = (ops.row_times_matrix(R, b.T_mat) - dots @ lam) % ops.p
+        out.extend(int(k) if k else infinite for k in index)
+    return out
 
 
 def infinite_lift(b: FrobeniusBundle) -> list | None:

@@ -54,6 +54,12 @@ _COLUMNS = ("index", "coefficients", "height", "ns", "tau", "smooth_witness_flag
 # counter-based sampling
 # ---------------------------------------------------------------------------
 
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2^64): :func:`sample` would key it by its residue."""
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"seed must lie in [0, 2^64), got {seed}")
+
+
 def sample(seed: int, index: int, ring: RingConfig) -> list:
     """Uniform coefficient vector in field^m, a pure function of (seed, index).
 
@@ -279,6 +285,7 @@ class ScanJob:
             raise UsageError("assert_bound mode needs a minimum sigma")
         if self.mode != MODE_HISTOGRAM and cartier.family_of(self.ring) == cartier.FAMILY_GENERAL:
             raise UsageError("hunt and assert_bound modes need one of the two K3 families")
+        check_seed(self.seed)
         if self.mask is None and self.count <= 0:
             raise UsageError("need a positive sample count (or an exhaustive mask)")
         if self.mask is not None:

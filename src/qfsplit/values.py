@@ -1,10 +1,12 @@
 """Reported invariant values: finite integers or an audited infinity.
 
 An infinite height / index is always reported together with the cap the
-walk was allowed, so "infinity" is auditable (the walk may stop earlier, at
-the first stall of the Krylov span).  Every cap is the proven bound
-(``cartier.default_height_cap`` = m, ``cartier.default_ns_cap`` = m + 1),
-so every infinity is exhaustive.  ``cap=None`` marks values that are
+walk was allowed, so "infinity" is auditable.  Every cap is a proven bound
+(``cartier.default_height_cap`` = m, ``cartier.default_ns_cap`` = m + 1,
+the latter also for lift indices), so every infinity is exhaustive.  A walk
+may stop earlier, at a bound proven for the input at hand: the base walk at
+the first stall of the Krylov span, a lift walk at R_{c,ns(f)} with
+ns(f) <= m + 1 (``lifts.ns_lift``).  ``cap=None`` marks values that are
 infinite unconditionally (no walk was needed).
 """
 

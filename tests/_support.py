@@ -1,6 +1,6 @@
-"""Helpers that only the tests use: raw values of lambda, T and Krylov rows, step matrices
-from raw rows, the twin assertion of the two bundle routes, exact rank, evaluation,
-witness tables, the reference sampler."""
+"""Helpers that only the tests use: raw values of lambda, T and Krylov rows, the per-shift
+lift walk, step matrices from raw rows, the twin assertion of the two bundle routes, exact
+rank, evaluation, witness tables, the reference sampler."""
 
 from __future__ import annotations
 
@@ -10,12 +10,13 @@ from typing import Sequence
 
 import numpy as np
 
-from qfsplit import _fpbundle
+from qfsplit import _fpbundle, lifts
 from qfsplit._linalg import make_ops, raw_values
 from qfsplit.cartier import FrobeniusBundle, basis, bundle, dict_lam_and_T, krylov_rows
 from qfsplit.errors import UsageError
 from qfsplit.ffield import Field, RawElement, field
 from qfsplit.polyring import Polynomial, RingConfig
+from qfsplit.values import Infinite
 
 
 def as_raw(kernel, fld: Field) -> tuple:
@@ -40,6 +41,75 @@ def krylov_matrix(b: FrobeniusBundle, n: int, T=None) -> list:
     e = b.field.e
     return [raw_values(R if e == 1 else np.reshape(R, (b.m, e)), e)
             for R in islice(krylov_rows(b, T), n)]
+
+
+def lift_index_reference(b: FrobeniusBundle, c, rows: int | None = None):
+    """Oracle for ``lifts.ns_lift``: one shift walked alone on ``lifts.t_shifted(b, c)``.
+
+    The first n <= ``rows`` (default m + 1, the bound the rows' dimension
+    gives) with R_{c,n} = 0, else an infinity at the cap m + 1 that
+    ``ns_lift`` reports.  Runs on either backend.
+    """
+    walk = islice(krylov_rows(b, lifts.t_shifted(b, c)), b.m + 1 if rows is None else rows)
+    # a row's coordinates, or its raw values on GenericOps, read as one int64 array
+    first_zero = next((n for n, R in enumerate(walk, 1) if not np.asarray(R, np.int64).any()), None)
+    return Infinite(cap=b.m + 1) if first_zero is None else first_zero
+
+
+def solve(rows, rhs, fld: Field) -> list:
+    """One x with sum_l rows[i][l] x_l = rhs[i] over ``fld`` (free unknowns 0), by elimination."""
+    width = len(rows[0])
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    pivots = []
+    for col in range(width):
+        hit = next((i for i in range(len(pivots), len(aug)) if not fld.is_zero(aug[i][col])), None)
+        if hit is None:
+            continue
+        r = len(pivots)
+        aug[r], aug[hit] = aug[hit], aug[r]
+        inv = fld.inv(aug[r][col])
+        aug[r] = [fld.mul(inv, v) for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and not fld.is_zero(aug[i][col]):
+                k = aug[i][col]
+                aug[i] = [fld.sub(v, fld.mul(k, w)) for v, w in zip(aug[i], aug[r])]
+        pivots.append(col)
+    if any(not fld.is_zero(row[-1]) for row in aug[len(pivots):]):
+        raise AssertionError("inconsistent linear system")
+    x = [fld.zero] * width
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][-1]
+    return x
+
+
+def finite_lift(b: FrobeniusBundle, ns: int) -> list:
+    """A shift whose lift index is ``ns`` = ns(f) >= 2, built from the base rows.
+
+    With k = ns - 1, R_1..R_k is a basis of V and R_ns = sum a_i R_i.  In
+    that basis the orbit of R_{c,1} = R_1 under L_c(R) = F(R T) - F(R . c) R_1
+    is v_n = e_n - sum_{j<n} F^(n-j)(s_j) e_(n-j), s_n = R_{c,n} . c, so
+    v_(k+1) = a - sum_j F^(k+1-j)(s_j) e_(k+1-j) vanishes for
+    s_j = F^-(k+1-j)(a_(k+1-j)).  The values y_n = R_n . c this needs follow
+    from s_n = sum_i (v_n)_i y_i, and c solves R_n . c = y_n, n <= k.
+    """
+    fld = b.field
+    k = ns - 1
+    rows = krylov_matrix(b, ns)
+    a = solve([list(col) for col in zip(*rows[:k])], rows[k], fld)
+
+    def frob(x, n):  # F^n, n of either sign
+        for _ in range(abs(n)):
+            x = fld.frobenius(x) if n > 0 else fld.inverse_frobenius(x)
+        return x
+
+    s = [frob(a[k - j], -(k + 1 - j)) for j in range(1, k + 1)]  # s[j - 1] = s_j
+    y = []
+    for n in range(1, k + 1):
+        yn = s[n - 1]
+        for j in range(1, n):
+            yn = fld.add(yn, fld.mul(frob(s[j - 1], n - j), y[n - j - 1]))
+        y.append(yn)
+    return solve(rows[:k], y, fld)
 
 
 def step_matrix_reference(ops, rows) -> np.ndarray:

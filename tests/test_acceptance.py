@@ -146,9 +146,8 @@ def test_criterion_07_lift_value_set_property():
         expected = ns_index(b)
         cap = b.m + 1
         p = b.field.p
-        for _ in range(100):
-            c = [rng.randrange(p) for _ in range(b.m)]
-            v = lifts.ns_lift(b, c)
+        shifts = [[rng.randrange(p) for _ in range(b.m)] for _ in range(100)]
+        for c, v in zip(shifts, lifts.ns_lift(b, shifts)):
             if is_infinite(v):
                 assert v.cap == cap
             else:

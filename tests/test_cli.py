@@ -8,12 +8,14 @@ import jsonschema
 import pytest
 
 import qfsplit
-from qfsplit import cartier, lifts, scan
+from qfsplit import cartier, catalog, scan
 from qfsplit.catalog import SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
 from qfsplit.cli import main
 from qfsplit.ffield import field
 from qfsplit.polyring import RingConfig, parse_poly
-from qfsplit.values import value_to_json
+from qfsplit.values import is_infinite, value_to_json
+
+from _support import lift_index_reference
 
 VALUE_SCHEMA = {
     "type": "object",
@@ -164,7 +166,7 @@ def test_lift_c_reports_ns_lift(capsys, p, equation):
     b = cartier.bundle(parse_poly(equation, ring))
     for seed in range(3):
         c = scan.sample(seed, 0, ring)
-        want = lifts.ns_lift(b, c)
+        want = lift_index_reference(b, c)
         argv = ["lift", "-p", str(p), equation, "--c", ",".join(map(str, c))]
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (0, f"ns_lift = {want}\n")
@@ -196,10 +198,55 @@ def test_lift_find_infinite_walks_once(capsys, counted_bundles):
 
 
 def test_lift_random_builds_one_step_matrix(capsys, counted_bundles):
+    # the base walk to ns 9 (8 steps), then all 10 draws at once to R_{c,9}
+    # (8 steps), on T's step matrix
     code, _, _ = run_cli(capsys, "lift", "-p", "2", SS_QUARTIC, "--random", "10")
     assert code == 0
     (b,) = counted_bundles
     assert b.ops.matrix_calls == 1
+    assert b.ops.calls == 8 + 8
+
+
+@pytest.mark.parametrize("ext_degree", [1, 2], ids=["Fp", "Fp2"])
+@pytest.mark.parametrize("entry", catalog.all_entries(), ids=lambda e: e.name)
+def test_lift_random_matches_the_per_draw_walk(capsys, entry, ext_degree):
+    # the batched walk to ns(f) gives the distribution of the draws each walked
+    # alone on its step matrix T_c to R_{c,m+1}
+    ring = RingConfig(field(entry.p, ext_degree), entry.weights)
+    b = cartier.bundle(parse_poly(entry.equation, ring))
+    dist = {}
+    for i in range(50):
+        v = lift_index_reference(b, scan.sample(3, i, ring))
+        key = "infinity" if is_infinite(v) else str(v)
+        dist[key] = dist.get(key, 0) + 1
+    argv = ["lift", "-p", str(entry.p), "--ext-degree", str(ext_degree),
+            "--weights", ",".join(map(str, entry.weights)), entry.equation,
+            "--random", "50", "--seed", "3"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and (doc["distribution"], doc["draws"], doc["seed"]) == (dist, 50, 3)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, "".join([f"ns(f) = {cartier.ns_index(b)}\n"] + [
+        f"ns_lift {k}: {n} draws\n" for k, n in sorted(dist.items())]))
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**64 + 1])
+def test_seed_outside_64_bits_is_rejected(capsys, tmp_path, counted_bundles, seed):
+    # sample keys by the seed mod 2^64, so such a seed would draw what its
+    # residue draws while the JSON reported the seed as given
+    lift = ("lift", "-p", "2", "--format", "json", SS_QUARTIC, "--random", "3")
+    code, out, err = run_cli(capsys, *lift, "--seed", str(seed))
+    assert (code, out, counted_bundles) == (1, "", [])
+    assert f"seed must lie in [0, 2^64), got {seed}" in err
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "scan", "-p", "2", "--count", "3", "--seed", str(seed),
+                             "--out", str(out_dir))
+    assert (code, out, out_dir.exists()) == (1, "", False)
+    assert f"seed must lie in [0, 2^64), got {seed}" in err
+    # the ends of the range are kept and reported as given
+    for kept in (0, 2**64 - 1):
+        code, out, _ = run_cli(capsys, *lift, "--seed", str(kept))
+        assert code == 0 and json.loads(out)["seed"] == kept
 
 
 def test_lift_random_distribution(capsys):

@@ -1,11 +1,11 @@
 import random
-from itertools import islice
 
 import numpy as np
 import pytest
 
+from qfsplit import lifts
 from qfsplit.catalog import QUINTIC_THREEFOLD_F2, SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
-from qfsplit.cartier import basis, bundle, height, krylov_rows, ns_index
+from qfsplit.cartier import basis, bundle, height, ns_index
 from qfsplit.errors import UsageError
 from qfsplit.ffield import field
 from qfsplit.lifts import (
@@ -16,9 +16,9 @@ from qfsplit.lifts import (
     t_shifted,
 )
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
-from qfsplit.values import Infinite, is_infinite
+from qfsplit.values import is_infinite
 
-from _support import bundle_raw, krylov_matrix
+from _support import bundle_raw, finite_lift, krylov_matrix, lift_index_reference
 
 F2 = field(2)
 F3 = field(3)
@@ -104,61 +104,107 @@ def test_ns_lift_value_set_small():
         b = bundle(entry.polynomial())
         expected = ns_index(b)
         p = b.field.p
-        for _ in range(30):
-            c = [rng.randrange(p) for _ in range(b.m)]
-            v = ns_lift(b, c)
+        shifts = [[rng.randrange(p) for _ in range(b.m)] for _ in range(30)]
+        for v in ns_lift(b, shifts):
             assert is_infinite(v) or v == expected
 
 
-# rows whose seeded shifts give both finite and infinite lift indices
-@pytest.mark.parametrize("entry,ext_degree", [
-    (SIGMA3_F2, 1), (SUPERSINGULAR_QUARTICS_F2[6], 1), (SUPERSINGULAR_QUARTICS_F3[2], 1),
-    (SUPERSINGULAR_QUARTICS_F2[6], 2),
-], ids=["f2-sigma3", "f2-sigma9", "f3-sigma3", "f4-sigma9"])
-def test_ns_lift_bound_is_exhaustive(entry, ext_degree):
-    # the proof in ns_lift: a lift row that is nonzero through R_{c,m+1}
-    # never vanishes, so the first zero row among R_{c,1}..R_{c,2m+2} is the
-    # index ns_lift reports, and an infinite index leaves all of them nonzero
-    b = bundle(parse_poly(entry.equation, RingConfig(field(entry.p, ext_degree), entry.weights)))
-    ops = b.ops
+F2_ROWS = {e.name: e for e in SUPERSINGULAR_QUARTICS_F2}
+F3_ROWS = {e.name: e for e in SUPERSINGULAR_QUARTICS_F3}
+# (p, e, weights, equation) over F_2, F_3, F_4, F_8 and F_9 and in all three
+# rings; the last row has lambda = 0, where every index is 1
+BATCH_ROWS = {
+    "f2-sigma3": (2, 1, (1, 1, 1, 1), F2_ROWS["f2-sigma3"].equation),
+    "f2-sigma9": (2, 1, (1, 1, 1, 1), F2_ROWS["f2-sigma9"].equation),
+    "f3-sigma3": (3, 1, (1, 1, 1, 1), F3_ROWS["f3-sigma3"].equation),
+    "f4-sigma9": (2, 2, (1, 1, 1, 1), F2_ROWS["f2-sigma9"].equation),
+    "f8-sigma5": (2, 3, (1, 1, 1, 1), F2_ROWS["f2-sigma5"].equation),
+    "f9-sigma4": (3, 2, (1, 1, 1, 1), F3_ROWS["f3-sigma4"].equation),
+    "sextic": (2, 1, (1, 1, 1, 3), SEXTIC_NS3_F2),
+    "quintic-ns58": (2, 1, QUINTIC_THREEFOLD_F2.weights, QUINTIC_THREEFOLD_F2.equation),
+    "f3-sigma1": (3, 1, (1, 1, 1, 1), F3_ROWS["f3-sigma1"].equation),
+}
+
+
+def _batch(b, rng, densities):
+    """The plain lift, the constructed infinite and finite ones (if lambda != 0), seeded shifts."""
     fld = b.field
     elems = list(fld.elements())
-    rng = random.Random(entry.p * 10 + ext_degree)
-    # the plain lift, sparse and dense seeded shifts, and the constructed infinite one
-    shifts = [[fld.zero] * b.m, infinite_lift(b)]
-    for density in (0.05, 0.2, 1.0) * 4:
+    shifts = [[fld.zero] * b.m]
+    lift = infinite_lift(b)
+    if lift is not None:
+        shifts += [lift, finite_lift(b, ns_index(b))]
+    for density in densities:
         shifts.append([rng.choice(elems) if rng.random() < density else fld.zero
                        for _ in range(b.m)])
-    seen = set()
-    for c in shifts:
-        rows = islice(krylov_rows(b, t_shifted(b, c)), 2 * b.m + 2)
-        first_zero = next((n for n, R in enumerate(rows, 1) if ops.is_zero_row(R)), None)
-        expected = Infinite(cap=b.m + 1) if first_zero is None else first_zero
-        assert repr(ns_lift(b, c)) == repr(expected), c
-        seen.add(first_zero is None)
-    assert seen == {True, False}
+    return shifts
+
+
+@pytest.mark.parametrize("row", list(BATCH_ROWS))
+def test_ns_lift_bound_is_exhaustive(monkeypatch, row):
+    # the proof in ns_lift: a lift row that is nonzero through R_{c,ns} never
+    # vanishes, so the first zero row among R_{c,1}..R_{c,2m+2}, each shift
+    # walked alone on its step matrix, is the index the batched walk reports,
+    # and an infinite index leaves all of them nonzero
+    p, e, weights, equation = BATCH_ROWS[row]
+    b = bundle(parse_poly(equation, RingConfig(field(p, e), weights)))
+    rng = random.Random(p * 10 + e + len(weights))
+    shifts = _batch(b, rng, (0.05, 0.2, 1.0) * 4)
+    expected = [lift_index_reference(b, c, 2 * b.m + 2) for c in shifts]
+    assert [repr(v) for v in ns_lift(b, shifts)] == [repr(v) for v in expected]
+    # chunks of 4 shifts: the batch of 15 (13 when lambda = 0) ends in a short one
+    monkeypatch.setattr(lifts, "_CHUNK_CELLS", 4 * b.m * e)
+    assert [repr(v) for v in ns_lift(b, shifts)] == [repr(v) for v in expected]
+    if row == "f3-sigma1":  # lambda = 0
+        assert expected == [1] * len(shifts)
+    else:  # the constructed infinite lift, then the constructed finite one
+        assert is_infinite(expected[1]) and expected[2] == ns_index(b)
+        assert {v for v in expected if not is_infinite(v)} == {ns_index(b)}
+
+
+@pytest.mark.parametrize("row", ["f2-sigma9", "f9-sigma4", "sextic", "quintic-ns58"])
+def test_ns_lift_batch_takes_ns_minus_one_steps(step_counting, row):
+    # after the base walk R_1..R_ns, a batch walks R_{c,1}..R_{c,ns}: ns - 1
+    # steps for every shift at once, on T's step matrix, never T_c's
+    p, e, weights, equation = BATCH_ROWS[row]
+    b = step_counting(bundle(parse_poly(equation, RingConfig(field(p, e), weights))))
+    ns = ns_index(b)
+    base = b.ops.calls
+    assert base == ns - 1
+    rng = random.Random(ns)
+    elems = list(b.field.elements())
+    shifts = [[rng.choice(elems) for _ in range(b.m)] for _ in range(40)]
+    values = ns_lift(b, shifts)
+    assert any(is_infinite(v) for v in values)  # so the walk cannot stop early
+    assert b.ops.calls - base == ns - 1
+    assert b.ops.matrix_calls == 1
+
+
+def test_ns_lift_length_validation():
+    b = bundle(SIGMA3_F2.polynomial())
+    with pytest.raises(UsageError):
+        ns_lift(b, [[0] * b.m, [0, 1]])
 
 
 def test_trivial_shift_value_on_sigma4_row():
     # c = 0 gives the plain lift; its index is ns(f) or infinity, nothing else
     b = bundle(SIGMA4_F3.polynomial())
-    v = ns_lift(b, [0] * b.m)
+    (v,) = ns_lift(b, [[0] * b.m])
     assert is_infinite(v) or v == 4
 
 
 def test_ns_lift_is_one_for_every_c_when_lambda_zero():
     b = bundle(parse_poly("x^4+y^4+z^4+w^4", R3))
     rng = random.Random(3)
-    for _ in range(10):
-        c = [rng.randrange(3) for _ in range(b.m)]
-        assert ns_lift(b, c) == 1
+    shifts = [[rng.randrange(3) for _ in range(b.m)] for _ in range(10)]
+    assert ns_lift(b, shifts) == [1] * 10
 
 
 def test_ns_lift_requires_infinite_base_height():
     f = parse_poly("x^4+y^4+z^4+w^4", RingConfig(field(5), (1, 1, 1, 1)))
     b = bundle(f)
     with pytest.raises(UsageError, match="non-quasi-F-split"):
-        ns_lift(b, [0] * b.m)
+        ns_lift(b, [[0] * b.m])
     with pytest.raises(UsageError, match="non-quasi-F-split"):
         infinite_lift(b)
 
@@ -167,7 +213,7 @@ def test_infinite_lift_construction():
     b = bundle(SIGMA3_F2.polynomial())
     c = infinite_lift(b)
     assert c is not None
-    v = ns_lift(b, c)
+    (v,) = ns_lift(b, [c])
     assert is_infinite(v)
     # the construction fixes the standard basis column exactly, on the
     # T_c rebuilt from polynomial data
@@ -184,9 +230,10 @@ def test_infinite_lift_construction():
     (QUINTIC_THREEFOLD_F2.weights, QUINTIC_THREEFOLD_F2.equation),
 ], ids=["sextic", "quintic-ns58"])
 def test_infinite_lift_checks_every_row_ns_lift_reads(step_counting, weights, equation):
-    # the self-check walks R_{c,1}..R_{c,m+1}, the rows ns_lift reads at
-    # its proven bound: m steps (39 on sextics, 126 on the quintic), after
-    # the base walk R_1..R_ns that decides the height is infinite
+    # the self-check walks R_{c,1}..R_{c,m+1}, every row ns_lift could read
+    # (its proven bound ns(f) is at most m + 1): m steps (39 on sextics, 126
+    # on the quintic), after the base walk R_1..R_ns that decides the height
+    # is infinite
     b = step_counting(bundle(parse_poly(equation, RingConfig(F2, weights))))
     assert infinite_lift(b) is not None
     assert b.ops.calls == (ns_index(b) - 1) + b.m

@@ -27,7 +27,7 @@ from qfsplit.lifts import infinite_lift, ns_lift, t_shifted
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 from qfsplit.values import Infinite, is_infinite
 
-from _support import bundle_raw, krylov_matrix, matrix_rank
+from _support import bundle_raw, finite_lift, krylov_matrix, lift_index_reference, matrix_rank
 
 FIELDS = [field(2), field(3), field(5), field(2, 2), field(2, 3), field(3, 2), field(5, 2)]
 # p >= 2^15: PrimeOps holds Python ints.  At 32771 a length-m*e dot product
@@ -117,11 +117,13 @@ def test_weil_backend_matches_generic_on_lifts(fld):
         g = generic_twin(b)
         c = infinite_lift(b)
         assert c == infinite_lift(g)
+        shifts = [random_shift(b, rng) for _ in range(2)]
+        # the batched walk against each shift walked alone on the reference backend
+        expected = [lift_index_reference(g, shift) for shift in shifts]
         if c is not None:
-            assert ns_lift(b, c) == Infinite(cap=b.m + 1)
-        for _ in range(2):
-            shift = random_shift(b, rng)
-            assert repr(ns_lift(b, shift)) == repr(ns_lift(g, shift))
+            shifts.append(c)
+            expected.append(Infinite(cap=b.m + 1))
+        assert [repr(v) for v in ns_lift(b, shifts)] == [repr(v) for v in expected]
         checked += 1
     assert checked >= 2
 
@@ -241,8 +243,11 @@ def test_large_prime_backend_matches_generic(fld):
             infinite += 1
             lift = infinite_lift(b)
             assert lift is not None and lift == infinite_lift(g)
-            assert ns_lift(b, lift) == Infinite(cap=b.m + 1)
-            assert repr(ns_lift(b, c)) == repr(ns_lift(g, c))
+            finite = finite_lift(g, ns_index(g))  # lambda != 0, so ns >= 2
+            values = ns_lift(b, [lift, c, finite])
+            assert values[0] == Infinite(cap=b.m + 1)
+            assert repr(values[1]) == repr(lift_index_reference(g, c))
+            assert values[2] == ns_index(b) == lift_index_reference(g, finite)
         else:
             with pytest.raises(UsageError):
                 infinite_lift(b)
