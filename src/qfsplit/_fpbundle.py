@@ -14,11 +14,13 @@ f's arrays are the nonzero entries of the coordinate array f keeps,
    integers), is multiplied by itself p - 1 times, fhat being the short
    factor (at most m terms); any lift gives ``f^(p-2) = fhat^(p-2) mod p``,
    and ``fhat^p`` is the last power.  The route takes the Teichmuller lift
-   chat = (any lift)^q, whose powers cancel more often mod p^2;
+   chat = (any lift)^q, whose powers cancel more often mod p^2.  A one-term
+   fhat = chat x^a takes no product: fhat^k is chat^k x^(ka);
 2. ``delta = (fhat^p - sum_a chat_a^p x^(pa)) / p mod p``: the first Witt
    sum polynomial at the lifted terms, the identity
    ``polyring.delta_lift_oracle`` checks the Witt-sum route against over F_p.
-   Any lift gives it, but chat^p = chat only over F_p;
+   Any lift gives it, but chat^p = chat only over F_p.  It is 0 for one
+   term;
 3. T[i][j] sums delta_a * f^(p-2)_b over the pairs with a + b = p M_i +
    (p-1, ..., p-1) - M_j.  Only pairs whose residue classes mod p add up
    to a column class (p-1-M_j) mod p are formed: for each term b and each
@@ -316,25 +318,16 @@ def general_lam_and_T(f, bas) -> tuple:
     # 779 terms against the coordinate lift's 882, so fewer pairs are formed
     fhat = (fc, s.power(c[order], bas.ring.field.order, mod))
 
-    # 1. fhat^k for k = 1 .. p, keeping k = p - 2
-    fp2 = (np.zeros(1, dtype=np.int64), s.one)  # fhat^0
-    power = fhat
-    for k in range(1, p):
-        if k == p - 2:
-            fp2 = power
-        power = _mul(s, power, fhat, mod)
+    if fc.size == 1:
+        # 1 and 2 in closed form: fhat = chat x^a has the one-term powers
+        # chat^k x^(ka), so fhat^p is the Witt sum's own term and delta = 0
+        fp2 = (fc * (p - 2), s.power(fhat[1], p - 2, mod) if p > 2 else s.one)
+        delta = (fc[:0], fhat[1][:0])
+    else:
+        fp2, delta = _fp2_and_delta(s, fhat, p)
     vals = fp2[1] % p
     keep = s.nonzero(vals)
     fp2 = (fp2[0][keep], vals[keep])
-
-    # 2. delta = (fhat^p - sum chat^p x^(pa)) / p mod p; every x^(pa) is a term
-    # of fhat^p, whose coefficient there is c^p != 0 mod p
-    hc, hv = power
-    hv = hv.copy()
-    hv[np.searchsorted(hc, p * fc)] -= s.power(fhat[1], p, mod)
-    dv = hv % mod // p
-    keep = s.nonzero(dv)
-    delta = (hc[keep], dv[keep])
 
     # 3. T: the kernel summed in each class's first column, then copied to every cell
     kv = s.zeros(m * m + 1)
@@ -347,6 +340,28 @@ def general_lam_and_T(f, bas) -> tuple:
     pos = np.minimum(np.searchsorted(pc, t.lam), pc.size - 1)
     pv = np.concatenate((pv, s.zeros(1)))
     return s.unfrobenius(pv[np.where(pc[pos] == t.lam, pos, pc.size)]), T
+
+
+def _fp2_and_delta(s: PrimeOps, fhat: tuple, p: int) -> tuple:
+    """Steps 1 and 2: fhat^(p-2) mod p^2 and delta, from the products fhat^k, k <= p."""
+    mod = p * p
+    # 1. fhat^k for k = 1 .. p, keeping k = p - 2
+    fp2 = (np.zeros(1, dtype=np.int64), s.one)  # fhat^0
+    power = fhat
+    for k in range(1, p):
+        if k == p - 2:
+            fp2 = power
+        power = _mul(s, power, fhat, mod)
+
+    # 2. delta = (fhat^p - sum chat^p x^(pa)) / p mod p; every x^(pa) is a term
+    # of fhat^p, whose coefficient there is c^p != 0 mod p
+    fc, fv = fhat
+    hc, hv = power
+    hv = hv.copy()
+    hv[np.searchsorted(hc, p * fc)] -= s.power(fv, p, mod)
+    dv = hv % mod // p
+    keep = s.nonzero(dv)
+    return fp2, (hc[keep], dv[keep])
 
 
 def _by_class(t: RingTables, poly: tuple) -> tuple:

@@ -1,51 +1,68 @@
 """Exact linear algebra over the coefficient fields.
 
-One numpy backend, :class:`PrimeOps`, serves every field F_q, q = p^e,
-through Weil restriction to F_p; F_p itself is the case e = 1:
+Two backends run the Krylov walk; :func:`make_ops` picks one per field, by
+its characteristic alone.  Both work through Weil restriction to F_p, F_p
+itself being the case e = 1:
 
 * an element is its e-vector over F_p in the basis 1, t, ..., t^(e-1) (its
-  coordinates); a row of length m is a flat array of length m*e;
+  coordinates); a row of length m has m*e coordinates, coordinate k of
+  entry i at flat position i*e + k;
 * multiplication by t^k is a fixed e x e F_p-matrix, and so is Frobenius,
   which is F_p-linear in these coordinates (both are 1 x 1 identities at
-  e = 1).  :func:`make_ops` builds these structure constants once per
-  field, together with the inverse Frobenius and the multiplication tensor
-  of the Galois ring GR(p^2, e) that ``_fpbundle`` lifts to, and the
-  coefficient-array arithmetic ``_fpbundle`` does on them;
-* :meth:`PrimeOps.matrix` turns T, given as its coordinate array, into the
-  step matrix of the Krylov map R -> F(R T): block (i, j) is the
+  e = 1);
+* the step matrix of the Krylov map R -> F(R T) has as block (i, j) the
   multiplication matrix of T_ij times the Frobenius matrix, so one Krylov
-  step is one ``row @ mat % p``;
-* a lift's T - c * lambda is never built entrywise: :meth:`PrimeOps.shift_row`
-  is the (e, m*e) row that its step matrix subtracts column(c) times, so
-  :meth:`PrimeOps.shift_matrix` is a rank-e update, and a step of a batch
-  of lifts is the plain step minus (R . c) times that row;
+  step is one product of a row with it;
+* a lift's T - c * lambda is never built entrywise: its step matrix is T's
+  minus column(c) times the (e, m*e) row :meth:`PrimeOps.shift_row`, a
+  rank-e update (:meth:`PrimeOps.shift_matrix`), and a step of a batch of
+  lifts is the plain step minus (R . c) times that row
+  (:meth:`PrimeOps.lift_step`);
 * the F_q-span of rows R_1..R_n is the F_p-span of their multiples
-  t^k R_i, so the F_q-rank is the F_p-rank divided by e.
+  t^k R_i, so the F_q-rank is the F_p-rank divided by e: a rank tracker
+  inserts each row independent over F_q together with its t-multiples.
+
+:class:`PrimeOps`, the numpy backend, serves every odd p.  A row is a flat
+array of its coordinates, one step is ``row @ mat % p``, and its rank
+tracker is Gaussian elimination with normalized pivot rows.  Every product
+is reduced mod p: a dot product of length m*e sums products below (p-1)^2
+before its reduction, so int64 is exact while m*e*(p-1)^2 < 2^63.  For
+p < 2^15 that holds for every m*e < 2^33, and arrays are int64; for larger p
+they hold exact Python ints (numpy ``dtype=object``), slower but exact.
+:func:`make_ops` builds these structure constants once per field, together
+with the inverse Frobenius and the multiplication tensor of the Galois ring
+GR(p^2, e) that ``_fpbundle`` lifts to, and the coefficient-array
+arithmetic ``_fpbundle`` does on them.
+
+:class:`PackedOps`, at p = 2 (every F_(2^e)), keeps that arithmetic but
+holds each row as one Python int: bit i*e + k is coordinate k of entry i,
+the flat position above.  Every map of the walk is F_2-linear on the bits.
+A step XORs the rows of the step matrix that the row's set bits select,
+four bits at a time through a 16-entry table per four rows.  A dot R . v
+is e parities (``int.bit_count``).  Frobenius and the t-multiples move
+each entry's bits by fixed masks and shifts.  The rank tracker
+(:class:`PackedRankTracker`) is an XOR basis keyed by each pivot's top
+bit.  A batch of lift rows is a list of such ints.
 
 A coordinate array of an element holds e canonical residues on its last
 axis, which is dropped at e = 1.  Raw field values (``int`` for e = 1,
 e-tuples otherwise) are those coordinates, so a list of them reads as the
 same array; :func:`raw_values` turns an array back into raw values for the
-oracles, JSON and tests.  Every product is reduced mod p: a dot product of
-length m*e sums products below (p-1)^2 before its reduction, so int64 is
-exact while m*e*(p-1)^2 < 2^63.  For p < 2^15 that holds for every
-m*e < 2^33, and arrays are int64; for larger p the arrays hold exact Python
-ints (numpy ``dtype=object``), which are slower but cannot overflow.
-
-Rank is tracked incrementally by Gaussian elimination: pivot rows are kept
-normalized, each candidate row is reduced against them, and a row either
-contributes a new pivot or is a detected linear dependence.
+oracles, JSON and tests, and each backend's ``coordinates`` reads a row
+back as an array.
 
 :class:`GenericOps` and :class:`GenericRankTracker` are not a production
-route.  They are the reference the tests compare :class:`PrimeOps` against:
+route.  They are the reference the tests compare both backends against:
 plain Python lists of raw field values driving the field kernels entry by
 entry, with Frobenius applied after each product (over F_q it is only
-semilinear, so it cannot be folded into a list-based matrix).
+semilinear, so it cannot be folded into a list-based matrix).  At p = 2 the
+tests also run the numpy backend itself, ``PrimeOps(F)``, as a twin.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import getitem, xor
 
 import numpy as np
 
@@ -78,8 +95,11 @@ def raw_values(a, e: int) -> list:
 
 @lru_cache(maxsize=None)
 def make_ops(field: Field) -> "PrimeOps":
-    """The backend for ``field``; one shared, stateless instance per field."""
-    return PrimeOps(field)
+    """The backend for ``field``; one shared, stateless instance per field.
+
+    :class:`PackedOps` at p = 2, :class:`PrimeOps` at every other p.
+    """
+    return PackedOps(field) if field.p == 2 else PrimeOps(field)
 
 
 class PrimeOps:
@@ -170,13 +190,16 @@ class PrimeOps:
         e = self.e
         return (vecs @ table.reshape(e, e * e)).reshape(vecs.shape[:-1] + (e, e)) % self.p
 
+    def _flat(self, vals) -> np.ndarray:
+        return np.asarray(vals, dtype=self.dtype).reshape(-1) % self.p
+
     def row(self, vals) -> np.ndarray:
         """A flat row from coordinates: an (m,) or (m, e) array, or raw values."""
-        return np.asarray(vals, dtype=self.dtype).reshape(-1) % self.p
+        return self._flat(vals)
 
     def column(self, vals) -> np.ndarray:
         """The (m*e, e) right-hand factor of :meth:`dot_is_zero`, from ``vals`` read as by ``row``."""
-        return self._blocks(self.row(vals).reshape(-1, self.e), self.units).reshape(-1, self.e)
+        return self._blocks(self._flat(vals).reshape(-1, self.e), self.units).reshape(-1, self.e)
 
     def matrix(self, cells) -> np.ndarray:
         """The step matrix of R -> F(R T) for T's coordinate array, (m, m) or (m, m, e)."""
@@ -217,6 +240,31 @@ class PrimeOps:
 
     def rank_tracker(self) -> "PrimeRankTracker":
         return PrimeRankTracker(self.p, self.units)
+
+    def coordinates(self, row, m: int) -> np.ndarray:
+        """The int64 coordinate array, (m,) or (m, e), of a row of m entries; :meth:`row` inverted."""
+        return np.asarray(row, dtype=np.int64).reshape((m,) + self.shape)
+
+    # A batch of lift rows R_{c,n}, one per shift c, for lifts.ns_lift: here
+    # an (N, m*e) array, stepped all at once.
+
+    def lift_batch(self, first, shifts) -> tuple:
+        """The batch R_{c,1} = ``first`` for each shift c, and the shifts as :meth:`column`s."""
+        n = len(shifts)
+        return np.broadcast_to(first, (n, first.size)), self.column(shifts).reshape(n, first.size, self.e)
+
+    def zero_rows(self, R) -> np.ndarray:
+        """Which rows of the batch are zero."""
+        # R == 0 is boolean on every dtype (object included), whatever numpy's version
+        return (R == 0).all(axis=1)
+
+    def lift_step(self, R, mat, cols, lam):
+        """The batch's next rows F(R T_c) = F(R T) - F(R . c) R_1, T's step matrix being ``mat``.
+
+        ``lam`` is :meth:`shift_row` of lambda: F(R . c) R_1 is (R . c) times it.
+        """
+        dots = (R[:, None] @ cols)[:, 0] % self.p  # the coordinates of each row's R . c
+        return (self.row_times_matrix(R, mat) - dots @ lam) % self.p
 
 
 class PrimeRankTracker:
@@ -265,6 +313,223 @@ class PrimeRankTracker:
         return True
 
 
+_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))  # hex digit -> its value
+
+
+def _pack(bits: np.ndarray) -> list:
+    """The rows of a 2-D array of 0s and 1s as ints, column j giving bit j.
+
+    Each row is read as 64-bit words, which ``tolist`` turns into ints in
+    one call; rows up to 128 bits, every K3 row over F_4, then take at most
+    one shift each, against one ``int.from_bytes`` per row.
+    """
+    n, width = bits.shape
+    words = max(1, -(-width // 64))
+    padded = np.zeros((n, 8 * words), dtype=np.uint8)
+    padded[:, : -(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    word = padded.view("<u8")
+    out = word[:, -1].tolist()
+    for k in range(words - 2, -1, -1):
+        out = [high << 64 | low for high, low in zip(out, word[:, k].tolist())]
+    return out
+
+
+def _nibble_tables(rows: list) -> tuple:
+    """The step matrix with rows ``rows`` as one table per 4 rows, highest first.
+
+    Table k, counted from the last, maps each 4-bit value x to the XOR of
+    rows 4k + b over the set bits b of x, so a row r times the matrix is the
+    XOR of one entry per hex digit of r.
+    """
+    rows = list(rows) + [0] * (-len(rows) % 4)
+    tables = []
+    for i in range(len(rows) - 4, -1, -4):
+        a, b, c, d = rows[i : i + 4]
+        ab, cd = a ^ b, c ^ d
+        tables.append((0, a, b, ab, c, a ^ c, b ^ c, ab ^ c,
+                       d, a ^ d, b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd))
+    return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _repunit(e: int, n: int) -> int:
+    """The int with bits 0, e, 2e, ..., (n-1)e set: coordinate 0 of each of n entries."""
+    return ((1 << (n * e)) - 1) // ((1 << e) - 1)
+
+
+class PackedOps(PrimeOps):
+    """The backend over F_(2^e): a row of m entries is one Python int of m*e bits.
+
+    Bit i*e + k of the int is coordinate k of entry i, the flat position
+    :class:`PrimeOps` gives that coordinate; :meth:`row`, :meth:`column` and
+    :meth:`matrix` build on PrimeOps' arrays and pack them.  Every map the
+    walk applies is F_2-linear on these bits:
+
+    * a step R -> F(R T) is the XOR of the step matrix's rows at R's set
+      bits, read four bits at a time from :func:`_nibble_tables`;
+    * Frobenius and multiplication by t^k act on each entry's e bits by a
+      fixed e x e matrix, so each is a few masks of coordinates, each moved
+      by one shift (:meth:`_entrywise`);
+    * a dot R . v is e parities, one per coordinate of the value: column
+      k of :meth:`column` masks the bits whose sum is coordinate k;
+    * the rank tracker (:class:`PackedRankTracker`) is an XOR basis.
+
+    The inherited coefficient arithmetic of ``_fpbundle`` is unchanged.
+    """
+
+    def __init__(self, field: Field):
+        super().__init__(field)
+
+        def moves(table) -> tuple:
+            """((shift, lanes), ...): coordinate l moves to l' for each 1 at [l, l']."""
+            lanes = {}
+            for l, lp in np.argwhere(table).tolist():
+                lanes[lp - l] = lanes.get(lp - l, 0) | 1 << l
+            return tuple(sorted(lanes.items()))
+
+        self._frob_moves = moves(self.frob)
+        self._unit_moves = tuple(moves(u) for u in self.units)
+
+    def _entrywise(self, row: int, moves: tuple) -> int:
+        """The image of ``row`` under one e x e matrix acting on every entry, as ``moves``."""
+        e = self.e
+        rep = _repunit(e, -(-row.bit_length() // e))
+        out = 0
+        for shift, lanes in moves:
+            part = row & rep * lanes  # lanes < 2^e, so rep * lanes sets bits i*e + l, l in lanes
+            out ^= part << shift if shift >= 0 else part >> -shift
+        return out
+
+    def row(self, vals) -> int:
+        return int.from_bytes(np.packbits(self._flat(vals), bitorder="little").tobytes(), "little")
+
+    def column(self, vals) -> tuple:
+        """The e masks of :meth:`dot_is_zero`: mask k selects the bits coordinate k of R . v sums."""
+        if self.e == 1:  # R . v is the parity of R & v
+            return (self.row(vals),)
+        return tuple(_pack(super().column(vals).T))
+
+    def matrix(self, cells) -> tuple:
+        """The step matrix of R -> F(R T), as :func:`_nibble_tables` of its rows.
+
+        Its bits are :meth:`PrimeOps.matrix`'s entries, but at e > 1 only the
+        blocks of nonzero cells T_ij are formed, since T is sparse (683 of
+        the 15,876 cells of the ns = 58 quintic over F_4).
+        """
+        cells = np.asarray(cells, dtype=np.int64)
+        m, e = len(cells), self.e
+        if e == 1:
+            return _nibble_tables(_pack(cells))
+        # the nonzero cells: an OR over the e coordinates, as cells.any(axis=2)
+        # is several times slower on so short an axis
+        hit = cells[..., 0].copy()
+        for k in range(1, e):
+            hit |= cells[..., k]
+        i, j = np.nonzero(hit)
+        dense = np.zeros((m, e, m, e), dtype=np.uint8)
+        dense[i, :, j, :] = self._blocks(cells[i, j], self.steps)
+        return _nibble_tables(_pack(dense.reshape(m * e, m * e)))
+
+    @staticmethod
+    def _matrix_rows(mat: tuple) -> list:
+        """The rows of a :meth:`matrix`, padded to a multiple of 4 with zero rows."""
+        return [table[1 << b] for table in reversed(mat) for b in range(4)]
+
+    def shift_row(self, lam_row: int) -> tuple:
+        """The e rows F(t^k lambda) that a shift by c subtracts; see :meth:`PrimeOps.shift_row`."""
+        return tuple(self.frobenius_row(self._entrywise(lam_row, moves)) for moves in self._unit_moves)
+
+    def shift_matrix(self, mat, lam_row, c) -> tuple:
+        """The step matrix of T - c * lambda: row j of T's, plus row k of :meth:`shift_row`
+        wherever entry (j, k) of :meth:`PrimeOps.column` of c is 1."""
+        lam = self.shift_row(lam_row)
+        rows = self._matrix_rows(mat)
+        for j, k in zip(*np.nonzero(super().column(c))):
+            rows[j] ^= lam[k]
+        return _nibble_tables(rows)
+
+    def frobenius_row(self, row: int) -> int:
+        return self._entrywise(row, self._frob_moves)
+
+    def row_times_matrix(self, row: int, mat: tuple) -> int:
+        digits = format(row, f"0{len(mat)}x").encode().translate(_NIBBLES)
+        return reduce(xor, map(getitem, mat, digits), 0)
+
+    def dot_is_zero(self, row: int, col: tuple) -> bool:
+        return not any((row & mask).bit_count() & 1 for mask in col)
+
+    def rank_tracker(self) -> "PackedRankTracker":
+        return PackedRankTracker(self)
+
+    def coordinates(self, row: int, m: int) -> np.ndarray:
+        n = m * self.e
+        raw = np.frombuffer(row.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=n, bitorder="little").astype(np.int64).reshape((m,) + self.shape)
+
+    # A batch of lift rows is a list of ints, each stepped on its own.
+
+    def lift_batch(self, first: int, shifts) -> tuple:
+        n, e = len(shifts), self.e
+        cols = _pack(super().column(shifts).reshape(n, -1, e).transpose(0, 2, 1).reshape(n * e, -1))
+        return [first] * n, [tuple(cols[i : i + e]) for i in range(0, n * e, e)]
+
+    def zero_rows(self, R: list) -> np.ndarray:
+        return np.array([not r for r in R], dtype=bool)
+
+    def lift_step(self, R: list, mat: tuple, cols: list, lam: tuple) -> list:
+        out = []
+        for r, col in zip(R, cols):
+            nxt = self.row_times_matrix(r, mat)
+            for mask, row in zip(col, lam):
+                if (r & mask).bit_count() & 1:
+                    nxt ^= row
+            out.append(nxt)
+        return out
+
+
+class PackedRankTracker:
+    """F_(2^e)-rank of the rows inserted so far, as an XOR basis of :class:`PackedOps` rows.
+
+    Each pivot is keyed by its top bit, and no two share one, so a row
+    reduces by XOR with the pivot at its current top bit until that bit has
+    none: it is then independent of the pivots, or zero.  As in
+    :class:`PrimeRankTracker`, a row independent over F_q enters with its
+    t^k multiples, so the F_2-span of the pivots is the F_q-span of the rows.
+    """
+
+    def __init__(self, ops: PackedOps):
+        self.ops = ops
+        self.pivots: dict[int, int] = {}  # top bit -> pivot row
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots) // self.ops.e
+
+    def reduce(self, row: int) -> int:
+        pivots = self.pivots
+        while row:
+            pivot = pivots.get(row.bit_length() - 1)
+            if pivot is None:
+                break
+            row ^= pivot
+        return row
+
+    def _insert(self, row: int) -> bool:
+        row = self.reduce(row)
+        if row:
+            self.pivots[row.bit_length() - 1] = row
+        return bool(row)
+
+    def add_row(self, row: int) -> bool:
+        """Insert a row; True if it enlarged the row space."""
+        if not self._insert(row):
+            return False
+        ops = self.ops
+        for moves in ops._unit_moves[1:]:
+            self._insert(ops._entrywise(row, moves))
+        return True
+
+
 class GenericOps:
     """Oracle for :class:`PrimeOps`: list-backed arithmetic through the field kernels."""
 
@@ -276,6 +541,10 @@ class GenericOps:
         return raw_values(np.asarray(vals, dtype=np.int64), self.field.e)
 
     column = matrix = row
+
+    def coordinates(self, row, m: int) -> np.ndarray:
+        """The int64 coordinate array of a row of m raw values, which are its coordinates."""
+        return np.asarray(row, dtype=np.int64).reshape((m,) + ((self.field.e,) if self.field.e > 1 else ()))
 
     def shift_matrix(self, mat, lam_row, c) -> list:
         """T - c * lambda (column c times row lambda) as raw rows."""

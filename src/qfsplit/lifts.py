@@ -104,12 +104,13 @@ def ns_lift(b: FrobeniusBundle, shifts: Iterable[Sequence[RawElement]]) -> list:
     is reported at the cap m + 1 (:func:`cartier.default_ns_cap`), which
     bounds ns.
 
-    All shifts are walked at once, as the rows of one (N, m*e) array on the
-    bundle's ``PrimeOps`` backend, and T_c is never built: one step is
-    F(R T), one ``row_times_matrix`` call with T's step matrix, minus
-    (R . c) times the row of blocks of :meth:`_linalg.PrimeOps.shift_row`.
-    The shifts are read and walked in chunks of at most _CHUNK_CELLS row
-    coordinates, so memory does not grow with their number.
+    All shifts are walked at once, as one batch of rows on the bundle's
+    backend (:meth:`_linalg.PrimeOps.lift_batch`), and T_c is never built:
+    one :meth:`_linalg.PrimeOps.lift_step` is F(R T) on T's step matrix,
+    minus (R . c) times the row of blocks of
+    :meth:`_linalg.PrimeOps.shift_row`.  The shifts are read and walked in
+    chunks of at most _CHUNK_CELLS row coordinates, so memory does not grow
+    with their number.
     """
     _require_infinite_height(b)
     ops = b.ops
@@ -123,16 +124,13 @@ def ns_lift(b: FrobeniusBundle, shifts: Iterable[Sequence[RawElement]]) -> list:
     while chunk := list(islice(todo, max(1, _CHUNK_CELLS // (m * e)))):
         if any(len(c) != m for c in chunk):
             raise UsageError(f"shift vector must have length {m}")
-        cols = ops.column(chunk).reshape(len(chunk), m * e, e)
-        R = np.broadcast_to(first, (len(chunk), m * e))
+        R, cols = ops.lift_batch(first, chunk)
         index = np.zeros(len(chunk), dtype=np.int64)  # 0 until R_{c,n} = 0
         for n in range(1, ns + 1):
-            # R == 0 is boolean on every dtype (object included), whatever numpy's version
-            index[(index == 0) & (R == 0).all(axis=1)] = n
+            index[(index == 0) & ops.zero_rows(R)] = n
             if n == ns or index.all():
                 break
-            dots = (R[:, None] @ cols)[:, 0] % ops.p  # the coordinates of each row's R . c
-            R = (ops.row_times_matrix(R, b.T_mat) - dots @ lam) % ops.p
+            R = ops.lift_step(R, b.T_mat, cols, lam)
         out.extend(int(k) if k else infinite for k in index)
     return out
 

@@ -38,9 +38,7 @@ def krylov_matrix(b: FrobeniusBundle, n: int, T=None) -> list:
     """
     if n < 1:
         raise UsageError("need at least one row")
-    e = b.field.e
-    return [raw_values(R if e == 1 else np.reshape(R, (b.m, e)), e)
-            for R in islice(krylov_rows(b, T), n)]
+    return [raw_values(b.ops.coordinates(R, b.m), b.field.e) for R in islice(krylov_rows(b, T), n)]
 
 
 def lift_index_reference(b: FrobeniusBundle, c, rows: int | None = None):
@@ -51,8 +49,7 @@ def lift_index_reference(b: FrobeniusBundle, c, rows: int | None = None):
     ``ns_lift`` reports.  Runs on either backend.
     """
     walk = islice(krylov_rows(b, lifts.t_shifted(b, c)), b.m + 1 if rows is None else rows)
-    # a row's coordinates, or its raw values on GenericOps, read as one int64 array
-    first_zero = next((n for n, R in enumerate(walk, 1) if not np.asarray(R, np.int64).any()), None)
+    first_zero = next((n for n, R in enumerate(walk, 1) if not b.ops.coordinates(R, b.m).any()), None)
     return Infinite(cap=b.m + 1) if first_zero is None else first_zero
 
 
@@ -113,7 +110,7 @@ def finite_lift(b: FrobeniusBundle, ns: int) -> list:
 
 
 def step_matrix_reference(ops, rows) -> np.ndarray:
-    """``ops.matrix`` (a ``PrimeOps``) rebuilt from T's raw rows, one entry at a time.
+    """``PrimeOps.matrix`` rebuilt from T's raw rows, one entry at a time, on ``ops``' tables.
 
     The production build reads T's coordinate array and forms every block
     in one ``_blocks`` call, then moves the blocks into place with one
@@ -139,12 +136,21 @@ def step_matrix_reference(ops, rows) -> np.ndarray:
     return out.reshape(m * e, m * e)
 
 
+def step_matrix_array(b: FrobeniusBundle, mat) -> np.ndarray:
+    """The step matrix ``mat`` of ``b.ops``, in any backend's form, read back as an
+    (m*e, m*e) coordinate array: row j is the step of the j-th unit row."""
+    ops = b.ops
+    unit = np.eye(b.m * b.field.e, dtype=np.int64)
+    return np.array([ops.coordinates(ops.row_times_matrix(ops.row(u), mat), b.m).reshape(-1)
+                     for u in unit])
+
+
 def assert_bundle_matches(b: FrobeniusBundle, raw: tuple) -> None:
     """The bundle's (lambda, T) read as raw values equal ``raw``, the dict route's,
     and its step matrix equals the entry-by-entry build from the raw rows."""
     lam, T = bundle_raw(b)
     assert (lam, T) == raw
-    assert np.array_equal(b.T_mat, step_matrix_reference(b.ops, T))
+    assert np.array_equal(step_matrix_array(b, b.T_mat), step_matrix_reference(b.ops, T))
 
 
 def assert_twins(f: Polynomial) -> list:

@@ -83,6 +83,22 @@ def test_routes_agree_on_delsarte_families(p):
         assert_twins(parse_poly(record.equation, RingConfig(field(p), record.weights)))
 
 
+# one-term forms: f^(p-2) = c^(p-2) x^((p-2)a) and delta = 0, the powers taken
+# in closed form; the coefficient 3 (t+1 over F_{p^2}) keeps c^(p-2) from being 1
+ONE_TERM = ["x*y*z*w", "x^4", "x^2*y*w", "C*x*y^2*z"]
+ONE_TERM_FIELDS = [(11, 1), (97, 1), (997, 1), (4093, 1), (8191, 1), (3, 2), (5, 2), (7, 2), (11, 2)]
+
+
+@pytest.mark.parametrize("p,e", ONE_TERM_FIELDS, ids=[f"F{p}^{e}" for p, e in ONE_TERM_FIELDS])
+def test_routes_agree_on_one_term_forms(p, e):
+    fld = field(p, e)
+    ring = RingConfig(fld, QUARTIC)
+    c = "(t+1)" if e > 1 else "3"
+    lams = [assert_twins(parse_poly(text.replace("C", c), ring)) for text in ONE_TERM]
+    # x*y*z*w reads lambda at (p-2)(1, 1, 1, 1) + (1, 1, 1, 1); x^4 leaves it 0
+    assert [any(v != fld.zero for v in lam) for lam in lams[:2]] == [True, False]
+
+
 # -- F_{p^e}: the Galois-ring lift --------------------------------------------
 
 # F_4, F_8, F_9, F_25, F_27 and F_49

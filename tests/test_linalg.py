@@ -1,9 +1,11 @@
-"""The Weil-restricted numpy backend against the list-based reference backend.
+"""The production backends against the list-based reference backend.
 
 Every bundle here is computed twice: once through ``make_ops`` (PrimeOps over
 F_{p^e}, with F_p as the case e = 1, on int64 below p = 2^15 and on exact
-Python ints above) and once through a twin whose backend is ``GenericOps``,
-which drives the field kernels entry by entry.  Results must agree exactly.
+Python ints above; PackedOps, Python-int bit rows, at p = 2) and once through
+a twin whose backend is ``GenericOps``, which drives the field kernels entry
+by entry.  At p = 2 a third twin runs on the numpy backend, ``PrimeOps(F)``.
+Results must agree exactly.
 """
 
 import random
@@ -34,6 +36,11 @@ FIELDS = [field(2), field(3), field(5), field(2, 2), field(2, 3), field(3, 2), f
 # still fits int64 for small m; at 2^31 - 1 two products already overflow it.
 LARGE_FIELDS = [field(32771), field(2**31 - 1), field(32771, 2)]
 K3_WEIGHTS = [(1, 1, 1, 1), (1, 1, 1, 3)]
+QUINTIC = (1, 1, 1, 1, 1)
+# (field, weights, id): the K3 rings over every field, and at p = 2 the quintic
+# threefold ring too, whose walks are the longest
+WALK_CASES = [(fld, w, f"{fld!r}-weights{k}") for k, w in enumerate(K3_WEIGHTS) for fld in FIELDS]
+WALK_CASES += [(fld, QUINTIC, f"{fld!r}-weights2") for fld in FIELDS if fld.p == 2]
 
 
 def random_forms(fld, weights, count, seed):
@@ -53,6 +60,11 @@ def generic_twin(b):
     return FrobeniusBundle(b.basis, b.f, *bundle_raw(b), ops=_linalg.GenericOps(b.field))
 
 
+def numpy_twin(b):
+    """The same bundle on the numpy backend, ``PrimeOps(F)``: at p = 2 the packed backend's twin."""
+    return FrobeniusBundle(b.basis, b.f, b.lam_coords, b.T_coords, ops=_linalg.PrimeOps(b.field))
+
+
 def generic_rank(rows, fld):
     ops = _linalg.GenericOps(fld)
     tracker = ops.rank_tracker()
@@ -68,8 +80,9 @@ def random_shift(b, rng):
 
 @pytest.mark.parametrize("fld", FIELDS, ids=repr)
 def test_make_ops_picks_numpy_for_extension_fields(fld):
+    # bit rows at p = 2, numpy arrays at every other p, whatever e is
     ops = _linalg.make_ops(fld)
-    assert isinstance(ops, _linalg.PrimeOps)
+    assert type(ops) is (_linalg.PackedOps if fld.p == 2 else _linalg.PrimeOps)
     assert ops is _linalg.make_ops(field(fld.p, fld.e))  # one instance per field
 
 
@@ -86,46 +99,62 @@ def test_field_backend_is_shared_and_read_only(fld):
     assert b.ops is ops
 
 
-@pytest.mark.parametrize("weights", K3_WEIGHTS)
-@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+@pytest.mark.parametrize("fld,weights", [case[:2] for case in WALK_CASES],
+                         ids=[case[2] for case in WALK_CASES])
 def test_weil_backend_matches_generic(fld, weights):
     seed = fld.order * 10 + weights[-1]
     rng = random.Random(seed)
     for f in random_forms(fld, weights, 6, seed=seed):
         b = bundle(f)
-        g = generic_twin(b)
-        assert isinstance(b.ops, _linalg.PrimeOps)
-        assert repr(height(b)) == repr(height(g)), str(f)
-        assert repr(ns_index(b)) == repr(ns_index(g)), str(f)
+        assert b.ops is _linalg.make_ops(fld)
         n = 12
         rows = krylov_matrix(b, n)
-        assert rows == krylov_matrix(g, n)
         c = random_shift(b, rng)
-        assert krylov_matrix(b, n, t_shifted(b, c)) == krylov_matrix(g, n, t_shifted(g, c))
+        for twin in (generic_twin(b), numpy_twin(b)):
+            assert repr(height(b)) == repr(height(twin)), str(f)
+            assert repr(ns_index(b)) == repr(ns_index(twin)), str(f)
+            assert rows == krylov_matrix(twin, n)
+            assert krylov_matrix(b, n, t_shifted(b, c)) == krylov_matrix(twin, n, t_shifted(twin, c))
         for k in (1, 2, 5, n):
             assert matrix_rank(rows[:k], fld) == generic_rank(rows[:k], fld)
+
+
+# the rings and form counts of the lift twins: every ring at p = 2, the quartic elsewhere
+LIFT_RINGS = {2: [((1, 1, 1, 1), 20), ((1, 1, 1, 3), 5), (QUINTIC, 3)], "odd": [((1, 1, 1, 1), 20)]}
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=repr)
 def test_weil_backend_matches_generic_on_lifts(fld):
     rng = random.Random(fld.order)
-    checked = 0
-    for f in random_forms(fld, (1, 1, 1, 1), 20, seed=fld.order):
-        b = bundle(f)
-        if not is_infinite(height(b)):
-            continue
-        g = generic_twin(b)
-        c = infinite_lift(b)
-        assert c == infinite_lift(g)
-        shifts = [random_shift(b, rng) for _ in range(2)]
-        # the batched walk against each shift walked alone on the reference backend
-        expected = [lift_index_reference(g, shift) for shift in shifts]
-        if c is not None:
-            shifts.append(c)
-            expected.append(Infinite(cap=b.m + 1))
-        assert [repr(v) for v in ns_lift(b, shifts)] == [repr(v) for v in expected]
-        checked += 1
-    assert checked >= 2
+    for k, (weights, count) in enumerate(LIFT_RINGS.get(fld.p, LIFT_RINGS["odd"])):
+        checked = 0
+        for f in random_forms(fld, weights, count, seed=fld.order + 1000 * k):
+            b = bundle(f)
+            if not is_infinite(height(b)):
+                continue
+            g, nb = generic_twin(b), numpy_twin(b)
+            c = infinite_lift(b)
+            assert c == infinite_lift(g) == infinite_lift(nb)
+            shifts = [random_shift(b, rng) for _ in range(2)]
+            # the batched walk against each shift walked alone on the reference backend
+            expected = [lift_index_reference(g, shift) for shift in shifts]
+            ns = ns_index(b)
+            if ns >= 2:  # lambda != 0
+                shifts.append(finite_lift(g, ns))
+                expected.append(ns)
+            if c is not None:
+                shifts.append(c)
+                expected.append(Infinite(cap=b.m + 1))
+            assert [repr(v) for v in ns_lift(b, shifts)] == [repr(v) for v in expected]
+            assert [repr(v) for v in ns_lift(nb, shifts)] == [repr(v) for v in expected]
+            # lambda = 0, which no form gives at p = 2: ns = 1, every index 1, no infinite lift
+            z = FrobeniusBundle(b.basis, b.f, np.zeros_like(b.lam_coords), b.T_coords)
+            for bz in (z, generic_twin(z), numpy_twin(z)):
+                assert ns_index(bz) == 1 and infinite_lift(bz) is None
+            assert ns_lift(z, shifts) == ns_lift(numpy_twin(z), shifts) == [1] * len(shifts)
+            assert [lift_index_reference(generic_twin(z), shift) for shift in shifts] == [1] * len(shifts)
+            checked += 1
+        assert checked >= 2, weights
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=repr)
