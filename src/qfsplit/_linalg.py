@@ -13,11 +13,6 @@ itself being the case e = 1:
 * the step matrix of the Krylov map R -> F(R T) has as block (i, j) the
   multiplication matrix of T_ij times the Frobenius matrix, so one Krylov
   step is one product of a row with it;
-* a lift's T - c * lambda is never built entrywise: its step matrix is T's
-  minus column(c) times the (e, m*e) row :meth:`PrimeOps.shift_row`, a
-  rank-e update (:meth:`PrimeOps.shift_matrix`), and a step of a batch of
-  lifts is the plain step minus (R . c) times that row
-  (:meth:`PrimeOps.lift_step`);
 * the F_q-span of rows R_1..R_n is the F_p-span of their multiples
   t^k R_i, so the F_q-rank is the F_p-rank divided by e: a rank tracker
   inserts each row independent over F_q together with its t-multiples.
@@ -223,10 +218,6 @@ class PrimeOps:
         e = self.e
         return self._blocks(lam_row.reshape(-1, e), self.steps).transpose(1, 0, 2).reshape(e, -1)
 
-    def shift_matrix(self, mat, lam_row, c):
-        """The step matrix of T - c * lambda, from the step matrix ``mat`` of T: a rank-e update."""
-        return (mat - self.column(c) @ self.shift_row(lam_row)) % self.p
-
     def frobenius_row(self, row):
         return ((row.reshape(-1, self.e) @ self.frob) % self.p).reshape(-1)
 
@@ -430,23 +421,9 @@ class PackedOps(PrimeOps):
         dense[i, :, j, :] = self._blocks(cells[i, j], self.steps)
         return _nibble_tables(_pack(dense.reshape(m * e, m * e)))
 
-    @staticmethod
-    def _matrix_rows(mat: tuple) -> list:
-        """The rows of a :meth:`matrix`, padded to a multiple of 4 with zero rows."""
-        return [table[1 << b] for table in reversed(mat) for b in range(4)]
-
     def shift_row(self, lam_row: int) -> tuple:
         """The e rows F(t^k lambda) that a shift by c subtracts; see :meth:`PrimeOps.shift_row`."""
         return tuple(self.frobenius_row(self._entrywise(lam_row, moves)) for moves in self._unit_moves)
-
-    def shift_matrix(self, mat, lam_row, c) -> tuple:
-        """The step matrix of T - c * lambda: row j of T's, plus row k of :meth:`shift_row`
-        wherever entry (j, k) of :meth:`PrimeOps.column` of c is 1."""
-        lam = self.shift_row(lam_row)
-        rows = self._matrix_rows(mat)
-        for j, k in zip(*np.nonzero(super().column(c))):
-            rows[j] ^= lam[k]
-        return _nibble_tables(rows)
 
     def frobenius_row(self, row: int) -> int:
         return self._entrywise(row, self._frob_moves)
@@ -545,14 +522,6 @@ class GenericOps:
     def coordinates(self, row, m: int) -> np.ndarray:
         """The int64 coordinate array of a row of m raw values, which are its coordinates."""
         return np.asarray(row, dtype=np.int64).reshape((m,) + ((self.field.e,) if self.field.e > 1 else ()))
-
-    def shift_matrix(self, mat, lam_row, c) -> list:
-        """T - c * lambda (column c times row lambda) as raw rows."""
-        f = self.field
-        return [
-            list(row) if f.is_zero(ci) else [f.sub(t, f.mul(ci, l)) for t, l in zip(row, lam_row)]
-            for row, ci in zip(mat, c)
-        ]
 
     def frobenius_row(self, row) -> list:
         frob = self.field.frobenius

@@ -286,19 +286,18 @@ def dict_lam_and_T(f: Polynomial, bas: MonomialBasis) -> tuple:
 # height and non-splitting index
 # ---------------------------------------------------------------------------
 
-def krylov_rows(b: FrobeniusBundle, T=None) -> Iterator:
+def krylov_rows(b: FrobeniusBundle) -> Iterator:
     """The backend rows R_1 = F(lambda), R_{n+1} = F(R_n T), without end.
 
-    ``T`` is a step matrix from ``b.ops`` (default the bundle's own, read
-    only once a second row is asked for), so each step is one
-    ``row_times_matrix`` call.  Each row is computed only when the consumer
-    asks for it, so taking n rows costs n-1 steps.
+    Each step is one ``row_times_matrix`` call on the bundle's step matrix,
+    which is read only once a second row is asked for.  Each row is
+    computed only when the consumer asks for it, so taking n rows costs
+    n-1 steps.
     """
     ops = b.ops
     R = ops.frobenius_row(b.lam_row)
     yield R
-    if T is None:
-        T = b.T_mat
+    T = b.T_mat
     while True:
         R = ops.row_times_matrix(R, T)
         yield R

@@ -133,7 +133,7 @@ def _cmd_lift(args) -> int:
             _emit(args, ["lambda = 0: every lift has ns 1; no infinite lift exists"],
                   {**doc, "infinite_lift": None, "reason": "lambda_zero"})
             return 0
-        # infinite_lift's self-check walked R_{c,1}..R_{c,m+1}, past ns_lift's bound ns(f)
+        # infinite_lift checked ns_lift(b, [c]) = infinity, at this cap, before returning c
         v = Infinite(cap=cartier.default_ns_cap(b))
         cstr = ",".join(fld.format(x) for x in c)
         _emit(args, [f"c = {cstr}", f"ns_lift = {v}"],

@@ -15,13 +15,14 @@ infinite index exists and is constructed here.
 :func:`ns_lift` reads R_{c,1}..R_{c,ns(f)}, which is exhaustive (the proof
 is in its docstring), for any number of shifts in one batched walk that
 never builds T_c: a step is F(R T) minus (R . c) times a fixed row.
-:func:`t_shifted` gives one shift's step matrix as a rank-one update of the
-bundle's (:meth:`_linalg.PrimeOps.shift_matrix`); :func:`infinite_lift`
-walks it to R_{c,m+1} to check its construction.
+:func:`infinite_lift` proves the index of the lift it constructs with that
+same walk.
 
-``shifted_matrix_direct`` rebuilds T_c from the shifted polynomial kernel
-(delta(f) - G(c)^p) * f^(p-2) instead of the rank-one update; agreement of
-the two routes is a mandatory self-test exercised by the suite.
+Two oracles build T_c, for the tests that check the batched step:
+:func:`t_shifted` forms T - c * lambda entry by entry and returns its step
+matrix, and :func:`shifted_matrix_direct` rebuilds T_c from the shifted
+polynomial kernel (delta(f) - G(c)^p) * f^(p-2); agreement of the two
+routes is a mandatory self-test exercised by the suite.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .cartier import (
     default_ns_cap,
     descent_product,
     height,
-    krylov_rows,
     ns_index,
 )
 from .errors import ResourceError, UsageError
@@ -50,10 +50,18 @@ _CHUNK_CELLS = 1 << 16  # row coordinates (shifts x m*e) per chunk of the lift w
 
 
 def t_shifted(b: FrobeniusBundle, c: Sequence[RawElement]):
-    """The step matrix of T_c = T - c * lambda, updated from the bundle's own."""
-    if len(c) != b.m:
-        raise UsageError(f"shift vector must have length {b.m}, got {len(c)}")
-    return b.ops.shift_matrix(b.T_mat, b.lam_row, c)
+    """Oracle for :func:`ns_lift`'s batched step: the step matrix of T_c = T - c * lambda.
+
+    T_c is formed entry by entry, T_ij - c_i lambda_j on coordinate arrays,
+    and handed to ``b.ops.matrix``, so a walk on it shares no code with the
+    batched step (:meth:`_linalg.PrimeOps.lift_step`), which never builds T_c.
+    """
+    m = b.m
+    if len(c) != m:
+        raise UsageError(f"shift vector must have length {m}, got {len(c)}")
+    ops = make_ops(b.field)  # b.ops may be the list-based oracle, which has no mul
+    outer = ops.mul(np.repeat(ops.lift(list(c)), m, axis=0), np.concatenate([b.lam_coords] * m), ops.p)
+    return b.ops.matrix((b.T_coords - outer.reshape(b.T_coords.shape)) % ops.p)
 
 
 def shifted_matrix_direct(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
@@ -140,11 +148,12 @@ def infinite_lift(b: FrobeniusBundle) -> list | None:
 
     Picks the first j with lambda_j != 0 and sets c = lambda_j^{-1} (T e_j - e_j),
     which forces T_c e_j = e_j, so the recursion preserves a nonzero value at
-    coordinate j forever.  Both facts are verified before returning, the
-    second on R_{c,1}..R_{c,m+1}, the rows :func:`ns_lift` reads: none of
-    them is zero, so this one walk proves ns_lift(b, c) = infinity at cap
-    m + 1.  When lambda = 0 every lift has index 1 and None is returned.
-    Like :func:`ns_lift`, it requires an infinite base height.
+    coordinate j forever.  Both facts are verified before returning: the
+    first exactly, from column j of T alone, and the second as
+    ns_lift(b, [c]) = infinity at cap m + 1, which reads R_{c,1}..R_{c,ns(f)}
+    and is exhaustive by its proof.  When lambda = 0 every lift has index 1
+    and None is returned.  Like :func:`ns_lift`, it requires an infinite
+    base height.
     """
     _require_infinite_height(b)
     fld = b.field
@@ -162,11 +171,9 @@ def infinite_lift(b: FrobeniusBundle) -> list | None:
         if fld.sub(t, fld.mul(ci, lam_j)) != (fld.one if i == j else fld.zero):
             raise AssertionError("fixed-column identity T_c e_j = e_j failed")
 
-    ops = b.ops
-    e_j = ops.column([fld.one if i == j else fld.zero for i in range(b.m)])
-    for R in islice(krylov_rows(b, t_shifted(b, c)), default_ns_cap(b)):
-        if ops.dot_is_zero(R, e_j):  # R_{c,n} e_j, coordinate j of the row
-            raise AssertionError("R_{c,n} e_j vanished; construction invariant broken")
+    (v,) = ns_lift(b, [c])
+    if not is_infinite(v):
+        raise AssertionError(f"constructed lift has ns_lift = {v}; construction invariant broken")
     return c
 
 

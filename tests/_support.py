@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import chain, islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,16 +29,29 @@ def bundle_raw(b: FrobeniusBundle) -> tuple:
     return as_raw((b.lam_coords, b.T_coords), b.field)
 
 
+def rows_on(b: FrobeniusBundle, T) -> Iterator:
+    """R_1 = F(lambda), R_{n+1} = F(R_n T) on a step matrix ``T`` of ``b.ops``, without end.
+
+    ``cartier.krylov_rows`` on another matrix: a lift's ``lifts.t_shifted(b, c)``
+    gives the shifted rows R_{c,n}.  Each row is stepped only when asked for.
+    """
+    R = b.ops.frobenius_row(b.lam_row)
+    while True:
+        yield R
+        R = b.ops.row_times_matrix(R, T)
+
+
 def krylov_matrix(b: FrobeniusBundle, n: int, T=None) -> list:
     """The n rows R_1, ..., R_n as raw values, against the step matrix ``T``.
 
-    ``T`` is as in :func:`qfsplit.cartier.krylov_rows`: default the bundle's
-    own, giving the plain rows whose rank profile encodes the non-splitting
-    index; a lift's ``lifts.t_shifted(b, c)`` gives the shifted rows R_{c,n}.
+    By default the bundle's own rows, ``cartier.krylov_rows``, whose rank
+    profile encodes the non-splitting index; otherwise those of
+    :func:`rows_on`.
     """
     if n < 1:
         raise UsageError("need at least one row")
-    return [raw_values(b.ops.coordinates(R, b.m), b.field.e) for R in islice(krylov_rows(b, T), n)]
+    rows = krylov_rows(b) if T is None else rows_on(b, T)
+    return [raw_values(b.ops.coordinates(R, b.m), b.field.e) for R in islice(rows, n)]
 
 
 def lift_index_reference(b: FrobeniusBundle, c, rows: int | None = None):
@@ -46,9 +59,9 @@ def lift_index_reference(b: FrobeniusBundle, c, rows: int | None = None):
 
     The first n <= ``rows`` (default m + 1, the bound the rows' dimension
     gives) with R_{c,n} = 0, else an infinity at the cap m + 1 that
-    ``ns_lift`` reports.  Runs on either backend.
+    ``ns_lift`` reports.  Runs on every backend, ``GenericOps`` included.
     """
-    walk = islice(krylov_rows(b, lifts.t_shifted(b, c)), b.m + 1 if rows is None else rows)
+    walk = islice(rows_on(b, lifts.t_shifted(b, c)), b.m + 1 if rows is None else rows)
     first_zero = next((n for n, R in enumerate(walk, 1) if not b.ops.coordinates(R, b.m).any()), None)
     return Infinite(cap=b.m + 1) if first_zero is None else first_zero
 

@@ -9,7 +9,6 @@ import random
 import time
 
 from qfsplit import catalog, delsarte, lifts, scan
-from qfsplit._linalg import GenericOps
 from qfsplit.cartier import (
     basis,
     bundle,
@@ -162,19 +161,19 @@ def test_criterion_08_infinite_lift_construction():
     for entry in entries:
         b = bundle(entry.polynomial())
         fld = b.field
-        lam, T = bundle_raw(b)
+        lam = bundle_raw(b)[0]
         if all(fld.is_zero(v) for v in lam):
             assert lifts.infinite_lift(b) is None
             continue
-        c = lifts.infinite_lift(b)  # verifies R_{c,n} e_j != 0, n <= 36
+        c = lifts.infinite_lift(b)  # verifies ns_lift(b, [c]) = infinity, at cap 36
         j = next(i for i, v in enumerate(lam) if not fld.is_zero(v))
-        T_c = GenericOps(fld).shift_matrix(T, lam, c)  # raw T - c * lambda
+        T_c = lifts.shifted_matrix_direct(b, c)  # raw T - c * lambda, from polynomial data
         for i in range(b.m):
             expected = fld.one if i == j else fld.zero
             assert T_c[i][j] == expected  # T_c e_j = e_j exactly
         built += 1
     assert built == 16  # all rows except the lambda = 0 Fermat quartic over F_3
-    _report(8, f"infinite lifts built and verified through n = 36 on {built} equations")
+    _report(8, f"infinite lifts built, with T_c e_j = e_j and ns_lift = infinity, on {built} equations")
 
 
 def test_criterion_09_oracle_equivalences():

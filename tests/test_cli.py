@@ -8,12 +8,12 @@ import jsonschema
 import pytest
 
 import qfsplit
-from qfsplit import cartier, catalog, scan
+from qfsplit import cartier, catalog, lifts, scan
 from qfsplit.catalog import SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
 from qfsplit.cli import main
 from qfsplit.ffield import field
 from qfsplit.polyring import RingConfig, parse_poly
-from qfsplit.values import is_infinite, value_to_json
+from qfsplit.values import Infinite, is_infinite, value_to_json
 
 from _support import lift_index_reference
 
@@ -159,6 +159,32 @@ def test_lift_find_infinite_when_lambda_is_zero(capsys):
     assert code == 0 and doc["infinite_lift"] is None and doc["reason"] == "lambda_zero"
 
 
+@pytest.mark.parametrize("ext_degree", [1, 2], ids=["Fp", "Fp2"])
+@pytest.mark.parametrize("entry", catalog.all_entries(), ids=lambda e: e.name)
+def test_lift_find_infinite_on_every_catalog_row(capsys, entry, ext_degree):
+    # the printed c is infinite_lift's, and its index is infinity at cap m + 1;
+    # lambda = 0 rows report that no infinite lift exists
+    ring = RingConfig(field(entry.p, ext_degree), entry.weights)
+    b = cartier.bundle(parse_poly(entry.equation, ring))
+    argv = ["lift", "-p", str(entry.p), "--ext-degree", str(ext_degree),
+            "--weights", ",".join(map(str, entry.weights)), entry.equation, "--find-infinite"]
+    text = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    c = lifts.infinite_lift(b)
+    if c is None:
+        assert cartier.ns_index(b) == 1
+        assert text == (0, "lambda = 0: every lift has ns 1; no infinite lift exists\n", "")
+        assert (doc["infinite_lift"], doc["reason"]) == (None, "lambda_zero")
+        return
+    (v,) = lifts.ns_lift(b, [c])
+    assert v == Infinite(cap=b.m + 1)
+    cstr = ",".join(ring.field.format(x) for x in c)
+    assert text == (0, f"c = {cstr}\nns_lift = {v}\n", "")
+    assert (doc["infinite_lift"], doc["ns_lift"]) == (cstr, value_to_json(v))
+
+
 @pytest.mark.parametrize("p, equation", [(2, "x^4 + xy^3 + yw^3 + z^3w"),
                                          (3, SUPERSINGULAR_QUARTICS_F3[1].equation)])
 def test_lift_c_reports_ns_lift(capsys, p, equation):
@@ -189,12 +215,12 @@ def counted_bundles(monkeypatch, step_counting):
 
 
 def test_lift_find_infinite_walks_once(capsys, counted_bundles):
-    # the base walk to ns 9 (8 steps), then R_{c,1}..R_{c,36} once (35 steps);
-    # T_c is a rank-one update of T, so T is the only step matrix built
+    # the base walk to ns 9 (8 steps), then ns_lift's check of c to R_{c,9}
+    # (8 steps) on T's step matrix, the only one built
     code, out, _ = run_cli(capsys, "lift", "-p", "2", SS_QUARTIC, "--find-infinite")
     assert code == 0 and "ns_lift = infinity" in out
     (b,) = counted_bundles
-    assert (b.ops.calls, b.ops.matrix_calls) == (43, 1)
+    assert (b.ops.calls, b.ops.matrix_calls) == (16, 1)
 
 
 def test_lift_random_builds_one_step_matrix(capsys, counted_bundles):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from qfsplit import lifts
+from qfsplit import catalog, lifts
 from qfsplit.catalog import QUINTIC_THREEFOLD_F2, SUPERSINGULAR_QUARTICS_F2, SUPERSINGULAR_QUARTICS_F3
 from qfsplit.cartier import basis, bundle, height, ns_index
 from qfsplit.errors import UsageError
@@ -81,8 +81,8 @@ ORACLE_ROWS = [
 
 
 def test_direct_rebuild_matches_rank_one_update():
-    # the step matrix t_shifted updates from T's equals the one built from
-    # T_c as rebuilt from the shifted polynomial kernel
+    # the step matrix of T - c * lambda, formed entrywise by t_shifted, equals
+    # the one built from T_c as rebuilt from the shifted polynomial kernel
     for p, e, weights, equation in ORACLE_ROWS:
         ring = RingConfig(field(p, e), weights)
         rng = random.Random(p * 100 + e * 10 + sum(weights))
@@ -230,14 +230,32 @@ def test_infinite_lift_construction():
     (QUINTIC_THREEFOLD_F2.weights, QUINTIC_THREEFOLD_F2.equation),
 ], ids=["sextic", "quintic-ns58"])
 def test_infinite_lift_checks_every_row_ns_lift_reads(step_counting, weights, equation):
-    # the self-check walks R_{c,1}..R_{c,m+1}, every row ns_lift could read
-    # (its proven bound ns(f) is at most m + 1): m steps (39 on sextics, 126
-    # on the quintic), after the base walk R_1..R_ns that decides the height
-    # is infinite
+    # the self-check is ns_lift(b, [c]), which walks R_{c,1}..R_{c,ns}, every
+    # row its proof needs: ns - 1 steps on T's step matrix, after the base
+    # walk R_1..R_ns that decides the height is infinite
     b = step_counting(bundle(parse_poly(equation, RingConfig(F2, weights))))
     assert infinite_lift(b) is not None
-    assert b.ops.calls == (ns_index(b) - 1) + b.m
-    assert b.ops.matrix_calls == 1  # T itself; T_c is updated from it
+    assert b.ops.calls == 2 * (ns_index(b) - 1)
+    assert b.ops.matrix_calls == 1  # T itself; T_c is never built
+
+
+@pytest.mark.parametrize("ext_degree", [1, 2], ids=["Fp", "Fp2"])
+@pytest.mark.parametrize("entry", catalog.all_entries(), ids=lambda e: e.name)
+def test_infinite_lift_keeps_coordinate_j_on_every_row(entry, ext_degree):
+    # T_c e_j = e_j, so R_{c,n+1} e_j = F(R_{c,n} e_j) is never zero: every
+    # row R_{c,1}..R_{c,m+1} an index could be read at, each shift stepped
+    # alone on the entrywise T_c, keeps a nonzero coordinate j
+    b = bundle(parse_poly(entry.equation, RingConfig(field(entry.p, ext_degree), entry.weights)))
+    fld = b.field
+    c = infinite_lift(b)
+    hit = [i for i, v in enumerate(bundle_raw(b)[0]) if not fld.is_zero(v)]
+    if not hit:  # lambda = 0: every index is 1
+        assert c is None and ns_index(b) == 1
+        return
+    j = hit[0]
+    assert all(not fld.is_zero(R[j]) for R in krylov_matrix(b, b.m + 1, t_shifted(b, c)))
+    T_c = shifted_matrix_direct(b, c)
+    assert [T_c[i][j] for i in range(b.m)] == [fld.one if i == j else fld.zero for i in range(b.m)]
 
 
 def test_infinite_lift_none_when_lambda_zero():

@@ -134,7 +134,9 @@ def test_weil_backend_matches_generic_on_lifts(fld):
                 continue
             g, nb = generic_twin(b), numpy_twin(b)
             c = infinite_lift(b)
-            assert c == infinite_lift(g) == infinite_lift(nb)
+            assert c == infinite_lift(nb)
+            # GenericOps has no batched lift step: c is checked there by the per-shift walk
+            assert c is None or is_infinite(lift_index_reference(g, c))
             shifts = [random_shift(b, rng) for _ in range(2)]
             # the batched walk against each shift walked alone on the reference backend
             expected = [lift_index_reference(g, shift) for shift in shifts]
@@ -271,7 +273,7 @@ def test_large_prime_backend_matches_generic(fld):
         if is_infinite(h):
             infinite += 1
             lift = infinite_lift(b)
-            assert lift is not None and lift == infinite_lift(g)
+            assert lift is not None and is_infinite(lift_index_reference(g, lift))
             finite = finite_lift(g, ns_index(g))  # lambda != 0, so ns >= 2
             values = ns_lift(b, [lift, c, finite])
             assert values[0] == Infinite(cap=b.m + 1)
