@@ -15,7 +15,12 @@ f's arrays are the nonzero entries of the coordinate array f keeps,
    factor (at most m terms); any lift gives ``f^(p-2) = fhat^(p-2) mod p``,
    and ``fhat^p`` is the last power.  The route takes the Teichmuller lift
    chat = (any lift)^q, whose powers cancel more often mod p^2.  A one-term
-   fhat = chat x^a takes no product: fhat^k is chat^k x^(ka);
+   fhat = chat x^a takes no product: fhat^k is chat^k x^(ka).  A product
+   (:func:`_mul`) takes whole terms of the short factor per block; each
+   gives one ascending run of codes, its code plus the long factor's.  One
+   stable argsort of the accumulator and the block's runs merges the runs
+   (numpy's timsort finds them), so the accumulator is re-merged in linear
+   time, and ``np.add.reduceat`` sums each run of equal codes;
 2. ``delta = (fhat^p - sum_a chat_a^p x^(pa)) / p mod p``: the first Witt
    sum polynomial at the lifted terms, the identity
    ``polyring.delta_lift_oracle`` checks the Witt-sum route against over F_p.
@@ -25,11 +30,11 @@ f's arrays are the nonzero entries of the coordinate array f keeps,
    (p-1, ..., p-1) - M_j.  Only pairs whose residue classes mod p add up
    to a column class (p-1-M_j) mod p are formed: for each term b and each
    column class c, the partners are the delta terms of class c - b, one run
-   of delta sorted by class.  Every such pair reaches a cell, found from
-   the quotients a // p and b // p through the per-ring tables.  Then the
-   inverse Frobenius (F_p-linear, the e x e matrix ``ifrob`` of
-   :func:`_linalg.make_ops`) leaves T as an (m, m) coordinate array,
-   (m, m, e) at e > 1;
+   of delta sorted by class (see class matching below).  Every such pair
+   reaches a cell, found from the quotients a // p and b // p through the
+   per-ring tables.  Then the inverse Frobenius (F_p-linear, the e x e
+   matrix ``ifrob`` of :func:`_linalg.make_ops`) leaves T as an (m, m)
+   coordinate array, (m, m, e) at e > 1;
 4. lambda_i is the inverse Frobenius of the coefficient of f^(p-2) at
    (p-1, ..., p-1) - M_i: an (m,) coordinate array, (m, e) at e > 1.
 
@@ -50,26 +55,51 @@ table holds the cell that x^(M_a + M_b) feeds, and an equation adds c_a c_b
 copies the cells out and applies the inverse Frobenius as in step 3.
 lambda is the indicator of M_i = (1, ..., 1), the one term of f^0 = 1.
 
+Class matching (step 3) is arithmetic on packed codes, with no axis over
+the variables.  A term b whose class (exponents mod p, packed) is u, and a
+column class c, give in every field k X_k = c_k + p - u_k, in [1, 2p - 1],
+and X_k >= p iff c_k >= u_k.  Adding 2^(w-1) - p to every field, w being
+``code_width``, sets a field's top bit exactly where X_k >= p: that bit is
+``ge``, the partner class (c - u) mod p is X - p ge and the carry into the
+quotient is 1 - ge.  No field borrows from or carries into its neighbour:
+a ring has at least two variables and d is the sum of the weights, so d >=
+2 w_min, p d // w_min >= 2p, w >= bit_length(2p) and 2^(w-1) >= p + 1;
+hence X_k <= 2p - 1 < 2^w, the offset 2^(w-1) - p is positive and X_k +
+2^(w-1) - p <= 2^(w-1) + p - 1 < 2^w.  The tightest case is d = 2 w_min at
+p = 2^(w-1) - 1, e.g. a binary quadric over F_7 (w = 4).  One
+``searchsorted`` per block of terms of f^(p-2) finds each partner class
+among the distinct classes of delta, whose run starts and lengths give
+the row's run of delta terms; keys are formed only for the hits.  The
+pairs are then formed a block of whole rows at a time (a row longer than
+``BLOCK`` is split), each row's values repeated over its pairs.
+
 The per-ring arrays (:class:`RingTables`) are an int32 rank table over the
 box of degree-d exponent vectors, an int32 map of the m^2 cells, the column
 classes, the basis codes and the lambda codes, and at p = 2 the int32 (m, m)
 pair table and its boolean mask of the pairs a < b.  Their closed-form size
 (:func:`ring_bytes`) is part of the route rule (:func:`admits`).  The basis
 keeps them as ``MonomialBasis.tables``, built on the ring's first bundle.
-Term pairs are formed in blocks of at most ``BLOCK``, so temporaries stay
-O(e^2 BLOCK) beyond the polynomials themselves.
+Term pairs are formed in blocks of at most ``BLOCK`` (a product block of
+one term of the short factor holds as many pairs as the long factor has
+terms), so temporaries stay O(e^2 BLOCK) beyond the polynomials themselves.
+``BLOCK`` is read at call time.
 
 Integers only, on int64.  Coefficients are residues, below p^2 in the
 Galois ring and below p in the field.  A product multiplies coordinates,
 each product below p^4 < 2^60 for p < 2^15; over e > 1 these are reduced
 and summed through the multiplication tensor, whose entries are residues
 too, so the sum stays below e^2 (p^2 - 1)^2, which :func:`admits` keeps
-below 2^63.  Products are reduced before like terms are summed, and a sum
-adds at most BLOCK + 1 values below p^2 < 2^30.  In the kernel each product
-is below p^2, and each T cell is reduced mod p once per block, so it stays
-below p + BLOCK p^2 < 2^44.  At p = 2 each product c_a c_b is reduced below
-2, and a cell sums at most m(m-1)/2 of them, below m^2 <= 2^20 by the byte
-budget.
+below 2^63.  Products are reduced before like terms are summed, and a run
+of equal codes holds at most one value per term of the short factor in the
+block (at most BLOCK of them) and one of the accumulator, so a sum adds at
+most BLOCK + 1 values below p^2 < 2^30.  In the kernel each product is
+below p^2, and T's cells are reduced mod p after every 2^62 // (BLOCK
+p^2) blocks (at least 2^19 at the default BLOCK) and after each batch of
+rows, so a cell stays below p + 2^62.  A cell index, rank * m + column, is
+below m^2 <= 2^20 by the byte budget, so the int32 rank table is
+multiplied by m per pair and never copied.  At p = 2 each product c_a c_b
+is reduced below 2, and a cell sums at most m(m-1)/2 of them, below m^2 <=
+2^20 by the byte budget.
 """
 
 from __future__ import annotations
@@ -166,9 +196,11 @@ class RingTables:
         self.p = p
         self.m = m
         width = code_width(ring)
+        self.width = width
         self.mask = (1 << width) - 1
         self.shifts = np.arange(nv - 1, -1, -1, dtype=np.int64) * width
         self.place = np.left_shift(1, self.shifts)  # exponent vector @ place = code
+        self.ones = int(self.place.sum())  # the code of (1, ..., 1)
         radices = box_radices(ring)
         box = [math.prod(radices[k + 1 :]) for k in range(nv - 1)] + [0]
         self.box = np.array(box, dtype=np.int64)  # exponent vector @ box = box index
@@ -184,7 +216,7 @@ class RingTables:
         order = np.argsort(ccode, kind="stable")
         first = _run_starts(ccode[order])
         j0 = order[first]
-        self.columns = C[j0]  # one row per class, by class code
+        self.col_code = ccode[j0]  # one per class, ascending
         self.col_j0 = j0
         self.col_s0 = S[j0] @ self.box
         cls = np.empty(m, dtype=np.int64)
@@ -218,7 +250,7 @@ class RingTables:
         class; Q + s_j0 is then a basis monomial, since E + M_j0 - 1 >= 0.
         """
         m = self.m
-        ccode = self.columns @ self.place  # ascending
+        ccode = self.col_code
         pair = np.empty((m, m), dtype=np.int32)
         for lo in range(0, m, rows):
             E = M[lo : lo + rows, None, :] + M
@@ -232,6 +264,13 @@ class RingTables:
     def exponents(self, codes: np.ndarray) -> np.ndarray:
         return (codes[:, None] >> self.shifts) & self.mask
 
+    def box_index(self, codes: np.ndarray) -> np.ndarray:
+        """``exponents(codes) @ box``, one field at a time: no (n, nv) temporary, no integer matmul."""
+        out = np.zeros_like(codes)
+        for shift, size in zip(self.shifts[:-1].tolist(), self.box[:-1].tolist()):
+            out += ((codes >> shift) & self.mask) * size
+        return out
+
 
 def _run_starts(srt: np.ndarray) -> np.ndarray:
     """Mask of the first entry of each run of equal values in a sorted array."""
@@ -242,28 +281,32 @@ def _run_starts(srt: np.ndarray) -> np.ndarray:
 
 
 def _combine(s: PrimeOps, codes: np.ndarray, vals: np.ndarray, mod: int) -> tuple:
-    """Like terms summed mod ``mod``, zeros dropped, codes ascending."""
-    srt = np.sort(codes)
-    support = srt[_run_starts(srt)]
-    out = s.zeros(support.size)
-    s.add_at(out, np.searchsorted(support, codes), vals)
-    out %= mod
+    """Like terms summed mod ``mod``, zeros dropped, codes ascending.
+
+    ``codes`` is a few ascending runs laid end to end; the stable sort,
+    numpy's timsort, finds and merges them in about linear time.
+    """
+    order = np.argsort(codes, kind="stable")
+    srt = codes[order]
+    starts = np.flatnonzero(_run_starts(srt))
+    out = np.add.reduceat(vals[order], starts) % mod
     keep = s.nonzero(out)
-    return support[keep], out[keep]
+    return srt[starts[keep]], out[keep]
 
 
 def _mul(s: PrimeOps, a: tuple, b: tuple, mod: int) -> tuple:
-    """a * b mod ``mod`` in blocks of at most BLOCK term pairs; b is the short factor."""
+    """a * b mod ``mod``; b is the short factor, taken whole terms at a time.
+
+    A block pairs ``rows`` terms of b with every term of a: one ascending
+    run of codes per term of b, merged with the ascending accumulator.
+    """
     (ac, av), (bc, bv) = a, b
-    na = ac.size
-    total = na * bc.size
+    rows = max(1, BLOCK // ac.size)
     acc = (ac[:0], av[:0])
-    for lo in range(0, total, BLOCK):
-        k = np.arange(lo, min(lo + BLOCK, total), dtype=np.int64)
-        j, i = np.divmod(k, na)  # runs of a per term of b
-        codes = np.concatenate((acc[0], ac[i] + bc[j]))
-        vals = np.concatenate((acc[1], s.mul(av[i], bv[j], mod) % mod))
-        acc = _combine(s, codes, vals, mod)
+    for lo in range(0, bc.size, rows):
+        codes = (bc[lo : lo + rows, None] + ac).reshape(-1)
+        vals = (s.mul(bv[lo : lo + rows, None], av, mod) % mod).reshape((-1,) + s.shape)
+        acc = _combine(s, np.concatenate((acc[0], codes)), np.concatenate((acc[1], vals)), mod)
     return acc
 
 
@@ -364,43 +407,49 @@ def _fp2_and_delta(s: PrimeOps, fhat: tuple, p: int) -> tuple:
     return fp2, (hc[keep], dv[keep])
 
 
-def _by_class(t: RingTables, poly: tuple) -> tuple:
-    """Terms ordered by residue class: exponents mod p, their codes, quotient box indices, values.
+def _classes(t: RingTables, codes: np.ndarray) -> tuple:
+    """Class codes (exponents mod p, packed) and quotient box indices (exponents // p) of terms.
 
-    A term x^e has class e mod p and quotient e // p.  Its box index is
-    exact whenever the term takes part in a pair, whose quotients add up to
-    a degree-d monomial.
+    A box index is exact whenever the term takes part in a pair, whose
+    quotients add up to a degree-d monomial.
     """
-    exps = t.exponents(poly[0])
-    res = exps % t.p
-    cls = res @ t.place
-    order = np.argsort(cls, kind="stable")
-    return res[order], cls[order], (exps[order] // t.p) @ t.box, poly[1][order]
+    exps = t.exponents(codes)
+    return (exps % t.p) @ t.place, (exps // t.p) @ t.box
 
 
 def _accumulate_kernel(t: RingTables, s: PrimeOps, delta: tuple, fp2: tuple, kv: np.ndarray) -> None:
     """Add every class-compatible delta_a * fp2_b, mod p, into kv at its cell.
 
-    A row is a term b of f^(p-2) and a column class c; its partners are the
-    delta terms of class c - b mod p, one run of the class-sorted delta.
-    Then a + b = c + p (Q_a + Q_b + carry), the carry being 1 where the
-    class of b exceeds c.
+    A row is a term b of f^(p-2), of class u, and a column class c; its
+    partners are the delta terms of class c - u mod p, one run of the
+    class-sorted delta, and a + b = c + p (Q_a + Q_b + carry), the carry
+    being 1 where u exceeds c.  Both are read off the packed codes, see
+    the module docstring.
     """
     p = t.p
-    _, dcls, dq, dv = _by_class(t, delta)
-    fres, _, fq, fv = _by_class(t, fp2)
-    ncol, nv = t.columns.shape
-    step = max(1, BLOCK // (ncol * nv))
-    for lo in range(0, fres.size, step):
-        res = fres[lo : lo + step, None, :]
-        partner = ((t.columns - res) % p) @ t.place
-        d_lo = np.searchsorted(dcls, partner, side="left")
-        d_n = np.searchsorted(dcls, partner, side="right") - d_lo
-        key = (res > t.columns).astype(np.int64) @ t.box + t.col_s0 + fq[lo : lo + step, None]
-        hit = np.flatnonzero(d_n)
+    dcls, dq = _classes(t, delta[0])
+    order = np.argsort(dcls)
+    dcls, dq, dv = dcls[order], dq[order], delta[1][order]
+    starts = np.flatnonzero(_run_starts(dcls))
+    dcode, dlen = dcls[starts], np.diff(starts, append=dcls.size)  # the distinct classes
+    fcls, fq = _classes(t, fp2[0])
+    fv = fp2[1]
+    ncol = t.col_code.size
+    top = t.width - 1
+    guard = ((1 << top) - p) * t.ones
+    high = t.ones << top
+    step = max(1, BLOCK // ncol)
+    for lo in range(0, fcls.size, step):
+        x = t.col_code + (p * t.ones - fcls[lo : lo + step, None])  # c + p - u per field
+        ge = ((x + guard) & high) >> top  # 1 where c >= u
+        partner = (x - p * ge).reshape(-1)
+        d = np.minimum(np.searchsorted(dcode, partner), dcode.size - 1)
+        hit = np.flatnonzero(dcode[d] == partner)
+        d = d[hit]
         b, col = np.divmod(hit, ncol)
-        _accumulate_rows(t, s, d_lo.reshape(-1)[hit], d_n.reshape(-1)[hit], key.reshape(-1)[hit],
-                         fv[lo + b], t.col_j0[col], dq, dv, kv)
+        carry = t.ones - ge.reshape(-1)[hit]
+        key = fq[lo + b] + t.box_index(carry) + t.col_s0[col]
+        _accumulate_rows(t, s, starts[d], dlen[d], key, fv[lo + b], t.col_j0[col], dq, dv, kv)
 
 
 def _accumulate_rows(t: RingTables, s: PrimeOps, d_lo, d_n, key, val, j0, dq, dv, kv) -> None:
@@ -408,17 +457,29 @@ def _accumulate_rows(t: RingTables, s: PrimeOps, d_lo, d_n, key, val, j0, dq, dv
 
     ``key`` is that term's quotient box index plus the carry's and s_j0's,
     ``val`` its coefficient, ``j0`` the first column of the row's class.
+    A block takes whole rows, at most BLOCK pairs; a longer row is split.
     """
+    if not d_n.size:
+        return
+    if d_n.max() > BLOCK:
+        parts = -(-d_n // BLOCK)
+        r = np.repeat(np.arange(d_n.size), parts)
+        k = (np.arange(r.size) - np.repeat(np.cumsum(parts) - parts, parts)) * BLOCK
+        d_lo, d_n = d_lo[r] + k, np.minimum(d_n[r] - k, BLOCK)
+        key, val, j0 = key[r], val[r], j0[r]
     ends = np.cumsum(d_n)
-    shift = d_lo - (ends - d_n)  # pair k of row r takes delta term k + shift[r]
-    total = int(ends[-1]) if ends.size else 0
-    for lo in range(0, total, BLOCK):
-        hi = min(lo + BLOCK, total)
-        r0 = int(np.searchsorted(ends, lo, side="right"))
-        r1 = int(np.searchsorted(ends, hi - 1, side="right")) + 1
-        counts = np.minimum(ends[r0:r1], hi) - np.maximum(ends[r0:r1] - d_n[r0:r1], lo)
-        r = np.repeat(np.arange(r0, r1), counts)
-        i = np.arange(lo, hi, dtype=np.int64) + shift[r]
-        cell = t.rank[key[r] + dq[i]] * t.m + j0[r]
-        s.add_at(kv, cell, s.mul(val[r], dv[i], t.p))
-        kv %= t.p
+    first = d_lo - (ends - d_n)  # pair i of the rows takes delta term i + first[r]
+    every = max(1, 2**62 // (BLOCK * t.p * t.p))  # blocks between reductions of kv
+    r0 = blocks = 0
+    while r0 < ends.size:
+        base = ends[r0] - d_n[r0]
+        r1 = max(r0 + 1, int(np.searchsorted(ends, base + BLOCK, side="right")))
+        n = d_n[r0:r1]
+        i = np.arange(base, ends[r1 - 1]) + np.repeat(first[r0:r1], n)
+        cell = t.rank[np.repeat(key[r0:r1], n) + dq[i]] * t.m + np.repeat(j0[r0:r1], n)
+        s.add_at(kv, cell, s.mul(np.repeat(val[r0:r1], n, axis=0), dv[i], t.p))
+        blocks += 1
+        if blocks % every == 0:
+            kv %= t.p
+        r0 = r1
+    kv %= t.p

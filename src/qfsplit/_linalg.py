@@ -148,11 +148,11 @@ class PrimeOps:
         return np.zeros((n,) + self.shape, dtype=np.int64)
 
     def mul(self, a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
-        """Values congruent to a * b mod ``mod`` (p or p^2), each below mod^2."""
+        """Values congruent to a * b mod ``mod`` (p or p^2), each below mod^2; broadcasts over leading axes."""
         if self.e == 1:
             return a * b
-        outer = a[:, :, None] * b[:, None, :] % mod
-        return outer.reshape(len(a), self.e * self.e) @ self.tensor[mod] % mod
+        outer = a[..., :, None] * b[..., None, :] % mod
+        return outer.reshape(outer.shape[:-2] + (self.e * self.e,)) @ self.tensor[mod] % mod
 
     def power(self, a: np.ndarray, n: int, mod: int) -> np.ndarray:
         """a^n mod ``mod``, n >= 1, by square and multiply."""

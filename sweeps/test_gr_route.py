@@ -1,7 +1,7 @@
 """The numpy route of bundle() over F_2 and F_{p^e} against the dict route, on many seeded forms.
 
-Outside the tier-1 suite (it takes 20-40 s on a 2-core VM); CI runs it
-with the other sweeps:
+Outside the tier-1 suite (it takes about 50 s on a 2-core VM, most
+of it in the dict route); CI runs it with the other sweeps:
 
     PYTHONPATH=src python -m pytest -q sweeps
 

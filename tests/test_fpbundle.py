@@ -99,6 +99,32 @@ def test_routes_agree_on_one_term_forms(p, e):
     assert [any(v != fld.zero for v in lam) for lam in lams[:2]] == [True, False]
 
 
+@pytest.fixture(scope="module")
+def block_twin_cases():
+    """Forms with their dict-route lambda and T, computed once for every block size."""
+    forms = []
+    for p, e in ((3, 1), (5, 1), (3, 2)):
+        # a dense, a 4-term and a one-term quartic, a 4-term and a one-term sextic
+        forms += seeded_forms(RingConfig(field(p, e), QUARTIC), 10 * p + e, True)
+        forms += seeded_forms(RingConfig(field(p, e), SEXTIC), 10 * p + e, False)
+    # d = 2 w_min gives the narrowest exponent fields, and at p = 2^(w-1) - 1
+    # the guard bit of the class matching has no room to spare
+    for p in (3, 7, 31):
+        ring = RingConfig(field(p), (1, 1))
+        forms += [parse_poly(text, ring) for text in ("x^2+x*y+y^2", "x^2+y^2", "x^2+3*x*y")]
+    forms += [parse_poly(r.equation, RingConfig(field(11), r.weights)) for r in delsarte.builtin_families()]
+    return [(f, dict_lam_and_T(f, basis(f.ring))) for f in forms]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_routes_agree_at_small_block_sizes(monkeypatch, block_twin_cases, block):
+    # at BLOCK 1 every product block is one term of fhat, every kernel row is
+    # split and every pair is its own block; at 7 and 64 rows straddle blocks
+    monkeypatch.setattr(_fpbundle, "BLOCK", block)
+    for f, expected in block_twin_cases:
+        assert as_raw(_fpbundle.lam_and_T(f, basis(f.ring)), f.ring.field) == expected
+
+
 # -- F_{p^e}: the Galois-ring lift --------------------------------------------
 
 # F_4, F_8, F_9, F_25, F_27 and F_49
