@@ -1,7 +1,8 @@
-"""Print a digest of lambda and T for every numpy-route bundle of a fixed corpus.
+"""Print digests of lambda, T and the Krylov walk for every numpy-route bundle of a fixed corpus.
 
-A change to ``qfsplit._fpbundle`` that must leave lambda and T bit-identical
-is checked by running this on both checkouts and comparing the outputs:
+A change to ``qfsplit._fpbundle`` or to the walk layer that must leave
+lambda, T, the step matrix and the rows bit-identical is checked by running
+this on both checkouts and comparing the outputs:
 
     python scripts/bundle_digest.py /path/to/parent > parent.txt
     python scripts/bundle_digest.py > change.txt
@@ -13,7 +14,11 @@ The corpus is every bundle built by one round of the ``catalog`` and
 ``extension`` workloads and rounds 0-1 of ``dense`` (seed 1), and by
 ``delsarte.cross_check`` at every prime 11..47.  Each line names the field,
 the weights and a digest of f's coefficient vector, then the SHA-256 of
-lambda's and T's dtype, shape and bytes; the last line digests them all.
+lambda's and T's dtype, shape and bytes; then, for the bundle built from
+them on the field's backend, the digest of its step matrix read back as an
+(m*e, m*e) coordinate array (row j is the step of the j-th unit row), of
+R_1 and R_2 read back through ``ops.coordinates``, and its height and ns.
+The last line digests them all.
 """
 
 import hashlib
@@ -25,7 +30,7 @@ sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from qfsplit import _fpbundle, delsarte  # noqa: E402
+from qfsplit import _fpbundle, cartier, delsarte  # noqa: E402
 
 
 def digest(*arrays) -> str:
@@ -41,11 +46,24 @@ lines = []
 lam_and_T = _fpbundle.lam_and_T
 
 
+def walk_digests(b) -> str:
+    """The step matrix, R_1 and R_2 as coordinate arrays, then the height and ns."""
+    ops, m = b.ops, b.m
+    unit = np.eye(m * b.field.e, dtype=np.int64)
+    steps = np.array([ops.coordinates(ops.row_times_matrix(ops.row(u), b.T_mat), m).reshape(-1)
+                      for u in unit])
+    r1 = ops.frobenius_row(b.lam_row)
+    r2 = ops.row_times_matrix(r1, b.T_mat)
+    rows = digest(ops.coordinates(r1, m), ops.coordinates(r2, m))
+    return f"step={digest(steps)} R1,R2={rows} height={cartier.height(b)!r} ns={cartier.ns_index(b)!r}"
+
+
 def recorded(f, bas):
     lam, T = lam_and_T(f, bas)
     fld = bas.ring.field
+    b = cartier.FrobeniusBundle(bas, f, lam, T)
     lines.append(f"F{fld.p}^{fld.e} {bas.ring.weights} f={digest(bas.coefficients(f))} "
-                 f"lambda,T={digest(lam, T)}")
+                 f"lambda,T={digest(lam, T)} {walk_digests(b)}")
     return lam, T
 
 

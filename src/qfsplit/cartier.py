@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -286,23 +285,6 @@ def dict_lam_and_T(f: Polynomial, bas: MonomialBasis) -> tuple:
 # height and non-splitting index
 # ---------------------------------------------------------------------------
 
-def krylov_rows(b: FrobeniusBundle) -> Iterator:
-    """The backend rows R_1 = F(lambda), R_{n+1} = F(R_n T), without end.
-
-    Each step is one ``row_times_matrix`` call on the bundle's step matrix,
-    which is read only once a second row is asked for.  Each row is
-    computed only when the consumer asks for it, so taking n rows costs
-    n-1 steps.
-    """
-    ops = b.ops
-    R = ops.frobenius_row(b.lam_row)
-    yield R
-    T = b.T_mat
-    while True:
-        R = ops.row_times_matrix(R, T)
-        yield R
-
-
 def default_height_cap(b: FrobeniusBundle) -> int:
     """m, which is exhaustive over every coefficient field F_q, q = p^e.
 
@@ -328,18 +310,24 @@ def default_ns_cap(b: FrobeniusBundle) -> int:
 def _walk(b: FrobeniusBundle) -> tuple:
     """(height, ns) from one pass over R_1, R_2, ..., memoized on the bundle.
 
-    The pass stops at the first n with R_n . v_f != 0 (height n, ns
-    infinite) or at the first stall, R_n in span(R_1..R_{n-1}) (ns = n).
-    Past a stall no dot is nonzero (see :func:`default_height_cap`), so the
-    height is then infinite.  The rows lie in F_q^m, so one of the two stops
-    comes by n = m + 1 (see :func:`default_ns_cap`).
+    The pass starts at R_1 = F(lambda) and steps R_{n+1} = F(R_n T), one
+    ``row_times_matrix`` call on the bundle's step matrix, which it reads
+    only once it takes a second row.  It stops at the first n with
+    R_n . v_f != 0 (height n, ns infinite) or at the first stall, R_n in
+    span(R_1..R_{n-1}) (ns = n).  Past a stall no dot is nonzero (see
+    :func:`default_height_cap`), so the height is then infinite.  The rows
+    lie in F_q^m, so one of the two stops comes by n = m + 1 (see
+    :func:`default_ns_cap`).
     """
     if b._walked is not None:
         return b._walked
     ops = b.ops
     v = b.v_col
     tracker = ops.rank_tracker()
-    for n, R in enumerate(islice(krylov_rows(b), default_ns_cap(b)), 1):
+    R = ops.frobenius_row(b.lam_row)
+    for n in range(1, default_ns_cap(b) + 1):
+        if n > 1:
+            R = ops.row_times_matrix(R, b.T_mat)
         if not ops.dot_is_zero(R, v):
             b._walked = (n, Infinite(cap=None))
             return b._walked

@@ -23,18 +23,33 @@ RawElement = Union[int, tuple]
 
 MAX_PRIME = 2**31 - 1
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # the first 13 primes
+_MR_EXACT_BELOW = 3317044064679887385961981
+
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Whether n is prime, by Miller-Rabin on ``_MR_BASES``.
+
+    Sorenson and Webster (2015) proved these bases exact below
+    ``_MR_EXACT_BELOW`` (about 3.3 * 10^24); at or above it this raises UsageError.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise UsageError(f"primality is decided only below {_MR_EXACT_BELOW}, got {n}")
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    # a proves n composite iff a^d != 1 and a^(d 2^k) != -1 for every k < s
+    return not any(pow(a, d, n) != 1 and all(pow(a, d << k, n) != n - 1 for k in range(s))
+                   for a in _MR_BASES)
+
+
+def _require_characteristic(p: int) -> None:
+    """Reject p unless it is a prime at most :data:`MAX_PRIME`, the bound of both field classes."""
+    if p > MAX_PRIME:
+        raise UsageError(f"field characteristic must be at most 2^31 - 1 = {MAX_PRIME}, got {p}")
+    if not _is_prime(p):
+        raise UsageError(f"field characteristic must be prime, got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +135,11 @@ def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
 def default_modulus(p: int, e: int) -> tuple:
     """First monic irreducible of degree e over F_p in base-p counting order.
 
-    Deterministic replacement for a lookup table; intended for p^e <= 5^4
-    (larger requests still work, just slower).
+    Candidate n = 0, 1, ... has coefficients c_k = floor(n / p^k) mod p, walked
+    lazily: a deterministic replacement for a lookup table at any p.
     """
-    for digits in product(range(p), repeat=e):
-        candidate = digits[::-1] + (1,)
+    for n in range(p**e):
+        candidate = tuple(n // p**k % p for k in range(e)) + (1,)
         if _is_irreducible(candidate, p):
             return candidate
     raise DomainError(f"no irreducible polynomial of degree {e} over F_{p}")
@@ -202,8 +217,7 @@ class PrimeField(Field):
     """F_p with int representations in [0, p)."""
 
     def __init__(self, p: int):
-        if not (2 <= p <= MAX_PRIME) or not _is_prime(p):
-            raise UsageError(f"field characteristic must be prime, got {p}")
+        _require_characteristic(p)
         self.p = p
         self.e = 1
         self.order = p
@@ -251,8 +265,7 @@ class ExtensionField(Field):
     """F_{p^e}, e > 1, with length-e coefficient tuples in the basis 1..t^(e-1)."""
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
-        if not _is_prime(p):
-            raise UsageError(f"field characteristic must be prime, got {p}")
+        _require_characteristic(p)
         if e < 2:
             raise UsageError("extension degree must be >= 2; use PrimeField for e=1")
         self.p = p

@@ -29,7 +29,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -357,11 +357,6 @@ def _evaluate_index(job: ScanJob, index: int) -> tuple:
     return row, None
 
 
-def _worker_chunk(args) -> list:
-    job, indices = args
-    return [_evaluate_index(job, i) for i in indices]
-
-
 @dataclass
 class ScanResult:
     job: dict
@@ -410,22 +405,20 @@ def run_scan(job: ScanJob) -> ScanResult:
     """
     job.validate()
     total = job.total()
-    indices = list(range(total))
+    evaluate = partial(_evaluate_index, job)
 
-    # never more processes than CPUs or chunks: with the fork start method
+    # never more processes than CPUs or samples: with the fork start method
     # the pool starts all max_workers at the first submit
     workers = min(job.workers, os.cpu_count() or 1) if job.workers > 1 else 1
     if workers == 1 or total < 4:
-        evaluated = [_evaluate_index(job, i) for i in indices]
+        evaluated = list(map(evaluate, range(total)))
     else:
-        nchunks = min(total, workers * 4)
-        chunks = [indices[k::nchunks] for k in range(nchunks)]
         # imported here: the pool machinery costs every other command ~2 MB and ~15 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, nchunks)) as pool:
-            parts = list(pool.map(_worker_chunk, [(job, ch) for ch in chunks]))
-        evaluated = sorted((r for part in parts for r in part), key=lambda r: r[0]["index"])
+        # map returns the results in index order, about four chunks per worker
+        with ProcessPoolExecutor(max_workers=min(workers, total)) as pool:
+            evaluated = list(pool.map(evaluate, range(total), chunksize=-(-total // (4 * workers))))
 
     rows = [row for row, _ in evaluated]
     hist = Counter((row["height"], row["ns"]) for row in rows)

@@ -5,14 +5,14 @@ rank, evaluation, witness tables, the reference sampler."""
 from __future__ import annotations
 
 import hashlib
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from qfsplit import _fpbundle, lifts
 from qfsplit._linalg import make_ops, raw_values
-from qfsplit.cartier import FrobeniusBundle, basis, bundle, dict_lam_and_T, krylov_rows
+from qfsplit.cartier import FrobeniusBundle, basis, bundle, dict_lam_and_T
 from qfsplit.errors import UsageError
 from qfsplit.ffield import Field, RawElement, field
 from qfsplit.polyring import Polynomial, RingConfig
@@ -32,8 +32,9 @@ def bundle_raw(b: FrobeniusBundle) -> tuple:
 def rows_on(b: FrobeniusBundle, T) -> Iterator:
     """R_1 = F(lambda), R_{n+1} = F(R_n T) on a step matrix ``T`` of ``b.ops``, without end.
 
-    ``cartier.krylov_rows`` on another matrix: a lift's ``lifts.t_shifted(b, c)``
-    gives the shifted rows R_{c,n}.  Each row is stepped only when asked for.
+    On ``b.T_mat`` these are the rows ``cartier._walk`` steps; on a lift's
+    ``lifts.t_shifted(b, c)`` they are the shifted rows R_{c,n}.  Each row is
+    stepped only when asked for.
     """
     R = b.ops.frobenius_row(b.lam_row)
     while True:
@@ -42,15 +43,14 @@ def rows_on(b: FrobeniusBundle, T) -> Iterator:
 
 
 def krylov_matrix(b: FrobeniusBundle, n: int, T=None) -> list:
-    """The n rows R_1, ..., R_n as raw values, against the step matrix ``T``.
+    """The n rows R_1, ..., R_n of :func:`rows_on` as raw values, against the step matrix ``T``.
 
-    By default the bundle's own rows, ``cartier.krylov_rows``, whose rank
-    profile encodes the non-splitting index; otherwise those of
-    :func:`rows_on`.
+    By default the bundle's own rows, on ``b.T_mat``, whose rank profile
+    encodes the non-splitting index.
     """
     if n < 1:
         raise UsageError("need at least one row")
-    rows = krylov_rows(b) if T is None else rows_on(b, T)
+    rows = rows_on(b, b.T_mat if T is None else T)
     return [raw_values(b.ops.coordinates(R, b.m), b.field.e) for R in islice(rows, n)]
 
 
@@ -123,30 +123,19 @@ def finite_lift(b: FrobeniusBundle, ns: int) -> list:
 
 
 def step_matrix_reference(ops, rows) -> np.ndarray:
-    """``PrimeOps.matrix`` rebuilt from T's raw rows, one entry at a time, on ``ops``' tables.
+    """``ops.matrix`` rebuilt densely from T's raw rows, on ``ops``' tables.
 
-    The production build reads T's coordinate array and forms every block
-    in one ``_blocks`` call, then moves the blocks into place with one
-    transpose; this reads raw values, at e > 1 only the nonzero ones, and
-    writes each block (i, j), the multiplication matrix of T_ij times the
-    Frobenius matrix, into its place by index.
+    Every block (i, j), the multiplication matrix of T_ij times the
+    Frobenius matrix, is formed from the raw value T_ij, zero cells
+    included, in one ``_blocks`` call and moved into place by one
+    transpose; the production build forms only the blocks of the cells it
+    finds nonzero, so this shares no cell selection with it.
     """
     m, e = len(rows), ops.e
+    cells = np.array(rows, dtype=ops.dtype).reshape((m, m) + ops.shape) % ops.p
     if e == 1:
-        dense = np.fromiter(chain.from_iterable(rows), dtype=ops.dtype, count=m * m)
-        return dense.reshape(m, m)
-    zero = ops.field.zero
-    ii, jj, vals = [], [], []
-    for i, r in enumerate(rows):
-        for j, v in enumerate(r):
-            if v != zero:
-                ii.append(i)
-                jj.append(j)
-                vals.append(v)
-    out = np.zeros((m, e, m, e), dtype=ops.dtype)
-    vecs = np.asarray(vals, dtype=ops.dtype).reshape(-1, e)
-    out[ii, :, jj, :] = ops._blocks(vecs, ops.steps)
-    return out.reshape(m * e, m * e)
+        return cells
+    return ops._blocks(cells, ops.steps).transpose(0, 2, 1, 3).reshape(m * e, m * e)
 
 
 def step_matrix_array(b: FrobeniusBundle, mat) -> np.ndarray:

@@ -26,7 +26,6 @@ from qfsplit.cartier import (
     fedder_height_oracle,
     find_axis_line,
     height,
-    krylov_rows,
     ns_index,
 )
 from qfsplit.errors import ResourceError, UsageError
@@ -35,7 +34,7 @@ from qfsplit.lifts import shifted_matrix_direct, t_shifted
 from qfsplit.polyring import Polynomial, RingConfig, delta, parse_poly, poly_pow, u_op
 from qfsplit.values import Infinite, is_infinite, value_to_json
 
-from _support import bundle_raw, krylov_matrix, matrix_rank
+from _support import bundle_raw, krylov_matrix, matrix_rank, rows_on
 
 F2 = field(2)
 F3 = field(3)
@@ -282,12 +281,12 @@ def _two_walk_reference(b):
     dot, a rank walk from R_1 to the ns bound m + 1.
     """
     ops = b.ops
-    for n, R in enumerate(islice(krylov_rows(b), b.m), 1):
+    for n, R in enumerate(islice(rows_on(b, b.T_mat), b.m), 1):
         if not ops.dot_is_zero(R, b.v_col):
             return n, Infinite(cap=None)
     h = Infinite(cap=b.m)
     tracker = ops.rank_tracker()
-    for n, R in enumerate(islice(krylov_rows(b), b.m + 1), 1):
+    for n, R in enumerate(islice(rows_on(b, b.T_mat), b.m + 1), 1):
         if not tracker.add_row(R):
             return h, n
     return h, Infinite(cap=b.m + 1)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -141,6 +142,21 @@ def test_delsarte_matrix_json(capsys):
 def test_delsarte_inadmissible_prime_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "delsarte", "--family", "0", "-p", "2")
     assert code == 2 and "e_A" in err
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    # the bound is checked before any primality test or field table
+    (("ns", "-p", "2305843009213693951", "--ext-degree", "2", "x^4"), 1, "at most 2^31 - 1"),
+    # Miller-Rabin decides 2^61 - 1 at once; trial division ran for minutes
+    (("delsarte", "--family", "1", "-p", "2305843009213693951"), 0, "height   = 2"),
+    # p = MAX_PRIME: the default modulus is found without enumerating range(p)
+    (("ns", "-p", "2147483647", "--ext-degree", "2", "x*y*z*w"), 0, "ns = infinity"),
+])
+def test_large_characteristic_answers_at_once(capsys, argv, code, text):
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert got == code and text in out + err
 
 
 def test_lift_find_infinite(capsys):

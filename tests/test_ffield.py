@@ -1,8 +1,13 @@
+from itertools import product
+
 import pytest
 
 from qfsplit.errors import DomainError, UsageError
 from qfsplit.ffield import (
+    MAX_PRIME,
     ExtensionField,
+    _is_irreducible,
+    _is_prime,
     default_modulus,
     field,
 )
@@ -106,6 +111,58 @@ def test_default_modulus_is_monic_irreducible(p, e):
     mod = default_modulus(p, e)
     assert len(mod) == e + 1 and mod[-1] == 1
     ExtensionField(p, e, mod)  # constructor re-checks irreducibility
+
+
+def trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(200_000) if _is_prime(n)] == [n for n in range(200_000) if trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # Carmichael numbers, and the least strong pseudoprimes to the first 4 and 9 prime bases
+    assert not _is_prime(n)
+
+
+def test_is_prime_decides_up_to_its_bound_only():
+    assert _is_prime(2**61 - 1) and _is_prime(MAX_PRIME)
+    # a strong pseudoprime to every prime base up to 37, which base 41 exposes
+    assert not _is_prime(399165290221 * 798330580441)
+    with pytest.raises(UsageError, match="primality is decided only below"):
+        _is_prime(3317044064679887385961981)
+
+
+@pytest.mark.parametrize("p", [2147483659, 2**61 - 1])
+@pytest.mark.parametrize("e", [1, 2])
+def test_characteristic_above_the_bound_names_it(p, e):
+    with pytest.raises(UsageError, match=r"at most 2\^31 - 1 = 2147483647"):
+        field(p, e)
+
+
+def modulus_by_product(p: int, e: int) -> tuple:
+    """``default_modulus`` as it enumerated candidates: ``itertools.product`` of the digits."""
+    for digits in product(range(p), repeat=e):
+        candidate = digits[::-1] + (1,)
+        if _is_irreducible(candidate, p):
+            return candidate
+    raise AssertionError
+
+
+def test_default_modulus_walks_the_candidates_in_counting_order():
+    cases = [(p, e) for p in range(2, 26) if trial_division(p) for e in range(2, 10) if p**e <= 5**4]
+    assert len(cases) == 22
+    for p, e in cases:
+        assert default_modulus(p, e) == modulus_by_product(p, e), (p, e)
 
 
 def test_serialization_round_trip():

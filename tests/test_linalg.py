@@ -20,7 +20,6 @@ from qfsplit.cartier import (
     basis,
     bundle,
     height,
-    krylov_rows,
     ns_index,
 )
 from qfsplit.errors import UsageError
@@ -29,7 +28,16 @@ from qfsplit.lifts import infinite_lift, ns_lift, t_shifted
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 from qfsplit.values import Infinite, is_infinite
 
-from _support import bundle_raw, finite_lift, krylov_matrix, lift_index_reference, matrix_rank
+from _support import (
+    bundle_raw,
+    finite_lift,
+    krylov_matrix,
+    lift_index_reference,
+    matrix_rank,
+    rows_on,
+    step_matrix_array,
+    step_matrix_reference,
+)
 
 FIELDS = [field(2), field(3), field(5), field(2, 2), field(2, 3), field(3, 2), field(5, 2)]
 # p >= 2^15: PrimeOps holds Python ints.  At 32771 a length-m*e dot product
@@ -187,7 +195,7 @@ def test_krylov_span_never_grows_after_a_stall(fld):
             b = bundle(f)
             tracker = b.ops.rank_tracker()
             ranks = []
-            rows = list(islice(krylov_rows(b), b.m + 2))
+            rows = list(islice(rows_on(b, b.T_mat), b.m + 2))
             for R in rows:
                 tracker.add_row(R)
                 ranks.append(tracker.rank)
@@ -306,3 +314,43 @@ def test_large_prime_uses_exact_integer_arithmetic():
     assert height(b) == 1
     assert is_infinite(ns_index(b))
     assert krylov_matrix(b, 3) == krylov_matrix(generic_twin(b), 3)
+
+
+# e = 2 and 3 over p = 2 (packed and numpy backends), 3 and 32771 (exact Python ints)
+SPARSE_FIELDS = [field(p, e) for p in (2, 3, 32771) for e in (2, 3)]
+
+
+@pytest.mark.parametrize("fld", SPARSE_FIELDS, ids=repr)
+def test_step_matrix_of_empty_and_one_cell_t(fld):
+    # the build forms only the blocks of nonzero cells: T = 0 gives the zero
+    # matrix, and one cell, at each corner and inside, exactly its own block
+    rng = random.Random(fld.order)
+    bas = basis(RingConfig(fld, (1, 1, 1)))
+    m, e = bas.m, fld.e
+    lam = [fld.one] + [fld.zero] * (m - 1)
+    cells = [(0, 0), (0, m - 1), (m - 1, 0), (m - 1, m - 1), (rng.randrange(m), rng.randrange(m))]
+    # at p = 2 the packed backend and its numpy twin
+    for ops in [_linalg.make_ops(fld)] + ([_linalg.PrimeOps(fld)] if fld.p == 2 else []):
+        zero = [[fld.zero] * m for _ in range(m)]
+        b = FrobeniusBundle(bas, bas.polynomial(lam), lam, zero, ops=ops)
+        assert not step_matrix_array(b, b.T_mat).any()
+        for i, j in cells:
+            T = [list(row) for row in zero]
+            T[i][j] = random_unit(fld, rng)
+            b = FrobeniusBundle(bas, bas.polynomial(lam), lam, T, ops=ops)
+            got = step_matrix_array(b, b.T_mat)
+            assert np.array_equal(got, step_matrix_reference(ops, T)), (type(ops), i, j)
+            block = got.reshape(m, e, m, e)[i, :, j, :]
+            assert block.any() and np.count_nonzero(got) == np.count_nonzero(block)
+
+
+@pytest.mark.parametrize("fld", SPARSE_FIELDS, ids=repr)
+def test_nonzero_is_any_over_the_coordinates(fld):
+    ops = _linalg.make_ops(fld)
+    gen = np.random.default_rng(fld.order)
+    for shape in [(257, fld.e), (11, 11, fld.e)]:
+        a = gen.integers(0, fld.p, shape)
+        a[gen.random(shape[:-1]) < 0.4] = 0  # zero elements among the nonzero ones
+        for arr in (a, a.astype(object)):
+            got = ops.nonzero(arr)
+            assert got.dtype == bool and np.array_equal(got, a.any(axis=-1))

@@ -301,7 +301,7 @@ def test_scan_pool_never_exceeds_cpus_or_chunks(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -311,7 +311,7 @@ def test_scan_pool_never_exceeds_cpus_or_chunks(monkeypatch, cpus):
         job = ScanJob(ring=R2, mode="histogram", count=6, seed=5, workers=workers)
         assert run_scan(job).csv_text() == serial.csv_text()
     # one usable worker (no CPU count means one) runs in-process; otherwise the
-    # pool holds min(workers, CPUs, chunks) processes, and 6 samples make 6 chunks
+    # pool holds min(workers, CPUs, samples) processes
     usable = min(cpus or 1, 6)
     assert sizes == ([] if usable == 1 else [min(2, usable), usable])
 
