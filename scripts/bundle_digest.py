@@ -59,12 +59,14 @@ def walk_digests(b) -> str:
 
 
 def recorded(f, bas):
-    lam, T = lam_and_T(f, bas)
+    """The route's lambda and T builder, recorded with T built: a bundle's T is built once."""
+    lam, build_T = lam_and_T(f, bas)
+    T = build_T()
     fld = bas.ring.field
-    b = cartier.FrobeniusBundle(bas, f, lam, T)
+    b = cartier.FrobeniusBundle(bas, f, lam, lambda: T)
     lines.append(f"F{fld.p}^{fld.e} {bas.ring.weights} f={digest(bas.coefficients(f))} "
                  f"lambda,T={digest(lam, T)} {walk_digests(b)}")
-    return lam, T
+    return lam, lambda: T
 
 
 _fpbundle.lam_and_T = recorded  # cartier.bundle looks it up at call time

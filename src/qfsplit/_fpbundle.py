@@ -7,26 +7,38 @@ vectors add as codes.  A coefficient is one residue at e = 1 and an e-vector
 of residues in the basis 1, t, ..., t^(e-1) otherwise; the arithmetic on
 them is the field's :class:`_linalg.PrimeOps` (:func:`_linalg.make_ops`).
 f's arrays are the nonzero entries of the coordinate array f keeps,
-``MonomialBasis.coefficients(f)``, and their basis codes.  Per equation:
+``MonomialBasis.coefficients(f)``, and their basis codes.
+
+lambda is eager and T is built on demand: :func:`lam_and_T` runs steps 1
+and 2 and returns lambda with a zero-argument builder of T, which runs
+steps 3 to 5 when called.  ``cartier.bundle`` hands the builder to
+:class:`cartier.FrobeniusBundle`, which calls it on the first read of T;
+a walk that stops at R_1 (height 1, or lambda = 0) never reads it.  Per
+equation:
 
 1. ``fhat``, f with each coefficient lifted to the Galois ring GR(p^2, e) =
    (Z/p^2)[t] / (the field's modulus with its coefficients read as
-   integers), is multiplied by itself p - 1 times, fhat being the short
-   factor (at most m terms); any lift gives ``f^(p-2) = fhat^(p-2) mod p``,
-   and ``fhat^p`` is the last power.  The route takes the Teichmuller lift
-   chat = (any lift)^q, whose powers cancel more often mod p^2.  A one-term
-   fhat = chat x^a takes no product: fhat^k is chat^k x^(ka).  A product
-   (:func:`_mul`) takes whole terms of the short factor per block; each
-   gives one ascending run of codes, its code plus the long factor's.  One
-   stable argsort of the accumulator and the block's runs merges the runs
-   (numpy's timsort finds them), so the accumulator is re-merged in linear
-   time, and ``np.add.reduceat`` sums each run of equal codes;
-2. ``delta = (fhat^p - sum_a chat_a^p x^(pa)) / p mod p``: the first Witt
+   integers), is multiplied by itself p - 3 times, fhat being the short
+   factor (at most m terms); any lift gives ``f^(p-2) = fhat^(p-2) mod p``.
+   The route takes the Teichmuller lift chat = (any lift)^q, whose powers
+   cancel more often mod p^2.  A one-term fhat = chat x^a takes no
+   product: fhat^k is chat^k x^(ka).  A product (:func:`_mul`) takes whole
+   terms of the short factor per block; each gives one ascending run of
+   codes, its code plus the long factor's.  One stable argsort of the
+   accumulator and the block's runs merges the runs (numpy's timsort finds
+   them), so the accumulator is re-merged in linear time, and
+   ``np.add.reduceat`` sums each run of equal codes;
+2. lambda_i is the inverse Frobenius of the coefficient of f^(p-2) at
+   (p-1, ..., p-1) - M_i: an (m,) coordinate array, (m, e) at e > 1.
+   The builder keeps fhat, fhat^(p-2) mod p^2 and f^(p-2);
+3. the chain resumes at fhat^(p-2): two more products give fhat^(p-1) and
+   fhat^p, the same products in the same order as one chain of p - 1;
+4. ``delta = (fhat^p - sum_a chat_a^p x^(pa)) / p mod p``: the first Witt
    sum polynomial at the lifted terms, the identity
    ``polyring.delta_lift_oracle`` checks the Witt-sum route against over F_p.
    Any lift gives it, but chat^p = chat only over F_p.  It is 0 for one
    term;
-3. T[i][j] sums delta_a * f^(p-2)_b over the pairs with a + b = p M_i +
+5. T[i][j] sums delta_a * f^(p-2)_b over the pairs with a + b = p M_i +
    (p-1, ..., p-1) - M_j.  Only pairs whose residue classes mod p add up
    to a column class (p-1-M_j) mod p are formed: for each term b and each
    column class c, the partners are the delta terms of class c - b, one run
@@ -34,9 +46,7 @@ f's arrays are the nonzero entries of the coordinate array f keeps,
    reaches a cell, found from the quotients a // p and b // p through the
    per-ring tables.  Then the inverse Frobenius (F_p-linear, the e x e
    matrix ``ifrob`` of :func:`_linalg.make_ops`) leaves T as an (m, m)
-   coordinate array, (m, m, e) at e > 1;
-4. lambda_i is the inverse Frobenius of the coefficient of f^(p-2) at
-   (p-1, ..., p-1) - M_i: an (m,) coordinate array, (m, e) at e > 1.
+   coordinate array, (m, m, e) at e > 1.
 
 :class:`cartier.FrobeniusBundle` stores these arrays and
 ``_linalg.PrimeOps.matrix`` reads T's, both in the coordinates of the
@@ -50,12 +60,13 @@ chat_b x^(M_a + M_b), so
     delta(f) = sum_(a<b) c_a c_b x^(M_a + M_b):
 
 T is a fixed quadratic form in the coefficient vector c.  A per-ring (m, m)
-table holds the cell that x^(M_a + M_b) feeds, and an equation adds c_a c_b
-(mod 2) at the k(k-1)/2 pairs a < b of its k nonzero coefficients, then
-copies the cells out and applies the inverse Frobenius as in step 3.
-lambda is the indicator of M_i = (1, ..., 1), the one term of f^0 = 1.
+table holds the cell that x^(M_a + M_b) feeds, and the builder adds c_a c_b
+(mod 2) at the k(k-1)/2 pairs a < b of the k nonzero coefficients
+(:func:`_pair_sum`), then copies the cells out and applies the inverse
+Frobenius as in step 5.  lambda, eager, is the indicator of M_i = (1, ...,
+1), the one term of f^0 = 1.
 
-Class matching (step 3) is arithmetic on packed codes, with no axis over
+Class matching (step 5) is arithmetic on packed codes, with no axis over
 the variables.  A term b whose class (exponents mod p, packed) is u, and a
 column class c, give in every field k X_k = c_k + p - u_k, in [1, 2p - 1],
 and X_k >= p iff c_k >= u_k.  Adding 2^(w-1) - p to every field, w being
@@ -318,36 +329,57 @@ def _terms(f, bas, s: PrimeOps) -> tuple:
 
 
 def lam_and_T(f, bas) -> tuple:
-    """The coordinate arrays of lambda and T of f on this route (steps 3 and 4 above)."""
+    """lambda's coordinate array on this route (steps 1 and 2 above) and a builder of T's.
+
+    The builder takes no argument and runs steps 3 to 5 from where lambda
+    left off, only when it is called.
+    """
     if bas.ring.field.p == 2:
         return char2_lam_and_T(f, bas)
     return general_lam_and_T(f, bas)
 
 
 def char2_lam_and_T(f, bas) -> tuple:
-    """lambda and T over F_(2^e) as a quadratic form in f's coefficient vector.
+    """lambda over F_(2^e) and a builder of T, a quadratic form in f's coefficient vector.
 
     The vector is ``bas.coefficients(f)``, kept on f; see the module docstring.
+    lambda does not depend on f.
     """
     t = bas.tables
     s = make_ops(bas.ring.field)
     m = t.m
-    support, c = _terms(f, bas, s)
+    lv = s.zeros(m)
+    lv[t.lam == 0] = s.one  # (1, ..., 1) - M_i is the code 0 of f^0 = 1
+
+    def build_T() -> np.ndarray:
+        kv = _pair_sum(t, s, *_terms(f, bas, s))
+        return s.unfrobenius(kv[t.cell]).reshape((m, m) + s.shape)
+
+    return s.unfrobenius(lv), build_T
+
+
+def _pair_sum(t: RingTables, s: PrimeOps, support: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The kernel cells at p = 2: c_a c_b (mod 2) summed at the cell of x^(M_a + M_b), a < b.
+
+    An (m^2 + 1,) coordinate array, whose last entry, read by the empty
+    cells, is 0.
+    """
+    m = t.m
     i, j = np.nonzero(t.upper[: support.size, : support.size])
     kv = s.zeros(m * m + 1)
     s.add_at(kv, t.pair[support[i], support[j]], s.mul(c[i], c[j], 2))
     kv[m * m] = 0  # drop the pairs that feed no cell: the empty cells read this entry
     kv %= 2
-    lv = s.zeros(m)
-    lv[t.lam == 0] = s.one  # (1, ..., 1) - M_i is the code 0 of f^0 = 1
-    return s.unfrobenius(lv), s.unfrobenius(kv[t.cell]).reshape((m, m) + s.shape)
+    return kv
 
 
 def general_lam_and_T(f, bas) -> tuple:
-    """The coordinate arrays of lambda and T of f by the steps above, at any p of the route.
+    """lambda of f by the steps above, at any p of the route, and a builder of T.
 
     f's terms are read from its coefficient vector ``bas.coefficients(f)``,
     kept on f, and their codes from the per-ring ``RingTables.codes``.
+    lambda needs the powers of fhat up to fhat^(p-2); the builder resumes
+    the chain there, with the same products in the same order.
     """
     t = bas.tables
     s = make_ops(bas.ring.field)
@@ -361,42 +393,49 @@ def general_lam_and_T(f, bas) -> tuple:
     # 779 terms against the coordinate lift's 882, so fewer pairs are formed
     fhat = (fc, s.power(c[order], bas.ring.field.order, mod))
 
+    # 1. fhat^k, k = max(p - 2, 1), where the builder resumes the chain;
+    # f^(p-2) is fhat^(p-2) mod p, and f^0 = 1 at p = 2 takes no product
+    k = max(p - 2, 1)
     if fc.size == 1:
-        # 1 and 2 in closed form: fhat = chat x^a has the one-term powers
+        # the powers in closed form: fhat = chat x^a has the one-term powers
         # chat^k x^(ka), so fhat^p is the Witt sum's own term and delta = 0
+        power = None
         fp2 = (fc * (p - 2), s.power(fhat[1], p - 2, mod) if p > 2 else s.one)
-        delta = (fc[:0], fhat[1][:0])
     else:
-        fp2, delta = _fp2_and_delta(s, fhat, p)
+        power = _power_chain(s, fhat, fhat, k - 1, mod)
+        fp2 = power if p > 2 else (np.zeros(1, dtype=np.int64), s.one)
     vals = fp2[1] % p
     keep = s.nonzero(vals)
     fp2 = (fp2[0][keep], vals[keep])
 
-    # 3. T: the kernel summed in each class's first column, then copied to every cell
-    kv = s.zeros(m * m + 1)
-    if delta[0].size:
-        _accumulate_kernel(t, s, delta, fp2, kv)
-    T = s.unfrobenius(kv[t.cell]).reshape((m, m) + s.shape)
+    def build_T() -> np.ndarray:
+        # 3.-5. fhat^p, delta and T: the kernel summed in each class's first column,
+        # then copied to every cell
+        kv = s.zeros(m * m + 1)
+        if power is not None:
+            delta = _delta(s, fhat, _power_chain(s, power, fhat, p - k, mod), p)
+            if delta[0].size:
+                _accumulate_kernel(t, s, delta, fp2, kv)
+        return s.unfrobenius(kv[t.cell]).reshape((m, m) + s.shape)
 
-    # 4. lambda_i = f^(p-2) at (p-1, ..., p-1) - M_i; a miss reads the zero appended
+    # 2. lambda_i = f^(p-2) at (p-1, ..., p-1) - M_i; a miss reads the zero appended
     pc, pv = fp2
     pos = np.minimum(np.searchsorted(pc, t.lam), pc.size - 1)
     pv = np.concatenate((pv, s.zeros(1)))
-    return s.unfrobenius(pv[np.where(pc[pos] == t.lam, pos, pc.size)]), T
+    return s.unfrobenius(pv[np.where(pc[pos] == t.lam, pos, pc.size)]), build_T
 
 
-def _fp2_and_delta(s: PrimeOps, fhat: tuple, p: int) -> tuple:
-    """Steps 1 and 2: fhat^(p-2) mod p^2 and delta, from the products fhat^k, k <= p."""
-    mod = p * p
-    # 1. fhat^k for k = 1 .. p, keeping k = p - 2
-    fp2 = (np.zeros(1, dtype=np.int64), s.one)  # fhat^0
-    power = fhat
-    for k in range(1, p):
-        if k == p - 2:
-            fp2 = power
+def _power_chain(s: PrimeOps, power: tuple, fhat: tuple, k: int, mod: int) -> tuple:
+    """Steps 1 and 3: power * fhat^k mod ``mod``, by k products with the short factor fhat."""
+    for _ in range(k):
         power = _mul(s, power, fhat, mod)
+    return power
 
-    # 2. delta = (fhat^p - sum chat^p x^(pa)) / p mod p; every x^(pa) is a term
+
+def _delta(s: PrimeOps, fhat: tuple, power: tuple, p: int) -> tuple:
+    """Step 4: delta mod p from ``power`` = fhat^p mod p^2."""
+    mod = p * p
+    # delta = (fhat^p - sum chat^p x^(pa)) / p mod p; every x^(pa) is a term
     # of fhat^p, whose coefficient there is c^p != 0 mod p
     fc, fv = fhat
     hc, hv = power
@@ -404,7 +443,7 @@ def _fp2_and_delta(s: PrimeOps, fhat: tuple, p: int) -> tuple:
     hv[np.searchsorted(hc, p * fc)] -= s.power(fv, p, mod)
     dv = hv % mod // p
     keep = s.nonzero(dv)
-    return fp2, (hc[keep], dv[keep])
+    return hc[keep], dv[keep]
 
 
 def _classes(t: RingTables, codes: np.ndarray) -> tuple:

@@ -159,26 +159,38 @@ class FrobeniusBundle:
     v_f, lambda and T are coordinate arrays (see :mod:`qfsplit._linalg`):
     (m,), (m,) and (m, m), with a last axis of length e over F_{p^e}.
     ``v_f`` is the read-only array f keeps, ``bas.coefficients(f)`` itself.
-    ``lam`` and ``T`` may be lists of raw values, which read as the same
-    arrays; the bundle keeps them only as ``lam_coords`` and ``T_coords``.
-    The backend forms of lambda and v_f are built once, by ``ops`` (default
-    the field's :func:`_linalg.make_ops` backend); the step matrix ``T_mat``
-    is built on first use, since a walk that stops at R_1 never reads it.
-    Semantically immutable; the Krylov walk is memoized, so share an
-    instance across threads only behind a lock (or keep instances
-    thread-local, as the scan workers do).
+    lambda is given; T is built on its first read, by ``build_T``, a
+    zero-argument callable.  ``lam`` and what ``build_T`` returns may be
+    lists of raw values, which read as the same arrays; the bundle keeps
+    them only as ``lam_coords`` and ``T_coords``.  The backend forms of
+    lambda and v_f are built once, by ``ops`` (default the field's
+    :func:`_linalg.make_ops` backend); ``T_coords`` and the step matrix
+    ``T_mat`` are built on first use, since a walk that stops at R_1 never
+    reads them.  Semantically immutable; T and the Krylov walk are
+    memoized, so share an instance across threads only behind a lock (or
+    keep instances thread-local, as the scan workers do).
     """
 
-    def __init__(self, bas: MonomialBasis, f: Polynomial, lam, T, ops=None):
+    def __init__(self, bas: MonomialBasis, f: Polynomial, lam, build_T, ops=None):
         self.basis = bas
         self.f = f
         self.v_f = bas.coefficients(f)
         self.lam_coords = np.asarray(lam, dtype=np.int64)
-        self.T_coords = np.asarray(T, dtype=np.int64)
+        self._build_T = build_T
         self.ops = ops if ops is not None else _linalg.make_ops(bas.ring.field)
         self.lam_row = self.ops.row(self.lam_coords)
         self.v_col = self.ops.column(self.v_f)
         self._walked: tuple | None = None
+
+    @cached_property
+    def T_coords(self) -> np.ndarray:
+        """T's coordinate array, built on the first read.
+
+        The builder, and the powers of f it holds, are released then.
+        """
+        T = np.asarray(self._build_T(), dtype=np.int64)
+        self._build_T = None
+        return T
 
     @cached_property
     def T_mat(self):
@@ -232,11 +244,15 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     coordinate array f keeps: the witness search, this check, both routes
     and the walk read f's coefficients at most once between them.
 
-    Two routes give the same lambda and T, and each is the other's test
-    oracle.  The numpy route returns coordinate arrays; the dict route
-    returns lists of raw values, which :class:`FrobeniusBundle` reads as
-    the same arrays, once.  The numpy route (:mod:`qfsplit._fpbundle`) is
-    taken iff :func:`_fpbundle.admits` holds, whose docstring states the
+    lambda is computed here, with f^(p-2); delta and T are built on the
+    first read of ``T_coords``, which the walk makes only when it takes a
+    second row (:func:`_walk`): a form of height 1, or with lambda = 0,
+    never builds them.  Two routes give the same lambda and T, and each is
+    the other's test oracle; each returns lambda and a zero-argument
+    builder of T.  The numpy route returns coordinate arrays; the dict
+    route returns lists of raw values, which :class:`FrobeniusBundle` reads
+    as the same arrays, once.  The numpy route (:mod:`qfsplit._fpbundle`)
+    is taken iff :func:`_fpbundle.admits` holds, whose docstring states the
     rule.  On it, p = 2 (every F_(2^e)) builds T as a fixed quadratic form
     in v_f: delta(f) is the sum of c_a c_b x^(M_a + M_b) over a < b, and
     f^(p-2) = 1.  The rings the rule refuses take the dict route:
@@ -252,14 +268,14 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
             f"bundle requires a homogeneous polynomial of weighted degree {ring.d}"
         )
     if _fpbundle.admits(ring, bas.m):
-        lam, T = _fpbundle.lam_and_T(f, bas)
+        lam, build_T = _fpbundle.lam_and_T(f, bas)
     else:
-        lam, T = dict_lam_and_T(f, bas)
-    return FrobeniusBundle(bas, f, lam, T)
+        lam, build_T = dict_lam_and_T(f, bas)
+    return FrobeniusBundle(bas, f, lam, build_T)
 
 
 def dict_lam_and_T(f: Polynomial, bas: MonomialBasis) -> tuple:
-    """The raw lambda row and T matrix of f on the dict route; see :func:`bundle`."""
+    """The raw lambda row of f on the dict route and a builder of its raw T; see :func:`bundle`."""
     ring = bas.ring
     fld = ring.field
     p = fld.p
@@ -273,12 +289,15 @@ def dict_lam_and_T(f: Polynomial, bas: MonomialBasis) -> tuple:
         else:
             lam.append(fld.inverse_frobenius(fp2.coefficient(rest)))
 
-    # T reads a kernel term only through u_op, i.e. only when its residue
-    # class mod p is (p-1-M_j) mod p for some basis monomial M_j.  A product
-    # term's class is the sum of its factors' classes, so multiplying just the
-    # class-compatible term pairs yields exactly the terms T reads.
-    kernel = mul_residues(delta(f), fp2, bas.residue_columns)
-    return lam, columns_from_kernel(bas, kernel)
+    def build_T() -> list:
+        # T reads a kernel term only through u_op, i.e. only when its residue
+        # class mod p is (p-1-M_j) mod p for some basis monomial M_j.  A product
+        # term's class is the sum of its factors' classes, so multiplying just the
+        # class-compatible term pairs yields exactly the terms T reads.
+        kernel = mul_residues(delta(f), fp2, bas.residue_columns)
+        return columns_from_kernel(bas, kernel)
+
+    return lam, build_T
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +331,13 @@ def _walk(b: FrobeniusBundle) -> tuple:
 
     The pass starts at R_1 = F(lambda) and steps R_{n+1} = F(R_n T), one
     ``row_times_matrix`` call on the bundle's step matrix, which it reads
-    only once it takes a second row.  It stops at the first n with
-    R_n . v_f != 0 (height n, ns infinite) or at the first stall, R_n in
-    span(R_1..R_{n-1}) (ns = n).  Past a stall no dot is nonzero (see
-    :func:`default_height_cap`), so the height is then infinite.  The rows
-    lie in F_q^m, so one of the two stops comes by n = m + 1 (see
-    :func:`default_ns_cap`).
+    only once it takes a second row: a walk that stops at R_1 (height 1,
+    or lambda = 0 and ns = 1) never builds delta, T or the step matrix.
+    It stops at the first n with R_n . v_f != 0 (height n, ns infinite) or
+    at the first stall, R_n in span(R_1..R_{n-1}) (ns = n).  Past a stall
+    no dot is nonzero (see :func:`default_height_cap`), so the height is
+    then infinite.  The rows lie in F_q^m, so one of the two stops comes by
+    n = m + 1 (see :func:`default_ns_cap`).
     """
     if b._walked is not None:
         return b._walked

@@ -29,7 +29,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -307,12 +307,17 @@ class ScanJob:
             return self.ring.field.order ** len(self.mask)
         return self.count
 
+    @cached_property
+    def _elements(self) -> list:
+        """The field's elements in ``elements()`` order, listed once per job for the mask digits."""
+        return list(self.ring.field.elements())
+
     def coefficients_for(self, index: int) -> list:
         if self.mask is None:
             return sample(self.seed, index, self.ring)
         fld = self.ring.field
         m = cartier.basis(self.ring).m
-        elems = list(fld.elements())
+        elems = self._elements
         coeffs = [fld.zero] * m
         rest = index
         for pos in self.mask:

@@ -1,6 +1,7 @@
-"""Helpers that only the tests use: raw values of lambda, T and Krylov rows, the per-shift
-lift walk, step matrices from raw rows, the twin assertion of the two bundle routes, exact
-rank, evaluation, witness tables, the reference sampler."""
+"""Helpers that only the tests use: raw values of lambda, T and Krylov rows, a route's T
+built from its builder, the per-shift lift walk, step matrices from raw rows, the twin
+assertion of the two bundle routes, exact rank, evaluation, witness tables, the reference
+sampler."""
 
 from __future__ import annotations
 
@@ -22,6 +23,12 @@ from qfsplit.values import Infinite
 def as_raw(kernel, fld: Field) -> tuple:
     """A kernel's (lambda, T) coordinate arrays as raw values: a list and a list of rows."""
     return tuple(raw_values(a, fld.e) for a in kernel)
+
+
+def forced(route: tuple) -> tuple:
+    """A bundle route's (lambda, T builder) as (lambda, T), the builder run once."""
+    lam, build_T = route
+    return lam, build_T()
 
 
 def bundle_raw(b: FrobeniusBundle) -> tuple:
@@ -164,8 +171,8 @@ def assert_twins(f: Polynomial) -> list:
     """
     bas = basis(f.ring)
     assert _fpbundle.admits(f.ring, bas.m)
-    lam, T = _fpbundle.lam_and_T(f, bas)
-    raw = dict_lam_and_T(f, bas)
+    lam, T = forced(_fpbundle.lam_and_T(f, bas))
+    raw = forced(dict_lam_and_T(f, bas))
     assert as_raw((lam, T), f.ring.field) == raw
     b = bundle(f)
     assert np.array_equal(b.lam_coords, lam) and np.array_equal(b.T_coords, T)

@@ -39,6 +39,6 @@ def step_counting():
 
     def twin(b):
         ops = step_counting_class(type(_linalg.make_ops(b.field)))(b.field)
-        return FrobeniusBundle(b.basis, b.f, b.lam_coords, b.T_coords, ops=ops)
+        return FrobeniusBundle(b.basis, b.f, b.lam_coords, lambda: b.T_coords, ops=ops)
 
     return twin

@@ -3,7 +3,9 @@
 The routes meet in raw values: the numpy route's coordinate arrays, read as
 raw values, must equal the dict route's lists entry for entry.  Every twin
 case also checks the bundle's step matrix against the entry-by-entry build
-from raw rows in ``_support``.
+from raw rows in ``_support``.  Each route returns lambda and a builder of
+T; the tests run the builder (``_support.forced``), and the last section
+checks that a bundle whose walk stops at R_1 never runs it.
 """
 
 import math
@@ -12,12 +14,12 @@ import random
 import numpy as np
 import pytest
 
-from qfsplit import _fpbundle, cartier, catalog, delsarte, scan
+from qfsplit import _fpbundle, cartier, catalog, cli, delsarte, scan
 from qfsplit.cartier import basis, bundle, dict_lam_and_T
 from qfsplit.ffield import field
 from qfsplit.polyring import Polynomial, RingConfig, parse_poly
 
-from _support import as_raw, assert_bundle_matches, assert_twins
+from _support import as_raw, assert_bundle_matches, assert_twins, forced
 
 QUARTIC, SEXTIC, QUINTIC = (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 1, 1, 1)
 # forms whose lambda vanishes at some of p = 3, 5, 7 (ns = 1 there)
@@ -113,7 +115,7 @@ def block_twin_cases():
         ring = RingConfig(field(p), (1, 1))
         forms += [parse_poly(text, ring) for text in ("x^2+x*y+y^2", "x^2+y^2", "x^2+3*x*y")]
     forms += [parse_poly(r.equation, RingConfig(field(11), r.weights)) for r in delsarte.builtin_families()]
-    return [(f, dict_lam_and_T(f, basis(f.ring))) for f in forms]
+    return [(f, forced(dict_lam_and_T(f, basis(f.ring)))) for f in forms]
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -122,7 +124,7 @@ def test_routes_agree_at_small_block_sizes(monkeypatch, block_twin_cases, block)
     # split and every pair is its own block; at 7 and 64 rows straddle blocks
     monkeypatch.setattr(_fpbundle, "BLOCK", block)
     for f, expected in block_twin_cases:
-        assert as_raw(_fpbundle.lam_and_T(f, basis(f.ring)), f.ring.field) == expected
+        assert as_raw(forced(_fpbundle.lam_and_T(f, basis(f.ring))), f.ring.field) == expected
 
 
 # -- F_{p^e}: the Galois-ring lift --------------------------------------------
@@ -168,10 +170,10 @@ def assert_char2_twins(f):
     """The p = 2 kernel equals the general numpy route and the dict route."""
     bas = basis(f.ring)
     fld = f.ring.field
-    kernel = as_raw(_fpbundle.char2_lam_and_T(f, bas), fld)
-    assert kernel == as_raw(_fpbundle.general_lam_and_T(f, bas), fld)
-    assert kernel == dict_lam_and_T(f, bas)
-    assert kernel == as_raw(_fpbundle.lam_and_T(f, bas), fld)
+    kernel = as_raw(forced(_fpbundle.char2_lam_and_T(f, bas)), fld)
+    assert kernel == as_raw(forced(_fpbundle.general_lam_and_T(f, bas)), fld)
+    assert kernel == forced(dict_lam_and_T(f, bas))
+    assert kernel == as_raw(forced(_fpbundle.lam_and_T(f, bas)), fld)
 
 
 @pytest.mark.parametrize("e,weights", CHAR2, ids=[f"F{2 ** e}-{NAMES[w]}" for e, w in CHAR2])
@@ -216,9 +218,9 @@ def test_char2_bundles_never_reach_the_class_pairing_loop(monkeypatch):
     for e in (1, 2, 3):
         for weights in (QUARTIC, SEXTIC, QUINTIC):
             for f in seeded_forms(RingConfig(field(2, e), weights), e, True):
-                bundle(f)
+                bundle(f).T_coords
     assert calls == []
-    bundle(parse_poly("x^4+y^4+z^4+w^4", RingConfig(field(3), QUARTIC)))
+    bundle(parse_poly("x^4+y^4+z^4+w^4", RingConfig(field(3), QUARTIC))).T_coords
     assert calls == [1]  # odd p pairs terms there
 
 
@@ -238,9 +240,10 @@ def dict_route_calls(monkeypatch):
 def test_large_primes_take_the_dict_route(dict_route_calls):
     f = parse_poly("x*y*z*w", RingConfig(field(32771), QUARTIC))
     b = bundle(f)
+    b.T_coords
     assert dict_route_calls == [1]
     assert b.ops.dtype == object  # exact Python ints in the step matrix
-    assert_bundle_matches(b, dict_lam_and_T(f, b.basis))
+    assert_bundle_matches(b, forced(dict_lam_and_T(f, b.basis)))
 
 
 @pytest.mark.parametrize("p,e,text", [
@@ -250,19 +253,20 @@ def test_large_primes_take_the_dict_route(dict_route_calls):
 ], ids=["F2", "F4", "F9"])
 def test_f2_and_extensions_take_the_numpy_route(dict_route_calls, p, e, text):
     f = parse_poly(text, RingConfig(field(p, e), QUARTIC))
-    bundle(f)
+    bundle(f).T_coords
     assert dict_route_calls == []
 
 
 def test_a_ring_over_the_byte_budget_takes_the_dict_route(dict_route_calls, monkeypatch):
     ring = RingConfig(field(3), QUARTIC)
     f = parse_poly("x^4+y^4+z^4+w^4", ring)
-    bundle(f)
+    bundle(f).T_coords
     assert dict_route_calls == []
     monkeypatch.setattr(_fpbundle, "RING_BYTES_MAX", _fpbundle.ring_bytes(ring, basis(ring).m) - 1)
     b = bundle(f)
+    b.T_coords
     assert dict_route_calls == [1]
-    assert_bundle_matches(b, as_raw(_fpbundle.lam_and_T(f, basis(ring)), ring.field))
+    assert_bundle_matches(b, as_raw(forced(_fpbundle.lam_and_T(f, basis(ring))), ring.field))
 
 
 def test_route_rule_reads_the_ring_once_per_basis_size(monkeypatch):
@@ -326,3 +330,68 @@ def test_route_rule_builds_no_array(monkeypatch):
     assert 4 * (p * p - 1) ** 2 < 2**63 <= 9 * (p * p - 1) ** 2
     assert _fpbundle.admits(RingConfig(field(p, 2, (p - square, 0, 1)), (1, 1)), 3)
     assert not _fpbundle.admits(RingConfig(field(p, 3, (p - cube, 0, 0, 1)), (1, 1)), 3)
+
+
+# -- T on demand: a walk that stops at R_1 builds no T ----------------------------
+
+
+@pytest.fixture
+def T_builds(monkeypatch):
+    """The T builds made, by name: the odd-p kernel loop, the p = 2 pair sum, the dict route's columns."""
+    calls = []
+    for owner, name in ((_fpbundle, "_accumulate_kernel"), (_fpbundle, "_pair_sum"),
+                        (cartier, "columns_from_kernel")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, name=name, original=original: calls.append(name) or original(*args))
+    return calls
+
+
+def lazy_forms(ring):
+    """The diagonal and cyclic forms and six samples; one-term quartics only where p >= 2^15."""
+    if ring.field.p >= 1 << 15:  # f^(p-2) has one term there
+        return [parse_poly(text, ring) for text in ("x*y*z*w", "x^4", "x^2*y*w") if ring.weights == QUARTIC]
+    samples = (basis(ring).polynomial(scan.sample(30, index, ring)) for index in range(6))
+    return [parse_poly(text, ring) for text in DIAGONAL[ring.weights]] + [f for f in samples if len(f) > 1]
+
+
+LAZY = [(3, 1, "numpy"), (5, 1, "numpy"), (7, 1, "numpy"), (2, 2, "numpy"), (3, 2, "numpy"),
+        (3, 1, "dict"), (32771, 1, "dict")]
+
+
+@pytest.mark.parametrize("p,e,route", LAZY, ids=[f"F{p ** e}-{route}" for p, e, route in LAZY])
+def test_a_walk_that_stops_at_the_first_row_builds_no_T(T_builds, monkeypatch, p, e, route):
+    if route == "dict" and p < 1 << 15:
+        monkeypatch.setattr(_fpbundle, "RING_BYTES_MAX", 0)
+    kinds = []
+    for weights in (QUARTIC, SEXTIC):
+        ring = RingConfig(field(p, e), weights)
+        assert _fpbundle.admits(ring, basis(ring).m) == (route == "numpy")
+        for f in lazy_forms(ring):
+            T_builds.clear()
+            b = bundle(f)
+            h, ns = cartier.height(b), cartier.ns_index(b)
+            report = cartier.artin_report(f)
+            assert (repr(report.height), repr(report.ns)) == (repr(h), repr(ns))
+            kind = "height 1" if h == 1 else "lambda 0" if ns == 1 else "walked"
+            kinds.append(kind)
+            # a walk past R_1 builds T once for b and once for the report's own bundle
+            assert len(T_builds) == (0 if kind != "walked" else 2), kind
+            b.T_coords
+            b.T_mat
+            assert len(T_builds) == (1 if kind != "walked" else 2), kind  # the build is seen
+    assert "height 1" in kinds and ("lambda 0" in kinds or p == 2)
+    assert "walked" in kinds or p >= 1 << 15
+
+
+@pytest.mark.parametrize("name", ["f2-sigma9", "f3-sigma5"])
+def test_a_supersingular_row_builds_T_once_per_command(T_builds, capsys, name):
+    entry = next(entry for entry in catalog.all_entries() if entry.name == name)
+    ring = ["-p", str(entry.p), "--weights", ",".join(map(str, entry.weights))]
+    built = []
+    for command in (["artin"], ["lift", "--random", "20", "--seed", "7"], ["lift", "--find-infinite"]):
+        before = len(T_builds)
+        assert cli.main(command[:1] + ring + [entry.equation] + command[1:]) == 0
+        built.append(len(T_builds) - before)
+    capsys.readouterr()
+    assert built == [1, 1, 1]

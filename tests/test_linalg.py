@@ -65,12 +65,13 @@ def random_forms(fld, weights, count, seed):
 
 def generic_twin(b):
     """The same bundle on the reference GenericOps backend."""
-    return FrobeniusBundle(b.basis, b.f, *bundle_raw(b), ops=_linalg.GenericOps(b.field))
+    lam, T = bundle_raw(b)
+    return FrobeniusBundle(b.basis, b.f, lam, lambda: T, ops=_linalg.GenericOps(b.field))
 
 
 def numpy_twin(b):
     """The same bundle on the numpy backend, ``PrimeOps(F)``: at p = 2 the packed backend's twin."""
-    return FrobeniusBundle(b.basis, b.f, b.lam_coords, b.T_coords, ops=_linalg.PrimeOps(b.field))
+    return FrobeniusBundle(b.basis, b.f, b.lam_coords, lambda: b.T_coords, ops=_linalg.PrimeOps(b.field))
 
 
 def generic_rank(rows, fld):
@@ -158,7 +159,7 @@ def test_weil_backend_matches_generic_on_lifts(fld):
             assert [repr(v) for v in ns_lift(b, shifts)] == [repr(v) for v in expected]
             assert [repr(v) for v in ns_lift(nb, shifts)] == [repr(v) for v in expected]
             # lambda = 0, which no form gives at p = 2: ns = 1, every index 1, no infinite lift
-            z = FrobeniusBundle(b.basis, b.f, np.zeros_like(b.lam_coords), b.T_coords)
+            z = FrobeniusBundle(b.basis, b.f, np.zeros_like(b.lam_coords), lambda: b.T_coords)
             for bz in (z, generic_twin(z), numpy_twin(z)):
                 assert ns_index(bz) == 1 and infinite_lift(bz) is None
             assert ns_lift(z, shifts) == ns_lift(numpy_twin(z), shifts) == [1] * len(shifts)
@@ -248,7 +249,7 @@ def random_bundles(fld, seed):
         lam[rng.randrange(m)] = fld.one  # lambda != 0, so infinite_lift constructs a shift
         # v_f off the support of lambda makes R_1 . v_f = 0, so heights exceed 1
         v_f = [fld.zero if k % 2 or not fld.is_zero(a) else random_element(fld, rng) for a in lam]
-        out.append(FrobeniusBundle(bas, bas.polynomial(v_f), lam, T))
+        out.append(FrobeniusBundle(bas, bas.polynomial(v_f), lam, lambda T=T: T))
     for h in rng.sample(range(3, m + 1), 2):
         # a weighted shift: R_n is supported on coordinate n - 1, so the height is h
         T = [[fld.zero] * m for _ in range(m)]
@@ -256,7 +257,7 @@ def random_bundles(fld, seed):
             T[i][i + 1] = random_unit(fld, rng)
         lam = [random_unit(fld, rng)] + [fld.zero] * (m - 1)
         v_f = [random_unit(fld, rng) if i == h - 1 else fld.zero for i in range(m)]
-        out.append(FrobeniusBundle(bas, bas.polynomial(v_f), lam, T))
+        out.append(FrobeniusBundle(bas, bas.polynomial(v_f), lam, lambda T=T: T))
     return out
 
 
@@ -332,12 +333,12 @@ def test_step_matrix_of_empty_and_one_cell_t(fld):
     # at p = 2 the packed backend and its numpy twin
     for ops in [_linalg.make_ops(fld)] + ([_linalg.PrimeOps(fld)] if fld.p == 2 else []):
         zero = [[fld.zero] * m for _ in range(m)]
-        b = FrobeniusBundle(bas, bas.polynomial(lam), lam, zero, ops=ops)
+        b = FrobeniusBundle(bas, bas.polynomial(lam), lam, lambda: zero, ops=ops)
         assert not step_matrix_array(b, b.T_mat).any()
         for i, j in cells:
             T = [list(row) for row in zero]
             T[i][j] = random_unit(fld, rng)
-            b = FrobeniusBundle(bas, bas.polynomial(lam), lam, T, ops=ops)
+            b = FrobeniusBundle(bas, bas.polynomial(lam), lam, lambda: T, ops=ops)
             got = step_matrix_array(b, b.T_mat)
             assert np.array_equal(got, step_matrix_reference(ops, T)), (type(ops), i, j)
             block = got.reshape(m, e, m, e)[i, :, j, :]

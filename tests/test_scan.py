@@ -367,6 +367,29 @@ def test_hunt_with_mask_finds_diagonal_quartics():
     assert all(hit["reverified"] for hit in res.hits)
 
 
+@pytest.mark.parametrize("fld_class,ring,mask", [
+    (PrimeField, R3, (0, 20, 30, 34)),
+    (ExtensionField, RingConfig(field(2, 2), (1, 1, 1, 1)), (3, 7, 11)),
+], ids=["F3", "F4"])
+def test_a_mask_job_lists_the_field_elements_once(monkeypatch, fld_class, ring, mask):
+    calls = []
+    listed = fld_class.elements
+    monkeypatch.setattr(fld_class, "elements", lambda fld: calls.append(fld) or listed(fld))
+    job = ScanJob(ring=ring, mask=mask)
+    got = [job.coefficients_for(index) for index in range(job.total())]
+    assert len(calls) == 1
+    # index = sum_k digit_k q^k, digit k the position of mask[k]'s value in elements()
+    fld = ring.field
+    elems = list(listed(fld))
+    expected = []
+    for digits in product(range(fld.order), repeat=len(mask)):
+        coeffs = [fld.zero] * basis(ring).m
+        for pos, digit in zip(mask, reversed(digits)):
+            coeffs[pos] = elems[digit]
+        expected.append(coeffs)
+    assert got == expected
+
+
 def test_csv_columns():
     res = run_scan(ScanJob(ring=R2, mode="histogram", count=3, seed=0))
     header = res.csv_text().splitlines()[0]
