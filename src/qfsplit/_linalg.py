@@ -48,11 +48,13 @@ oracles, JSON and tests, and each backend's ``coordinates`` reads a row
 back as an array.
 
 :class:`GenericOps` and :class:`GenericRankTracker` are not a production
-route.  They are the reference the tests compare both backends against:
-plain Python lists of raw field values driving the field kernels entry by
-entry, with Frobenius applied after each product (over F_q it is only
-semilinear, so it cannot be folded into a list-based matrix).  At p = 2 the
-tests also run the numpy backend itself, ``PrimeOps(F)``, as a twin.
+route.  They are the reference backend of the tests' registry
+(``tests/test_registry.py``), which lists every backend with the fields it
+accepts and checks each against them: plain Python lists of raw field
+values driving the field kernels entry by entry, with Frobenius applied
+after each product (over F_q it is only semilinear, so it cannot be folded
+into a list-based matrix).  At p = 2 the registry also lists the numpy
+backend itself, ``PrimeOps(F)``, beside :class:`PackedOps`.
 """
 
 from __future__ import annotations

@@ -1,39 +1,81 @@
-"""Helpers that only the tests use: raw values of lambda, T and Krylov rows, a route's T
-built from its builder, the per-shift lift walk, step matrices from raw rows, the twin
-assertion of the two bundle routes, exact rank, evaluation, witness tables, the reference
-sampler."""
+"""Helpers that only the tests use: the seeded form generators, raw values of lambda, T
+and Krylov rows, the per-shift lift walk, step matrices from raw rows, exact rank,
+evaluation, witness tables, the reference sampler."""
 
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from qfsplit import _fpbundle, lifts
+from qfsplit import lifts
 from qfsplit._linalg import make_ops, raw_values
-from qfsplit.cartier import FrobeniusBundle, basis, bundle, dict_lam_and_T
+from qfsplit.cartier import FrobeniusBundle, basis
 from qfsplit.errors import UsageError
 from qfsplit.ffield import Field, RawElement, field
 from qfsplit.polyring import Polynomial, RingConfig
 from qfsplit.values import Infinite
 
+QUARTIC, SEXTIC, QUINTIC = (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 1, 1, 1)
+NAMES = {QUARTIC: "quartic", SEXTIC: "sextic", QUINTIC: "quintic"}
+# forms whose lambda vanishes at some of p = 3, 5, 7 (ns = 1 there)
+DIAGONAL = {
+    QUARTIC: ("x^4+y^4+z^4+w^4", "x^3y+y^3z+z^3w+w^3x"),
+    SEXTIC: ("x^6+y^6+z^6+w^2", "x^5y+y^5z+z^5x+w^2"),
+    QUINTIC: ("x^5+y^5+z^5+w^5+u^5", "x^4y+y^4z+z^4w+w^4u+u^4x"),
+}
 
-def as_raw(kernel, fld: Field) -> tuple:
-    """A kernel's (lambda, T) coordinate arrays as raw values: a list and a list of rows."""
-    return tuple(raw_values(a, fld.e) for a in kernel)
+
+def seeded_form(ring: RingConfig, rng: random.Random, terms: int | None) -> Polynomial:
+    """``terms`` random monomials with nonzero coefficients; for None, every monomial with a
+    coefficient from the whole field, the first one 1."""
+    monos, elems = basis(ring).monomials, list(ring.field.elements())  # zero first
+    if terms is None:
+        return Polynomial(ring, {m: elems[rng.randrange(len(elems))] for m in monos} | {monos[0]: ring.field.one})
+    return Polynomial(ring, {m: elems[rng.randrange(1, len(elems))] for m in rng.sample(monos, terms)})
 
 
-def forced(route: tuple) -> tuple:
-    """A bundle route's (lambda, T builder) as (lambda, T), the builder run once."""
-    lam, build_T = route
-    return lam, build_T()
+def seeded_forms(ring: RingConfig, seed: int, dense: bool) -> list:
+    """One dense form (if asked), one 4-term form and one one-term form."""
+    rng = random.Random(seed)
+    out = [seeded_form(ring, rng, None)] if dense else []
+    out.append(seeded_form(ring, rng, 4))
+    elems = list(ring.field.elements())
+    return out + [Polynomial(ring, {rng.choice(basis(ring).monomials): elems[rng.randrange(1, len(elems))]})]
+
+
+def random_forms(fld: Field, weights: tuple, count: int, seed: int) -> list:
+    """Seeded sparse degree-d forms: 4 to 9 random terms, nonzero coefficients."""
+    rng = random.Random(seed)
+    ring = RingConfig(fld, weights)
+    monos = basis(ring).monomials
+    elems = [x for x in fld.elements() if not fld.is_zero(x)]
+    return [
+        Polynomial(ring, {mono: rng.choice(elems) for mono in rng.sample(monos, rng.randint(4, 9))})
+        for _ in range(count)
+    ]
+
+
+def random_element(fld: Field, rng: random.Random) -> RawElement:
+    """A uniform raw element, without enumerating the field."""
+    if fld.e == 1:
+        return rng.randrange(fld.p)
+    return tuple(rng.randrange(fld.p) for _ in range(fld.e))
+
+
+def random_unit(fld: Field, rng: random.Random) -> RawElement:
+    while True:
+        a = random_element(fld, rng)
+        if not fld.is_zero(a):
+            return a
 
 
 def bundle_raw(b: FrobeniusBundle) -> tuple:
     """The bundle's (lambda, T) as raw values, for the oracles the tests compare against."""
-    return as_raw((b.lam_coords, b.T_coords), b.field)
+    return tuple(raw_values(a, b.field.e) for a in (b.lam_coords, b.T_coords))
 
 
 def rows_on(b: FrobeniusBundle, T) -> Iterator:
@@ -152,33 +194,6 @@ def step_matrix_array(b: FrobeniusBundle, mat) -> np.ndarray:
     unit = np.eye(b.m * b.field.e, dtype=np.int64)
     return np.array([ops.coordinates(ops.row_times_matrix(ops.row(u), mat), b.m).reshape(-1)
                      for u in unit])
-
-
-def assert_bundle_matches(b: FrobeniusBundle, raw: tuple) -> None:
-    """The bundle's (lambda, T) read as raw values equal ``raw``, the dict route's,
-    and its step matrix equals the entry-by-entry build from the raw rows."""
-    lam, T = bundle_raw(b)
-    assert (lam, T) == raw
-    assert np.array_equal(step_matrix_array(b, b.T_mat), step_matrix_reference(b.ops, T))
-
-
-def assert_twins(f: Polynomial) -> list:
-    """Both routes give the same lambda and T, and bundle() returns them; return lambda.
-
-    bundle() must take the numpy route for f.  Its v_f is the coordinate
-    array f keeps, and its step matrix is checked as in
-    :func:`assert_bundle_matches`.
-    """
-    bas = basis(f.ring)
-    assert _fpbundle.admits(f.ring, bas.m)
-    lam, T = forced(_fpbundle.lam_and_T(f, bas))
-    raw = forced(dict_lam_and_T(f, bas))
-    assert as_raw((lam, T), f.ring.field) == raw
-    b = bundle(f)
-    assert np.array_equal(b.lam_coords, lam) and np.array_equal(b.T_coords, T)
-    assert b.v_f is bas.coefficients(f)
-    assert_bundle_matches(b, raw)
-    return raw[0]
 
 
 def matrix_rank(rows, field: Field) -> int:

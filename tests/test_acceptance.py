@@ -48,44 +48,44 @@ def _random_form(rng, ring):
 
 
 def test_criterion_01_supersingular_quartics_over_f2():
-    start = time.time()
+    start = time.perf_counter()
     for entry in catalog.SUPERSINGULAR_QUARTICS_F2:
         b = bundle(entry.polynomial())
         assert is_infinite(height(b)), entry.name
         assert ns_index(b) == entry.expected_sigma, entry.name
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"criterion 1 exceeded its 5 s budget: {elapsed:.2f} s"
     _report(1, f"seven F_2 quartics give height infinity and ns = 3..9 ({elapsed:.2f} s)")
 
 
 def test_criterion_02_supersingular_quartics_over_f3():
-    start = time.time()
+    start = time.perf_counter()
     for entry in catalog.SUPERSINGULAR_QUARTICS_F3:
         b = bundle(entry.polynomial())
         assert is_infinite(height(b)), entry.name
         assert ns_index(b) == entry.expected_sigma, entry.name
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 2 exceeded its 30 s budget: {elapsed:.2f} s"
     _report(2, f"ten F_3 quartics give height infinity and ns = 1..10 ({elapsed:.2f} s)")
 
 
 def test_criterion_03_quintic_threefold_ns_58():
-    start = time.time()
+    start = time.perf_counter()
     entry = catalog.QUINTIC_THREEFOLD_F2
     b = bundle(entry.polynomial())
     h = height(b)
     assert is_infinite(h) and h.cap == 126
     assert ns_index(b) == 58
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 3 exceeded its 60 s budget: {elapsed:.2f} s"
     _report(3, f"quintic threefold over F_2: height infinite at cap 126, ns = 58 ({elapsed:.2f} s)")
 
 
 def test_criterion_04_rdp_quartic_ns_2():
-    start = time.time()
+    start = time.perf_counter()
     b = bundle(catalog.RDP_QUARTIC_F2.polynomial())
     assert ns_index(b) == 2
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"criterion 4 exceeded its 1 s budget: {elapsed:.2f} s"
     _report(4, f"double-point quartic over F_2 has ns = 2 ({elapsed:.2f} s)")
 
@@ -116,7 +116,7 @@ def test_criterion_05_ns_one_criterion_both_directions():
 
 
 def test_criterion_06_delsarte_tables_and_cross_check():
-    start = time.time()
+    start = time.perf_counter()
     families = delsarte.builtin_families()
     assert len(families) == 20
     for rec in families:
@@ -130,7 +130,7 @@ def test_criterion_06_delsarte_tables_and_cross_check():
             (r.family.equation, r.p) for r in rows if not r.match
         ]
         pairs += len(rows)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"criterion 6 exceeded its 60 s budget: {elapsed:.2f} s"
     _report(6, f"20 family invariants recomputed; formula = matrix on {pairs} "
                f"admissible (row, p) pairs ({elapsed:.2f} s)")
@@ -237,7 +237,7 @@ def test_criterion_09_oracle_equivalences():
 
 
 def test_criterion_10_sigma_bound_scans_char_2():
-    start = time.time()
+    start = time.perf_counter()
     results = {}
     for label, ring in (("weighted sextics", R2S), ("quartics", R2)):
         job = scan.ScanJob(
@@ -254,7 +254,7 @@ def test_criterion_10_sigma_bound_scans_char_2():
         assert res.ambiguous == [], (label, res.ambiguous)
         supersingular = sum(1 for r in res.rows if r["height"] == "infinity")
         results[label] = supersingular
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     _report(10, "no smooth-filtered supersingular sample below sigma 3 in 1000 "
                 f"sextics + 1000 quartics over F_2 "
                 f"(supersingular hits: {results}; {elapsed:.1f} s)")

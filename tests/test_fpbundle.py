@@ -1,213 +1,49 @@
-"""The numpy route of bundle() against the dict route over F_p and F_{p^e}, the p = 2 kernel against both, and the route rule.
+"""Which bundle route a form takes and what each route builds: the route rule, the
+per-ring tables, and T on demand.
 
-The routes meet in raw values: the numpy route's coordinate arrays, read as
-raw values, must equal the dict route's lists entry for entry.  Every twin
-case also checks the bundle's step matrix against the entry-by-entry build
-from raw rows in ``_support``.  Each route returns lambda and a builder of
-T; the tests run the builder (``_support.forced``), and the last section
-checks that a bundle whose walk stops at R_1 never runs it.
+Whether the routes agree is checked by ``test_registry.py``, where every
+producer of lambda and T is registered with the inputs it accepts; the corpus
+groups that replaced this file's route twins are bound here under the twins'
+test ids.  The rest of this file checks which route ``cartier.bundle`` runs,
+that the rule reads the ring once and builds nothing, and that a bundle whose
+walk stops at R_1 never builds T.
 """
 
 import math
-import random
 
 import numpy as np
 import pytest
 
-from qfsplit import _fpbundle, cartier, catalog, cli, delsarte, scan
-from qfsplit.cartier import basis, bundle, dict_lam_and_T
+from qfsplit import _fpbundle, cartier, catalog, cli, scan
+from qfsplit.cartier import basis, bundle
 from qfsplit.ffield import field
-from qfsplit.polyring import Polynomial, RingConfig, parse_poly
+from qfsplit.polyring import RingConfig, parse_poly
 
-from _support import as_raw, assert_bundle_matches, assert_twins, forced
+from _support import DIAGONAL, QUARTIC, QUINTIC, SEXTIC, seeded_forms
+from test_registry import corpus_test
 
-QUARTIC, SEXTIC, QUINTIC = (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 1, 1, 1)
-# forms whose lambda vanishes at some of p = 3, 5, 7 (ns = 1 there)
-DIAGONAL = {
-    QUARTIC: ("x^4+y^4+z^4+w^4", "x^3y+y^3z+z^3w+w^3x"),
-    SEXTIC: ("x^6+y^6+z^6+w^2", "x^5y+y^5z+z^5x+w^2"),
-    QUINTIC: ("x^5+y^5+z^5+w^5+u^5", "x^4y+y^4z+z^4w+w^4u+u^4x"),
-}
-
-
-def seeded_forms(ring, seed, dense):
-    """One dense form (if asked), one 4-term form and one one-term form."""
-    rng = random.Random(seed)
-    monos = basis(ring).monomials
-    fld = ring.field
-    elems = list(fld.elements())  # zero first; over F_p, elems[k] = k
-    q = len(elems)
-    if dense:
-        yield Polynomial(ring, {m: elems[rng.randrange(q)] for m in monos} | {monos[0]: fld.one})
-    yield Polynomial(ring, {m: elems[rng.randrange(1, q)] for m in rng.sample(monos, 4)})
-    yield Polynomial(ring, {rng.choice(monos): elems[rng.randrange(1, q)]})
-
-
-NAMES = {QUARTIC: "quartic", SEXTIC: "sextic", QUINTIC: "quintic"}
-# a dense quintic at p >= 5 takes the dict route seconds, so those are sparse only
-SEEDED = [
-    (2, QUARTIC, True), (2, SEXTIC, True), (2, QUINTIC, True),
-    (3, QUARTIC, True), (3, SEXTIC, True), (3, QUINTIC, True),
-    (5, QUARTIC, True), (5, SEXTIC, True), (5, QUINTIC, False),
-    (7, QUARTIC, True), (7, SEXTIC, True), (7, QUINTIC, False),
-]
-
-
-@pytest.mark.parametrize("p,weights,dense", SEEDED,
-                         ids=[f"F{p}-{NAMES[w]}{'-dense' * d}" for p, w, d in SEEDED])
-def test_routes_agree_on_seeded_forms(p, weights, dense):
-    ring = RingConfig(field(p), weights)
-    for seed in range(3):
-        for f in seeded_forms(ring, 100 * p + seed, dense and seed == 0):
-            assert_twins(f)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_routes_agree_on_diagonal_and_cyclic_forms(p):
-    zero_rows = 0
-    for weights, texts in DIAGONAL.items():
-        ring = RingConfig(field(p), weights)
-        for text in texts:
-            zero_rows += not any(assert_twins(parse_poly(text, ring)))
-    assert zero_rows >= 2  # lambda = 0 occurs at every one of these p
-
-
-def test_routes_agree_on_every_catalog_row():
-    for entry in catalog.all_entries():
-        assert_twins(entry.polynomial())
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_routes_agree_on_delsarte_families(p):
-    records = [r for r in delsarte.builtin_families() if delsarte.admissible_primes(r, [p])]
-    assert records
-    for record in records:
-        assert_twins(parse_poly(record.equation, RingConfig(field(p), record.weights)))
-
-
-# one-term forms: f^(p-2) = c^(p-2) x^((p-2)a) and delta = 0, the powers taken
-# in closed form; the coefficient 3 (t+1 over F_{p^2}) keeps c^(p-2) from being 1
-ONE_TERM = ["x*y*z*w", "x^4", "x^2*y*w", "C*x*y^2*z"]
-ONE_TERM_FIELDS = [(11, 1), (97, 1), (997, 1), (4093, 1), (8191, 1), (3, 2), (5, 2), (7, 2), (11, 2)]
-
-
-@pytest.mark.parametrize("p,e", ONE_TERM_FIELDS, ids=[f"F{p}^{e}" for p, e in ONE_TERM_FIELDS])
-def test_routes_agree_on_one_term_forms(p, e):
-    fld = field(p, e)
-    ring = RingConfig(fld, QUARTIC)
-    c = "(t+1)" if e > 1 else "3"
-    lams = [assert_twins(parse_poly(text.replace("C", c), ring)) for text in ONE_TERM]
-    # x*y*z*w reads lambda at (p-2)(1, 1, 1, 1) + (1, 1, 1, 1); x^4 leaves it 0
-    assert [any(v != fld.zero for v in lam) for lam in lams[:2]] == [True, False]
-
-
-@pytest.fixture(scope="module")
-def block_twin_cases():
-    """Forms with their dict-route lambda and T, computed once for every block size."""
-    forms = []
-    for p, e in ((3, 1), (5, 1), (3, 2)):
-        # a dense, a 4-term and a one-term quartic, a 4-term and a one-term sextic
-        forms += seeded_forms(RingConfig(field(p, e), QUARTIC), 10 * p + e, True)
-        forms += seeded_forms(RingConfig(field(p, e), SEXTIC), 10 * p + e, False)
-    # d = 2 w_min gives the narrowest exponent fields, and at p = 2^(w-1) - 1
-    # the guard bit of the class matching has no room to spare
-    for p in (3, 7, 31):
-        ring = RingConfig(field(p), (1, 1))
-        forms += [parse_poly(text, ring) for text in ("x^2+x*y+y^2", "x^2+y^2", "x^2+3*x*y")]
-    forms += [parse_poly(r.equation, RingConfig(field(11), r.weights)) for r in delsarte.builtin_families()]
-    return [(f, forced(dict_lam_and_T(f, basis(f.ring)))) for f in forms]
-
-
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_routes_agree_at_small_block_sizes(monkeypatch, block_twin_cases, block):
-    # at BLOCK 1 every product block is one term of fhat, every kernel row is
-    # split and every pair is its own block; at 7 and 64 rows straddle blocks
-    monkeypatch.setattr(_fpbundle, "BLOCK", block)
-    for f, expected in block_twin_cases:
-        assert as_raw(forced(_fpbundle.lam_and_T(f, basis(f.ring))), f.ring.field) == expected
-
-
-# -- F_{p^e}: the Galois-ring lift --------------------------------------------
-
-# F_4, F_8, F_9, F_25, F_27 and F_49
-EXTENSIONS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]
-
-
-@pytest.mark.parametrize("p,e", EXTENSIONS, ids=[f"F{p ** e}" for p, e in EXTENSIONS])
-def test_routes_agree_on_seeded_forms_over_extensions(p, e):
-    for weights in (QUARTIC, SEXTIC):
-        ring = RingConfig(field(p, e), weights)
-        for seed in range(3):
-            for f in seeded_forms(ring, 1000 * p + 10 * e + seed, False):
-                assert_twins(f)
-
-
-@pytest.mark.parametrize("p", [2, 3], ids=["F4", "F9"])
-def test_routes_agree_on_a_dense_quartic_over_an_extension(p):
-    f = next(seeded_forms(RingConfig(field(p, 2), QUARTIC), 7, True))
-    assert len(f.term_dict()) >= 20
-    assert_twins(f)
-
-
-def test_routes_agree_on_every_catalog_row_over_the_quadratic_extension():
-    for entry in catalog.all_entries():
-        assert_twins(parse_poly(entry.equation, RingConfig(field(entry.p, 2), entry.weights)))
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_routes_agree_on_delsarte_families_over_the_quadratic_extension(p):
-    records = [r for r in delsarte.builtin_families() if delsarte.admissible_primes(r, [p])]
-    for record in records:
-        assert_twins(parse_poly(record.equation, RingConfig(field(p, 2), record.weights)))
+# the routes agree: the registry's corpus groups that replaced this file's twins, under their ids
+test_routes_agree_on_seeded_forms = corpus_test("test_routes_agree_on_seeded_forms")
+test_routes_agree_on_diagonal_and_cyclic_forms = corpus_test("test_routes_agree_on_diagonal_and_cyclic_forms")
+test_routes_agree_on_every_catalog_row = corpus_test("test_routes_agree_on_every_catalog_row")
+test_routes_agree_on_delsarte_families = corpus_test("test_routes_agree_on_delsarte_families")
+test_routes_agree_on_one_term_forms = corpus_test("test_routes_agree_on_one_term_forms")
+test_routes_agree_at_small_block_sizes = corpus_test("test_routes_agree_at_small_block_sizes")
+test_routes_agree_on_seeded_forms_over_extensions = corpus_test("test_routes_agree_on_seeded_forms_over_extensions")
+test_routes_agree_on_a_dense_quartic_over_an_extension = corpus_test(
+    "test_routes_agree_on_a_dense_quartic_over_an_extension")
+test_routes_agree_on_every_catalog_row_over_the_quadratic_extension = corpus_test(
+    "test_routes_agree_on_every_catalog_row_over_the_quadratic_extension")
+test_routes_agree_on_delsarte_families_over_the_quadratic_extension = corpus_test(
+    "test_routes_agree_on_delsarte_families_over_the_quadratic_extension")
+test_char2_kernel_matches_both_routes_on_seeded_forms = corpus_test(
+    "test_char2_kernel_matches_both_routes_on_seeded_forms")
+test_char2_kernel_drops_pairs_that_feed_no_cell = corpus_test("test_char2_kernel_drops_pairs_that_feed_no_cell")
+test_char2_kernel_matches_both_routes_on_the_f2_catalog_rows = corpus_test(
+    "test_char2_kernel_matches_both_routes_on_the_f2_catalog_rows")
 
 
 # -- p = 2: T as a quadratic form in the coefficient vector ---------------------
-
-CHAR2 = [(e, w) for e in (1, 2, 3) for w in (QUARTIC, SEXTIC, QUINTIC)]
-
-
-def assert_char2_twins(f):
-    """The p = 2 kernel equals the general numpy route and the dict route."""
-    bas = basis(f.ring)
-    fld = f.ring.field
-    kernel = as_raw(forced(_fpbundle.char2_lam_and_T(f, bas)), fld)
-    assert kernel == as_raw(forced(_fpbundle.general_lam_and_T(f, bas)), fld)
-    assert kernel == forced(dict_lam_and_T(f, bas))
-    assert kernel == as_raw(forced(_fpbundle.lam_and_T(f, bas)), fld)
-
-
-@pytest.mark.parametrize("e,weights", CHAR2, ids=[f"F{2 ** e}-{NAMES[w]}" for e, w in CHAR2])
-def test_char2_kernel_matches_both_routes_on_seeded_forms(e, weights):
-    ring = RingConfig(field(2, e), weights)
-    rng = random.Random(e)
-    monos = basis(ring).monomials
-    elems = list(ring.field.elements())[1:]
-    for seed in range(3):
-        # dense (the first seed), 4-term and one-term forms: one term has no pairs
-        for f in seeded_forms(ring, 200 * e + seed, seed == 0):
-            assert_char2_twins(f)
-        # two terms: a single pair
-        assert_char2_twins(Polynomial(ring, {m: rng.choice(elems) for m in rng.sample(monos, 2)}))
-
-
-@pytest.mark.parametrize("weights", [(2, 3, 3), (2, 2, 3, 3), (2, 3, 3, 4)])
-def test_char2_kernel_drops_pairs_that_feed_no_cell(weights):
-    # in these rings some x^(M_a + M_b) has a residue class that no column reads
-    ring = RingConfig(field(2), weights)
-    bas = basis(ring)
-    assert (bas.tables.pair == bas.m ** 2).any()
-    rng = random.Random(len(weights))
-    for _ in range(10):
-        f = Polynomial(ring, {m: 1 for m in bas.monomials if rng.random() < 0.7} | {bas.monomials[0]: 1})
-        assert_char2_twins(f)
-
-
-@pytest.mark.parametrize("e", [1, 2], ids=["F2", "F4"])
-def test_char2_kernel_matches_both_routes_on_the_f2_catalog_rows(e):
-    rows = [entry for entry in catalog.all_entries() if entry.p == 2]
-    assert rows
-    for entry in rows:
-        assert_char2_twins(parse_poly(entry.equation, RingConfig(field(2, e), entry.weights)))
 
 
 def test_char2_bundles_never_reach_the_class_pairing_loop(monkeypatch):
@@ -243,7 +79,6 @@ def test_large_primes_take_the_dict_route(dict_route_calls):
     b.T_coords
     assert dict_route_calls == [1]
     assert b.ops.dtype == object  # exact Python ints in the step matrix
-    assert_bundle_matches(b, forced(dict_lam_and_T(f, b.basis)))
 
 
 @pytest.mark.parametrize("p,e,text", [
@@ -263,10 +98,8 @@ def test_a_ring_over_the_byte_budget_takes_the_dict_route(dict_route_calls, monk
     bundle(f).T_coords
     assert dict_route_calls == []
     monkeypatch.setattr(_fpbundle, "RING_BYTES_MAX", _fpbundle.ring_bytes(ring, basis(ring).m) - 1)
-    b = bundle(f)
-    b.T_coords
+    bundle(f).T_coords
     assert dict_route_calls == [1]
-    assert_bundle_matches(b, as_raw(forced(_fpbundle.lam_and_T(f, basis(ring))), ring.field))
 
 
 def test_route_rule_reads_the_ring_once_per_basis_size(monkeypatch):

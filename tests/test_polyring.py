@@ -189,7 +189,7 @@ def test_format_parse_round_trip_random():
         assert parse_poly(format_poly(f), R3) == f
 
 
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     st.integers(0, 2),
