@@ -1,8 +1,9 @@
-"""Print digests of lambda, T and the Krylov walk for every numpy-route bundle of a fixed corpus.
+"""Print digests of lambda, T and the Krylov walk for every array-route bundle of a fixed corpus.
 
-A change to ``qfsplit._fpbundle`` or to the walk layer that must leave
-lambda, T, the step matrix and the rows bit-identical is checked by running
-this on both checkouts and comparing the outputs:
+A change to an array route (``qfsplit._fpbundle``, ``qfsplit._fibers``) or
+to the walk layer that must leave lambda, T, the step matrix and the rows
+bit-identical is checked by running this on both checkouts and comparing
+the outputs:
 
     python scripts/bundle_digest.py /path/to/parent > parent.txt
     python scripts/bundle_digest.py > change.txt
@@ -10,9 +11,11 @@ this on both checkouts and comparing the outputs:
 
 The argument is the root of the checkout to import ``qfsplit`` (from its
 ``src/``) and ``perfbench`` from; it defaults to this script's checkout.
-The corpus is every bundle built by one round of the ``catalog`` and
-``extension`` workloads and rounds 0-1 of ``dense`` (seed 1), and by
-``delsarte.cross_check`` at every prime 11..47.  Each line names the field,
+The corpus is every bundle that ``cartier.bundle`` builds on an array
+route, whichever one ``cartier.route`` picks (the dict route's are left
+out), in one round of the ``catalog`` and ``extension`` workloads and
+rounds 0-1 of ``dense`` (seed 1), and in ``delsarte.cross_check`` at every
+prime 11..47.  Each line names the field,
 the weights and a digest of f's coefficient vector, then the SHA-256 of
 lambda's and T's dtype, shape and bytes; then, for the bundle built from
 them on the field's backend, the digest of its step matrix read back as an
@@ -30,7 +33,7 @@ sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from qfsplit import _fpbundle, cartier, delsarte  # noqa: E402
+from qfsplit import cartier, delsarte  # noqa: E402
 
 
 def digest(*arrays) -> str:
@@ -43,7 +46,7 @@ def digest(*arrays) -> str:
 
 
 lines = []
-lam_and_T = _fpbundle.lam_and_T
+route = cartier.route
 
 
 def walk_digests(b) -> str:
@@ -58,9 +61,12 @@ def walk_digests(b) -> str:
     return f"step={digest(steps)} R1,R2={rows} height={cartier.height(b)!r} ns={cartier.ns_index(b)!r}"
 
 
-def recorded(f, bas):
-    """The route's lambda and T builder, recorded with T built: a bundle's T is built once."""
-    lam, build_T = lam_and_T(f, bas)
+def recorded(lam_and_T):
+    """The producer ``lam_and_T``, recording lambda and T, built at once: a bundle's T is built once."""
+    return lambda f, bas: record(f, bas, *lam_and_T(f, bas))
+
+
+def record(f, bas, lam, build_T):
     T = build_T()
     fld = bas.ring.field
     b = cartier.FrobeniusBundle(bas, f, lam, lambda: T)
@@ -69,7 +75,13 @@ def recorded(f, bas):
     return lam, lambda: T
 
 
-_fpbundle.lam_and_T = recorded  # cartier.bundle looks it up at call time
+def recording_route(f, bas):
+    """``cartier.route``, with the producer of each array route recorded."""
+    produce = route(f, bas)
+    return produce if produce is cartier.dict_lam_and_T else recorded(produce)
+
+
+cartier.route = recording_route  # cartier.bundle looks the rule up at call time
 for name, rounds in (("catalog", [0]), ("dense", [0, 1]), ("extension", [0])):
     wl = workloads.WORKLOADS[name](1)
     wl.setup()

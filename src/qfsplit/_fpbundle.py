@@ -167,8 +167,11 @@ def admits(ring: RingConfig, m: int) -> bool:
     * the route's per-ring arrays, by the closed form :func:`ring_bytes`,
       fit in ``RING_BYTES_MAX``.
 
-    It is computed from the ring alone, before anything is built.  The dict
-    route serves the rest: p >= 2^15 and the rings past the other bounds.
+    It is computed from the ring alone, before anything is built.
+    ``cartier.route`` reads it only for the forms the fiber route
+    (:func:`_fibers.admits`: odd p, an exponent matrix of full column rank)
+    does not take.  The dict route serves the rest: p >= 2^15 and the rings
+    past the other bounds.
     """
     need = _ring_bytes_if_packable(ring, m)
     return need is not None and need <= RING_BYTES_MAX

@@ -514,10 +514,15 @@ class GenericOps:
         self.field = field
 
     def row(self, vals) -> list:
-        """Raw values from coordinates, or raw values: a row, v_f's column or T's rows."""
+        """Raw values from coordinates, or raw values: a row or v_f's column."""
         return raw_values(np.asarray(vals, dtype=np.int64), self.field.e)
 
-    column = matrix = row
+    column = row
+
+    def matrix(self, vals) -> list:
+        """T's nonzero cells by row, from its coordinates or raw rows: row i lists (j, T_ij)."""
+        f = self.field
+        return [[(j, v) for j, v in enumerate(r) if not f.is_zero(v)] for r in self.row(vals)]
 
     def coordinates(self, row, m: int) -> np.ndarray:
         """The int64 coordinate array of a row of m raw values, which are its coordinates."""
@@ -528,16 +533,14 @@ class GenericOps:
         return [frob(v) for v in row]
 
     def row_times_matrix(self, row, mat) -> list:
-        """One Krylov step F(R T); F is applied after the product."""
+        """One Krylov step F(R T) over T's nonzero cells (T is square); F is applied after the product."""
         f = self.field
-        width = len(mat[0]) if mat else 0
-        out = [f.zero] * width
-        for i, ri in enumerate(row):
+        out = [f.zero] * len(mat)
+        for ri, cells in zip(row, mat):
             if f.is_zero(ri):
                 continue
-            mi = mat[i]
-            for j in range(width):
-                out[j] = f.add(out[j], f.mul(ri, mi[j]))
+            for j, v in cells:
+                out[j] = f.add(out[j], f.mul(ri, v))
         return self.frobenius_row(out)
 
     def dot_is_zero(self, row, col) -> bool:

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _fpbundle, _linalg
+from . import _fibers, _fpbundle, _linalg
 from .errors import ResourceError, UsageError
 from .ffield import Field, RawElement
 from .polyring import (
@@ -74,7 +74,8 @@ class MonomialBasis:
     """All weighted-degree-d monomials in the frozen canonical order.
 
     The basis keeps its ring's derived tables, each built on first use:
-    ``index``, ``residue_columns`` and the numpy route's ``tables``.
+    ``index``, ``residue_columns``, the numpy route's ``tables`` and the
+    fiber route's ``fibers``.
     """
 
     ring: RingConfig
@@ -106,6 +107,11 @@ class MonomialBasis:
     def tables(self) -> "_fpbundle.RingTables":
         """The numpy route's per-ring arrays."""
         return _fpbundle.RingTables(self)
+
+    @cached_property
+    def fibers(self) -> "_fibers.Fibers":
+        """The fiber route's basis exponents and per-support plans."""
+        return _fibers.Fibers(self)
 
     def index_of(self, exps) -> int:
         return self.index[tuple(exps)]
@@ -241,23 +247,20 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
 
     f is homogeneous of degree d iff it has as many terms as nonzero entries
     in its coefficient vector v_f, ``basis(f.ring).coefficients(f)``, the
-    coordinate array f keeps: the witness search, this check, both routes
+    coordinate array f keeps: the witness search, this check, every route
     and the walk read f's coefficients at most once between them.
 
-    lambda is computed here, with f^(p-2); delta and T are built on the
-    first read of ``T_coords``, which the walk makes only when it takes a
-    second row (:func:`_walk`): a form of height 1, or with lambda = 0,
-    never builds them.  Two routes give the same lambda and T, and each is
-    the other's test oracle; each returns lambda and a zero-argument
-    builder of T.  The numpy route returns coordinate arrays; the dict
+    lambda is computed here; T is built on the first read of ``T_coords``,
+    which the walk makes only when it takes a second row (:func:`_walk`): a
+    form of height 1, or with lambda = 0, never builds it.  Three routes
+    give the same lambda and T, and :func:`route` picks one from f's ring
+    and support: the fiber route at odd p when f's exponent matrix has full
+    column rank and p is within its table budget, else the numpy route when
+    :func:`_fpbundle.admits` holds (p = 2 always keeps its quadratic form
+    there), else the dict route.  Each returns lambda and a zero-argument
+    builder of T.  The two array routes return coordinate arrays; the dict
     route returns lists of raw values, which :class:`FrobeniusBundle` reads
-    as the same arrays, once.  The numpy route (:mod:`qfsplit._fpbundle`)
-    is taken iff :func:`_fpbundle.admits` holds, whose docstring states the
-    rule.  On it, p = 2 (every F_(2^e)) builds T as a fixed quadratic form
-    in v_f: delta(f) is the sum of c_a c_b x^(M_a + M_b) over a < b, and
-    f^(p-2) = 1.  The rings the rule refuses take the dict route:
-    ``poly_pow``, the Witt-sum ``delta``, ``mul_residues`` and
-    :func:`columns_from_kernel` on term dicts.
+    as the same arrays, once.
     """
     ring = f.ring
     if f.is_zero():
@@ -267,11 +270,34 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
         raise UsageError(
             f"bundle requires a homogeneous polynomial of weighted degree {ring.d}"
         )
-    if _fpbundle.admits(ring, bas.m):
-        lam, build_T = _fpbundle.lam_and_T(f, bas)
-    else:
-        lam, build_T = dict_lam_and_T(f, bas)
+    lam, build_T = route(f, bas)(f, bas)
     return FrobeniusBundle(bas, f, lam, build_T)
+
+
+def route(f: Polynomial, bas: MonomialBasis) -> Callable:
+    """The producer of f's lambda and T that :func:`bundle` takes, from f's ring and support alone.
+
+    Nothing is built to decide it, and the first rule that holds wins:
+
+    * the fiber route (:mod:`qfsplit._fibers`) iff :func:`_fibers.admits`:
+      odd p, f's exponent matrix of full column rank (every Delsarte form,
+      binomials and monomials) and p within its table budget.  lambda and
+      T are read off lattice points with multinomial weights, and no
+      polynomial product is formed;
+    * the numpy route (:mod:`qfsplit._fpbundle`) iff
+      :func:`_fpbundle.admits`, whose docstring states the rule.  On it,
+      p = 2 (every F_(2^e)) builds T as a fixed quadratic form in v_f:
+      delta(f) is the sum of c_a c_b x^(M_a + M_b) over a < b, and f^(p-2) =
+      1;
+    * the dict route, :func:`dict_lam_and_T`, for the rest: ``poly_pow``,
+      the Witt-sum ``delta``, ``mul_residues`` and
+      :func:`columns_from_kernel` on term dicts.
+    """
+    if _fibers.admits(f, bas):
+        return _fibers.lam_and_T
+    if _fpbundle.admits(bas.ring, bas.m):
+        return _fpbundle.lam_and_T
+    return dict_lam_and_T
 
 
 def dict_lam_and_T(f: Polynomial, bas: MonomialBasis) -> tuple:

@@ -122,7 +122,7 @@ def _cmd_lift(args) -> int:
                 c.append(parse_scalar(fld, part))
             except ParseError as exc:  # report the offset within --c, not within the part
                 raise ParseError(exc.message, start + exc.offset) from None
-            start += len(part) + 1
+            start += len(part.encode()) + 1  # offsets count UTF-8 bytes
     f = parse_poly(args.equation, ring)
     b = cartier.bundle(f)
     doc = _common_doc(f)

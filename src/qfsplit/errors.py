@@ -24,7 +24,7 @@ class ResourceError(QfsplitError):
 
 
 class ParseError(UsageError):
-    """Syntax error in a polynomial expression; carries a byte offset."""
+    """Syntax error in a polynomial expression; carries the UTF-8 byte offset of the error."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")

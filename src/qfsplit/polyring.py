@@ -507,7 +507,11 @@ _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3, "u": 4}
 
 
 class _Tokenizer:
-    """Whitespace-insensitive lexer shared by the polynomial and scalar grammars."""
+    """Whitespace-insensitive lexer shared by the polynomial and scalar grammars.
+
+    Digits are ``str.isdecimal`` characters, the ones ``int`` reads;
+    ``isdigit`` also admits superscripts, which ``int`` rejects.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -526,19 +530,26 @@ class _Tokenizer:
         self.pos += 1
         return ch
 
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        """A ParseError at character ``pos`` (default the current one), as a UTF-8 byte offset.
+
+        The text before ``pos`` is what the grammar consumed, so it encodes.
+        """
+        return ParseError(message, len(self.text[: self.pos if pos is None else pos].encode()))
+
     def expect(self, ch: str):
         got = self.peek()
         if got != ch:
-            raise ParseError(f"expected '{ch}', found {got!r}", self.pos)
+            raise self.error(f"expected '{ch}', found {got!r}")
         self.pos += 1
 
     def read_uint(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
-            raise ParseError("expected an unsigned integer", start)
+            raise self.error("expected an unsigned integer")
         return int(self.text[start : self.pos])
 
 
@@ -553,14 +564,14 @@ def _signed_terms(tok: _Tokenizer, stop: str, what: str) -> Iterator[int]:
         ch = tok.peek()
         if ch in ("", stop):
             if first:
-                raise ParseError(f"empty {what} expression", tok.pos)
+                raise tok.error(f"empty {what} expression")
             return
         sign = 1
         if ch in "+-":
             tok.take()
             sign = -1 if ch == "-" else 1
         elif not first:
-            raise ParseError(f"expected '+' or '-', found {ch!r}", tok.pos)
+            raise tok.error(f"expected '+' or '-', found {ch!r}")
         first = False
         yield sign
 
@@ -571,21 +582,21 @@ def _parse_scalar_expr(tok: _Tokenizer, field: Field, stop: str) -> RawElement:
     for sign in _signed_terms(tok, stop, "coefficient"):
         # one scalar term: [uint] ['*'] ['t' ['^' uint]]
         coeff = None
-        if tok.peek().isdigit():
+        if tok.peek().isdecimal():
             coeff = tok.read_uint()
             if tok.peek() == "*":
                 tok.take()
         power = 0
         if tok.peek() == "t":
             if field.e == 1:
-                raise ParseError("extension generator t used over a prime field", tok.pos)
+                raise tok.error("extension generator t used over a prime field")
             tok.take()
             power = 1
             if tok.peek() == "^":
                 tok.take()
                 power = tok.read_uint()
         if coeff is None and power == 0:
-            raise ParseError("expected a coefficient term", tok.pos)
+            raise tok.error("expected a coefficient term")
         if coeff is None:
             coeff = 1
         value = field.from_int(sign * coeff)
@@ -605,11 +616,9 @@ def _parse_var(tok: _Tokenizer, ring: RingConfig) -> int:
     """A variable the caller has peeked: 'x' uint, or one of the aliases."""
     pos = tok.pos
     ch = tok.take()
-    idx = tok.read_uint() if ch == "x" and tok.peek().isdigit() else _ALIASES[ch]
+    idx = tok.read_uint() if ch == "x" and tok.peek().isdecimal() else _ALIASES[ch]
     if idx >= ring.num_vars:
-        raise ParseError(
-            f"variable x{idx} out of range for a {ring.num_vars}-variable ring", pos
-        )
+        raise tok.error(f"variable x{idx} out of range for a {ring.num_vars}-variable ring", pos)
     return idx
 
 
@@ -626,7 +635,7 @@ def parse_poly(text: str, ring: RingConfig) -> Polynomial:
         coeff  := uint | '(' t-expression ')'              (parens need e > 1)
 
     Coefficients are reduced into the field and like terms combined.
-    Raises ParseError (with byte offset) on malformed input.
+    Raises ParseError on malformed input, with the UTF-8 byte offset of the error.
     """
     field = ring.field
     tok = _Tokenizer(text)
@@ -637,15 +646,13 @@ def parse_poly(text: str, ring: RingConfig) -> Polynomial:
         saw_coeff = False
         saw_factor = False
         ch = tok.peek()
-        if ch.isdigit():
+        if ch.isdecimal():
             n = tok.read_uint()
             coeff = field.mul(coeff, field.from_int(n))
             saw_coeff = True
         elif ch == "(":
             if field.e == 1:
-                raise ParseError(
-                    "parenthesized extension coefficient used over a prime field", tok.pos
-                )
+                raise tok.error("parenthesized extension coefficient used over a prime field")
             tok.take()
             value = _parse_scalar_expr(tok, field, stop=")")
             tok.expect(")")
@@ -657,7 +664,7 @@ def parse_poly(text: str, ring: RingConfig) -> Polynomial:
                 tok.take()
                 ch = tok.peek()
                 if ch not in _ALIASES:
-                    raise ParseError("expected a variable after '*'", tok.pos)
+                    raise tok.error("expected a variable after '*'")
             if ch not in _ALIASES:
                 break
             idx = _parse_var(tok, ring)
@@ -670,9 +677,9 @@ def parse_poly(text: str, ring: RingConfig) -> Polynomial:
             exps[idx] += power
             saw_factor = True
         if not (saw_coeff or saw_factor):
-            raise ParseError("expected a term", tok.pos)
+            raise tok.error("expected a term")
         if not saw_factor and tok.peek() not in ("", "+", "-"):
-            raise ParseError(f"unexpected character {tok.peek()!r}", tok.pos)
+            raise tok.error(f"unexpected character {tok.peek()!r}")
 
         key = tuple(exps)
         cur = terms.get(key, field.zero)

@@ -4,7 +4,10 @@ Outside the tier-1 suite; CI runs it with the other sweeps (``PYTHONPATH=src pyt
 pytest -q sweeps``).  The corpus: 20 seeded forms in each of 20 rings over F_2 to F_49,
 fully dense where the dict route takes at most about 0.2 s on one (one fully dense form
 costs it 1.4-1.9 s over F_25 and 5-7 s over F_49, so three run alone); the first 1000
-samples of ``qfsplit scan -p 2 --seed 2026``; the lambda = 0 diagonal and cyclic forms.
+samples of ``qfsplit scan -p 2 --seed 2026``; the lambda = 0 diagonal and cyclic forms;
+the fiber route against the numpy route on the twenty Delsarte families at every prime
+29..47 and at 97 (about 1 s a family there) and on quartic binomials at p = 8191 (about
+2 s each), where the dict route would take minutes.
 """
 
 import random
@@ -13,14 +16,15 @@ from pathlib import Path
 
 from hypothesis import given, settings
 
-from qfsplit import scan
+from qfsplit import _fibers, scan
 from qfsplit.cartier import basis
 from qfsplit.ffield import field
 from qfsplit.polyring import RingConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from _support import NAMES, QUARTIC, QUINTIC, SEXTIC, seeded_form  # noqa: E402
-from test_registry import check, corpus_test, diagonal_forms, drawn_cases, forms, lam_zero_twice  # noqa: E402
+from test_registry import (NUMPY_ROUTE, check, corpus_test, delsarte_forms, diagonal_forms, drawn_cases,  # noqa: E402
+                           every_route, forms, lam_zero_twice, parsed)
 
 
 def scan_samples():
@@ -49,6 +53,10 @@ CORPUS = {"test_sweep_corpus": (
        for p, w in [(5, QUARTIC), (5, SEXTIC), (7, QUARTIC)]]
     # lambda = 0 occurs at every one of these p
     + [forms(f"F{p * p}-diagonal", diagonal_forms, field(p, 2), requires=lam_zero_twice) for p in (3, 5, 7)]
+    + [forms(f"F{p}-delsarte", delsarte_forms, p, 1, False, reference=NUMPY_ROUTE,
+             requires=every_route(_fibers.lam_and_T)) for p in (29, 31, 37, 41, 43, 47, 97)]
+    + [forms("F8191-binomials", parsed, ["x^4+y^3*z", "x^3*y+3*z^2*w^2", "5*x*y*z*w+x^4"],
+             RingConfig(field(8191), QUARTIC), reference=NUMPY_ROUTE, requires=every_route(_fibers.lam_and_T))]
 )}
 test_sweep_corpus = corpus_test("test_sweep_corpus", CORPUS)
 

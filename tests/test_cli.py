@@ -401,6 +401,18 @@ def test_exit_code_usage_error(capsys):
     assert code == 1
 
 
+def test_a_superscript_exponent_is_a_usage_error_without_a_traceback():
+    # str.isdigit accepts '²', which int() rejects; the parser reads decimal digits only
+    src = str(Path(qfsplit.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "qfsplit.cli", "artin", "-p", "3", "x^²+y^4+z^4+w^4"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "usage error: expected an unsigned integer (at byte 2)\n"
+
+
 def test_exit_code_domain_error(capsys):
     code, _, err = run_cli(capsys, "delsarte", "--matrix",
                            "4,0,0,0,4,0,0,0,0,0,4,0,0,0,0,4", "-p", "3")
@@ -462,6 +474,9 @@ REJECTED = {
     # a bad part's offset counts from the start of --c: part 35 begins at byte 68
     ("lift", "-p", "2", "--c", ",".join(["0"] * 34 + ["t"]), SS_QUARTIC):
         "extension generator t used over a prime field (at byte 68)",
+    # a two-byte digit before it moves part 35 to byte 69
+    ("lift", "-p", "2", "--c", ",".join(["٠"] + ["0"] * 33 + ["t"]), SS_QUARTIC):
+        "extension generator t used over a prime field (at byte 69)",
     ("delsarte", "--matrix", ",".join(["1"] * 15), "-p", "2"): "16 comma-separated entries",
     # the modulus is t + 1: two coefficients, one short of degree 2
     ("height", "-p", "3", "--ext-degree", "2", "--modulus", "1,1", "x^4"):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from qfsplit import _fpbundle, cartier, catalog, cli, scan
+from qfsplit import _fibers, _fpbundle, cartier, catalog, cli, delsarte, scan
 from qfsplit.cartier import basis, bundle
 from qfsplit.ffield import field
 from qfsplit.polyring import RingConfig, parse_poly
@@ -56,11 +56,14 @@ def test_char2_bundles_never_reach_the_class_pairing_loop(monkeypatch):
             for f in seeded_forms(RingConfig(field(2, e), weights), e, True):
                 bundle(f).T_coords
     assert calls == []
-    bundle(parse_poly("x^4+y^4+z^4+w^4", RingConfig(field(3), QUARTIC))).T_coords
+    bundle(parse_poly(FIVE_TERMS, RingConfig(field(3), QUARTIC))).T_coords
     assert calls == [1]  # odd p pairs terms there
 
 
 # -- the route rule --------------------------------------------------------------
+
+# five terms in four variables: a rank-deficient exponent matrix, so no fiber route
+FIVE_TERMS = "x^4+y^4+z^4+w^4+x*y*z*w"
 
 
 @pytest.fixture
@@ -74,7 +77,8 @@ def dict_route_calls(monkeypatch):
 
 
 def test_large_primes_take_the_dict_route(dict_route_calls):
-    f = parse_poly("x*y*z*w", RingConfig(field(32771), QUARTIC))
+    # 2^31 - 1 is past the fiber route's table budget as well as the numpy route's 2^15
+    f = parse_poly("x*y*z*w", RingConfig(field(2**31 - 1), QUARTIC))
     b = bundle(f)
     b.T_coords
     assert dict_route_calls == [1]
@@ -82,9 +86,44 @@ def test_large_primes_take_the_dict_route(dict_route_calls):
 
 
 @pytest.mark.parametrize("p,e,text", [
+    (3, 1, "x^4+y^4+z^4+w^4"),
+    (7, 2, "x^3*y+y^3*z+z^3*w+w^3*x"),
+    (11, 1, "x^4+y^3*z"),
+    (32771, 1, "x*y*z*w"),
+    (8191, 2, "x^4+(t)*y^4+z^4+w^4"),
+])
+def test_full_rank_supports_take_the_fiber_route(dict_route_calls, T_builds, p, e, text):
+    f = parse_poly(text, RingConfig(field(p, e), QUARTIC))
+    assert cartier.route(f, basis(f.ring)) is _fibers.lam_and_T
+    bundle(f).T_coords
+    assert (dict_route_calls, T_builds) == ([], ["_build_T"])
+
+
+@pytest.mark.parametrize("p,text", [
+    (2, "x^4+y^4+z^4+w^4"),  # p = 2 keeps its quadratic form
+    (3, FIVE_TERMS),  # more terms than variables
+    (5, "x^4+y^4+x^2*y^2+z^4"),  # four terms of rank 3
+])
+def test_other_supports_take_the_product_routes(p, text):
+    f = parse_poly(text, RingConfig(field(p), QUARTIC))
+    assert not _fibers.admits(f, basis(f.ring))
+    assert cartier.route(f, basis(f.ring)) is _fpbundle.lam_and_T
+
+
+def test_a_prime_over_the_table_budget_leaves_the_fiber_route(monkeypatch):
+    f = parse_poly("x^4+y^4+z^4+w^4", RingConfig(field(5), QUARTIC))
+    assert _fibers.admits(f, basis(f.ring))
+    monkeypatch.setattr(_fibers, "FACTORIAL_BYTES_MAX", _fibers.table_bytes(5) - 1)
+    assert cartier.route(f, basis(f.ring)) is _fpbundle.lam_and_T
+    # 2^20 - 3 is the largest prime whose tables fit the default budget
+    monkeypatch.undo()
+    assert _fibers.table_bytes(2**20 - 3) <= _fibers.FACTORIAL_BYTES_MAX < _fibers.table_bytes(2**20 + 7)
+
+
+@pytest.mark.parametrize("p,e,text", [
     (2, 1, "x^4 + x*y^3 + y*w^3 + z^3*w"),
     (2, 2, "x^4 + x*y^3 + y*w^3 + z^3*w"),
-    (3, 2, "x^4+y^4+z^4+w^4"),
+    (3, 2, FIVE_TERMS),
 ], ids=["F2", "F4", "F9"])
 def test_f2_and_extensions_take_the_numpy_route(dict_route_calls, p, e, text):
     f = parse_poly(text, RingConfig(field(p, e), QUARTIC))
@@ -94,7 +133,7 @@ def test_f2_and_extensions_take_the_numpy_route(dict_route_calls, p, e, text):
 
 def test_a_ring_over_the_byte_budget_takes_the_dict_route(dict_route_calls, monkeypatch):
     ring = RingConfig(field(3), QUARTIC)
-    f = parse_poly("x^4+y^4+z^4+w^4", ring)
+    f = parse_poly(FIVE_TERMS, ring)
     bundle(f).T_coords
     assert dict_route_calls == []
     monkeypatch.setattr(_fpbundle, "RING_BYTES_MAX", _fpbundle.ring_bytes(ring, basis(ring).m) - 1)
@@ -170,37 +209,46 @@ def test_route_rule_builds_no_array(monkeypatch):
 
 @pytest.fixture
 def T_builds(monkeypatch):
-    """The T builds made, by name: the odd-p kernel loop, the p = 2 pair sum, the dict route's columns."""
+    """The T builds made, by name: the odd-p kernel loop, the p = 2 pair sum, the dict route's
+    columns, the fiber route's cells."""
     calls = []
     for owner, name in ((_fpbundle, "_accumulate_kernel"), (_fpbundle, "_pair_sum"),
-                        (cartier, "columns_from_kernel")):
+                        (cartier, "columns_from_kernel"), (_fibers, "_build_T")):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name,
                             lambda *args, name=name, original=original: calls.append(name) or original(*args))
     return calls
 
 
-def lazy_forms(ring):
-    """The diagonal and cyclic forms and six samples; one-term quartics only where p >= 2^15."""
+def lazy_forms(ring, route):
+    """The diagonal and cyclic forms and six samples; one-term quartics only where p >= 2^15.
+    On the fiber route: the one-term quartics and the Delsarte families of the ring."""
+    one_term = [parse_poly(text, ring) for text in ("x*y*z*w", "x^4", "x^2*y*w") if ring.weights == QUARTIC]
+    if route == "fibers":
+        return one_term + [parse_poly(r.equation, ring) for r in delsarte.builtin_families() if r.weights == ring.weights]
     if ring.field.p >= 1 << 15:  # f^(p-2) has one term there
-        return [parse_poly(text, ring) for text in ("x*y*z*w", "x^4", "x^2*y*w") if ring.weights == QUARTIC]
+        return one_term
     samples = (basis(ring).polynomial(scan.sample(30, index, ring)) for index in range(6))
     return [parse_poly(text, ring) for text in DIAGONAL[ring.weights]] + [f for f in samples if len(f) > 1]
 
 
 LAZY = [(3, 1, "numpy"), (5, 1, "numpy"), (7, 1, "numpy"), (2, 2, "numpy"), (3, 2, "numpy"),
-        (3, 1, "dict"), (32771, 1, "dict")]
+        (3, 1, "dict"), (32771, 1, "dict"), (5, 1, "fibers"), (7, 2, "fibers"), (32771, 1, "fibers")]
 
 
 @pytest.mark.parametrize("p,e,route", LAZY, ids=[f"F{p ** e}-{route}" for p, e, route in LAZY])
 def test_a_walk_that_stops_at_the_first_row_builds_no_T(T_builds, monkeypatch, p, e, route):
+    if route != "fibers":
+        monkeypatch.setattr(_fibers, "FACTORIAL_BYTES_MAX", 0)
     if route == "dict" and p < 1 << 15:
         monkeypatch.setattr(_fpbundle, "RING_BYTES_MAX", 0)
     kinds = []
     for weights in (QUARTIC, SEXTIC):
         ring = RingConfig(field(p, e), weights)
-        assert _fpbundle.admits(ring, basis(ring).m) == (route == "numpy")
-        for f in lazy_forms(ring):
+        if route != "fibers":
+            assert _fpbundle.admits(ring, basis(ring).m) == (route == "numpy")
+        for f in lazy_forms(ring, route):
+            assert (cartier.route(f, basis(ring)) is _fibers.lam_and_T) == (route == "fibers")
             T_builds.clear()
             b = bundle(f)
             h, ns = cartier.height(b), cartier.ns_index(b)

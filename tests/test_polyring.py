@@ -140,6 +140,12 @@ PARSE_ERRORS = [
     ("scalar F9", ")", "expected a coefficient term", 0),
     ("scalar F9", "t^", "expected an unsigned integer", 2),
     ("scalar F3", "t", "extension generator t used over a prime field", 0),
+    # superscripts are digits to str.isdigit but not to int(); offsets count UTF-8 bytes
+    ("poly F3", "x^²", "expected an unsigned integer", 2),
+    ("poly F3", "x²", "expected '+' or '-', found '²'", 1),
+    ("poly F3", "x^٤ + q", "expected a term", 7),  # x^4 in Arabic-Indic digits, one of two bytes
+    ("scalar F9", "t^³", "expected an unsigned integer", 2),
+    ("poly F9", "(٢t)x + é", "expected a term", 9),
 ]
 
 

@@ -3,9 +3,10 @@ check that they agree.
 
 :data:`PRODUCERS` and :data:`BACKENDS` list each with the inputs it accepts, and
 :func:`check` runs every entry that accepts a case against the reference of its
-kind: lambda and T against the dict route, as is ``cartier.bundle``'s bundle
-(``Case.routes``), whose step matrix is checked against one built entry by
-entry from T; height, ns, Krylov rows and rank profiles against ``GenericOps``
+kind: lambda and T against the dict route, or against the numpy route where a case
+names it (``Case.reference``, at p where the dict route takes seconds), as is
+``cartier.bundle``'s bundle (``Case.routes``), whose step matrix is checked against
+one built entry by entry from T; height, ns, Krylov rows and rank profiles against ``GenericOps``
 (``Case.rows``); lift indices against each shift walked alone on
 ``GenericOps`` (``Case.lifts``).
 :data:`CORPUS` files groups of seeded cases, each with what its draws must
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfsplit import _fpbundle, _linalg, cartier, catalog, delsarte
+from qfsplit import _fibers, _fpbundle, _linalg, cartier, catalog, delsarte
 from qfsplit.cartier import FrobeniusBundle, basis, height, ns_index
 from qfsplit.errors import UsageError
 from qfsplit.ffield import Field, field
@@ -48,15 +49,22 @@ def _route(owner, name: str) -> Callable:
     return lambda f: FrobeniusBundle(basis(f.ring), f, *getattr(owner, name)(f, basis(f.ring)))
 
 
-# label -> (f -> f's bundle, (ring, m) -> whether it accepts the ring); the first is
-# the reference.  cartier.bundle, which dispatches to one of them, is checked on every form
+def _ring_admits(f: Polynomial) -> bool:
+    return _fpbundle.admits(f.ring, basis(f.ring).m)
+
+
+# label -> (f -> f's bundle, f -> whether it accepts f); the first is the reference
+# unless a case names another.  cartier.bundle, which dispatches to one of them, is
+# checked on every form
 PRODUCERS = {
-    "cartier.dict_lam_and_T": (_route(cartier, "dict_lam_and_T"), lambda ring, m: True),
-    "_fpbundle.general_lam_and_T": (_route(_fpbundle, "general_lam_and_T"),
-                                    lambda ring, m: _fpbundle.admits(ring, m)),
+    "cartier.dict_lam_and_T": (_route(cartier, "dict_lam_and_T"), lambda f: True),
+    "_fpbundle.general_lam_and_T": (_route(_fpbundle, "general_lam_and_T"), _ring_admits),
     "_fpbundle.char2_lam_and_T": (_route(_fpbundle, "char2_lam_and_T"),
-                                  lambda ring, m: ring.field.p == 2 and _fpbundle.admits(ring, m)),
+                                  lambda f: f.ring.field.p == 2 and _ring_admits(f)),
+    "_fibers.lam_and_T": (_route(_fibers, "lam_and_T"), lambda f: _fibers.admits(f, basis(f.ring))),
 }
+DICT_ROUTE = "cartier.dict_lam_and_T"
+NUMPY_ROUTE = "_fpbundle.general_lam_and_T"
 # label -> (F -> the backend over F, F -> whether it accepts F); every backend but
 # the reference has the batched lift step that lifts.ns_lift drives
 BACKENDS = {
@@ -70,8 +78,11 @@ REFERENCE_BACKEND = "GenericOps"
 
 # A form f for every producer (for cartier.bundle alone if not routes); with lam_T, a
 # synthetic bundle of f's v_f and that raw lambda and T, which no producer makes.  block
-# is _fpbundle.BLOCK while the producers run; rows and lifts run the backends.
-Case = namedtuple("Case", "f lam_T block routes rows lifts", defaults=(None, None, True, False, False))
+# is the BLOCK of _fpbundle and _fibers while the producers run; rows and lifts run the
+# backends.  reference names the producer the others are compared with, where the dict
+# route would take seconds a form (large p); the dict route is then left out.
+Case = namedtuple("Case", "f lam_T block routes rows lifts reference",
+                  defaults=(None, None, True, False, False, DICT_ROUTE))
 RankCase = namedtuple("RankCase", "field rows")  # raw rows over field, for the rank trackers alone
 
 
@@ -80,16 +91,18 @@ def selection(case: Case | RankCase) -> tuple:
     if isinstance(case, RankCase):
         return (), tuple(k for k, (_, accepts) in BACKENDS.items() if accepts(case.field))
     ring = case.f.ring
-    producers = tuple(k for k, (_, accepts) in PRODUCERS.items() if accepts(ring, basis(ring).m))
+    producers = (case.reference,) + tuple(k for k, (_, accepts) in PRODUCERS.items()
+                                          if accepts(case.f) and k not in (case.reference, DICT_ROUTE))
     walks = case.rows or case.lifts
     backends = tuple(k for k, (_, ok) in BACKENDS.items() if walks and ok(ring.field))
     return producers if case.routes and not case.lam_T else (), backends
 
 
 @lru_cache(maxsize=256)
-def _reference(f: Polynomial) -> tuple:
+def _reference(f: Polynomial, label: str) -> tuple:
     """f's lambda and T on the reference producer, once per form: groups share forms."""
-    b = next(iter(PRODUCERS.values()))[0](f)
+    assert PRODUCERS[label][1](f), label
+    b = PRODUCERS[label][0](f)
     return b.lam_coords, b.T_coords
 
 
@@ -106,10 +119,12 @@ def check(case: Case | RankCase) -> FrobeniusBundle | None:
         b = cartier.bundle(f)
         assert b.v_f is bas.coefficients(f) and b.ops is _linalg.make_ops(f.ring.field)
     if producers:
-        lam, T = _reference(f)
+        lam, T = _reference(f, producers[0])
         with pytest.MonkeyPatch.context() as mp:
             if case.block:
                 mp.setattr(_fpbundle, "BLOCK", case.block)
+                mp.setattr(_fibers, "BLOCK", case.block)
+                bas.fibers.plan.cache_clear()  # so that the fiber route joins its cells at this block
             for label in producers[1:]:
                 made = PRODUCERS[label][0](f)
                 assert np.array_equal(made.lam_coords, lam) and np.array_equal(made.T_coords, T), label
@@ -217,8 +232,8 @@ def parsed(texts, ring: RingConfig) -> list:
     return [parse_poly(text, ring) for text in texts]
 
 
-def delsarte_forms(p: int, e: int) -> list:
-    records = [r for r in delsarte.builtin_families() if delsarte.admissible_primes(r, [p])]
+def delsarte_forms(p: int, e: int, admissible: bool = True) -> list:
+    records = [r for r in delsarte.builtin_families() if not admissible or delsarte.admissible_primes(r, [p])]
     return [parse_poly(r.equation, RingConfig(field(p, e), r.weights)) for r in records]
 
 
@@ -238,6 +253,23 @@ def seeded_forms_over(fld: Field, weights: tuple, seed: int, dense: bool) -> lis
 
 def lam_zero_twice(bundles: list) -> bool:
     return sum(not b.lam_coords.any() for b in bundles) >= 2
+
+
+def every_route(route: Callable) -> Callable:
+    """The requirement that ``cartier.bundle`` took ``route`` for every bundle of a group."""
+    return lambda bundles: all(cartier.route(b.f, b.basis) is route for b in bundles)
+
+
+# binomials of both K3 rings, of full rank with t = 2 < n = 4: A x = E is solved on two
+# rows of A and the other two are checked
+BINOMIALS = {QUARTIC: ["x^4+y^3*z", "x^3*y+C*z^2*w^2", "x^2*y*z+C*w^4", "C*x*y*z*w+x^4", "x*y^2*z+y*w^3"],
+             SEXTIC: ["x^6+C*y^5*z", "x^3*y^2*z+w^2", "x^2*y^4+C*z^3*w", "C*x^5*y+x*y*z^4"]}
+
+
+def binomials(p: int, e: int = 1) -> list:
+    coefficient = "(t+1)" if e > 1 else "3"
+    return [f for w, texts in BINOMIALS.items()
+            for f in parsed([t.replace("C", coefficient) for t in texts], RingConfig(field(p, e), w))]
 
 
 def block_forms() -> list:
@@ -332,6 +364,8 @@ WALK_FIELDS = [field(2), field(3), field(5), field(2, 2), field(2, 3), field(3, 
 # p >= 2^15: PrimeOps holds Python ints.  At 32771 a length-m*e dot product
 # still fits int64 for small m; at 2^31 - 1 two products already overflow it.
 LARGE_FIELDS = [field(32771), field(2**31 - 1), field(32771, 2)]
+# the Delsarte families against the numpy route: larger p run in sweeps/
+FIBER_PRIMES = [(11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (11, 2), (13, 2)]
 
 # test name -> its groups
 CORPUS = {
@@ -382,15 +416,24 @@ CORPUS = {
         Group(repr(fld), lambda fld=fld: random_bundles(fld, fld.order),
               lambda bundles: sum(is_infinite(height(b)) for b in bundles) >= 2
               and len({repr(height(b)) for b in bundles}) >= 3) for fld in LARGE_FIELDS],
+    # the fiber route against the products: every Delsarte family (admissible or not),
+    # binomials, whose other rows of A x = E are checked, and a rank-deficient form
+    "test_fiber_route_matches_the_products": [
+        *[forms(f"delsarte-F{p}", delsarte_forms, p, 1, False, requires=every_route(_fibers.lam_and_T))
+          for p in (3, 5, 7)],
+        *[forms(f"delsarte-F{p ** e}", delsarte_forms, p, e, reference=NUMPY_ROUTE,
+                requires=every_route(_fibers.lam_and_T)) for p, e in FIBER_PRIMES],
+        *[forms(f"binomials-F{p ** e}", binomials, p, e, requires=every_route(_fibers.lam_and_T))
+          for p, e in [(11, 1), (97, 1), (11, 2)]],
+        forms("rank-deficient", parsed, ["x^4+y^4+x^2*y^2+z^4", "x^3*y+x*y^3+x^2*y^2+w^4"],
+              RingConfig(field(5), QUARTIC), requires=every_route(_fpbundle.lam_and_T))],
     "test_corpus": [
-        # the dict route at p >= 2^15, where f^(p-2) has one term
+        # the dict and fiber routes at p >= 2^15, where f^(p-2) has one term
         forms("large-prime-monomial", parsed, ["x*y*z*w"], RingConfig(field(32771), QUARTIC), rows=True, lifts=True),
         # lambda off xyzw, the one monomial every form's lambda is supported on at p = 2
         *[Group(f"synthetic-{fld!r}", lambda fld=fld: random_bundles(fld, fld.order))
           for fld in (field(2), field(2, 2), field(2, 3))]],
 }
-# the groups whose forms only the dict route accepts, on purpose
-DICT_ONLY = {"large-prime-monomial"}
 
 
 def check_group(group: Group) -> None:
@@ -413,20 +456,20 @@ def corpus_test(name: str, corpus: dict = CORPUS) -> Callable:
 
 
 test_corpus = corpus_test("test_corpus")
+test_fiber_route_matches_the_products = corpus_test("test_fiber_route_matches_the_products")
 
 
 def test_every_entry_is_fed_and_every_case_compares():
     # a change to an acceptance rule (admits, say) must not turn a comparison
-    # into a no-op: each form reaches two producers (the dict route alone in
-    # the DICT_ONLY groups), each walked case two backends, and some case
-    # reaches every entry
+    # into a no-op: each form reaches two producers, each walked case two
+    # backends, and some case reaches every entry
     fed = set()
     for name, groups in CORPUS.items():
         for group in groups:
             for case in group.cases():
                 producers, backends = selection(case)
-                if isinstance(case, Case) and case.routes and not case.lam_T:  # the dict route accepts every form
-                    assert (producers == ("cartier.dict_lam_and_T",)) == (group.id in DICT_ONLY), (name, group.id)
+                if isinstance(case, Case) and case.routes and not case.lam_T:
+                    assert len(producers) >= 2, (name, group.id)
                 if isinstance(case, RankCase) or case.rows or case.lifts:
                     assert len(backends) >= 2, (name, group.id)
                 fed.update(producers + backends)
