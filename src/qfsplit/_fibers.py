@@ -107,8 +107,8 @@ plan of lambda is built with the bundle, the plan of T by T's builder.
 * The tables of u and 1/u are two int64 arrays of 2p - 1 entries,
   :func:`table_bytes` = 16 (2p - 1) bytes, built on first use and kept for
   the last two primes.  The rule refuses p when they exceed
-  ``FACTORIAL_BYTES_MAX`` (32 MiB, p < 2^20); such forms follow the other
-  routes.
+  ``FACTORIAL_BYTES_MAX`` (32 MiB, p < 2^20); ``cartier.route`` then
+  sends a form of 2 to n terms that the route could solve to exit 3.
 """
 
 from __future__ import annotations
@@ -138,16 +138,18 @@ def support(f, bas) -> tuple:
 def admits(f, bas) -> bool:
     """The route rule: whether ``cartier.bundle`` takes this route for f.
 
-    It holds iff p is odd, f has 1 to n terms, the factorial tables fit
-    ``FACTORIAL_BYTES_MAX`` (:func:`table_bytes`), and f's exponent matrix
-    has full column rank with an int64-exact solve (:meth:`Fibers.plan`).
-    It reads the ring and f's support alone and builds neither lambda nor
-    a table.
+    It holds iff the factorial tables fit ``FACTORIAL_BYTES_MAX``
+    (:func:`table_bytes`) and :func:`solvable` holds.  It reads the ring and
+    f's support alone and builds neither lambda nor a table.
     """
+    return table_bytes(bas.ring.field.p) <= FACTORIAL_BYTES_MAX and solvable(f, bas)
+
+
+def solvable(f, bas) -> bool:
+    """Whether p is odd, f has 1 to n terms, and f's exponent matrix has full column
+    rank with an int64-exact solve (:meth:`Fibers.plan`): the rule but for the tables."""
     ring = bas.ring
-    p = ring.field.p
-    return (p != 2 and 0 < len(f) <= ring.num_vars and table_bytes(p) <= FACTORIAL_BYTES_MAX
-            and bas.fibers.plan(support(f, bas)) is not None)
+    return ring.field.p != 2 and 0 < len(f) <= ring.num_vars and bas.fibers.plan(support(f, bas)) is not None
 
 
 def lam_and_T(f, bas) -> tuple:

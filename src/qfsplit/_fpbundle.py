@@ -9,11 +9,14 @@ them is the field's :class:`_linalg.PrimeOps` (:func:`_linalg.make_ops`).
 f's arrays are the nonzero entries of the coordinate array f keeps,
 ``MonomialBasis.coefficients(f)``, and their basis codes.
 
-lambda is eager and T is built on demand: :func:`lam_and_T` runs steps 1
-and 2 and returns lambda with a zero-argument builder of T, which runs
-steps 3 to 5 when called.  ``cartier.bundle`` hands the builder to
-:class:`cartier.FrobeniusBundle`, which calls it on the first read of T;
-a walk that stops at R_1 (height 1, or lambda = 0) never reads it.  Per
+``cartier.route`` sends this route forms of two or more terms at odd p
+(:func:`general_lam_and_T`) and every form at p = 2
+(:func:`char2_lam_and_T`); at odd p the fiber route takes every one-term
+form.  lambda is eager and T is built on demand: :func:`general_lam_and_T`
+runs steps 1 and 2 and returns lambda with a zero-argument builder of T,
+which runs steps 3 to 5 when called.  ``cartier.bundle`` hands the builder
+to :class:`cartier.FrobeniusBundle`, which calls it on the first read of
+T; a walk that stops at R_1 (height 1, or lambda = 0) never reads it.  Per
 equation:
 
 1. ``fhat``, f with each coefficient lifted to the Galois ring GR(p^2, e) =
@@ -21,8 +24,7 @@ equation:
    integers), is multiplied by itself p - 3 times, fhat being the short
    factor (at most m terms); any lift gives ``f^(p-2) = fhat^(p-2) mod p``.
    The route takes the Teichmuller lift chat = (any lift)^q, whose powers
-   cancel more often mod p^2.  A one-term fhat = chat x^a takes no
-   product: fhat^k is chat^k x^(ka).  A product (:func:`_mul`) takes whole
+   cancel more often mod p^2.  A product (:func:`_mul`) takes whole
    terms of the short factor per block; each gives one ascending run of
    codes, its code plus the long factor's.  One stable argsort of the
    accumulator and the block's runs merges the runs (numpy's timsort finds
@@ -36,8 +38,7 @@ equation:
 4. ``delta = (fhat^p - sum_a chat_a^p x^(pa)) / p mod p``: the first Witt
    sum polynomial at the lifted terms, the identity
    ``polyring.delta_lift_oracle`` checks the Witt-sum route against over F_p.
-   Any lift gives it, but chat^p = chat only over F_p.  It is 0 for one
-   term;
+   Any lift gives it, but chat^p = chat only over F_p;
 5. T[i][j] sums delta_a * f^(p-2)_b over the pairs with a + b = p M_i +
    (p-1, ..., p-1) - M_j.  Only pairs whose residue classes mod p add up
    to a column class (p-1-M_j) mod p are formed: for each term b and each
@@ -168,10 +169,8 @@ def admits(ring: RingConfig, m: int) -> bool:
       fit in ``RING_BYTES_MAX``.
 
     It is computed from the ring alone, before anything is built.
-    ``cartier.route`` reads it only for the forms the fiber route
-    (:func:`_fibers.admits`: odd p, an exponent matrix of full column rank)
-    does not take.  The dict route serves the rest: p >= 2^15 and the rings
-    past the other bounds.
+    ``cartier.route`` reads it only for the forms the fiber route does not
+    take, and states what serves the rest.
     """
     need = _ring_bytes_if_packable(ring, m)
     return need is not None and need <= RING_BYTES_MAX
@@ -331,17 +330,6 @@ def _terms(f, bas, s: PrimeOps) -> tuple:
     return support, v[support]
 
 
-def lam_and_T(f, bas) -> tuple:
-    """lambda's coordinate array on this route (steps 1 and 2 above) and a builder of T's.
-
-    The builder takes no argument and runs steps 3 to 5 from where lambda
-    left off, only when it is called.
-    """
-    if bas.ring.field.p == 2:
-        return char2_lam_and_T(f, bas)
-    return general_lam_and_T(f, bas)
-
-
 def char2_lam_and_T(f, bas) -> tuple:
     """lambda over F_(2^e) and a builder of T, a quadratic form in f's coefficient vector.
 
@@ -377,7 +365,7 @@ def _pair_sum(t: RingTables, s: PrimeOps, support: np.ndarray, c: np.ndarray) ->
 
 
 def general_lam_and_T(f, bas) -> tuple:
-    """lambda of f by the steps above, at any p of the route, and a builder of T.
+    """lambda of f by the steps above, at odd p for two or more terms, and a builder of T.
 
     f's terms are read from its coefficient vector ``bas.coefficients(f)``,
     kept on f, and their codes from the per-ring ``RingTables.codes``.
@@ -391,34 +379,23 @@ def general_lam_and_T(f, bas) -> tuple:
     support, c = _terms(f, bas, s)
     codes = t.codes[support]
     order = np.argsort(codes)
-    fc = codes[order]
     # the Teichmuller lift (coordinates)^q: fhat^2 of a dense F_3 quintic has
     # 779 terms against the coordinate lift's 882, so fewer pairs are formed
-    fhat = (fc, s.power(c[order], bas.ring.field.order, mod))
+    fhat = (codes[order], s.power(c[order], bas.ring.field.order, mod))
 
-    # 1. fhat^k, k = max(p - 2, 1), where the builder resumes the chain;
-    # f^(p-2) is fhat^(p-2) mod p, and f^0 = 1 at p = 2 takes no product
-    k = max(p - 2, 1)
-    if fc.size == 1:
-        # the powers in closed form: fhat = chat x^a has the one-term powers
-        # chat^k x^(ka), so fhat^p is the Witt sum's own term and delta = 0
-        power = None
-        fp2 = (fc * (p - 2), s.power(fhat[1], p - 2, mod) if p > 2 else s.one)
-    else:
-        power = _power_chain(s, fhat, fhat, k - 1, mod)
-        fp2 = power if p > 2 else (np.zeros(1, dtype=np.int64), s.one)
-    vals = fp2[1] % p
+    # 1. fhat^(p-2), where the builder resumes the chain; f^(p-2) is fhat^(p-2) mod p
+    power = _power_chain(s, fhat, fhat, p - 3, mod)
+    vals = power[1] % p
     keep = s.nonzero(vals)
-    fp2 = (fp2[0][keep], vals[keep])
+    fp2 = (power[0][keep], vals[keep])
 
     def build_T() -> np.ndarray:
         # 3.-5. fhat^p, delta and T: the kernel summed in each class's first column,
         # then copied to every cell
         kv = s.zeros(m * m + 1)
-        if power is not None:
-            delta = _delta(s, fhat, _power_chain(s, power, fhat, p - k, mod), p)
-            if delta[0].size:
-                _accumulate_kernel(t, s, delta, fp2, kv)
+        delta = _delta(s, fhat, _power_chain(s, power, fhat, 2, mod), p)
+        if delta[0].size:
+            _accumulate_kernel(t, s, delta, fp2, kv)
         return s.unfrobenius(kv[t.cell]).reshape((m, m) + s.shape)
 
     # 2. lambda_i = f^(p-2) at (p-1, ..., p-1) - M_i; a miss reads the zero appended

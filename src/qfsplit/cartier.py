@@ -252,13 +252,10 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
 
     lambda is computed here; T is built on the first read of ``T_coords``,
     which the walk makes only when it takes a second row (:func:`_walk`): a
-    form of height 1, or with lambda = 0, never builds it.  Three routes
+    form of height 1, or with lambda = 0, never builds it.  Four producers
     give the same lambda and T, and :func:`route` picks one from f's ring
-    and support: the fiber route at odd p when f's exponent matrix has full
-    column rank and p is within its table budget, else the numpy route when
-    :func:`_fpbundle.admits` holds (p = 2 always keeps its quadratic form
-    there), else the dict route.  Each returns lambda and a zero-argument
-    builder of T.  The two array routes return coordinate arrays; the dict
+    and support, or refuses f.  Each returns lambda and a zero-argument
+    builder of T.  The array routes return coordinate arrays; the dict
     route returns lists of raw values, which :class:`FrobeniusBundle` reads
     as the same arrays, once.
     """
@@ -277,26 +274,35 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
 def route(f: Polynomial, bas: MonomialBasis) -> Callable:
     """The producer of f's lambda and T that :func:`bundle` takes, from f's ring and support alone.
 
-    Nothing is built to decide it, and the first rule that holds wins:
+    The only place a producer is chosen.  Nothing is built to decide it,
+    and the first rule that holds wins:
 
-    * the fiber route (:mod:`qfsplit._fibers`) iff :func:`_fibers.admits`:
-      odd p, f's exponent matrix of full column rank (every Delsarte form,
-      binomials and monomials) and p within its table budget.  lambda and
-      T are read off lattice points with multinomial weights, and no
-      polynomial product is formed;
-    * the numpy route (:mod:`qfsplit._fpbundle`) iff
-      :func:`_fpbundle.admits`, whose docstring states the rule.  On it,
-      p = 2 (every F_(2^e)) builds T as a fixed quadratic form in v_f:
-      delta(f) is the sum of c_a c_b x^(M_a + M_b) over a < b, and f^(p-2) =
-      1;
-    * the dict route, :func:`dict_lam_and_T`, for the rest: ``poly_pow``,
-      the Witt-sum ``delta``, ``mul_residues`` and
-      :func:`columns_from_kernel` on term dicts.
+    * :func:`_fibers.lam_and_T` iff :func:`_fibers.admits`: odd p, f's
+      exponent matrix of full column rank (every Delsarte form, binomials
+      and monomials) and p within its table budget.  lambda and T are read
+      off lattice points with multinomial weights, and no polynomial
+      product is formed;
+    * where :func:`_fpbundle.admits` holds (its docstring states the rule),
+      :func:`_fpbundle.char2_lam_and_T` at p = 2, which builds T as a fixed
+      quadratic form in v_f, and :func:`_fpbundle.general_lam_and_T` at odd
+      p, which then sees two or more terms: the fibers take every one-term
+      form there;
+    * a ``ResourceError`` for a form of 2 to n terms that the fibers could
+      solve but for their table budget (p >= 2^20): on the dict route
+      f^(p-2) would have at least p - 1 terms;
+    * :func:`dict_lam_and_T` for the rest: ``poly_pow``, the Witt-sum
+      ``delta``, ``mul_residues`` and :func:`columns_from_kernel` on term
+      dicts.
     """
+    p = bas.ring.field.p
     if _fibers.admits(f, bas):
         return _fibers.lam_and_T
     if _fpbundle.admits(bas.ring, bas.m):
-        return _fpbundle.lam_and_T
+        return _fpbundle.char2_lam_and_T if p == 2 else _fpbundle.general_lam_and_T
+    if len(f) > 1 and _fibers.solvable(f, bas):
+        raise ResourceError(
+            f"the fiber route's tables at p = {p} take {_fibers.table_bytes(p)} bytes, past its budget of "
+            f"{_fibers.FACTORIAL_BYTES_MAX}, and the dict route would expand f^(p-2) into at least p - 1 terms")
     return dict_lam_and_T
 
 

@@ -380,7 +380,7 @@ def delta(f: Polynomial) -> Polynomial:
     """
     ring = f.ring
     if len(f._terms) < 2:
-        return Polynomial.zero(ring)  # before the O(p) carries: large p has only monomials
+        return Polynomial.zero(ring)  # before the O(p) carries: the dict route's monomials at large p
     field = ring.field
     p = field.p
     # k_i = binom(p, i) / p = (p-1)...(p-i+1) / i! = (-1)^(i-1) / i (mod p), i = 1 .. p-1

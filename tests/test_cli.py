@@ -446,6 +446,7 @@ def test_tables_quintic_and_delsarte(capsys):
 
 
 SS_QUARTIC = "x^4 + xy^3 + yw^3 + z^3w"  # supersingular over F_2, ns 9
+FERMAT = "4,0,0,0,0,4,0,0,0,0,4,0,0,0,0,4"  # the exponent matrix of x^4 + y^4 + z^4 + w^4
 
 # rejected command lines and the usage error each must print: options the
 # subcommand does not read, then option values out of range
@@ -506,6 +507,21 @@ REJECTED = {
     ("scan", "-p", "2", "--mask", "", "--count", "3"): "--count and --mask exclude each other",
     ("scan", "-p", "2", "--mask", ""): "expected comma-separated integers, got ''",
     ("scan", "-p", "2", "--count", "3", "--out", ""): "--out needs a directory name, got ''",
+    ("scan", "--workers", "0"): "worker count must be positive",
+    ("scan", "--mask", "99"): "mask indices out of basis range",
+    # 7^7 forms at p = 7
+    ("scan", "-p", "7", "--mask", "0,1,2,3,4,5,6"): "exhaustive mask space too large",
+    ("scan", "--mode", "assert-bound"): "assert_bound mode needs a minimum sigma",
+    ("scan", "--ext-degree", "2", "--smooth-filter", "on"): "the smoothness filter supports prime base fields only",
+    ("delsarte", "-p", "7"): "exactly one of --matrix or --family",
+    ("delsarte", "-p", "7", "--family", "0", "--matrix", FERMAT): "exactly one of --matrix or --family",
+    ("delsarte", "-p", "7", "--family", "20"): "--family must be in [0, 19]",
+    ("delsarte", "-p", "7", "--matrix", FERMAT[:-1] + "3"): "row 3 violates the weighted degree condition (= 4)",
+    ("delsarte", "-p", "7", "--matrix", "5,-1" + FERMAT[3:]): "exponent matrix entries must be nonnegative",
+    ("delsarte", "-p", "7", "--matrix", FERMAT, "--weights", "1,1,1,2"):
+        "supported weight systems are (1,1,1,1) and (1,1,1,3)",
+    ("height", "--weights", "4", "x^4"): "number of variables must be in [2, 8], got 1",
+    ("height", "--weights", "0,1,1,1", "x^4"): "all weights must be positive, got (0, 1, 1, 1)",
 }
 
 

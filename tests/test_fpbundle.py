@@ -16,6 +16,7 @@ import pytest
 
 from qfsplit import _fibers, _fpbundle, cartier, catalog, cli, delsarte, scan
 from qfsplit.cartier import basis, bundle
+from qfsplit.errors import ResourceError
 from qfsplit.ffield import field
 from qfsplit.polyring import RingConfig, parse_poly
 
@@ -107,17 +108,46 @@ def test_full_rank_supports_take_the_fiber_route(dict_route_calls, T_builds, p, 
 def test_other_supports_take_the_product_routes(p, text):
     f = parse_poly(text, RingConfig(field(p), QUARTIC))
     assert not _fibers.admits(f, basis(f.ring))
-    assert cartier.route(f, basis(f.ring)) is _fpbundle.lam_and_T
+    produce = _fpbundle.char2_lam_and_T if p == 2 else _fpbundle.general_lam_and_T
+    assert cartier.route(f, basis(f.ring)) is produce
 
 
 def test_a_prime_over_the_table_budget_leaves_the_fiber_route(monkeypatch):
     f = parse_poly("x^4+y^4+z^4+w^4", RingConfig(field(5), QUARTIC))
     assert _fibers.admits(f, basis(f.ring))
     monkeypatch.setattr(_fibers, "FACTORIAL_BYTES_MAX", _fibers.table_bytes(5) - 1)
-    assert cartier.route(f, basis(f.ring)) is _fpbundle.lam_and_T
+    assert cartier.route(f, basis(f.ring)) is _fpbundle.general_lam_and_T
     # 2^20 - 3 is the largest prime whose tables fit the default budget
     monkeypatch.undo()
     assert _fibers.table_bytes(2**20 - 3) <= _fibers.FACTORIAL_BYTES_MAX < _fibers.table_bytes(2**20 + 7)
+
+
+@pytest.fixture
+def no_dict_route(monkeypatch):
+    """The dict route raises at once: the inputs past the fiber tables' budget would not finish on it."""
+    def refuse(f, bas):
+        raise AssertionError("the dict route was taken")
+    monkeypatch.setattr(cartier, "dict_lam_and_T", refuse)
+
+
+# 2^20 + 7, the least prime whose fiber tables exceed their budget
+PAST_THE_TABLES = 1048583
+
+
+@pytest.mark.parametrize("text", ["x^4+y^4+z^4+w^4", "x^4+y^3*z", "x^3*y+y^3*z+z^3*w+w^3*x"])
+def test_full_rank_forms_past_the_fiber_tables_are_refused(no_dict_route, text):
+    f = parse_poly(text, RingConfig(field(PAST_THE_TABLES), QUARTIC))
+    assert _fibers.solvable(f, basis(f.ring)) and not _fibers.admits(f, basis(f.ring))
+    # the message names p, the tables' bytes and the budget
+    with pytest.raises(ResourceError, match=f"p = {PAST_THE_TABLES} take {_fibers.table_bytes(PAST_THE_TABLES)} "
+                                            f"bytes, past its budget of {_fibers.FACTORIAL_BYTES_MAX}"):
+        cartier.route(f, basis(f.ring))
+
+
+def test_the_cli_exits_3_past_the_fiber_tables(no_dict_route, capsys):
+    code = cli.main(["height", "-p", str(PAST_THE_TABLES), "x^4+y^4+z^4+w^4"])
+    err = capsys.readouterr().err
+    assert code == 3 and "resource error" in err and str(_fibers.FACTORIAL_BYTES_MAX) in err
 
 
 @pytest.mark.parametrize("p,e,text", [
@@ -238,17 +268,17 @@ LAZY = [(3, 1, "numpy"), (5, 1, "numpy"), (7, 1, "numpy"), (2, 2, "numpy"), (3, 
 
 @pytest.mark.parametrize("p,e,route", LAZY, ids=[f"F{p ** e}-{route}" for p, e, route in LAZY])
 def test_a_walk_that_stops_at_the_first_row_builds_no_T(T_builds, monkeypatch, p, e, route):
-    if route != "fibers":
+    if route == "numpy":
         monkeypatch.setattr(_fibers, "FACTORIAL_BYTES_MAX", 0)
-    if route == "dict" and p < 1 << 15:
-        monkeypatch.setattr(_fpbundle, "RING_BYTES_MAX", 0)
+    if route == "dict":  # the rule sends it no full-rank form of 2 to n terms: take it by hand
+        monkeypatch.setattr(cartier, "route", lambda f, bas: cartier.dict_lam_and_T)
+    produce = {"fibers": _fibers.lam_and_T, "dict": cartier.dict_lam_and_T,
+               "numpy": _fpbundle.char2_lam_and_T if p == 2 else _fpbundle.general_lam_and_T}[route]
     kinds = []
     for weights in (QUARTIC, SEXTIC):
         ring = RingConfig(field(p, e), weights)
-        if route != "fibers":
-            assert _fpbundle.admits(ring, basis(ring).m) == (route == "numpy")
         for f in lazy_forms(ring, route):
-            assert (cartier.route(f, basis(ring)) is _fibers.lam_and_T) == (route == "fibers")
+            assert cartier.route(f, basis(ring)) is produce
             T_builds.clear()
             b = bundle(f)
             h, ns = cartier.height(b), cartier.ns_index(b)

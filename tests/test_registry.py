@@ -53,12 +53,19 @@ def _ring_admits(f: Polynomial) -> bool:
     return _fpbundle.admits(f.ring, basis(f.ring).m)
 
 
-# label -> (f -> f's bundle, f -> whether it accepts f); the first is the reference
-# unless a case names another.  cartier.bundle, which dispatches to one of them, is
-# checked on every form
+def label_of(produce: Callable) -> str:
+    """The registry label of a producer, such as ``cartier.route`` returns."""
+    return f"{produce.__module__.rpartition('.')[2]}.{produce.__name__}"
+
+
+# label -> (f -> f's bundle, f -> whether it accepts f), each domain as cartier.route
+# sends it (the general route also takes the full-rank forms it is a reference for);
+# the first is the reference unless a case names another.  cartier.bundle, which
+# dispatches to one of them, is checked on every form
 PRODUCERS = {
     "cartier.dict_lam_and_T": (_route(cartier, "dict_lam_and_T"), lambda f: True),
-    "_fpbundle.general_lam_and_T": (_route(_fpbundle, "general_lam_and_T"), _ring_admits),
+    "_fpbundle.general_lam_and_T": (_route(_fpbundle, "general_lam_and_T"),
+                                    lambda f: f.ring.field.p != 2 and len(f) >= 2 and _ring_admits(f)),
     "_fpbundle.char2_lam_and_T": (_route(_fpbundle, "char2_lam_and_T"),
                                   lambda f: f.ring.field.p == 2 and _ring_admits(f)),
     "_fibers.lam_and_T": (_route(_fibers, "lam_and_T"), lambda f: _fibers.admits(f, basis(f.ring))),
@@ -129,6 +136,8 @@ def check(case: Case | RankCase) -> FrobeniusBundle | None:
                 made = PRODUCERS[label][0](f)
                 assert np.array_equal(made.lam_coords, lam) and np.array_equal(made.T_coords, T), label
         assert np.array_equal(b.lam_coords, lam) and np.array_equal(b.T_coords, T), "cartier.bundle"
+        # the producer production takes is one of those compared
+        assert label_of(cartier.route(f, bas)) in producers, "cartier.route"
     assert np.array_equal(step_matrix_array(b, b.T_mat), step_matrix_reference(b.ops, b.T_coords))
     if backends:
         rng = random.Random(b.v_f.tobytes() + b.lam_coords.tobytes())
@@ -357,8 +366,8 @@ def random_bundles(fld: Field, seed: int) -> list:
     return [Case(bas.polynomial(v_f), (lam, lambda T=T: T), rows=True, lifts=True) for v_f, lam, T in out]
 
 
-# one-term forms: f^(p-2) = c^(p-2) x^((p-2)a) and delta = 0, the powers taken
-# in closed form; the coefficient 3 (t+1 over F_{p^2}) keeps c^(p-2) from being 1
+# one-term forms: f^(p-2) = c^(p-2) x^((p-2)a) and delta = 0, on the fiber and dict
+# routes; the coefficient 3 (t+1 over F_{p^2}) keeps c^(p-2) from being 1
 ONE_TERM = ["x*y*z*w", "x^4", "x^2*y*w", "C*x*y^2*z"]
 WALK_FIELDS = [field(2), field(3), field(5), field(2, 2), field(2, 3), field(3, 2), field(5, 2)]
 # p >= 2^15: PrimeOps holds Python ints.  At 32771 a length-m*e dot product
@@ -398,6 +407,8 @@ CORPUS = {
     "test_routes_agree_on_every_catalog_row_over_the_quadratic_extension": [forms(None, catalog_forms, 2)],
     "test_routes_agree_on_delsarte_families_over_the_quadratic_extension": [
         forms(str(p), delsarte_forms, p, 2) for p in (2, 3, 5, 7)],
+    # the char2 kernel against the dict route, the only other producer at p = 2 (the
+    # ids, which the test-id floor lists, still say "both routes")
     "test_char2_kernel_matches_both_routes_on_seeded_forms": [
         forms(f"F{2 ** e}-{NAMES[w]}", char2_forms, e, w) for e in (1, 2, 3) for w in (QUARTIC, SEXTIC, QUINTIC)],
     "test_char2_kernel_drops_pairs_that_feed_no_cell": [
@@ -426,7 +437,7 @@ CORPUS = {
         *[forms(f"binomials-F{p ** e}", binomials, p, e, requires=every_route(_fibers.lam_and_T))
           for p, e in [(11, 1), (97, 1), (11, 2)]],
         forms("rank-deficient", parsed, ["x^4+y^4+x^2*y^2+z^4", "x^3*y+x*y^3+x^2*y^2+w^4"],
-              RingConfig(field(5), QUARTIC), requires=every_route(_fpbundle.lam_and_T))],
+              RingConfig(field(5), QUARTIC), requires=every_route(_fpbundle.general_lam_and_T))],
     "test_corpus": [
         # the dict and fiber routes at p >= 2^15, where f^(p-2) has one term
         forms("large-prime-monomial", parsed, ["x*y*z*w"], RingConfig(field(32771), QUARTIC), rows=True, lifts=True),
