@@ -3,27 +3,30 @@
 Write f = sum_(k < t) c_k x^(a_k), with distinct exponent vectors a_k of
 weighted degree d and c_k != 0 in F_q, q = p^e, and let A be the n x t
 exponent matrix whose columns are the a_k.  The basis monomials are M_0,
-..., M_(m-1), and 1 = (1, ..., 1).  The route serves odd p when A has full
-column rank t (so t <= n <= 8): every Delsarte form, binomials and
-monomials.  It forms no polynomial product: neither f^(p-2), nor delta,
-nor the kernel delta * f^(p-2).  It returns what :mod:`qfsplit._fpbundle`
-returns, the same int64 coordinate arrays, lambda eager and a builder of T.
+..., M_(m-1), and 1 = (1, ..., 1).  The route serves odd p when f's
+fibers have few points to enumerate, whatever the rank of A (the sparse
+forms at small p), or when A has full column rank t (so t <= n <= 8):
+every Delsarte form, binomials and monomials.  It forms no polynomial
+product: neither f^(p-2), nor delta, nor the kernel delta * f^(p-2).  It
+returns what :mod:`qfsplit._fpbundle` returns, the same int64 coordinate
+arrays, lambda eager and a builder of T.
 
 **Fibers.** For N >= 0 the multinomial expansion reads
 
     f^N = sum_(|alpha| = N) multinom(N; alpha) c^alpha x^(A alpha),
 
-multinom(N; alpha) = N! / prod_k alpha_k!.  A has full column rank, so
-alpha -> A alpha is injective: the coefficient of x^E in f^N is
-multinom(N; alpha) c^alpha at the one alpha >= 0 with A alpha = E, if
-there is one, and 0 otherwise.  |alpha| needs no check, since x^(A alpha)
-has weighted degree d |alpha| and so |alpha| is fixed by E.
+multinom(N; alpha) = N! / prod_k alpha_k!: the coefficient of x^E in f^N
+is the sum of multinom(N; alpha) c^alpha over the fiber of E, the alpha >=
+0 with A alpha = E, and 0 if it is empty.  |alpha| needs no check, since
+x^(A alpha) has weighted degree d |alpha| and so |alpha| is fixed by E.
+Where A has full column rank, alpha -> A alpha is injective and a fiber
+has at most one point.
 
 **lambda.** lambda_i is the inverse Frobenius F^-1 of the coefficient of
 f^(p-2) at (p-1) 1 - M_i (``_fpbundle``, step 2), which has degree (p-2) d.
-So lambda_i = F^-1(multinom(p-2; alpha) c^alpha) for the alpha with A alpha
-= (p-1) 1 - M_i, and 0 when there is none.  Every factorial here is below
-p, so the weight is a unit mod p.
+So lambda_i = F^-1 of the sum of multinom(p-2; alpha) c^alpha over the
+fiber of (p-1) 1 - M_i.  Every factorial here is below p, so each weight
+is a unit mod p.
 
 **delta.** For any lift chat_k of the c_k to GR(p^2, e) and fhat = sum_k
 chat_k x^(a_k), fhat^p = sum_(|beta| = p) multinom(p; beta) chat^beta
@@ -41,14 +44,14 @@ the definition of ``_fpbundle`` step 4, independent of the lift.
 1 - M_j (``_fpbundle``, step 5), and T_ij is F^-1 of its coefficient in
 delta * f^(p-2).  That coefficient sums (multinom(p; beta) / p)
 multinom(p-2; alpha) c^(beta + alpha) over the pairs with A (beta + alpha)
-= E, beta no vertex.  Again by full column rank, gamma = beta + alpha is the
-one gamma >= 0 with A gamma = E, and |gamma| = 2p - 2.  So
+= E, beta no vertex.  Grouped by gamma = beta + alpha, a point of the fiber
+of E with |gamma| = 2p - 2,
 
-    T_ij = F^-1(c^gamma S(gamma) / p),
+    T_ij = F^-1(sum_(A gamma = E) c^gamma S(gamma) / p),
     S(gamma) = sum_(beta + alpha = gamma, |beta| = p, beta no vertex) multinom(p; beta) multinom(p-2; alpha),
 
 a sum of multiples of p, so S(gamma) = 0 mod p for every gamma and S(gamma)
-/ p is an integer.  T_ij = 0 when no such gamma exists.
+/ p is an integer.  T_ij = 0 when the fiber is empty.
 
 **Vandermonde.** The coefficient of y^gamma in (sum_k y_k)^p (sum_k
 y_k)^(p-2) = (sum_k y_k)^(2p-2) gives sum_(beta + alpha = gamma)
@@ -77,7 +80,18 @@ prod_l u(gamma_l) mod p^2 and U = u(2p-2):
 So the tables of u(k) mod p^2 and of its inverse, for k <= 2p - 2, give
 every weight (:func:`factorials`).
 
-**Which cells.** Choose t rows r of A whose t x t minor B = A_r is
+**Which cells, by enumeration.** When the C(2p - 3 + t, t - 1) gammas
+with |gamma| = 2p - 2 are at most ``COMPOSITIONS_MAX``, :func:`_compositions`
+lists them, and the alphas with |alpha| = p - 2, with their weights, once
+per p and t.  Each exponent A gamma is packed into a code, one bit field
+per variable, and joined against the sorted codes of the m^2 cell targets
+p M_i + E^lambda_j (the m E^lambda_j for lambda): one sort per basis and a
+``searchsorted`` per plan.  A code may name several cells, and a cell may
+have several points, which lambda and T add up.  Enumeration needs rings
+that ``_fpbundle.admits``, whose byte budget bounds the m^2 targets.
+
+**Which cells, by solving.** Past that budget A must have full column
+rank.  Choose t rows r of A whose t x t minor B = A_r is
 invertible, with adj(B) B = det(B) I; gamma = adj(B) E_r / det(B) must be
 integral and nonnegative, and satisfy the other n - t rows of A gamma = E,
 which are checked exactly.  For E = p M_i + E^lambda_j, E^lambda_j = (p-1)
@@ -87,7 +101,7 @@ which are checked exactly.  For E = p M_i + E^lambda_j, E^lambda_j = (p-1)
 join of m row keys against m column keys (a sort and ``searchsorted``),
 and only the matching cells are solved, in blocks of at most ``BLOCK``.
 
-**Plans.** The rows r, adj(B), the cells and their gamma, and every weight
+**Plans.** The cells and their points, every weight, and rows r and adj(B)
 depend on the ring and f's support alone.  The basis keeps them as
 ``MonomialBasis.fibers`` (:class:`Fibers`), the last ``PLANS`` supports'
 plans; a form then costs the powers c^gamma in F_q and one scatter.  The
@@ -100,10 +114,19 @@ plan of lambda is built with the bundle, the plan of T by T's builder.
 * The weights are products mod p^2 of table entries below p^2: on int64
   for p < 2^15 (products below 2^60), on Python ints above, where only the
   matching cells are formed.
-* c^gamma is computed in F_q on coordinates mod p with the field's
-  :class:`_linalg.PrimeOps` arithmetic, then scaled by the weight and
-  mapped by F^-1.  A product sums at most e^2 products below p^2, which the
-  table budget keeps below 2^63.
+* A code's bit fields are bitlen((2p - 2) d + p) wide: an exponent of A
+  gamma is at most (2p - 2) d, and one of p M_i + E^lambda_j at most p d +
+  p - 1.  Targets with a negative exponent are left out, so equal codes are
+  equal exponents; :meth:`Fibers.plan` enumerates only when n fields fit
+  62 bits.
+* c^gamma is computed in F_q on coordinates mod p.  Below q =
+  ``LOG_Q_MAX`` it is antilog[(gamma . log c) mod (q - 1)], the tables
+  built per field on first use (:func:`_logs`); gamma . log c < t 2p q.
+  Above, it is square and multiply with the field's :class:`_linalg.PrimeOps`
+  arithmetic, where a product sums at most e^2 products below p^2, which
+  the table budget keeps below 2^63.  Each value is then scaled by its
+  weight, summed per cell (at most ``COMPOSITIONS_MAX`` values below p) and
+  mapped by F^-1.
 * The tables of u and 1/u are two int64 arrays of 2p - 1 entries,
   :func:`table_bytes` = 16 (2p - 1) bytes, built on first use and kept for
   the last two primes.  The rule refuses p when they exceed
@@ -113,13 +136,18 @@ plan of lambda is built with the bundle, the plan of T by T's builder.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
+from . import _fpbundle
 from ._linalg import _INT64_SAFE_P, PrimeOps, make_ops
 
 FACTORIAL_BYTES_MAX = 1 << 25  # the tables of u and 1/u, see table_bytes
+COMPOSITIONS_MAX = 1 << 11  # the gammas a plan may list, see _plan_of; fixed by measurement
+LOG_Q_MAX = 1 << 16  # fields this small raise c to a point by log tables, see _values
 PLANS = 256  # per-support plans kept by each basis
 BLOCK = 1 << 16  # candidate cells solved at once
 
@@ -146,49 +174,98 @@ def admits(f, bas) -> bool:
 
 
 def solvable(f, bas) -> bool:
-    """Whether p is odd, f has 1 to n terms, and f's exponent matrix has full column
-    rank with an int64-exact solve (:meth:`Fibers.plan`): the rule but for the tables."""
-    ring = bas.ring
-    return ring.field.p != 2 and 0 < len(f) <= ring.num_vars and bas.fibers.plan(support(f, bas)) is not None
+    """Whether p is odd, f has a term, and f has a plan (:func:`_plan_of`).  The rule but for the tables."""
+    return bas.ring.field.p != 2 and len(f) > 0 and _plan_of(f, bas) is not None
+
+
+def _plan_of(f, bas) -> "Plan | None":
+    """f's plan (:meth:`Fibers.plan`), listed if f has at most ``COMPOSITIONS_MAX`` gammas on a ring
+    ``_fpbundle.admits`` (its budget bounds the m^2 cell targets); else None past n terms."""
+    p, t = bas.ring.field.p, len(f)
+    listed = math.comb(2 * p - 3 + t, t - 1) <= COMPOSITIONS_MAX and _fpbundle.admits(bas.ring, bas.m)
+    return bas.fibers.plan(support(f, bas), listed) if listed or t <= bas.ring.num_vars else None
 
 
 def lam_and_T(f, bas) -> tuple:
     """lambda's coordinate array on this route and a zero-argument builder of T's."""
     s = make_ops(bas.ring.field)
-    plan = bas.fibers.plan(support(f, bas))
+    plan = _plan_of(f, bas)
     c = bas.coefficients(f)[list(plan.support)]
-    cells, alpha, weight = plan.lam
-    lam = s.zeros(bas.m)
-    lam[cells] = _values(s, c, alpha, weight)
-    return s.unfrobenius(lam), lambda: _build_T(s, plan, c)
+    return s.unfrobenius(_sums(s, bas.m, c, plan.lam)), lambda: _build_T(s, plan, c)
 
 
 def _build_T(s: PrimeOps, plan: "Plan", c: np.ndarray) -> np.ndarray:
     """T's coordinate array from the plan's kernel cells and f's coefficients c on its support."""
-    cells, gamma, weight = plan.kernel
     m = len(plan.M)
-    T = s.zeros(m * m)
-    T[cells] = _values(s, c, gamma, weight)
-    return s.unfrobenius(T).reshape((m, m) + s.shape)
+    return s.unfrobenius(_sums(s, m * m, c, plan.kernel)).reshape((m, m) + s.shape)
+
+
+def _sums(s: PrimeOps, n: int, c: np.ndarray, points: tuple) -> np.ndarray:
+    """Each of n cells' sum of weight * c^point over its ``points`` (a plan's ``lam`` or ``kernel``), mod p."""
+    cells, gamma, weight = points
+    out = s.zeros(n)
+    s.add_at(out, cells, _values(s, c, gamma, weight))
+    return out % s.p
 
 
 @lru_cache(maxsize=2)
 def factorials(p: int) -> tuple:
-    """(u, 1/u) mod p^2 for k = 0 .. 2p-2, u(k) being the product of 1..k without p; int64."""
+    """(u, 1/u) mod p^2 for k = 0 .. 2p-2, u(k) being the product of 1..k without p; int64.
+
+    Both are prefix products (:func:`_prefix_products`) of the factors k, with 0 and p read
+    as 1: u from the bottom, and 1/u from the top, starting at 1/u(2p-2).
+    """
     mod, n = p * p, 2 * p - 1
-    u = np.empty(n, dtype=np.int64)
-    inv = np.empty(n, dtype=np.int64)
-    acc = u[0] = 1
-    for k in range(1, n):
-        if k != p:
-            acc = acc * k % mod
-        u[k] = acc
-    acc = inv[n - 1] = pow(acc, -1, mod)
-    for k in range(n - 1, 0, -1):
-        if k != p:
-            acc = acc * k % mod
-        inv[k - 1] = acc
+    k = np.arange(n, dtype=np.int64)
+    factor = np.where((k == 0) | (k == p), 1, k)
+    u = _prefix_products(factor, mod)
+    top = np.array([pow(int(u[-1]), -1, mod)], dtype=np.int64)
+    inv = _prefix_products(np.concatenate((top, factor[:0:-1])), mod)[::-1].copy()
     return u, inv
+
+
+def _prefix_products(x: np.ndarray, mod: int) -> np.ndarray:
+    """The prefix products mod ``mod`` < 2^40 of x, whose entries are below ``mod``.
+
+    x is laid out in rows of about sqrt(len x): one pass over the columns
+    multiplies every row at once, and then each row is scaled by the product
+    of the rows above it, so there are O(sqrt(len x)) numpy steps.
+    """
+    n = len(x)
+    w = math.isqrt(n - 1) + 1
+    rows = np.ones(-(-n // w) * w, dtype=np.int64)
+    rows[:n] = x
+    cols = rows.reshape(-1, w).T.copy()  # column k holds entry k of every row
+    for k in range(1, w):
+        cols[k] = _mul_mod(cols[k - 1], cols[k], mod)
+    above = [1]
+    for last in cols[-1, :-1].tolist():
+        above.append(above[-1] * last % mod)
+    return _mul_mod(cols, np.array(above, dtype=np.int64), mod).T.reshape(-1)[:n]
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
+    """a * b mod ``mod`` < 2^40 on int64, for entries below ``mod``: b is split into 20-bit
+    halves, so that no product reaches 2^60 (a whole product would from p = 2^15 on)."""
+    return ((a * (b >> 20) % mod << 20) + a * (b & 0xFFFFF)) % mod
+
+
+@lru_cache(maxsize=64)
+def _compositions(p: int, N: int, t: int) -> tuple:
+    """(gamma, weight) for every gamma in N^t with |gamma| = N and a weight mod p that is not 0:
+    multinom(p-2; gamma) at N = p - 2, S(gamma) / p at N = 2p - 2.  Read-only int64 arrays;
+    the gammas are the gaps between t - 1 bars placed among N + t - 1 slots."""
+    bars = np.array(list(combinations(range(N + t - 1), t - 1)), dtype=np.int64)
+    gamma = np.diff(bars, axis=1, prepend=-1, append=N + t - 1) - 1
+    if N == p - 2:
+        u, inv = factorials(p)
+        weight = (_unit_product(u[p - 2], inv, gamma, p) % p).astype(np.int64)
+    else:
+        weight = _kernel_weights(p, gamma)
+    keep = weight != 0
+    gamma, weight = gamma[keep], weight[keep]
+    gamma.flags.writeable = weight.flags.writeable = False
+    return gamma, weight
 
 
 def _solver(A: list) -> tuple | None:
@@ -227,46 +304,85 @@ def _solver(A: list) -> tuple | None:
 
 
 class Fibers:
-    """The route's per-basis state, kept as ``MonomialBasis.fibers``: the basis exponents
-    and the plans of the last ``PLANS`` supports (:meth:`plan`)."""
+    """The route's per-basis state, kept as ``MonomialBasis.fibers``: the basis exponents, the
+    code places and cell targets, and the plans of the last ``PLANS`` supports (:meth:`plan`)."""
 
     def __init__(self, bas):
-        self.p = bas.ring.field.p
-        self.M = np.array(bas.monomials, dtype=np.int64).reshape(bas.m, bas.ring.num_vars)
-        self.E = (self.p - 1) - self.M  # E^lambda_j, the exponent lambda_j reads
+        ring = bas.ring
+        self.p = p = ring.field.p
+        self.M = np.array(bas.monomials, dtype=np.int64).reshape(bas.m, ring.num_vars)
+        self.E = (p - 1) - self.M  # E^lambda_j, the exponent lambda_j reads
+        width = ((2 * p - 2) * ring.d + p).bit_length()  # of one exponent of a code
+        packs = ring.num_vars * width <= _fpbundle.CODE_BITS
+        self.place = np.left_shift(1, width * np.arange(ring.num_vars)) if packs else None  # code = E @ place
         self.plan = lru_cache(maxsize=PLANS)(self._plan)
 
-    def _plan(self, support: tuple) -> "Plan | None":
-        """The plan of a support, or None if its exponent matrix A is rank-deficient or its
-        solve could leave int64."""
-        A = self.M[list(support)].T
+    @cached_property
+    def lam_targets(self) -> tuple:
+        """The codes of the E^lambda_j (see :meth:`_targets`)."""
+        return self._targets(np.zeros_like(self.M[:1]), self.E)
+
+    @cached_property
+    def kernel_targets(self) -> tuple:
+        """The codes of the T cells' targets p M_i + E^lambda_j (see :meth:`_targets`)."""
+        return self._targets(self.p * self.M, self.E)
+
+    def _targets(self, X: np.ndarray, Y: np.ndarray) -> tuple:
+        """The codes of the X_i + Y_j without a negative entry, ascending, and the flat index
+        i len(Y) + j of each."""
+        ok = np.ones((len(X), len(Y)), dtype=bool)
+        for k in range(X.shape[1]):
+            ok &= X[:, k, None] + Y[:, k] >= 0
+        cells = np.flatnonzero(ok)
+        codes = ((X @ self.place)[:, None] + Y @ self.place).reshape(-1)[cells]
+        order = np.argsort(codes, kind="stable")
+        return codes[order], cells[order]
+
+    def _plan(self, support: tuple, listed: bool) -> "Plan | None":
+        """The plan of a support: enumerated if ``listed`` (see :func:`_plan_of`) and the codes
+        pack, else solved; None if neither, that is if the exponent matrix A is rank-deficient or
+        its solve could leave int64."""
+        A, t = self.M[list(support)].T, len(support)
+        if listed and self.place is not None:
+            return Plan(self, support, A)
         solved = _solver(A.tolist())
-        if solved is None:
+        if solved is None or t * int(np.abs(solved[1]).max()) * self.p * (int(self.M.max()) + 2) >= 1 << 62:
             return None
-        rows, adj, det = solved
-        if len(support) * int(np.abs(adj).max()) * self.p * (int(self.M.max()) + 2) >= 1 << 62:
-            return None
-        return Plan(self, support, A, rows, adj, det)
+        return Plan(self, support, A, solved)
 
 
 class Plan:
-    """What lambda and T read of one support: the cells with a fiber point, and its weight.
+    """What lambda and T read of one support: the points of the cells' fibers, and their weights.
 
-    ``lam`` and ``kernel`` are ``(cells, points, weights)``: the flat
-    indices of lambda's (m,) or T's (m, m) cells with a point, the point
-    (alpha or gamma) of each, and its weight mod p, multinom(p-2; alpha) or
-    S(gamma) / p; each is built on first use.
+    ``lam`` and ``kernel`` are ``(cells, points, weights)``, one entry per
+    point: the flat index of its cell of lambda (m,) or T (m, m), the point
+    (alpha or gamma) and its weight mod p, multinom(p-2; alpha) or S(gamma)
+    / p.  A cell may have several points, and a point several cells, when
+    the plan is enumerated; each is built on first use.
     """
 
-    def __init__(self, fib: Fibers, support: tuple, A: np.ndarray, rows: list, adj: np.ndarray, det: int):
-        self.support = support
+    def __init__(self, fib: Fibers, support: tuple, A: np.ndarray, solved: tuple | None = None):
+        self.support, self.fib, self.solved = support, fib, solved
         self.p, self.M, self.E = fib.p, fib.M, fib.E
-        self.det = det
-        self.adj = adj
-        self.rows = rows
-        self.other = [k for k in range(len(A)) if k not in rows]
+        if solved is None:
+            self.codes = A.T @ fib.place  # of the terms, so gamma @ codes is the code of A gamma
+            return
+        self.rows, self.adj, self.det = solved
+        self.other = [k for k in range(len(A)) if k not in self.rows]
         self.A_other = A[self.other]
-        self.Y = self.E[:, rows] @ adj.T  # adj(B) (E^lambda_j)_r
+        self.Y = self.E[:, self.rows] @ self.adj.T  # adj(B) (E^lambda_j)_r
+
+    def _join(self, N: int, targets: tuple) -> tuple:
+        """(cells, points, weights) for every gamma of :func:`_compositions` and every cell whose
+        target code (``Fibers.lam_targets`` or ``kernel_targets``) is A gamma's."""
+        gamma, weight = _compositions(self.p, N, len(self.support))
+        key = gamma @ self.codes
+        codes, cells = targets
+        lo = np.searchsorted(codes, key)
+        n = np.searchsorted(codes, key, side="right") - lo  # the cells gamma feeds
+        at = cells[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
+        hit = np.repeat(np.arange(len(gamma)), n)
+        return at, gamma[hit], weight[hit]
 
     def _points(self, num: np.ndarray, target: np.ndarray) -> tuple:
         """x = ``num`` / |det B| for each target E (a row of ``target``), ``num`` being
@@ -278,15 +394,19 @@ class Plan:
 
     @cached_property
     def lam(self) -> tuple:
+        p = self.p
+        if self.solved is None:
+            return self._join(p - 2, self.fib.lam_targets)
         ok, alpha = self._points(self.Y, self.E)
         cells = np.flatnonzero(ok)
         alpha = alpha[cells]
-        p = self.p
         u, inv = factorials(p)
         return cells, alpha, (_unit_product(u[p - 2], inv, alpha, p) % p).astype(np.int64)
 
     @cached_property
     def kernel(self) -> tuple:
+        if self.solved is None:
+            return self._join(2 * self.p - 2, self.fib.kernel_targets)
         p, det, M = self.p, self.det, self.M
         m = len(M)
         X = p * (M[:, self.rows] @ self.adj.T)  # p adj(B) (M_i)_r
@@ -342,21 +462,47 @@ def _kernel_weights(p: int, gamma: np.ndarray) -> np.ndarray:
     return (S // p).astype(np.int64)
 
 
+@lru_cache(maxsize=None)
+def _logs(s: PrimeOps) -> tuple:
+    """(log, antilog) of F_q^*, q < ``LOG_Q_MAX``, for the generator g of least code: log[code(a)]
+    is the k with a = g^k, code(a) = sum_l a_l p^l over a's coordinates, and antilog[k] is
+    g^k's coordinates.  Built per field on its first use."""
+    p, q, digits = s.p, s.p ** s.e, s.p ** np.arange(s.e)
+    primes = [r for r in range(2, q) if (q - 1) % r == 0 and all(r % k for k in range(2, math.isqrt(r) + 1))]
+    # g generates iff g^((q-1)/r) != 1 for every prime r | q - 1
+    gen = next(g for g in ((g // digits % p).reshape(s.shape) for g in range(2, q))
+               if all(s.power(g, (q - 1) // r, p).tolist() != s.one[0].tolist() for r in primes))
+    power = s.one
+    while len(power) < q - 1:  # g^0 .. g^(2k-1) from g^0 .. g^(k-1)
+        power = np.concatenate((power, s.mul(power, s.mul(power[-1], gen, p) % p, p) % p))
+    power = power[: q - 1]
+    log = np.zeros(q, dtype=np.int64)
+    log[power.reshape(q - 1, -1) @ digits] = np.arange(q - 1)
+    log.flags.writeable = power.flags.writeable = False  # shared by every user of the field
+    return log, power
+
+
 def _values(s: PrimeOps, c: np.ndarray, points: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """weight * c^point in F_q for each row of ``points``, as coordinates mod p.
 
-    c^point = prod_k c_k^point_k, by square and multiply over the bits of
-    the points, all cells and terms at once.
+    c^point = prod_k c_k^point_k.  Over q < ``LOG_Q_MAX`` it is
+    antilog[(point . log c) mod (q - 1)], each c_k being nonzero
+    (:func:`_logs`); above, square and multiply over the bits of the points,
+    all cells and terms at once.
     """
-    p = s.p
-    lanes = points.shape + (1,) * len(s.shape)  # a point's bits, against coordinates
-    acc = np.where((points & 1).reshape(lanes) == 1, c, s.one[0])
-    bits, base = points >> 1, c
-    while bits.any():
-        base = s.mul(base, base, p) % p
-        acc = np.where((bits & 1).reshape(lanes) == 1, s.mul(acc, base, p) % p, acc)
-        bits = bits >> 1
-    out = acc[:, 0]
-    for k in range(1, points.shape[1]):
-        out = s.mul(out, acc[:, k], p) % p
+    p, q = s.p, s.p ** s.e
+    if q < LOG_Q_MAX:
+        log, antilog = _logs(s)
+        out = antilog[points @ log[c.reshape(len(c), -1) @ p ** np.arange(s.e)] % (q - 1)]
+    else:
+        lanes = points.shape + (1,) * len(s.shape)  # a point's bits, against coordinates
+        acc = np.where((points & 1).reshape(lanes) == 1, c, s.one[0])
+        bits, base = points >> 1, c
+        while bits.any():
+            base = s.mul(base, base, p) % p
+            acc = np.where((bits & 1).reshape(lanes) == 1, s.mul(acc, base, p) % p, acc)
+            bits = bits >> 1
+        out = acc[:, 0]
+        for k in range(1, points.shape[1]):
+            out = s.mul(out, acc[:, k], p) % p
     return out * weight.reshape((-1,) + (1,) * len(s.shape)) % p

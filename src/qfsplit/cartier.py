@@ -254,10 +254,11 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     which the walk makes only when it takes a second row (:func:`_walk`): a
     form of height 1, or with lambda = 0, never builds it.  Four producers
     give the same lambda and T, and :func:`route` picks one from f's ring
-    and support, or refuses f.  Each returns lambda and a zero-argument
-    builder of T.  The array routes return coordinate arrays; the dict
-    route returns lists of raw values, which :class:`FrobeniusBundle` reads
-    as the same arrays, once.
+    and support, or refuses f: at odd p, lattice points for the sparse and
+    the full-rank forms, products for the dense.  Each returns lambda and
+    a zero-argument builder of T: coordinate arrays on the array routes,
+    lists of raw values on the dict route, which :class:`FrobeniusBundle`
+    reads as the same arrays, once.
     """
     ring = f.ring
     if f.is_zero():
@@ -277,15 +278,18 @@ def route(f: Polynomial, bas: MonomialBasis) -> Callable:
     The only place a producer is chosen.  Nothing is built to decide it,
     and the first rule that holds wins:
 
-    * :func:`_fibers.lam_and_T` iff :func:`_fibers.admits`: odd p, f's
-      exponent matrix of full column rank (every Delsarte form, binomials
-      and monomials) and p within its table budget.  lambda and T are read
-      off lattice points with multinomial weights, and no polynomial
+    * :func:`_fibers.lam_and_T` iff :func:`_fibers.admits`: odd p within
+      its table budget, and f's fibers either enumerable, with at most
+      ``_fibers.COMPOSITIONS_MAX`` lattice points to list on a ring that
+      :func:`_fpbundle.admits` (sparse forms at small p, whatever their
+      rank), or solvable, f's exponent matrix having full column rank
+      (every Delsarte form, binomials and monomials).  lambda and T are
+      sums over lattice points with multinomial weights, and no polynomial
       product is formed;
     * where :func:`_fpbundle.admits` holds (its docstring states the rule),
       :func:`_fpbundle.char2_lam_and_T` at p = 2, which builds T as a fixed
       quadratic form in v_f, and :func:`_fpbundle.general_lam_and_T` at odd
-      p, which then sees two or more terms: the fibers take every one-term
+      p, which then sees the dense forms: the fibers take every one-term
       form there;
     * a ``ResourceError`` for a form of 2 to n terms that the fibers could
       solve but for their table budget (p >= 2^20): on the dict route

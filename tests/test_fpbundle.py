@@ -48,6 +48,7 @@ test_char2_kernel_matches_both_routes_on_the_f2_catalog_rows = corpus_test(
 
 
 def test_char2_bundles_never_reach_the_class_pairing_loop(monkeypatch):
+    monkeypatch.setattr(_fibers, "COMPOSITIONS_MAX", 0)  # the positive control: past the budget, products
     calls = []
     original = _fpbundle._accumulate_kernel
     monkeypatch.setattr(_fpbundle, "_accumulate_kernel",
@@ -63,7 +64,8 @@ def test_char2_bundles_never_reach_the_class_pairing_loop(monkeypatch):
 
 # -- the route rule --------------------------------------------------------------
 
-# five terms in four variables: a rank-deficient exponent matrix, so no fiber route
+# five terms in four variables: a rank-deficient exponent matrix, whose fibers the route
+# enumerates (70 compositions at p = 3, 495 at p = 5)
 FIVE_TERMS = "x^4+y^4+z^4+w^4+x*y*z*w"
 
 
@@ -105,11 +107,44 @@ def test_full_rank_supports_take_the_fiber_route(dict_route_calls, T_builds, p, 
     (3, FIVE_TERMS),  # more terms than variables
     (5, "x^4+y^4+x^2*y^2+z^4"),  # four terms of rank 3
 ])
-def test_other_supports_take_the_product_routes(p, text):
+def test_other_supports_take_the_product_routes(monkeypatch, p, text):
+    monkeypatch.setattr(_fibers, "COMPOSITIONS_MAX", 0)  # past the budget, products
     f = parse_poly(text, RingConfig(field(p), QUARTIC))
     assert not _fibers.admits(f, basis(f.ring))
     produce = _fpbundle.char2_lam_and_T if p == 2 else _fpbundle.general_lam_and_T
     assert cartier.route(f, basis(f.ring)) is produce
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)], ids=["F3", "F5", "F9"])
+def test_sparse_supports_of_any_rank_take_the_fiber_route(p, e):
+    # the F_3 catalog rows over F_3 and F_9 (35 to 715 compositions), and FIVE_TERMS at 5 too;
+    # at p = 5 the rows of 8 to 10 terms have 6435 to 24310 and stay on the products
+    ring = RingConfig(field(p, e), QUARTIC)
+    texts = [FIVE_TERMS] + [entry.equation for entry in catalog.all_entries() if entry.p == 3 and p == 3]
+    assert len(texts) == (1 if p == 5 else 11)
+    for text in texts:
+        assert cartier.route(parse_poly(text, ring), basis(ring)) is _fibers.lam_and_T, text
+
+
+@pytest.mark.parametrize("p,weights,terms", [(5, QUARTIC, 28), (5, SEXTIC, 31), (3, QUINTIC, 84)],
+                         ids=["quartic-F5", "sextic-F5", "quintic-F3"])
+def test_the_dense_workload_shapes_take_the_product_route(p, weights, terms):
+    bas = basis(RingConfig(field(p), weights))
+    assert terms == bas.m * (p - 1) // p  # the support size the dense benchmark draws
+    f = bas.polynomial([1] * terms + [0] * (bas.m - terms))
+    assert cartier.route(f, bas) is _fpbundle.general_lam_and_T
+
+
+@pytest.mark.parametrize("p", [3, 5, 32749, 32771, 1000003])
+def test_factorial_tables_match_a_scalar_loop(p):
+    u, inv = _fibers.factorials(p)
+    mod, acc, want = p * p, 1, []
+    for k in range(2 * p - 1):
+        if k not in (0, p):
+            acc = acc * k % mod
+        want.append(acc)
+    assert u.dtype == inv.dtype == np.int64 and u.tolist() == want
+    assert all(a * b % mod == 1 for a, b in zip(want, inv.tolist()))
 
 
 def test_a_prime_over_the_table_budget_leaves_the_fiber_route(monkeypatch):
@@ -155,8 +190,10 @@ def test_the_cli_exits_3_past_the_fiber_tables(no_dict_route, capsys):
     (2, 2, "x^4 + x*y^3 + y*w^3 + z^3*w"),
     (3, 2, FIVE_TERMS),
 ], ids=["F2", "F4", "F9"])
-def test_f2_and_extensions_take_the_numpy_route(dict_route_calls, p, e, text):
+def test_f2_and_extensions_take_the_numpy_route(dict_route_calls, monkeypatch, p, e, text):
+    monkeypatch.setattr(_fibers, "COMPOSITIONS_MAX", 0)  # past the budget, products
     f = parse_poly(text, RingConfig(field(p, e), QUARTIC))
+    assert cartier.route(f, basis(f.ring)) is (_fpbundle.char2_lam_and_T if p == 2 else _fpbundle.general_lam_and_T)
     bundle(f).T_coords
     assert dict_route_calls == []
 

@@ -19,6 +19,7 @@ backend lands as one more entry, with a group that feeds it.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import namedtuple
 from functools import lru_cache
@@ -275,6 +276,24 @@ BINOMIALS = {QUARTIC: ["x^4+y^3*z", "x^3*y+C*z^2*w^2", "x^2*y*z+C*w^4", "C*x*y*z
              SEXTIC: ["x^6+C*y^5*z", "x^3*y^2*z+w^2", "x^2*y^4+C*z^3*w", "C*x^5*y+x*y*z^4"]}
 
 
+# seven rank-deficient forms: the Dwork quartic pencil at c = 1 and 3, the Fermat quartic
+# plus x^2 y z and plus x^2 y^2, a Klein-type quartic plus 2 x y z w, a sextic and the
+# quintic Dwork form; each has more terms than variables
+RANK_DEFICIENT = {QUARTIC: ["x^4+y^4+z^4+w^4+x*y*z*w", "x^4+y^4+z^4+w^4+3*x*y*z*w", "x^4+y^4+z^4+w^4+x^2*y*z",
+                            "x^4+y^4+z^4+w^4+x^2*y^2", "x^3*y+y^3*z+z^3*w+w^3*x+2*x*y*z*w"],
+                  SEXTIC: ["x^6+y^6+z^6+w^2+x^2*y^2*z^2"], QUINTIC: ["x^5+y^5+z^5+w^5+u^5+x*y*z*w*u"]}
+
+
+def rank_deficient_forms(p: int, e: int) -> list:
+    """The forms of :data:`RANK_DEFICIENT` whose fibers fit ``_fibers.COMPOSITIONS_MAX`` over F_(p^e)."""
+    forms = [f for w, texts in RANK_DEFICIENT.items() for f in parsed(texts, RingConfig(field(p, e), w))]
+    return [f for f in forms if math.comb(2 * p - 3 + len(f), len(f) - 1) <= _fibers.COMPOSITIONS_MAX]
+
+
+def some_rank_deficient(bundles: list) -> bool:
+    return any(np.linalg.matrix_rank(np.array(list(b.f.term_dict()))) < len(b.f) for b in bundles)
+
+
 def binomials(p: int, e: int = 1) -> list:
     coefficient = "(t+1)" if e > 1 else "3"
     return [f for w, texts in BINOMIALS.items()
@@ -428,7 +447,8 @@ CORPUS = {
               lambda bundles: sum(is_infinite(height(b)) for b in bundles) >= 2
               and len({repr(height(b)) for b in bundles}) >= 3) for fld in LARGE_FIELDS],
     # the fiber route against the products: every Delsarte family (admissible or not),
-    # binomials, whose other rows of A x = E are checked, and a rank-deficient form
+    # binomials, whose other rows of A x = E are checked, and rank-deficient forms, whose
+    # points are enumerated; at p = 11 and 13 none of RANK_DEFICIENT fits the budget
     "test_fiber_route_matches_the_products": [
         *[forms(f"delsarte-F{p}", delsarte_forms, p, 1, False, requires=every_route(_fibers.lam_and_T))
           for p in (3, 5, 7)],
@@ -437,7 +457,10 @@ CORPUS = {
         *[forms(f"binomials-F{p ** e}", binomials, p, e, requires=every_route(_fibers.lam_and_T))
           for p, e in [(11, 1), (97, 1), (11, 2)]],
         forms("rank-deficient", parsed, ["x^4+y^4+x^2*y^2+z^4", "x^3*y+x*y^3+x^2*y^2+w^4"],
-              RingConfig(field(5), QUARTIC), requires=every_route(_fpbundle.general_lam_and_T))],
+              RingConfig(field(5), QUARTIC), requires=every_route(_fibers.lam_and_T)),
+        *[forms(f"rank-deficient-F{p ** e}", rank_deficient_forms, p, e, reference=NUMPY_ROUTE,
+                requires=lambda bundles: every_route(_fibers.lam_and_T)(bundles) and some_rank_deficient(bundles))
+          for p, e in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)]]],
     "test_corpus": [
         # the dict and fiber routes at p >= 2^15, where f^(p-2) has one term
         forms("large-prime-monomial", parsed, ["x*y*z*w"], RingConfig(field(32771), QUARTIC), rows=True, lifts=True),
