@@ -158,9 +158,12 @@ def table_bytes(p: int) -> int:
 
 
 def support(f, bas) -> tuple:
-    """The basis indices of f's terms, ascending."""
-    index = bas.index
-    return tuple(sorted(index[mono] for mono in f.term_dict()))
+    """The basis indices of f's terms, ascending: the nonzero entries of ``bas.coefficients(f)``.
+
+    For every form ``cartier.bundle`` accepts, whose terms all lie on the
+    basis, these are the indices of its term dict, which this does not read.
+    """
+    return tuple(np.flatnonzero(make_ops(bas.ring.field).nonzero(bas.coefficients(f))).tolist())
 
 
 def admits(f, bas) -> bool:

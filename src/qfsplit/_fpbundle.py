@@ -64,8 +64,9 @@ T is a fixed quadratic form in the coefficient vector c.  A per-ring (m, m)
 table holds the cell that x^(M_a + M_b) feeds, and the builder adds c_a c_b
 (mod 2) at the k(k-1)/2 pairs a < b of the k nonzero coefficients
 (:func:`_pair_sum`), then copies the cells out and applies the inverse
-Frobenius as in step 5.  lambda, eager, is the indicator of M_i = (1, ...,
-1), the one term of f^0 = 1.
+Frobenius as in step 5.  lambda is the indicator of M_i = (1, ..., 1), the
+one term of f^0 = 1, the same for every f: the per-ring tables keep it,
+and its backend row, from the ring's first bundle on.
 
 Class matching (step 5) is arithmetic on packed codes, with no axis over
 the variables.  A term b whose class (exponents mod p, packed) is u, and a
@@ -88,9 +89,10 @@ pairs are then formed a block of whole rows at a time (a row longer than
 The per-ring arrays (:class:`RingTables`) are an int32 rank table over the
 box of degree-d exponent vectors, an int32 map of the m^2 cells, the column
 classes, the basis codes and the lambda codes, and at p = 2 the int32 (m, m)
-pair table and its boolean mask of the pairs a < b.  Their closed-form size
-(:func:`ring_bytes`) is part of the route rule (:func:`admits`).  The basis
-keeps them as ``MonomialBasis.tables``, built on the ring's first bundle.
+pair table, its boolean mask of the pairs a < b and lambda.  Their
+closed-form size (:func:`ring_bytes`) is part of the route rule
+(:func:`admits`).  The basis keeps them as ``MonomialBasis.tables``, built
+on the ring's first bundle.
 Term pairs are formed in blocks of at most ``BLOCK`` (a product block of
 one term of the short factor holds as many pairs as the long factor has
 terms), so temporaries stay O(e^2 BLOCK) beyond the polynomials themselves.
@@ -147,11 +149,11 @@ def ring_bytes(ring: RingConfig, m: int) -> int:
     """Upper bound on the bytes of :class:`RingTables` for a basis of size m.
 
     The int32 rank table over the degree-d box and int32 cell map (and at
-    p = 2 the int32 pair table and its boolean mask of a < b), plus at most
-    m column classes, m basis codes and m lambda codes.  Closed form: it is
-    checked before anything is built.
+    p = 2 the int32 pair table, its boolean mask of a < b and lambda's m e
+    coordinates), plus at most m column classes, m basis codes and m lambda
+    codes.  Closed form: it is checked before anything is built.
     """
-    pairs = 5 * m * m if ring.field.p == 2 else 0
+    pairs = 5 * m * m + 8 * m * ring.field.e if ring.field.p == 2 else 0
     return 4 * (math.prod(box_radices(ring)) + m * m) + pairs + 8 * m * (ring.num_vars + 4)
 
 
@@ -198,7 +200,10 @@ class RingTables:
     only in each class's first column j0 (cell (Q + s_j0, j0)), and
     ``cell`` maps each of the m^2 cells to the cell of its kernel term, or
     to the zero sentinel m^2 when it reads none (some coordinate of Q < 0).
-    At p = 2, ``pair[a, b]`` is the cell that x^(M_a + M_b) feeds, or m^2.
+    At p = 2, ``pair[a, b]`` is the cell that x^(M_a + M_b) feeds, or m^2,
+    and lambda, which does not depend on f, is kept as the read-only
+    coordinate array ``char2_lam`` and its row in the field's backend
+    (:func:`make_ops`) as ``char2_lam_row``.
     """
 
     def __init__(self, bas):
@@ -254,6 +259,12 @@ class RingTables:
             # the pairs a < b: np.nonzero(upper[:k, :k]) takes 3-10 us against 26-32 us
             # for np.triu_indices(k, 1) (k = 10..30, numpy 2.4), a tenth of a scan-f2 equation
             self.upper = np.triu(np.ones((m, m), dtype=bool), 1)
+            s = make_ops(ring.field)
+            lam = s.zeros(m)
+            lam[self.lam == 0] = s.one  # (1, ..., 1) - M_i is the code 0 of f^0 = 1, which F^-1 fixes
+            lam.flags.writeable = False  # every bundle of the ring shares it
+            self.char2_lam = lam
+            self.char2_lam_row = s.row(lam)
 
     def _pair_cells(self, M: np.ndarray, rows: int) -> np.ndarray:
         """The (m, m) table of the cell x^(M_a + M_b) feeds, by blocks of rows a.
@@ -334,19 +345,17 @@ def char2_lam_and_T(f, bas) -> tuple:
     """lambda over F_(2^e) and a builder of T, a quadratic form in f's coefficient vector.
 
     The vector is ``bas.coefficients(f)``, kept on f; see the module docstring.
-    lambda does not depend on f.
+    lambda does not depend on f: it is the ring's ``RingTables.char2_lam``.
     """
     t = bas.tables
     s = make_ops(bas.ring.field)
     m = t.m
-    lv = s.zeros(m)
-    lv[t.lam == 0] = s.one  # (1, ..., 1) - M_i is the code 0 of f^0 = 1
 
     def build_T() -> np.ndarray:
         kv = _pair_sum(t, s, *_terms(f, bas, s))
         return s.unfrobenius(kv[t.cell]).reshape((m, m) + s.shape)
 
-    return s.unfrobenius(lv), build_T
+    return t.char2_lam, build_T
 
 
 def _pair_sum(t: RingTables, s: PrimeOps, support: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ from .ffield import Field, RawElement
 from .polyring import (
     Polynomial,
     RingConfig,
+    VectorPolynomial,
     corner_coefficient,
     delta,
     format_poly,
@@ -116,13 +117,16 @@ class MonomialBasis:
     def index_of(self, exps) -> int:
         return self.index[tuple(exps)]
 
-    def polynomial(self, coeffs: Sequence[RawElement]) -> Polynomial:
-        """The degree-d polynomial with the given raw coefficient vector, which it keeps."""
+    def polynomial(self, coeffs: Sequence[RawElement]) -> VectorPolynomial:
+        """The degree-d form with the given raw coefficient vector, a :class:`VectorPolynomial`.
+
+        It keeps a copy of the values and their coordinate array, and builds
+        its term dict only when something reads it.
+        """
         if len(coeffs) != self.m:
             raise UsageError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        f = Polynomial(self.ring, dict(zip(self.monomials, coeffs)))
-        f._coeffs = _linalg.make_ops(self.ring.field).lift(coeffs)
-        return f
+        values = tuple(coeffs)
+        return VectorPolynomial(self.ring, self.monomials, values, _linalg.make_ops(self.ring.field).lift(values))
 
     def coefficients(self, f: Polynomial) -> np.ndarray:
         """f's coefficient vector on the basis, read on the first call and kept on f.
@@ -170,21 +174,23 @@ class FrobeniusBundle:
     lists of raw values, which read as the same arrays; the bundle keeps
     them only as ``lam_coords`` and ``T_coords``.  The backend forms of
     lambda and v_f are built once, by ``ops`` (default the field's
-    :func:`_linalg.make_ops` backend); ``T_coords`` and the step matrix
-    ``T_mat`` are built on first use, since a walk that stops at R_1 never
-    reads them.  Semantically immutable; T and the Krylov walk are
-    memoized, so share an instance across threads only behind a lock (or
-    keep instances thread-local, as the scan workers do).
+    :func:`_linalg.make_ops` backend), unless lambda's is given as
+    ``lam_row``: :func:`bundle` hands over the one the p = 2 route keeps
+    per ring (``_fpbundle.RingTables.char2_lam_row``).  ``T_coords`` and
+    the step matrix ``T_mat`` are built on first use, since a walk that
+    stops at R_1 never reads them.  Semantically immutable; T and the
+    Krylov walk are memoized, so share an instance across threads only
+    behind a lock (or keep instances thread-local, as the scan workers do).
     """
 
-    def __init__(self, bas: MonomialBasis, f: Polynomial, lam, build_T, ops=None):
+    def __init__(self, bas: MonomialBasis, f: Polynomial, lam, build_T, ops=None, lam_row=None):
         self.basis = bas
         self.f = f
         self.v_f = bas.coefficients(f)
         self.lam_coords = np.asarray(lam, dtype=np.int64)
         self._build_T = build_T
         self.ops = ops if ops is not None else _linalg.make_ops(bas.ring.field)
-        self.lam_row = self.ops.row(self.lam_coords)
+        self.lam_row = self.ops.row(self.lam_coords) if lam_row is None else lam_row
         self.v_col = self.ops.column(self.v_f)
         self._walked: tuple | None = None
 
@@ -248,7 +254,10 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
     f is homogeneous of degree d iff it has as many terms as nonzero entries
     in its coefficient vector v_f, ``basis(f.ring).coefficients(f)``, the
     coordinate array f keeps: the witness search, this check, every route
-    and the walk read f's coefficients at most once between them.
+    and the walk read f's coefficients at most once between them.  A form
+    built from its vector (:meth:`MonomialBasis.polynomial`) counts its
+    terms on that array too, so no route here builds its term dict but the
+    dict route.
 
     lambda is computed here; T is built on the first read of ``T_coords``,
     which the walk makes only when it takes a second row (:func:`_walk`): a
@@ -268,8 +277,11 @@ def bundle(f: Polynomial) -> FrobeniusBundle:
         raise UsageError(
             f"bundle requires a homogeneous polynomial of weighted degree {ring.d}"
         )
-    lam, build_T = route(f, bas)(f, bas)
-    return FrobeniusBundle(bas, f, lam, build_T)
+    produce = route(f, bas)
+    lam, build_T = produce(f, bas)
+    # at p = 2 lambda is a per-ring constant, and so is its backend row
+    lam_row = bas.tables.char2_lam_row if produce is _fpbundle.char2_lam_and_T else None
+    return FrobeniusBundle(bas, f, lam, build_T, lam_row=lam_row)
 
 
 def route(f: Polynomial, bas: MonomialBasis) -> Callable:

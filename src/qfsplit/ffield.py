@@ -210,7 +210,7 @@ class Field:
         )
 
     def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
+        return self._hash  # computed by the constructor: a field is immutable
 
 
 class PrimeField(Field):
@@ -224,6 +224,7 @@ class PrimeField(Field):
         self.modulus = None
         self.zero = 0
         self.one = 1
+        self._hash = hash((p, 1, None))
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -284,6 +285,7 @@ class ExtensionField(Field):
         self.modulus = modulus
         self.zero = (0,) * e
         self.one = (1,) + (0,) * (e - 1)
+        self._hash = hash((p, e, modulus))
 
     def _canon(self, coeffs: Sequence[int]) -> tuple:
         reduced = _poly_mod([c % self.p for c in coeffs], self.modulus, self.p)

@@ -75,7 +75,7 @@ def shifted_matrix_direct(b: FrobeniusBundle, c: Sequence[RawElement]) -> list:
     if len(c) != b.m:
         raise UsageError(f"shift vector must have length {b.m}, got {len(c)}")
     p = b.field.p
-    g_c = b.basis.polynomial(list(c))
+    g_c = b.basis.polynomial(c)
     shifted_kernel = (delta(b.f) - poly_pow(g_c, p)) * poly_pow(b.f, p - 2)
     return columns_from_kernel(b.basis, shifted_kernel)
 
@@ -199,7 +199,7 @@ def coupling_values(b: FrobeniusBundle, c: Sequence[RawElement], n: int) -> list
     f = b.f
     fp2 = poly_pow(f, p - 2)
     df = delta(f)
-    g_c = b.basis.polynomial(list(c))
+    g_c = b.basis.polynomial(c)
     out = []
     for j in range(1, n + 1):
         bound = p**j

@@ -13,17 +13,20 @@ wide enough that no sum overflows a field), so the inner loops add ints
 instead of building tuples.
 
 Representation: a polynomial is a map from exponent tuples to raw field
-values (see ffield), with zero coefficients never stored.  The canonical
-term order is graded lexicographic with x_0 > x_1 > ... > x_N: terms are
-sorted by descending weighted degree, ties broken by descending exponent
-tuple.  That order is frozen; the monomial basis layout in the cartier
-module, hence the layout of all serialized vectors and matrices,
-inherits it.
+values (see ffield), with zero coefficients never stored; a form built
+from its coefficient vector (:class:`VectorPolynomial`) fills that map on
+its first read.  The canonical term order is graded lexicographic with
+x_0 > x_1 > ... > x_N: terms are sorted by descending weighted degree,
+ties broken by descending exponent tuple.  That order is frozen; the
+monomial basis layout in the cartier module, hence the layout of all
+serialized vectors and matrices, inherits it.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ParseError, ResourceError, UsageError
 from .ffield import Field, RawElement
@@ -51,6 +54,7 @@ class RingConfig:
         self.weights = weights
         self.num_vars = len(weights)
         self.d = sum(weights)
+        self._hash = hash((field, weights))  # immutable, so hashed once
 
     def weighted_degree(self, exps: ExponentVector) -> int:
         return sum(w * e for w, e in zip(self.weights, exps))
@@ -63,7 +67,7 @@ class RingConfig:
         )
 
     def __hash__(self):
-        return hash((self.field, self.weights))
+        return self._hash
 
     def __repr__(self):
         return f"RingConfig(p={self.field.p}, e={self.field.e}, weights={self.weights})"
@@ -78,8 +82,9 @@ class Polynomial:
     """Immutable sparse polynomial; coefficients are raw field values.
 
     ``_coeffs`` keeps ``cartier.MonomialBasis.coefficients(self)``, a
-    read-only int64 coordinate array: the vector ``MonomialBasis.polynomial``
-    was given, or else the one read on first use.
+    read-only int64 coordinate array, read on first use.  A form built from
+    its coefficient vector is a :class:`VectorPolynomial`, which is given
+    the array and builds its term dict only when something reads it.
     """
 
     __slots__ = ("ring", "_terms", "_max_exp", "_coeffs")
@@ -197,6 +202,44 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self!s})"
+
+
+class VectorPolynomial(Polynomial):
+    """A form built from its coefficient vector on a monomial basis: ``MonomialBasis.polynomial``.
+
+    It keeps the read-only coordinate array ``_coeffs`` it is given and a
+    tuple of the raw values, so that a caller's later change to its list
+    cannot reach the form.  ``len`` and ``is_zero`` read the array; the
+    bundle, the witness search and every route but the dict route read
+    nothing else.  The term dict and ``_max_exp``, which formatting, dict
+    arithmetic, the dict route and the oracles read, are filled on their
+    first read, the same as :class:`Polynomial` builds them from
+    ``dict(zip(monomials, values))``.
+    """
+
+    __slots__ = ("_monomials", "_values")
+
+    def __init__(self, ring: RingConfig, monomials: tuple, values: tuple, coeffs: np.ndarray):
+        self.ring = ring
+        self._monomials = monomials
+        self._values = values
+        self._coeffs = coeffs
+
+    def __getattr__(self, name):
+        # reached only for an unset slot or a missing name: the dict is built here, once
+        if name not in ("_terms", "_max_exp"):
+            raise AttributeError(name)
+        built = Polynomial(self.ring, dict(zip(self._monomials, self._values)))
+        self._terms, self._max_exp = built._terms, built._max_exp
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        """The number of entries with a nonzero coordinate."""
+        a = self._coeffs
+        return int(np.count_nonzero(a if a.ndim == 1 else a.any(axis=1)))
+
+    def is_zero(self) -> bool:
+        return not np.count_nonzero(self._coeffs)
 
 
 # ---------------------------------------------------------------------------

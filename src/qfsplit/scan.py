@@ -342,7 +342,9 @@ def _evaluate_index(job: ScanJob, index: int) -> tuple:
     fld = ring.field
     coeffs = job.coefficients_for(index)
     row = dict.fromkeys(_COLUMNS, "")
-    row.update(index=index, coefficients=";".join(fld.format(c) for c in coeffs))
+    # sample reduces mod p and masks draw from elements(): at e = 1 every value is its own text
+    text = ";".join(map(str, coeffs)) if fld.e == 1 else ";".join(map(fld.format, coeffs))
+    row.update(index=index, coefficients=text)
     f = cartier.basis(ring).polynomial(coeffs)
     if f.is_zero():
         row["height"] = "zero_polynomial"

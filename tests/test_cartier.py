@@ -4,6 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from qfsplit import _linalg, scan
 from qfsplit._linalg import raw_values
 from qfsplit.catalog import (
     QUINTIC_THREEFOLD_F2,
@@ -17,12 +18,14 @@ from qfsplit.cartier import (
     FAMILY_QUARTIC,
     SIGMA_AMBIGUOUS,
     SIGMA_EQUALS_TAU,
+    MonomialBasis,
     artin_report,
     basis,
     bundle,
     columns_from_kernel,
     default_height_cap,
     descent_product,
+    dict_lam_and_T,
     fedder_height_oracle,
     find_axis_line,
     height,
@@ -34,7 +37,7 @@ from qfsplit.lifts import shifted_matrix_direct, t_shifted
 from qfsplit.polyring import Polynomial, RingConfig, delta, parse_poly, poly_pow, u_op
 from qfsplit.values import Infinite, is_infinite, value_to_json
 
-from _support import bundle_raw, krylov_matrix, matrix_rank, rows_on
+from _support import bundle_raw, krylov_matrix, matrix_rank, random_element, rows_on
 
 F2 = field(2)
 F3 = field(3)
@@ -74,6 +77,96 @@ def test_basis_order_golden():
     assert sextic[:3] == ((6, 0, 0, 0), (5, 1, 0, 0), (5, 0, 1, 0))
     assert sextic[-3:] == ((0, 0, 6, 0), (0, 0, 3, 1), (0, 0, 0, 2))
     assert sextic.index((1, 1, 1, 1)) == 24
+
+
+def test_equal_rings_and_fields_hash_equal_and_share_their_caches():
+    for p, e in ((3, 1), (2, 2), (3, 2)):
+        f1, f2 = field(p, e), field(p, e)
+        assert f1 is not f2 and f1 == f2 and hash(f1) == hash(f2)
+        assert vars(f1)["_hash"] == hash(f1)  # computed by the constructor, not on first use
+        r1, r2 = RingConfig(f1, (1, 1, 1, 3)), RingConfig(f2, [1, 1, 1, 3])
+        assert r1 is not r2 and r1 == r2 and hash(r1) == hash(r2)
+        assert vars(r1)["_hash"] == hash(r1)
+        bas = basis(r1)
+        hits = basis.cache_info().hits
+        assert basis(r2) is bas and basis.cache_info().hits == hits + 1
+        ops = _linalg.make_ops(f1)
+        hits = _linalg.make_ops.cache_info().hits
+        assert _linalg.make_ops(f2) is ops and _linalg.make_ops.cache_info().hits == hits + 1
+
+
+# -- vector-backed forms -----------------------------------------------------
+
+def dict_built(f) -> bool:
+    """Whether f's term dict is filled, found without filling it."""
+    try:
+        Polynomial._terms.__get__(f)
+    except AttributeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 1, 1, 3)])
+def test_a_vector_form_equals_the_dict_form_of_its_vector(p, e, weights):
+    ring = RingConfig(field(p, e), weights)
+    fld, bas = ring.field, basis(ring)
+    rng = random.Random(p * 100 + e * 10 + weights[-1])
+    other = parse_poly("x^2 + x*y", ring)  # a dict-built factor and summand
+    vectors = [[fld.zero] * bas.m]
+    vectors += [[random_element(fld, rng) if rng.random() < density else fld.zero for _ in range(bas.m)]
+                for density in (0.05, 0.3, 1.0, 1.0)]
+    for v in vectors:
+        f, g = bas.polynomial(v), Polynomial(ring, dict(zip(bas.monomials, v)))
+        assert len(f) == len(g) and f.is_zero() == g.is_zero()
+        assert not dict_built(f)  # len and is_zero read the array
+        assert list(f.items()) == list(g.items()) and f.term_dict() == g.term_dict()
+        assert all(f.coefficient(mono) == g.coefficient(mono) for mono in bas.monomials + ((1,) * 4,))
+        assert str(f) == str(g) and f.weighted_degree() == g.weighted_degree()
+        assert f == g and g == f and hash(f) == hash(g) and f != other
+        assert f + other == g + other and other + f == other + g and f + f == g + g
+        assert f * other == g * other and other * f == other * g and f * f == g * g
+
+
+def test_a_vector_form_copies_the_callers_list():
+    bas = basis(R3)
+    v = [1, 2] + [0] * (bas.m - 2)
+    f = bas.polynomial(v)
+    v[:] = [2] * bas.m
+    assert f == parse_poly("x^4 + 2*x^3*y", R3) and len(f) == 2
+    assert raw_values(bas.coefficients(f), 1) == [1, 2] + [0] * (bas.m - 2)
+
+
+def test_scan_samples_build_no_term_dict(monkeypatch):
+    made = []
+    polynomial = MonomialBasis.polynomial
+    monkeypatch.setattr(MonomialBasis, "polynomial", lambda bas, v: made.append(polynomial(bas, v)) or made[-1])
+    jobs = [
+        scan.ScanJob(ring=R2, mode=scan.MODE_ASSERT_BOUND, count=50, seed=11, min_sigma=3),
+        scan.ScanJob(ring=R3, mode=scan.MODE_HUNT, target_sigma=1, mask=(0, 20, 30, 34), smoothness_filter=True),
+    ]
+    rows = [scan._evaluate_index(job, index) for job in jobs for index in range(50)]
+    # walks past R_1, which read T, and verdicts of the smoothness filter and walk
+    assert any(row["height"] not in ("1", "zero_polynomial") for row, _ in rows)
+    assert any(verdict for _, verdict in rows)
+    assert len(made) == 100 and not any(map(dict_built, made))
+
+
+def test_the_char2_lambda_is_one_read_only_array_per_ring():
+    ops4 = _linalg.make_ops(field(2, 2))
+    forms = []
+    for entry in SUPERSINGULAR_QUARTICS_F2[:3]:
+        forms.append(entry.polynomial())
+        forms.append(parse_poly("x^6 + y^6 + z^6 + w^2 + x*y*z*w", RingConfig(F2, (1, 1, 1, 3))))
+        forms.append(parse_poly(entry.equation, RingConfig(field(2, 2), (1, 1, 1, 1))))
+    for f in forms:
+        b = bundle(f)
+        lam = b.lam_coords
+        assert lam is b.basis.tables.char2_lam and not lam.flags.writeable
+        fresh = np.asarray(dict_lam_and_T(f, b.basis)[0], dtype=np.int64)
+        assert lam.shape == fresh.shape and np.array_equal(lam, fresh)
+        assert b.lam_row == b.ops.row(fresh)
+    assert _linalg.make_ops(field(2, 2)) is ops4
 
 
 # -- bundle ------------------------------------------------------------------
