@@ -83,12 +83,16 @@ every weight (:func:`factorials`).
 **Which cells, by enumeration.** When the C(2p - 3 + t, t - 1) gammas
 with |gamma| = 2p - 2 are at most ``COMPOSITIONS_MAX``, :func:`_compositions`
 lists them, and the alphas with |alpha| = p - 2, with their weights, once
-per p and t.  Each exponent A gamma is packed into a code, one bit field
-per variable, and joined against the sorted codes of the m^2 cell targets
-p M_i + E^lambda_j (the m E^lambda_j for lambda): one sort per basis and a
-``searchsorted`` per plan.  A code may name several cells, and a cell may
-have several points, which lambda and T add up.  Enumeration needs rings
-that ``_fpbundle.admits``, whose byte budget bounds the m^2 targets.
+per p and t.  Their cells are read off the ring's ``_fpbundle.RingTables``.
+x^(A alpha) feeds lambda_i for M_i = (p-1) 1 - A alpha where that is >= 0,
+the ``rank`` of its box index; x^E, E = A gamma, feeds the cells (Q + s_j,
+j) of every column j of the class E mod p, Q = E // p: its columns are a
+run of the columns sorted by class, found by ``searchsorted``.
+Q + s_j is a basis monomial: s_j >= 0, and p (Q + s_j) = E + M_j - (p-1) 1
+has weighted degree p d, d being the sum of the weights.  A gamma may feed
+several cells, and a cell may have several points, which lambda and T add
+up.  Enumeration needs rings that ``_fpbundle.admits``, whose byte budget
+bounds those tables.
 
 **Which cells, by solving.** Past that budget A must have full column
 rank.  Choose t rows r of A whose t x t minor B = A_r is
@@ -105,20 +109,19 @@ and only the matching cells are solved, in blocks of at most ``BLOCK``.
 depend on the ring and f's support alone.  The basis keeps them as
 ``MonomialBasis.fibers`` (:class:`Fibers`), the last ``PLANS`` supports'
 plans; a form then costs the powers c^gamma in F_q and one scatter.  The
-plan of lambda is built with the bundle, the plan of T by T's builder.
+plan of lambda is built with the bundle (and with it the ring's
+``RingTables``, if listed), the plan of T by T's builder.
 
 **Exactness.**
 
 * The solve is on int64: :meth:`Fibers.plan` admits a support only when
   t max|adj(B)| p (d_max + 2) < 2^62, which bounds adj(B) E_r.
-* The weights are products mod p^2 of table entries below p^2: on int64
-  for p < 2^15 (products below 2^60), on Python ints above, where only the
-  matching cells are formed.
-* A code's bit fields are bitlen((2p - 2) d + p) wide: an exponent of A
-  gamma is at most (2p - 2) d, and one of p M_i + E^lambda_j at most p d +
-  p - 1.  Targets with a negative exponent are left out, so equal codes are
-  equal exponents; :meth:`Fibers.plan` enumerates only when n fields fit
-  62 bits.
+* The weights are products mod p^2 < 2^40 of table entries below p^2, on
+  int64 by :func:`_mul_mod`, whose products stay below 2^60.
+* A listed plan packs only E mod p, whose entries are below p, into the
+  ``RingTables`` code fields, which hold exponents up to p d >= 2p; it
+  reads the rank table only at box indices of degree-d monomials, M_i and
+  Q + s_j.
 * c^gamma is computed in F_q on coordinates mod p.  Below q =
   ``LOG_Q_MAX`` it is antilog[(gamma . log c) mod (q - 1)], the tables
   built per field on first use (:func:`_logs`); gamma . log c < t 2p q.
@@ -143,7 +146,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _fpbundle
-from ._linalg import _INT64_SAFE_P, PrimeOps, make_ops
+from ._linalg import PrimeOps, make_ops
 
 FACTORIAL_BYTES_MAX = 1 << 25  # the tables of u and 1/u, see table_bytes
 COMPOSITIONS_MAX = 1 << 11  # the gammas a plan may list, see _plan_of; fixed by measurement
@@ -183,7 +186,7 @@ def solvable(f, bas) -> bool:
 
 def _plan_of(f, bas) -> "Plan | None":
     """f's plan (:meth:`Fibers.plan`), listed if f has at most ``COMPOSITIONS_MAX`` gammas on a ring
-    ``_fpbundle.admits`` (its budget bounds the m^2 cell targets); else None past n terms."""
+    ``_fpbundle.admits`` (whose ``RingTables`` it reads); else None past n terms."""
     p, t = bas.ring.field.p, len(f)
     listed = math.comb(2 * p - 3 + t, t - 1) <= COMPOSITIONS_MAX and _fpbundle.admits(bas.ring, bas.m)
     return bas.fibers.plan(support(f, bas), listed) if listed or t <= bas.ring.num_vars else None
@@ -307,46 +310,22 @@ def _solver(A: list) -> tuple | None:
 
 
 class Fibers:
-    """The route's per-basis state, kept as ``MonomialBasis.fibers``: the basis exponents, the
-    code places and cell targets, and the plans of the last ``PLANS`` supports (:meth:`plan`)."""
+    """The route's per-basis state, kept as ``MonomialBasis.fibers``: the basis exponents and the
+    plans of the last ``PLANS`` supports (:meth:`plan`)."""
 
     def __init__(self, bas):
-        ring = bas.ring
-        self.p = p = ring.field.p
-        self.M = np.array(bas.monomials, dtype=np.int64).reshape(bas.m, ring.num_vars)
+        self.bas = bas
+        self.p = p = bas.ring.field.p
+        self.M = np.array(bas.monomials, dtype=np.int64).reshape(bas.m, bas.ring.num_vars)
         self.E = (p - 1) - self.M  # E^lambda_j, the exponent lambda_j reads
-        width = ((2 * p - 2) * ring.d + p).bit_length()  # of one exponent of a code
-        packs = ring.num_vars * width <= _fpbundle.CODE_BITS
-        self.place = np.left_shift(1, width * np.arange(ring.num_vars)) if packs else None  # code = E @ place
         self.plan = lru_cache(maxsize=PLANS)(self._plan)
 
-    @cached_property
-    def lam_targets(self) -> tuple:
-        """The codes of the E^lambda_j (see :meth:`_targets`)."""
-        return self._targets(np.zeros_like(self.M[:1]), self.E)
-
-    @cached_property
-    def kernel_targets(self) -> tuple:
-        """The codes of the T cells' targets p M_i + E^lambda_j (see :meth:`_targets`)."""
-        return self._targets(self.p * self.M, self.E)
-
-    def _targets(self, X: np.ndarray, Y: np.ndarray) -> tuple:
-        """The codes of the X_i + Y_j without a negative entry, ascending, and the flat index
-        i len(Y) + j of each."""
-        ok = np.ones((len(X), len(Y)), dtype=bool)
-        for k in range(X.shape[1]):
-            ok &= X[:, k, None] + Y[:, k] >= 0
-        cells = np.flatnonzero(ok)
-        codes = ((X @ self.place)[:, None] + Y @ self.place).reshape(-1)[cells]
-        order = np.argsort(codes, kind="stable")
-        return codes[order], cells[order]
-
     def _plan(self, support: tuple, listed: bool) -> "Plan | None":
-        """The plan of a support: enumerated if ``listed`` (see :func:`_plan_of`) and the codes
-        pack, else solved; None if neither, that is if the exponent matrix A is rank-deficient or
-        its solve could leave int64."""
+        """The plan of a support: enumerated if ``listed`` (see :func:`_plan_of`), else solved;
+        None if neither, that is if the exponent matrix A is rank-deficient or its solve could
+        leave int64."""
         A, t = self.M[list(support)].T, len(support)
-        if listed and self.place is not None:
+        if listed:
             return Plan(self, support, A)
         solved = _solver(A.tolist())
         if solved is None or t * int(np.abs(solved[1]).max()) * self.p * (int(self.M.max()) + 2) >= 1 << 62:
@@ -365,27 +344,20 @@ class Plan:
     """
 
     def __init__(self, fib: Fibers, support: tuple, A: np.ndarray, solved: tuple | None = None):
-        self.support, self.fib, self.solved = support, fib, solved
+        self.support, self.A, self.solved = support, A, solved
         self.p, self.M, self.E = fib.p, fib.M, fib.E
         if solved is None:
-            self.codes = A.T @ fib.place  # of the terms, so gamma @ codes is the code of A gamma
+            self.tables = fib.bas.tables
             return
         self.rows, self.adj, self.det = solved
         self.other = [k for k in range(len(A)) if k not in self.rows]
         self.A_other = A[self.other]
         self.Y = self.E[:, self.rows] @ self.adj.T  # adj(B) (E^lambda_j)_r
 
-    def _join(self, N: int, targets: tuple) -> tuple:
-        """(cells, points, weights) for every gamma of :func:`_compositions` and every cell whose
-        target code (``Fibers.lam_targets`` or ``kernel_targets``) is A gamma's."""
-        gamma, weight = _compositions(self.p, N, len(self.support))
-        key = gamma @ self.codes
-        codes, cells = targets
-        lo = np.searchsorted(codes, key)
-        n = np.searchsorted(codes, key, side="right") - lo  # the cells gamma feeds
-        at = cells[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
-        hit = np.repeat(np.arange(len(gamma)), n)
-        return at, gamma[hit], weight[hit]
+    def _listed(self, N: int) -> tuple:
+        """The points of :func:`_compositions` with |point| = N, their weights, and A point for each."""
+        points, weight = _compositions(self.p, N, len(self.support))
+        return points, weight, points @ self.A.T
 
     def _points(self, num: np.ndarray, target: np.ndarray) -> tuple:
         """x = ``num`` / |det B| for each target E (a row of ``target``), ``num`` being
@@ -398,8 +370,12 @@ class Plan:
     @cached_property
     def lam(self) -> tuple:
         p = self.p
-        if self.solved is None:
-            return self._join(p - 2, self.fib.lam_targets)
+        if self.solved is None:  # x^(A alpha) feeds lambda_i for M_i = (p-1) 1 - A alpha, if >= 0
+            t = self.tables
+            alpha, weight, E = self._listed(p - 2)
+            M = (p - 1) - E
+            ok = np.flatnonzero((M >= 0).all(axis=1))
+            return t.rank[M[ok] @ t.box].astype(np.int64), alpha[ok], weight[ok]  # int64 scatters faster
         ok, alpha = self._points(self.Y, self.E)
         cells = np.flatnonzero(ok)
         alpha = alpha[cells]
@@ -409,7 +385,7 @@ class Plan:
     @cached_property
     def kernel(self) -> tuple:
         if self.solved is None:
-            return self._join(2 * self.p - 2, self.fib.kernel_targets)
+            return self._listed_kernel()
         p, det, M = self.p, self.det, self.M
         m = len(M)
         X = p * (M[:, self.rows] @ self.adj.T)  # p adj(B) (M_i)_r
@@ -439,14 +415,27 @@ class Plan:
         keep = weight != 0
         return cells[keep], gamma[keep], weight[keep]
 
+    def _listed_kernel(self) -> tuple:
+        """The kernel of a listed plan: x^E, E = A gamma, of a column class c = E mod p feeds the
+        cell (Q + s_j, j) of every column j of that class (``RingTables``), Q = E // p."""
+        t, p, m = self.tables, self.p, len(self.M)
+        gamma, weight, E = self._listed(2 * p - 2)
+        Q = E // p
+        cls = (E - p * Q) @ t.place  # E % p takes twice as long
+        lo = np.searchsorted(t.col_codes, cls)
+        n = np.searchsorted(t.col_codes, cls, side="right") - lo  # the columns of gamma's class
+        j = t.col_order[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
+        hit = np.repeat(np.arange(len(gamma)), n)
+        cells = t.rank[Q[hit] @ t.box + t.s_box[j]] * m + j
+        return cells, gamma[hit], weight[hit]
+
 
 def _unit_product(first, inv: np.ndarray, parts: np.ndarray, p: int) -> np.ndarray:
-    """first * prod_k inv[parts[:, k]] mod p^2, exact: int64 below 2^15, Python ints above."""
+    """first * prod_k inv[parts[:, k]] mod p^2 on int64 (:func:`_mul_mod`), first below p^2."""
     mod = p * p
-    dtype = np.int64 if p < _INT64_SAFE_P else object
-    out = np.full(len(parts), int(first), dtype=dtype)
+    out = np.full(len(parts), first, dtype=np.int64)
     for col in parts.T:
-        out = out * inv[col].astype(dtype) % mod
+        out = _mul_mod(out, inv[col], mod)
     return out
 
 
@@ -454,15 +443,14 @@ def _kernel_weights(p: int, gamma: np.ndarray) -> np.ndarray:
     """S(gamma) / p mod p for each row of ``gamma``, |gamma| = 2p - 2 (module docstring)."""
     u, inv = factorials(p)
     mod = p * p
-    dtype = np.int64 if p < _INT64_SAFE_P else object
     P = _unit_product(1, inv, gamma, p)
-    U = int(u[2 * p - 2])
+    U = u[2 * p - 2]
     g = gamma.max(axis=1)  # gamma_k, the one part that may reach p
     big = g >= p
     # the vertex term over P: u(p-2) u(gamma_k) / u(gamma_k - p)
-    vertex = int(u[p - 2]) * u[g].astype(dtype) % mod * inv[np.where(big, g - p, 0)].astype(dtype) % mod
-    S = np.where(big, P * (U - vertex) % mod, p * (U * P % p))  # S(gamma) mod p^2
-    return (S // p).astype(np.int64)
+    vertex = _mul_mod(_mul_mod(u[g], u[p - 2], mod), inv[np.where(big, g - p, 0)], mod)
+    S = np.where(big, _mul_mod(P, (U - vertex) % mod, mod), p * (_mul_mod(P, U, mod) % p))  # S(gamma) mod p^2
+    return S // p
 
 
 @lru_cache(maxsize=None)

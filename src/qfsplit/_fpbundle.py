@@ -92,7 +92,8 @@ classes, the basis codes and the lambda codes, and at p = 2 the int32 (m, m)
 pair table, its boolean mask of the pairs a < b and lambda.  Their
 closed-form size (:func:`ring_bytes`) is part of the route rule
 (:func:`admits`).  The basis keeps them as ``MonomialBasis.tables``, built
-on the ring's first bundle.
+on the ring's first bundle.  The fiber route's listed plans
+(:mod:`qfsplit._fibers`) find their cells in them too.
 Term pairs are formed in blocks of at most ``BLOCK`` (a product block of
 one term of the short factor holds as many pairs as the long factor has
 terms), so temporaries stay O(e^2 BLOCK) beyond the polynomials themselves.
@@ -150,11 +151,14 @@ def ring_bytes(ring: RingConfig, m: int) -> int:
 
     The int32 rank table over the degree-d box and int32 cell map (and at
     p = 2 the int32 pair table, its boolean mask of a < b and lambda's m e
-    coordinates), plus at most m column classes, m basis codes and m lambda
-    codes.  Closed form: it is checked before anything is built.
+    coordinates), plus eight int64 arrays of at most m entries: the basis
+    codes, the lambda codes, the columns by class code, their class codes,
+    each column's s_j box index, and per class its code, first column and
+    that column's s_j box index.  Closed form: it is checked before
+    anything is built.
     """
     pairs = 5 * m * m + 8 * m * ring.field.e if ring.field.p == 2 else 0
-    return 4 * (math.prod(box_radices(ring)) + m * m) + pairs + 8 * m * (ring.num_vars + 4)
+    return 4 * (math.prod(box_radices(ring)) + m * m) + pairs + 8 * m * (ring.num_vars + 7)
 
 
 def admits(ring: RingConfig, m: int) -> bool:
@@ -200,6 +204,9 @@ class RingTables:
     only in each class's first column j0 (cell (Q + s_j0, j0)), and
     ``cell`` maps each of the m^2 cells to the cell of its kernel term, or
     to the zero sentinel m^2 when it reads none (some coordinate of Q < 0).
+    ``col_order`` lists the columns by class code, ``col_codes`` their
+    codes, and ``s_box`` is each s_j's box index: with them and ``rank``
+    the fiber route's listed plans (``_fibers.Plan``) find their cells.
     At p = 2, ``pair[a, b]`` is the cell that x^(M_a + M_b) feeds, or m^2,
     and lambda, which does not depend on f, is kept as the read-only
     coordinate array ``char2_lam`` and its row in the field's backend
@@ -236,12 +243,15 @@ class RingTables:
         j0 = order[first]
         self.col_code = ccode[j0]  # one per class, ascending
         self.col_j0 = j0
-        self.col_s0 = S[j0] @ self.box
+        self.col_order = order  # the columns by class code
+        self.col_codes = ccode[order]  # their class codes, ascending
+        self.s_box = S @ self.box  # s_j @ box
+        self.col_s0 = self.s_box[j0]
         cls = np.empty(m, dtype=np.int64)
         cls[order] = np.cumsum(first) - 1  # class of column j
 
         # by blocks of rows, so that no temporary outgrows BLOCK cells
-        shift = self.col_s0[cls] - S @ self.box  # Q + s_j0 = M_i - s_j + s_j0
+        shift = self.col_s0[cls] - self.s_box  # Q + s_j0 = M_i - s_j + s_j0
         rows = max(1, BLOCK // m)
         self.cell = np.empty(m * m, dtype=np.int32)
         for lo in range(0, m, rows):

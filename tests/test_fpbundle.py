@@ -102,6 +102,24 @@ def test_full_rank_supports_take_the_fiber_route(dict_route_calls, T_builds, p, 
     assert (dict_route_calls, T_builds) == ([], ["_build_T"])
 
 
+@pytest.mark.parametrize("p,weights,text", [
+    (4093, QUARTIC, "x*y*z*w"),
+    (8191, QUARTIC, "x^2*y*z"),
+    (401, QUINTIC, "x^5+x*y*z*w*u"),
+    (401, QUINTIC, "x^4*y+y^3*z*w"),
+])
+def test_listed_plans_reach_every_admitted_ring(p, weights, text):
+    # one bit field per variable for exponents up to (2p - 2) d would pass 62 bits on these
+    # rings; a listed plan finds its cells through the ring's tables, which need no such code
+    f = parse_poly(text, RingConfig(field(p), weights))
+    bas = basis(f.ring)
+    assert _fibers.admits(f, bas) and _fibers._plan_of(f, bas).solved is None
+    fiber = cartier.FrobeniusBundle(bas, f, *_fibers.lam_and_T(f, bas))
+    ref = cartier.FrobeniusBundle(bas, f, *cartier.dict_lam_and_T(f, bas))
+    assert np.array_equal(fiber.lam_coords, ref.lam_coords)
+    assert np.array_equal(fiber.T_coords, ref.T_coords)
+
+
 @pytest.mark.parametrize("p,text", [
     (2, "x^4+y^4+z^4+w^4"),  # p = 2 keeps its quadratic form
     (3, FIVE_TERMS),  # more terms than variables
