@@ -3,10 +3,10 @@
 Write f = sum_(k < t) c_k x^(a_k), with distinct exponent vectors a_k of
 weighted degree d and c_k != 0 in F_q, q = p^e, and let A be the n x t
 exponent matrix whose columns are the a_k.  The basis monomials are M_0,
-..., M_(m-1), and 1 = (1, ..., 1).  The route serves odd p when f's
-fibers have few points to enumerate, whatever the rank of A (the sparse
-forms at small p), or when A has full column rank t (so t <= n <= 8):
-every Delsarte form, binomials and monomials.  It forms no polynomial
+..., M_(m-1), and 1 = (1, ..., 1).  The route serves odd p when A has
+full column rank t (so t <= n <= 8): every Delsarte form, binomials and
+monomials; and, below full rank, when f's fibers have few points to list
+(the sparse forms at small p).  It forms no polynomial
 product: neither f^(p-2), nor delta, nor the kernel delta * f^(p-2).  It
 returns what :mod:`qfsplit._fpbundle` returns, the same int64 coordinate
 arrays, lambda eager and a builder of T.
@@ -80,37 +80,38 @@ prod_l u(gamma_l) mod p^2 and U = u(2p-2):
 So the tables of u(k) mod p^2 and of its inverse, for k <= 2p - 2, give
 every weight (:func:`factorials`).
 
-**Which cells, by enumeration.** When the C(2p - 3 + t, t - 1) gammas
-with |gamma| = 2p - 2 are at most ``COMPOSITIONS_MAX``, :func:`_compositions`
-lists them, and the alphas with |alpha| = p - 2, with their weights, once
-per p and t.  Their cells are read off the ring's ``_fpbundle.RingTables``.
-x^(A alpha) feeds lambda_i for M_i = (p-1) 1 - A alpha where that is >= 0,
-the ``rank`` of its box index; x^E, E = A gamma, feeds the cells (Q + s_j,
-j) of every column j of the class E mod p, Q = E // p: its columns are a
-run of the columns sorted by class, found by ``searchsorted``.
-Q + s_j is a basis monomial: s_j >= 0, and p (Q + s_j) = E + M_j - (p-1) 1
-has weighted degree p d, d being the sum of the weights.  A gamma may feed
-several cells, and a cell may have several points, which lambda and T add
-up.  Enumeration needs rings that ``_fpbundle.admits``, whose byte budget
-bounds those tables.
-
-**Which cells, by solving.** Past that budget A must have full column
-rank.  Choose t rows r of A whose t x t minor B = A_r is
-invertible, with adj(B) B = det(B) I; gamma = adj(B) E_r / det(B) must be
-integral and nonnegative, and satisfy the other n - t rows of A gamma = E,
-which are checked exactly.  For E = p M_i + E^lambda_j, E^lambda_j = (p-1)
-1 - M_j the target of lambda_j, adj(B) E_r = p adj(B) (M_i)_r + adj(B)
+**Which cells, by solving.** Where A has full column rank, at every odd
+p, choose t rows r of A whose t x t minor B = A_r is invertible, with
+adj(B) B = det(B) I; gamma = adj(B) E_r / det(B) must be integral and
+nonnegative, and satisfy the other n - t rows of A gamma = E, which are
+checked exactly.  For E = p M_i + E^lambda_j, E^lambda_j = (p-1) 1 - M_j
+the target of lambda_j, adj(B) E_r = p adj(B) (M_i)_r + adj(B)
 (E^lambda_j)_r.  So cell (i, j) is integral iff the row residue -p adj(B)
 (M_i)_r equals the column residue adj(B) (E^lambda_j)_r mod |det B|: one
 join of m row keys against m column keys (a sort and ``searchsorted``),
 and only the matching cells are solved, in blocks of at most ``BLOCK``.
 
-**Plans.** The cells and their points, every weight, and rows r and adj(B)
-depend on the ring and f's support alone.  The basis keeps them as
-``MonomialBasis.fibers`` (:class:`Fibers`), the last ``PLANS`` supports'
-plans; a form then costs the powers c^gamma in F_q and one scatter.  The
-plan of lambda is built with the bundle (and with it the ring's
-``RingTables``, if listed), the plan of T by T's builder.
+**Which cells, by enumeration.** Below full rank, when the C(2p - 3 + t,
+t - 1) gammas with |gamma| = 2p - 2 are at most ``COMPOSITIONS_MAX``,
+:func:`_compositions` lists them, and the alphas with |alpha| = p - 2,
+with their weights, once per p and t.  Their cells are read off the
+ring's ``_fpbundle.RingTables``.  x^(A alpha) feeds lambda_i for M_i =
+(p-1) 1 - A alpha where that is >= 0, the ``rank`` of its box index; x^E,
+E = A gamma, feeds the cells (Q + s_j, j) of every column j of the class
+E mod p, Q = E // p: its columns are a run of the columns sorted by
+class, found by ``searchsorted``.  Q + s_j is a basis monomial: s_j >= 0,
+and p (Q + s_j) = E + M_j - (p-1) 1 has weighted degree p d, d being the
+sum of the weights.  A gamma may feed several cells, and a cell may have
+several points, which lambda and T add up.  Enumeration needs rings that
+``_fpbundle.admits``, whose byte budget bounds those tables.
+
+**Plans.** The rank of A alone picks the kind (:meth:`Fibers.plan`): a
+:class:`SolvedPlan` at full column rank, else a :class:`ListedPlan`.  Its
+cells, points and weights (and rows r and adj(B)) depend on the ring and
+f's support alone, and the basis keeps the last ``PLANS`` supports' plans
+as ``MonomialBasis.fibers`` (:class:`Fibers`): a form then costs the
+powers c^gamma in F_q and one scatter.  lambda's plan is built with the
+bundle (and the ring's ``RingTables``, if listed), T's by T's builder.
 
 **Exactness.**
 
@@ -149,7 +150,7 @@ from . import _fpbundle
 from ._linalg import PrimeOps, make_ops
 
 FACTORIAL_BYTES_MAX = 1 << 25  # the tables of u and 1/u, see table_bytes
-COMPOSITIONS_MAX = 1 << 11  # the gammas a plan may list, see _plan_of; fixed by measurement
+COMPOSITIONS_MAX = 1 << 11  # the gammas a rank-deficient support may list, see Fibers.plan; by measurement
 LOG_Q_MAX = 1 << 16  # fields this small raise c to a point by log tables, see _values
 PLANS = 256  # per-support plans kept by each basis
 BLOCK = 1 << 16  # candidate cells solved at once
@@ -161,11 +162,8 @@ def table_bytes(p: int) -> int:
 
 
 def support(f, bas) -> tuple:
-    """The basis indices of f's terms, ascending: the nonzero entries of ``bas.coefficients(f)``.
-
-    For every form ``cartier.bundle`` accepts, whose terms all lie on the
-    basis, these are the indices of its term dict, which this does not read.
-    """
+    """The basis indices of f's terms, ascending: the nonzero entries of ``bas.coefficients(f)``
+    (for a form ``cartier.bundle`` accepts, its term dict's indices; the dict is not read)."""
     return tuple(np.flatnonzero(make_ops(bas.ring.field).nonzero(bas.coefficients(f))).tolist())
 
 
@@ -180,29 +178,19 @@ def admits(f, bas) -> bool:
 
 
 def solvable(f, bas) -> bool:
-    """Whether p is odd, f has a term, and f has a plan (:func:`_plan_of`).  The rule but for the tables."""
-    return bas.ring.field.p != 2 and len(f) > 0 and _plan_of(f, bas) is not None
-
-
-def _plan_of(f, bas) -> "Plan | None":
-    """f's plan (:meth:`Fibers.plan`), listed if f has at most ``COMPOSITIONS_MAX`` gammas on a ring
-    ``_fpbundle.admits`` (whose ``RingTables`` it reads); else None past n terms."""
-    p, t = bas.ring.field.p, len(f)
-    listed = math.comb(2 * p - 3 + t, t - 1) <= COMPOSITIONS_MAX and _fpbundle.admits(bas.ring, bas.m)
-    return bas.fibers.plan(support(f, bas), listed) if listed or t <= bas.ring.num_vars else None
+    """Whether p is odd, f has a term, and f has a plan (:meth:`Fibers.plan`).  The rule but for the tables."""
+    return bas.ring.field.p != 2 and len(f) > 0 and bas.fibers.plan(support(f, bas)) is not None
 
 
 def lam_and_T(f, bas) -> tuple:
     """lambda's coordinate array on this route and a zero-argument builder of T's."""
-    s = make_ops(bas.ring.field)
-    plan = _plan_of(f, bas)
+    s, plan = make_ops(bas.ring.field), bas.fibers.plan(support(f, bas))
     c = bas.coefficients(f)[list(plan.support)]
-    return s.unfrobenius(_sums(s, bas.m, c, plan.lam)), lambda: _build_T(s, plan, c)
+    return s.unfrobenius(_sums(s, bas.m, c, plan.lam)), lambda: _build_T(s, bas.m, plan, c)
 
 
-def _build_T(s: PrimeOps, plan: "Plan", c: np.ndarray) -> np.ndarray:
-    """T's coordinate array from the plan's kernel cells and f's coefficients c on its support."""
-    m = len(plan.M)
+def _build_T(s: PrimeOps, m: int, plan, c: np.ndarray) -> np.ndarray:
+    """T's (m, m) coordinate array from the plan's kernel cells and f's coefficients c on its support."""
     return s.unfrobenius(_sums(s, m * m, c, plan.kernel)).reshape((m, m) + s.shape)
 
 
@@ -314,50 +302,43 @@ class Fibers:
     plans of the last ``PLANS`` supports (:meth:`plan`)."""
 
     def __init__(self, bas):
-        self.bas = bas
-        self.p = p = bas.ring.field.p
-        self.M = np.array(bas.monomials, dtype=np.int64).reshape(bas.m, bas.ring.num_vars)
-        self.E = (p - 1) - self.M  # E^lambda_j, the exponent lambda_j reads
-        self.plan = lru_cache(maxsize=PLANS)(self._plan)
+        self.bas, self.p, self.M = bas, bas.ring.field.p, bas.exponents
+        self.E = (self.p - 1) - self.M  # E^lambda_j, the exponent lambda_j reads
+        self._plans = lru_cache(maxsize=PLANS)(self._plan)
 
-    def _plan(self, support: tuple, listed: bool) -> "Plan | None":
-        """The plan of a support: enumerated if ``listed`` (see :func:`_plan_of`), else solved;
-        None if neither, that is if the exponent matrix A is rank-deficient or its solve could
-        leave int64."""
-        A, t = self.M[list(support)].T, len(support)
-        if listed:
-            return Plan(self, support, A)
+    def plan(self, support: tuple) -> "SolvedPlan | ListedPlan | None":
+        """A support's plan, of the kind the rank of A picks (:meth:`_plan`); a listed one only while its
+        C(2p - 3 + t, t - 1) gammas fit ``COMPOSITIONS_MAX`` on a ring ``_fpbundle.admits``, both read per call."""
+        t, bas = len(support), self.bas
+        listed = math.comb(2 * self.p - 3 + t, t - 1) <= COMPOSITIONS_MAX and _fpbundle.admits(bas.ring, bas.m)
+        plan = self._plans(support) if listed or t <= bas.ring.num_vars else None  # past n terms, A is rank-deficient
+        return None if isinstance(plan, ListedPlan) and not listed else plan
+
+    def _plan(self, support: tuple) -> "SolvedPlan | ListedPlan | None":
+        """Solved if A has full column rank t, but None if that solve could leave int64; else listed."""
+        A = self.M[list(support)].T
         solved = _solver(A.tolist())
-        if solved is None or t * int(np.abs(solved[1]).max()) * self.p * (int(self.M.max()) + 2) >= 1 << 62:
-            return None
-        return Plan(self, support, A, solved)
+        if solved is None:
+            return ListedPlan(self, support, A)
+        on_int64 = len(support) * int(np.abs(solved[1]).max()) * self.p * (int(self.M.max()) + 2) < 1 << 62
+        return SolvedPlan(self, support, A, solved) if on_int64 else None
 
 
-class Plan:
-    """What lambda and T read of one support: the points of the cells' fibers, and their weights.
+class SolvedPlan:
+    """What lambda and T read of a support whose A has full column rank: each cell's one point, if any.
 
     ``lam`` and ``kernel`` are ``(cells, points, weights)``, one entry per
     point: the flat index of its cell of lambda (m,) or T (m, m), the point
     (alpha or gamma) and its weight mod p, multinom(p-2; alpha) or S(gamma)
-    / p.  A cell may have several points, and a point several cells, when
-    the plan is enumerated; each is built on first use.
+    / p.  Each is built on first use.
     """
 
-    def __init__(self, fib: Fibers, support: tuple, A: np.ndarray, solved: tuple | None = None):
-        self.support, self.A, self.solved = support, A, solved
-        self.p, self.M, self.E = fib.p, fib.M, fib.E
-        if solved is None:
-            self.tables = fib.bas.tables
-            return
+    def __init__(self, fib: Fibers, support: tuple, A: np.ndarray, solved: tuple):
+        self.support, self.A, self.p, self.M, self.E = support, A, fib.p, fib.M, fib.E
         self.rows, self.adj, self.det = solved
         self.other = [k for k in range(len(A)) if k not in self.rows]
         self.A_other = A[self.other]
         self.Y = self.E[:, self.rows] @ self.adj.T  # adj(B) (E^lambda_j)_r
-
-    def _listed(self, N: int) -> tuple:
-        """The points of :func:`_compositions` with |point| = N, their weights, and A point for each."""
-        points, weight = _compositions(self.p, N, len(self.support))
-        return points, weight, points @ self.A.T
 
     def _points(self, num: np.ndarray, target: np.ndarray) -> tuple:
         """x = ``num`` / |det B| for each target E (a row of ``target``), ``num`` being
@@ -369,23 +350,13 @@ class Plan:
 
     @cached_property
     def lam(self) -> tuple:
-        p = self.p
-        if self.solved is None:  # x^(A alpha) feeds lambda_i for M_i = (p-1) 1 - A alpha, if >= 0
-            t = self.tables
-            alpha, weight, E = self._listed(p - 2)
-            M = (p - 1) - E
-            ok = np.flatnonzero((M >= 0).all(axis=1))
-            return t.rank[M[ok] @ t.box].astype(np.int64), alpha[ok], weight[ok]  # int64 scatters faster
-        ok, alpha = self._points(self.Y, self.E)
+        p, (ok, alpha) = self.p, self._points(self.Y, self.E)
         cells = np.flatnonzero(ok)
-        alpha = alpha[cells]
         u, inv = factorials(p)
-        return cells, alpha, (_unit_product(u[p - 2], inv, alpha, p) % p).astype(np.int64)
+        return cells, alpha[cells], (_unit_product(u[p - 2], inv, alpha[cells], p) % p).astype(np.int64)
 
     @cached_property
     def kernel(self) -> tuple:
-        if self.solved is None:
-            return self._listed_kernel()
         p, det, M = self.p, self.det, self.M
         m = len(M)
         X = p * (M[:, self.rows] @ self.adj.T)  # p adj(B) (M_i)_r
@@ -399,8 +370,7 @@ class Plan:
         lo = np.searchsorted(col_ids, ids[:m])
         n = np.searchsorted(col_ids, ids[:m], side="right") - lo  # matching columns of row i
         ends = np.cumsum(n)
-        found = []
-        i0 = 0
+        found, i0 = [], 0
         while i0 < m:  # whole rows, at most BLOCK candidates unless one row has more
             base = ends[i0] - n[i0]
             i1 = max(i0 + 1, int(np.searchsorted(ends, base + BLOCK, side="right")))
@@ -415,10 +385,32 @@ class Plan:
         keep = weight != 0
         return cells[keep], gamma[keep], weight[keep]
 
-    def _listed_kernel(self) -> tuple:
-        """The kernel of a listed plan: x^E, E = A gamma, of a column class c = E mod p feeds the
-        cell (Q + s_j, j) of every column j of that class (``RingTables``), Q = E // p."""
-        t, p, m = self.tables, self.p, len(self.M)
+
+class ListedPlan:
+    """What lambda and T read of a support whose A is rank-deficient, listed (:func:`_compositions`): as
+    in :class:`SolvedPlan`, but a cell may have several points, and a point several cells."""
+
+    def __init__(self, fib: Fibers, support: tuple, A: np.ndarray):
+        self.support, self.A, self.p, self.bas = support, A, fib.p, fib.bas
+
+    def _listed(self, N: int) -> tuple:
+        """The points of :func:`_compositions` with |point| = N, their weights, and A point for each."""
+        points, weight = _compositions(self.p, N, len(self.support))
+        return points, weight, points @ self.A.T
+
+    @cached_property
+    def lam(self) -> tuple:
+        t, p = self.bas.tables, self.p
+        alpha, weight, E = self._listed(p - 2)
+        M = (p - 1) - E  # x^(A alpha) feeds lambda_i for M_i = (p-1) 1 - A alpha, if >= 0
+        ok = np.flatnonzero((M >= 0).all(axis=1))
+        return t.rank[M[ok] @ t.box].astype(np.int64), alpha[ok], weight[ok]  # int64 scatters faster
+
+    @cached_property
+    def kernel(self) -> tuple:
+        """x^E, E = A gamma, of a column class c = E mod p feeds the cell (Q + s_j, j) of every
+        column j of that class (``RingTables``), Q = E // p."""
+        t, p, m = self.bas.tables, self.p, self.bas.m
         gamma, weight, E = self._listed(2 * p - 2)
         Q = E // p
         cls = (E - p * Q) @ t.place  # E % p takes twice as long

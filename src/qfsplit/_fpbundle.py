@@ -206,7 +206,7 @@ class RingTables:
     to the zero sentinel m^2 when it reads none (some coordinate of Q < 0).
     ``col_order`` lists the columns by class code, ``col_codes`` their
     codes, and ``s_box`` is each s_j's box index: with them and ``rank``
-    the fiber route's listed plans (``_fibers.Plan``) find their cells.
+    the fiber route's listed plans (``_fibers.ListedPlan``) find their cells.
     At p = 2, ``pair[a, b]`` is the cell that x^(M_a + M_b) feeds, or m^2,
     and lambda, which does not depend on f, is kept as the read-only
     coordinate array ``char2_lam`` and its row in the field's backend
@@ -229,7 +229,7 @@ class RingTables:
         radices = box_radices(ring)
         box = [math.prod(radices[k + 1 :]) for k in range(nv - 1)] + [0]
         self.box = np.array(box, dtype=np.int64)  # exponent vector @ box = box index
-        M = np.array(bas.monomials, dtype=np.int64).reshape(m, nv)
+        M = bas.exponents
         self.codes = M @ self.place  # of the basis monomials, descending
         # basis index by box index; entries off the basis are never read
         self.rank = np.zeros(math.prod(radices), dtype=np.int32)
@@ -452,7 +452,8 @@ def _classes(t: RingTables, codes: np.ndarray) -> tuple:
     quotients add up to a degree-d monomial.
     """
     exps = t.exponents(codes)
-    return (exps % t.p) @ t.place, (exps // t.p) @ t.box
+    q = exps // t.p  # one floor division: exps % p would cost about 4x it
+    return (exps - t.p * q) @ t.place, q @ t.box
 
 
 def _accumulate_kernel(t: RingTables, s: PrimeOps, delta: tuple, fp2: tuple, kv: np.ndarray) -> None:

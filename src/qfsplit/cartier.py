@@ -75,8 +75,8 @@ class MonomialBasis:
     """All weighted-degree-d monomials in the frozen canonical order.
 
     The basis keeps its ring's derived tables, each built on first use:
-    ``index``, ``residue_columns``, the numpy route's ``tables`` and the
-    fiber route's ``fibers``.
+    ``index``, ``exponents``, ``residue_columns``, the numpy route's
+    ``tables`` and the fiber route's ``fibers``.
     """
 
     ring: RingConfig
@@ -90,6 +90,13 @@ class MonomialBasis:
     def index(self) -> dict:
         """Monomial -> its position in the basis."""
         return {mono: i for i, mono in enumerate(self.monomials)}
+
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """The monomials' exponents, a read-only (m, nv) int64 array."""
+        out = np.array(self.monomials, dtype=np.int64).reshape(self.m, self.ring.num_vars)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def residue_columns(self) -> dict:
@@ -291,13 +298,13 @@ def route(f: Polynomial, bas: MonomialBasis) -> Callable:
     and the first rule that holds wins:
 
     * :func:`_fibers.lam_and_T` iff :func:`_fibers.admits`: odd p within
-      its table budget, and f's fibers either enumerable, with at most
-      ``_fibers.COMPOSITIONS_MAX`` lattice points to list on a ring that
-      :func:`_fpbundle.admits` (sparse forms at small p, whatever their
-      rank), or solvable, f's exponent matrix having full column rank
-      (every Delsarte form, binomials and monomials).  lambda and T are
-      sums over lattice points with multinomial weights, and no polynomial
-      product is formed;
+      its table budget, and f's fibers solvable, its exponent matrix
+      having full column rank (every Delsarte form, binomials and
+      monomials), or, below full rank, listed, with at most
+      ``_fibers.COMPOSITIONS_MAX`` lattice points on a ring that
+      :func:`_fpbundle.admits` (sparse forms at small p).  lambda and T
+      are sums over lattice points with multinomial weights, and no
+      polynomial product is formed;
     * where :func:`_fpbundle.admits` holds (its docstring states the rule),
       :func:`_fpbundle.char2_lam_and_T` at p = 2, which builds T as a fixed
       quadratic form in v_f, and :func:`_fpbundle.general_lam_and_T` at odd

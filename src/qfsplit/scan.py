@@ -152,7 +152,7 @@ class _WitnessTables:
         # mul[a * q + b] is the code of a * b; codes below q^2 fit int32 under the budget
         mul = np.array([code_of[fld.mul(a, b)] for a in elems for b in elems], dtype=np.int32)
 
-        exps = np.array(bas.monomials)
+        exps = bas.exponents
         powtab = np.empty((q, int(exps.max()) + 1), dtype=np.int32)
         powtab[:, 0] = one
         for e in range(1, powtab.shape[1]):

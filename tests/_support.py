@@ -238,6 +238,58 @@ def evaluate(f: Polynomial, point: Sequence[RawElement]) -> RawElement:
     return total
 
 
+def affine_zeros(f: Polynomial) -> int:
+    """N = #{x in F_p^n : f(x) = 0} for a form f over a prime field: the point-count height-1 oracle.
+
+    **Criterion.** If f has weighted degree d = sum_i w_i in n variables
+    over F_p (p = 2 included), then height(f) = 1 iff p does not divide N.
+
+    **Proof.** 1 - y^(p-1) is 1 at y = 0 and 0 at every other y in F_p, so
+    N = sum_x (1 - f(x)^(p-1)) = p^n - sum_x f(x)^(p-1) = -sum_x f(x)^(p-1)
+    mod p.  Expand f^(p-1) into terms b x^a.  Over F_p^n, sum_x x^a =
+    prod_i sum_(y in F_p) y^(a_i), and sum_y y^k is p = 0 for k = 0 (0^0 =
+    1), -1 for k a positive multiple of p - 1, and 0 otherwise.  So only
+    the terms with every a_i = k_i (p - 1), k_i >= 1, survive, each giving
+    (-1)^n b.  Such a term has weighted degree (p - 1) sum_i w_i k_i, which
+    must be (p - 1) d = (p - 1) sum_i w_i, so every k_i = 1: it is the term
+    of (x_1 ... x_n)^(p-1).  Hence N = (-1)^(n+1) c mod p, c being the
+    coefficient of (x_1 ... x_n)^(p-1) in f^(p-1).  That is also the only
+    monomial of f^(p-1) outside m^[p] = (x_1^p, ..., x_n^p), every other one
+    of weighted degree (p - 1) d having some exponent >= p; so c != 0 iff
+    f^(p-1) is not in m^[p], Fedder's criterion for height 1 (F-split).
+
+    **Count.** f(x) = sum_t c_t u_t(y) v_t(z) for x = (y, z) split into its
+    first n // 2 coordinates and the rest, u_t and v_t the term's monomial
+    values there, read off tables of y^k mod p.  The counts come from one
+    float64 product of the (p^(n//2), T) and (T, p^(n - n//2)) value
+    matrices per block of rows, exact since T (p - 1)^2 < 2^53.  Nothing
+    here is shared with the bundle routes, the backends or the walk.
+    """
+    fld, n = f.ring.field, f.ring.num_vars
+    assert fld.e == 1, "prime fields only"
+    p, terms = fld.p, f.term_dict()
+    exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), n)
+    coeffs = np.array([int(c) % p for c in terms.values()], dtype=np.int64)
+    assert len(terms) * (p - 1) ** 2 < 2**53
+    power = np.ones((p, int(exps.max(initial=0)) + 1), dtype=np.int64)  # power[y, k] = y^k mod p
+    for k in range(1, power.shape[1]):
+        power[:, k] = power[:, k - 1] * np.arange(p) % p
+
+    def values(cols: range) -> np.ndarray:
+        """(p^len(cols), T): each term's monomial in the coordinates ``cols``, at every point."""
+        grid = np.indices((p,) * len(cols)).reshape(len(cols), -1)
+        out = np.ones((grid.shape[1], len(terms)), dtype=np.int64)
+        for row, i in zip(grid, cols):
+            out = out * power[row[:, None], exps[:, i]] % p
+        return out
+
+    head = (values(range(n // 2)) * coeffs % p).astype(np.float64)
+    tail = values(range(n // 2, n)).T.astype(np.float64).copy()
+    rows = max(1, (1 << 20) // tail.shape[1])
+    return sum(int(np.count_nonzero((head[lo : lo + rows] @ tail).astype(np.int64) % p == 0))
+               for lo in range(0, len(head), rows))
+
+
 def witness_table_reference(ring: RingConfig, k: int) -> np.ndarray:
     """``scan._WitnessTables(ring, k).table``, each of the nv + 1 tables multiplied out alone.
 

@@ -21,7 +21,7 @@ from qfsplit.ffield import field
 from qfsplit.polyring import RingConfig, parse_poly
 
 from _support import DIAGONAL, QUARTIC, QUINTIC, SEXTIC, seeded_forms
-from test_registry import corpus_test
+from test_registry import BINOMIALS, RANK_DEFICIENT, binomials, corpus_test, delsarte_forms, parsed
 
 # the routes agree: the registry's corpus groups that replaced this file's twins, under their ids
 test_routes_agree_on_seeded_forms = corpus_test("test_routes_agree_on_seeded_forms")
@@ -110,14 +110,36 @@ def test_full_rank_supports_take_the_fiber_route(dict_route_calls, T_builds, p, 
 ])
 def test_listed_plans_reach_every_admitted_ring(p, weights, text):
     # one bit field per variable for exponents up to (2p - 2) d would pass 62 bits on these
-    # rings; a listed plan finds its cells through the ring's tables, which need no such code
+    # rings; every support here has full column rank, so its plan is solved, which packs no codes
     f = parse_poly(text, RingConfig(field(p), weights))
     bas = basis(f.ring)
-    assert _fibers.admits(f, bas) and _fibers._plan_of(f, bas).solved is None
+    assert _fibers.admits(f, bas) and isinstance(bas.fibers.plan(_fibers.support(f, bas)), _fibers.SolvedPlan)
     fiber = cartier.FrobeniusBundle(bas, f, *_fibers.lam_and_T(f, bas))
     ref = cartier.FrobeniusBundle(bas, f, *cartier.dict_lam_and_T(f, bas))
     assert np.array_equal(fiber.lam_coords, ref.lam_coords)
     assert np.array_equal(fiber.T_coords, ref.T_coords)
+
+
+@pytest.mark.parametrize("e", [1, 2], ids=["Fp", "Fp2"])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_the_rank_of_a_support_picks_its_plan_kind(p, e):
+    # a full-rank support is solved at every p, also where its compositions would fit the
+    # listing budget (at p = 3 all of them do); only a rank-deficient one is listed, if at all
+    ring_of = lambda weights: RingConfig(field(p, e), weights)
+    forms = [parse_poly(entry.equation, ring_of(entry.weights)) for entry in catalog.all_entries()]
+    forms += delsarte_forms(p, e, False) + binomials(p, e)
+    forms += [f for weights, texts in RANK_DEFICIENT.items() for f in parsed(texts, ring_of(weights))]
+    kinds = []
+    for f in forms:
+        bas = basis(f.ring)
+        plan = bas.fibers.plan(_fibers.support(f, bas))
+        if np.linalg.matrix_rank(np.array(list(f.term_dict()))) == len(f):
+            assert isinstance(plan, _fibers.SolvedPlan), f
+        else:
+            assert plan is None or isinstance(plan, _fibers.ListedPlan), f
+        kinds.append(type(plan).__name__)
+    assert kinds.count("SolvedPlan") >= 20 + sum(map(len, BINOMIALS.values()))
+    assert ("ListedPlan" in kinds) == (p < 11)  # none of the rank-deficient forms fits at 11 and 13
 
 
 @pytest.mark.parametrize("p,text", [

@@ -132,7 +132,7 @@ def check(case: Case | RankCase) -> FrobeniusBundle | None:
             if case.block:
                 mp.setattr(_fpbundle, "BLOCK", case.block)
                 mp.setattr(_fibers, "BLOCK", case.block)
-                bas.fibers.plan.cache_clear()  # so that the fiber route joins its cells at this block
+                bas.fibers._plans.cache_clear()  # so that the fiber route joins its cells at this block
             for label in producers[1:]:
                 made = PRODUCERS[label][0](f)
                 assert np.array_equal(made.lam_coords, lam) and np.array_equal(made.T_coords, T), label
